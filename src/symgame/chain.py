@@ -20,13 +20,15 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .dynamics import Trajectory
-from .errors import GridSizeError, ProtocolError, ReducibleChainError
+from .errors import ProtocolError, ReducibleChainError
 from .games import (
+    DEFAULT_GRID_LIMIT,
     PopulationGame,
     RevisionProtocol,
     SocialState,
+    StateGrid,
+    grid_rates,
     protocol_tuple,
-    simplex_counts,
 )
 
 __all__ = [
@@ -44,79 +46,7 @@ __all__ = [
     "deviation_vs_ode",
 ]
 
-DEFAULT_GRID_LIMIT = 2_000_000
 DENSE_SOLVER_LIMIT = 20_000
-
-
-class StateGrid:
-    """Enumerated lattice states with a bijective ordinal index.
-
-    Population p contributes all compositions of ``sizes[p]`` agents into its
-    strategies, in lexicographic order; multi-population grids are the
-    ordered product, indexed mixed-radix with population 0 most significant.
-    """
-
-    def __init__(self, strategy_counts, sizes, resolutions, limit: int = DEFAULT_GRID_LIMIT):
-        self.strategy_counts = tuple(int(n) for n in strategy_counts)
-        self.sizes = tuple(int(s) for s in sizes)
-        self.resolutions = tuple(int(r) for r in resolutions)
-        total = 1
-        for size, n in zip(self.sizes, self.strategy_counts):
-            per_pop = math.comb(size + n - 1, n - 1)
-            if per_pop > limit:
-                raise GridSizeError(
-                    f"population grid has {per_pop} states, exceeding the limit {limit}"
-                )
-            total *= per_pop
-        if total > limit:
-            raise GridSizeError(f"product grid has {total} states, exceeding the limit {limit}")
-        self._pop_states = [
-            list(simplex_counts(size, n)) for size, n in zip(self.sizes, self.strategy_counts)
-        ]
-        self._pop_index = [
-            {counts: i for i, counts in enumerate(states)} for states in self._pop_states
-        ]
-        self._radix = [len(states) for states in self._pop_states]
-        self._total = total
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StateGrid)
-            and self.strategy_counts == other.strategy_counts
-            and self.sizes == other.sizes
-            and self.resolutions == other.resolutions
-        )
-
-    def __hash__(self):
-        return hash((self.strategy_counts, self.sizes, self.resolutions))
-
-    def state(self, ordinal: int) -> tuple[tuple[int, ...], ...]:
-        if not 0 <= ordinal < self._total:
-            raise IndexError(f"ordinal {ordinal} out of range for grid of {self._total} states")
-        parts = []
-        for states, radix in zip(reversed(self._pop_states), reversed(self._radix)):
-            ordinal, r = divmod(ordinal, radix)
-            parts.append(states[r])
-        return tuple(reversed(parts))
-
-    def index(self, state: Sequence[Sequence[int]]) -> int:
-        ordinal = 0
-        for counts, idx_map, radix in zip(state, self._pop_index, self._radix):
-            ordinal = ordinal * radix + idx_map[tuple(int(k) for k in counts)]
-        return ordinal
-
-    def states(self):
-        for ordinal in range(self._total):
-            yield self.state(ordinal)
-
-    def social_state(self, ordinal: int) -> SocialState:
-        return SocialState.from_counts(self.state(ordinal), self.resolutions)
-
-    def format_state(self, ordinal: int) -> str:
-        return "|".join(" ".join(str(k) for k in part) for part in self.state(ordinal))
 
 
 def enumerate_states(n: int, size: int, limit: int = DEFAULT_GRID_LIMIT) -> StateGrid:
@@ -194,6 +124,8 @@ class FiniteChain:
     Edge arrays run over the off-diagonal transitions; entry k encodes the
     jump ``src[k] -> dst[k]`` moving one agent of population ``pop[k]`` from
     strategy ``from_strategy[k]`` to ``to_strategy[k]`` at ``rate[k]``.
+    Edges are ordered by source state, then population, from- and
+    to-strategy.
     """
 
     grid: StateGrid
@@ -220,54 +152,46 @@ def build_generator(
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
     resolution: int | Sequence[int],
     limit: int = DEFAULT_GRID_LIMIT,
+    rates: Sequence[np.ndarray] | None = None,
 ) -> FiniteChain:
     """Assemble the jump-rate generator Q over the full lattice grid.
 
     Rate of ``x -> x + (e_j - e_i)/N^p`` is ``N^p x_i^p rho^p_ij(F(x), x^p)``,
     i.e. ``k_i^p`` agents each revising at the conditional rate.  Diagonal
-    entries are the negative row sums.
+    entries are the negative row sums.  The rate matrices come from
+    :func:`symgame.games.grid_rates`, one evaluation per state, or from
+    ``rates`` when the caller already holds them for this grid; edges are
+    then assembled with array operations, ordered by source state,
+    population, from- and to-strategy.
     """
     protocols = protocol_tuple(protocol, game)
     grid = build_grid(game, resolution, limit=limit)
-    src: list[int] = []
-    dst: list[int] = []
-    rate: list[float] = []
-    pop: list[int] = []
-    s_from: list[int] = []
-    s_to: list[int] = []
-
-    for ordinal in range(len(grid)):
-        counts = grid.state(ordinal)
-        state = SocialState.from_counts(counts, grid.resolutions)
-        payoffs = game.payoff_at(state)
-        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
-            rho = proto.rates(pi, x)
-            part = counts[p]
-            for i, k_i in enumerate(part):
-                if k_i == 0:
-                    continue
-                for j in range(len(part)):
-                    if j == i:
-                        continue
-                    q = k_i * rho[i, j]
-                    if q == 0.0:
-                        continue
-                    target = list(counts)
-                    moved = list(part)
-                    moved[i] -= 1
-                    moved[j] += 1
-                    target[p] = tuple(moved)
-                    src.append(ordinal)
-                    dst.append(grid.index(target))
-                    rate.append(q)
-                    pop.append(p)
-                    s_from.append(i)
-                    s_to.append(j)
-
-    src_arr = np.asarray(src, dtype=np.int64)
-    dst_arr = np.asarray(dst, dtype=np.int64)
-    rate_arr = np.asarray(rate, dtype=float)
+    if rates is None:
+        rates = grid_rates(game, protocols, grid)
     n_states = len(grid)
+    q_blocks, pops, froms, tos = [], [], [], []
+    for p, (rho, n, a) in enumerate(zip(rates, grid.strategy_counts, grid.offsets)):
+        if rho.shape != (n_states, n, n):
+            raise ValueError(f"population {p}: rates shape {rho.shape} != ({n_states}, {n}, {n})")
+        q = grid.counts[:, a:a + n, None] * rho
+        q[:, np.arange(n), np.arange(n)] = 0.0  # self-switches are unobservable
+        q_blocks.append(q.reshape(n_states, n * n))
+        pops.append(np.full(n * n, p))
+        i, j = np.divmod(np.arange(n * n), n)
+        froms.append(i)
+        tos.append(j)
+    q_all = np.hstack(q_blocks)
+    hit = np.flatnonzero(q_all)
+    src_arr, col = np.divmod(hit, q_all.shape[1])
+    rate_arr = q_all.ravel()[hit]
+    pop, s_from, s_to = (np.concatenate(v)[col] for v in (pops, froms, tos))
+    offsets = np.asarray(grid.offsets)
+    moved = grid.counts[src_arr]
+    rows = np.arange(len(hit))
+    moved[rows, offsets[pop] + s_from] -= 1
+    moved[rows, offsets[pop] + s_to] += 1
+    dst_arr = grid.ranks(moved)
+
     off_diag = sp.coo_matrix((rate_arr, (src_arr, dst_arr)), shape=(n_states, n_states))
     row_sums = np.asarray(off_diag.sum(axis=1)).ravel()
     diag = sp.coo_matrix((-row_sums, (np.arange(n_states), np.arange(n_states))),
@@ -280,9 +204,9 @@ def build_generator(
         src=src_arr,
         dst=dst_arr,
         rate=rate_arr,
-        pop=np.asarray(pop, dtype=np.int32),
-        from_strategy=np.asarray(s_from, dtype=np.int32),
-        to_strategy=np.asarray(s_to, dtype=np.int32),
+        pop=pop.astype(np.int32),
+        from_strategy=s_from.astype(np.int32),
+        to_strategy=s_to.astype(np.int32),
         game=game,
         protocols=protocols,
     )
@@ -452,11 +376,7 @@ def _simulate_chain(chain, x0, horizon, seed, burn_in, collect_occupancy):
     parts = _normalize_x0(x0, grid.strategy_counts, grid.resolutions)
     current = grid.index(tuple(tuple(int(v) for v in p) for p in parts))
 
-    order = np.argsort(chain.src, kind="stable")
-    src_sorted = chain.src[order]
-    dst_sorted = chain.dst[order]
-    rate_sorted = chain.rate[order]
-    row_ptr = np.searchsorted(src_sorted, np.arange(len(grid) + 1))
+    row_ptr = np.searchsorted(chain.src, np.arange(len(grid) + 1))
 
     rng = np.random.default_rng(seed)
     times = [0.0]
@@ -465,15 +385,12 @@ def _simulate_chain(chain, x0, horizon, seed, burn_in, collect_occupancy):
     t = 0.0
     while True:
         lo, hi = row_ptr[current], row_ptr[current + 1]
-        rates = rate_sorted[lo:hi]
+        rates = chain.rate[lo:hi]
         total = float(rates.sum())
         if total <= 0.0:
-            dwell = horizon - t
-            nxt = current
             t_next = horizon
         else:
-            dwell = rng.exponential(1.0 / total)
-            t_next = t + dwell
+            t_next = t + rng.exponential(1.0 / total)
         if t_next >= horizon:
             if residence is not None:
                 residence[current] += horizon - max(t, burn_in) if horizon > burn_in else 0.0
@@ -482,15 +399,12 @@ def _simulate_chain(chain, x0, horizon, seed, burn_in, collect_occupancy):
             residence[current] += t_next - max(t, burn_in)
         cum = np.cumsum(rates)
         pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        current = int(dst_sorted[lo + pick])
+        current = int(chain.dst[lo + pick])
         t = t_next
         times.append(t)
         visited.append(current)
 
-    counts = np.array(
-        [np.fromiter((v for part in grid.state(s) for v in part), dtype=np.int64)
-         for s in visited]
-    )
+    counts = grid.counts[visited]
     occupancy = None
     if residence is not None:
         weights = residence / (horizon - burn_in)
@@ -588,12 +502,8 @@ def _simulate_on_the_fly(game, protocol, resolution, x0, horizon, seed, burn_in,
     if residence is not None:
         grid = StateGrid(game.strategy_counts,
                          [int(p.sum()) for p in parts], resolutions)
-        offsets = np.concatenate(([0], np.cumsum(game.strategy_counts)))
         probs = np.zeros(len(grid))
-        for key, dwell in residence.items():
-            split = tuple(tuple(key[offsets[p]:offsets[p + 1]])
-                          for p in range(game.num_populations))
-            probs[grid.index(split)] = dwell / (horizon - burn_in)
+        probs[grid.ranks(list(residence))] = np.array(list(residence.values())) / (horizon - burn_in)
         occupancy = StationaryTable(
             grid=grid, probabilities=probs, provenance="empirical",
             metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
@@ -624,20 +534,20 @@ def check_detailed_balance(chain: FiniteChain, stationary: StationaryTable) -> D
     if stationary.grid != chain.grid:
         raise ValueError("stationary table grid does not match the chain grid")
     mu = stationary.probabilities
-    rate_of = {(int(s), int(d)): float(r) for s, d, r in zip(chain.src, chain.dst, chain.rate)}
-    max_flow = 0.0
-    worst = (0, 0)
-    max_imbalance = 0.0
-    for (s, d), q in rate_of.items():
-        fwd = mu[s] * q
-        max_flow = max(max_flow, fwd)
-        if s > d and (d, s) in rate_of:
-            continue  # handled from the other direction
-        back = mu[d] * rate_of.get((d, s), 0.0)
-        gap = abs(fwd - back)
-        if gap > max_imbalance:
-            max_imbalance = gap
-            worst = (s, d)
+    src, dst = chain.src, chain.dst
+    fwd = mu[src] * chain.rate
+    # reverse of each edge: binary search of its (dst, src) key among the sorted (src, dst) keys
+    keys, rev_keys = src * len(mu) + dst, dst * len(mu) + src
+    order = np.argsort(keys)
+    rev = order[np.minimum(np.searchsorted(keys, rev_keys, sorter=order), len(keys) - 1)]
+    has_rev = keys[rev] == rev_keys
+    back = np.where(has_rev, mu[dst] * chain.rate[rev], 0.0)
+    # each reversible pair is measured once, from its lower-ordinal end
+    gap = np.where((src > dst) & has_rev, 0.0, np.abs(fwd - back))
+    worst_k = int(np.argmax(gap)) if len(gap) else 0
+    max_imbalance = float(gap[worst_k]) if len(gap) else 0.0
+    worst = (int(src[worst_k]), int(dst[worst_k])) if max_imbalance > 0 else (0, 0)
+    max_flow = float(fwd.max()) if len(fwd) else 0.0
     if max_flow > 0:
         max_imbalance /= max_flow
     return DetailedBalanceReport(

@@ -10,7 +10,6 @@ the partial artifacts of the failed command are removed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -20,7 +19,13 @@ from . import chain as chain_mod
 from .config import ExperimentConfig, parse_config, render_config
 from .dynamics import integrate_mean_dynamic
 from .errors import ConfigError, SymgameError
-from .games import SocialState, sample_states, validate_hypotheses
+from .games import (
+    SocialState,
+    grid_rates,
+    lattice_grid,
+    sample_states,
+    validate_hypotheses,
+)
 from .stationary import (
     birth_death_weights,
     compare,
@@ -81,13 +86,6 @@ def _provenance(config: ExperimentConfig, command: str, seed: int | None = None)
     return "\n".join(lines) + "\n"
 
 
-def _grid_states(game, resolutions) -> int:
-    total = 1
-    for n, res, m in zip(game.strategy_counts, resolutions, game.masses):
-        total *= math.comb(int(round(res * m)) + n - 1, n - 1)
-    return total
-
-
 class _Model:
     """Game, protocols, and initial state resolved from a config."""
 
@@ -146,13 +144,24 @@ def _require_base(model: _Model, command: str) -> None:
         )
 
 
+def _check_hypotheses(model: _Model):
+    """Exhaustive check on a lattice small enough to enumerate, else 1000 random states.
+
+    Returns the report and, for the exhaustive check, the per-state rate
+    tensors for :func:`chain.build_generator`.
+    """
+    grid = lattice_grid(model.game, model.resolutions)
+    if grid is None:
+        states = sample_states(model.game, n_random=1000, seed=0)
+        return validate_hypotheses(model.game, model.protocols, states), None
+    rates = grid_rates(model.game, model.protocols, grid)
+    report = validate_hypotheses(model.game, model.protocols, grid, exhaustive=True, rates=rates)
+    return report, rates
+
+
 def _cmd_validate(model: _Model, writer: ArtifactWriter) -> int:
     config = model.config
-    states = sample_states(
-        model.game, resolution=model.resolutions, n_random=1000, seed=0
-    )
-    exhaustive = states[0].denominators is not None
-    report = validate_hypotheses(model.game, model.protocols, states, exhaustive=exhaustive)
+    report, _ = _check_hypotheses(model)
     lines = [_provenance(config, "validate"), "[validate]"]
     lines.extend(report.as_lines())
     writer.write("validate_report.txt", "\n".join(lines) + "\n")
@@ -168,8 +177,8 @@ def _cmd_mean_dynamic(model: _Model, writer: ArtifactWriter) -> int:
     return 0
 
 
-def _build_chain(model: _Model):
-    return chain_mod.build_generator(model.game, model.protocols, model.resolutions)
+def _build_chain(model: _Model, rates=None):
+    return chain_mod.build_generator(model.game, model.protocols, model.resolutions, rates=rates)
 
 
 def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
@@ -177,7 +186,7 @@ def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
     if not config.seeds:
         raise SymgameError("simulate needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
-    use_chain = _grid_states(model.game, model.resolutions) <= CHAIN_STATE_BUDGET
+    use_chain = lattice_grid(model.game, model.resolutions, CHAIN_STATE_BUDGET) is not None
     prebuilt = _build_chain(model) if use_chain else None
     for seed in config.seeds:
         source = prebuilt if prebuilt is not None else (model.game, model.protocols, model.resolutions)
@@ -293,11 +302,8 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     report.append("[experiment]")
     report.append("seeds: " + ", ".join(str(s) for s in config.seeds))
 
-    # hypothesis checks
-    states = sample_states(model.game, resolution=model.resolutions, n_random=1000, seed=0)
-    hyp = validate_hypotheses(
-        model.game, model.protocols, states, exhaustive=states[0].denominators is not None
-    )
+    # hypothesis checks; their rate tensors are reused by the generator
+    hyp, rates = _check_hypotheses(model)
     report.append("")
     report.append("[validate]")
     report.extend(hyp.as_lines())
@@ -330,7 +336,7 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     )
 
     # exact stationary law
-    chain = _build_chain(model)
+    chain = _build_chain(model, rates)
     exact = chain_mod.exact_stationary(chain)
     writer.write("exact_stationary.csv", _provenance(config, "experiment") + exact.to_csv())
     report.append("")

@@ -3,22 +3,25 @@
 A game couples one or more populations of continuous mass with a payoff map
 over social states.  A revision protocol assigns every (payoff, state) pair a
 matrix of conditional switch rates between strategies.  This module also
-provides the hypothesis checks (rate symmetry, full support) that the
-two-strategy decomposition machinery relies on.
+provides the lattice of social states as an array (:class:`StateGrid`) and
+the hypothesis checks (rate symmetry, full support) that the two-strategy
+decomposition machinery relies on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import GridSizeError, ProtocolError
 
 __all__ = [
     "SocialState",
+    "StateGrid",
     "PopulationGame",
     "RevisionProtocol",
     "ValidationReport",
@@ -30,10 +33,12 @@ __all__ = [
     "custom_protocol",
     "protocol_tuple",
     "evaluate_rates",
+    "grid_rates",
     "validate_hypotheses",
     "sample_states",
+    "lattice_grid",
+    "count_states",
     "default_rate_cap",
-    "simplex_counts",
 ]
 
 # Rate functions map (payoff vector, population state) -> n x n switch-rate matrix.
@@ -41,6 +46,8 @@ RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 PayoffFn = Callable[["SocialState"], tuple[np.ndarray, ...]]
 
 MASS_TOL = 1e-12
+DEFAULT_GRID_LIMIT = 2_000_000
+ENUMERATION_LIMIT = 1_000_000
 
 
 def _readonly(vec) -> np.ndarray:
@@ -79,11 +86,11 @@ class SocialState:
         return cls(parts=(np.asarray(vec, dtype=float),))
 
     @classmethod
-    def _unchecked(cls, parts: tuple[np.ndarray, ...]) -> "SocialState":
+    def _unchecked(cls, parts: tuple[np.ndarray, ...], denominators=None) -> "SocialState":
         # fast constructor for hot loops; callers guarantee validity
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", parts)
-        object.__setattr__(obj, "denominators", None)
+        object.__setattr__(obj, "denominators", denominators)
         return obj
 
     @classmethod
@@ -369,14 +376,145 @@ def evaluate_rates(
     )
 
 
-def simplex_counts(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of ``total`` into ``parts`` nonnegative integers, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in simplex_counts(total - head, parts - 1):
-            yield (head,) + tail
+def count_states(strategy_counts: Sequence[int], sizes: Sequence[int]) -> int:
+    """Size of the product lattice, ``prod_p C(size_p + n_p - 1, n_p - 1)``, without enumerating it."""
+    return math.prod(
+        math.comb(size + n - 1, n - 1) for n, size in zip(strategy_counts, sizes, strict=True)
+    )
+
+
+def _compositions(total: int, n: int) -> np.ndarray:
+    # all compositions of total into n parts, lexicographic, one per row: each
+    # level expands a row with `rest` agents left into heads 0..rest in order
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(n - 1):
+        parent = np.repeat(np.arange(len(rest)), rest + 1)
+        head = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        rows = np.column_stack([rows[parent], head])
+        rest = rest[parent] - head
+    return np.column_stack([rows, rest])
+
+
+class StateGrid:
+    """Lattice states as one read-only ``(len(grid), sum(strategy_counts))`` count array.
+
+    Population p contributes all compositions of ``sizes[p]`` agents into its
+    strategies, in lexicographic order (``pop_counts[p]``); multi-population
+    grids are the ordered product, indexed mixed-radix with population 0 most
+    significant.  Row ``o`` of ``counts`` holds the state of ordinal ``o``,
+    population p in columns ``offsets[p]:offsets[p + 1]``.  :meth:`ranks`
+    inverts the order on whole arrays with the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3).
+    """
+
+    def __init__(self, strategy_counts, sizes, resolutions, limit: int = DEFAULT_GRID_LIMIT):
+        self.strategy_counts = tuple(int(n) for n in strategy_counts)
+        self.sizes = tuple(int(s) for s in sizes)
+        self.resolutions = tuple(int(r) for r in resolutions)
+        self._radix = tuple(count_states((n,), (s,)) for n, s in zip(self.strategy_counts, self.sizes))
+        for per_pop in self._radix:
+            if per_pop > limit:
+                raise GridSizeError(
+                    f"population grid has {per_pop} states, exceeding the limit {limit}"
+                )
+        total = math.prod(self._radix)
+        if total > limit:
+            raise GridSizeError(f"product grid has {total} states, exceeding the limit {limit}")
+        self.offsets = (0, *itertools.accumulate(self.strategy_counts))
+        self._spans = list(zip(self.offsets, self.offsets[1:]))
+        self.pop_counts = tuple(_compositions(s, n) for n, s in zip(self.strategy_counts, self.sizes))
+        ordinal = np.arange(total)
+        blocks, stride = [], total
+        for part, radix in zip(self.pop_counts, self._radix):
+            stride //= radix
+            blocks.append(part[(ordinal // stride) % radix])
+        self.counts = np.hstack(blocks)
+        for arr in (self.counts, *self.pop_counts):
+            arr.setflags(write=False)
+        # binom[p][j, m] = C(j + m, m): compositions of j agents into m + 1 strategies
+        self._binom = []
+        for n, size in zip(self.strategy_counts, self.sizes):
+            binom = np.ones((size + 1, n), dtype=np.int64)
+            for m in range(1, n):
+                binom[:, m] = np.cumsum(binom[:, m - 1])
+            self._binom.append(binom)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, StateGrid)
+            and self.strategy_counts == other.strategy_counts
+            and self.sizes == other.sizes
+            and self.resolutions == other.resolutions
+        )
+
+    def __hash__(self):
+        return hash((self.strategy_counts, self.sizes, self.resolutions))
+
+    def ranks(self, counts) -> np.ndarray:
+        """Ordinals of count rows (``(..., sum(strategy_counts))``, assumed on the grid)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        out = np.zeros(counts.shape[:-1], dtype=np.int64)
+        for p, (n, size, radix, binom) in enumerate(
+            zip(self.strategy_counts, self.sizes, self._radix, self._binom)
+        ):
+            # states before c: for each leading coordinate t, those with the same
+            # prefix and a smaller c_t, C(rest + m, m) - C(rest - c_t + m, m)
+            rest = np.full(out.shape, size, dtype=np.int64)
+            rank = np.zeros(out.shape, dtype=np.int64)
+            for t in range(n - 1):
+                m = n - 1 - t
+                c = counts[..., self.offsets[p] + t]
+                rank += binom[rest, m] - binom[rest - c, m]
+                rest -= c
+            out = out * radix + rank
+        return out
+
+    def _parts(self, ordinal: int) -> list[list[int]]:
+        if not 0 <= ordinal < len(self.counts):
+            raise IndexError(f"ordinal {ordinal} out of range for grid of {len(self)} states")
+        row = self.counts[ordinal].tolist()
+        return [row[a:b] for a, b in self._spans]
+
+    def state(self, ordinal: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(part) for part in self._parts(ordinal))
+
+    def index(self, state: Sequence[Sequence[int]]) -> int:
+        parts = tuple(tuple(int(k) for k in counts) for counts in state)
+        if (
+            tuple(map(len, parts)) != self.strategy_counts
+            or tuple(map(sum, parts)) != self.sizes
+            or any(k < 0 for part in parts for k in part)
+        ):
+            raise KeyError(f"state {parts} is not on the grid")
+        return int(self.ranks([k for part in parts for k in part]))
+
+    def states(self):
+        for ordinal in range(len(self)):
+            yield self.state(ordinal)
+
+    def social_state(self, ordinal: int) -> SocialState:
+        return SocialState.from_counts(self.state(ordinal), self.resolutions)
+
+    def format_state(self, ordinal: int) -> str:
+        return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
+
+
+def lattice_grid(
+    game: PopulationGame,
+    resolution: int | Sequence[int],
+    limit: int = ENUMERATION_LIMIT,
+) -> StateGrid | None:
+    """The game's lattice at resolution N (``round(N * mass)`` agents), or None above ``limit`` states."""
+    if isinstance(resolution, int):
+        resolution = (resolution,) * game.num_populations
+    sizes = [int(round(n_res * m)) for n_res, m in zip(resolution, game.masses, strict=True)]
+    if count_states(game.strategy_counts, sizes) > limit:
+        return None
+    return StateGrid(game.strategy_counts, sizes, resolution, limit=limit)
 
 
 def sample_states(
@@ -384,7 +522,7 @@ def sample_states(
     resolution: int | Sequence[int] | None = None,
     n_random: int = 1000,
     seed: int = 0,
-    enumeration_limit: int = 1_000_000,
+    enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> list[SocialState]:
     """States used to probe protocol hypotheses.
 
@@ -392,21 +530,9 @@ def sample_states(
     least ``n_random`` seeded Dirichlet-uniform simplex states are drawn.
     """
     if resolution is not None:
-        if isinstance(resolution, int):
-            resolution = (resolution,) * game.num_populations
-        sizes = [
-            int(round(n_res * m)) for n_res, m in zip(resolution, game.masses, strict=True)
-        ]
-        total = 1
-        for size, n in zip(sizes, game.strategy_counts):
-            total *= math.comb(size + n - 1, n - 1)
-        if total <= enumeration_limit:
-            per_pop = [
-                list(simplex_counts(size, n)) for size, n in zip(sizes, game.strategy_counts)
-            ]
-            states: list[SocialState] = []
-            _product_states(per_pop, resolution, [], states)
-            return states
+        grid = lattice_grid(game, resolution, enumeration_limit)
+        if grid is not None:
+            return [grid.social_state(ordinal) for ordinal in range(len(grid))]
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(max(n_random, 1)):
@@ -416,14 +542,6 @@ def sample_states(
         )
         states.append(SocialState(parts=parts))
     return states
-
-
-def _product_states(per_pop, denominators, prefix, out):
-    if len(prefix) == len(per_pop):
-        out.append(SocialState.from_counts(tuple(prefix), denominators))
-        return
-    for counts in per_pop[len(prefix)]:
-        _product_states(per_pop, denominators, prefix + [counts], out)
 
 
 @dataclass(frozen=True)
@@ -461,23 +579,84 @@ class ValidationReport:
 SYMMETRY_TOL = 1e-14
 
 
+def grid_rates(
+    game: PopulationGame,
+    protocol: RevisionProtocol | Sequence[RevisionProtocol],
+    grid: StateGrid,
+) -> tuple[np.ndarray, ...]:
+    """Switch-rate matrices at every grid state: one ``(len(grid), n_p, n_p)`` array per population.
+
+    The payoff map and each ``rate_fn`` are called exactly once per state, on
+    the lattice fractions ``counts / resolution``.  Shape, finiteness and
+    sign are checked once on the stacked results; a violation raises the
+    error that :meth:`PopulationGame.payoff_at` or
+    :meth:`RevisionProtocol.rates` gives at the first offending state.
+    """
+    protocols = protocol_tuple(protocol, game)
+    fractions = [
+        grid.counts[:, a:b] / res
+        for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
+    ]
+    for x in fractions:
+        x.setflags(write=False)
+    shapes = [(n,) for n in grid.strategy_counts]
+    payoffs, rates = [], []
+    for parts in zip(*fractions):
+        values = game.payoff(SocialState._unchecked(parts, grid.resolutions))
+        if isinstance(values, np.ndarray) and len(protocols) == 1:
+            values = (values,)
+        values = [np.asarray(v, dtype=float) for v in values]
+        if [v.shape for v in values] != shapes:
+            break
+        payoffs.append(values)
+        rates.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, values, parts)])
+    try:
+        stacked = tuple(np.array(r, dtype=float) for r in zip(*rates))
+    except (TypeError, ValueError):
+        stacked = ()
+    if len(rates) < len(grid) or not stacked or not all(
+        rho.shape[1:] == (n, n)
+        and np.isfinite(pay).all()
+        and np.isfinite(rho).all()
+        and (rho >= 0).all()
+        for rho, pay, n in zip(stacked, zip(*payoffs), grid.strategy_counts)
+    ):
+        # re-evaluate in order through the validating path for the precise error
+        for ordinal in range(len(grid)):
+            state = grid.social_state(ordinal)
+            for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
+                proto.rates(pi, x)
+        raise ProtocolError("payoff or protocol changed its output on re-evaluation")
+    return stacked
+
+
 def validate_hypotheses(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    states: Sequence[SocialState],
+    states: Sequence[SocialState] | StateGrid,
     exhaustive: bool = False,
+    rates: Sequence[np.ndarray] | None = None,
 ) -> ValidationReport:
-    """Check rate symmetry and full support over a sample of states."""
-    if not states:
+    """Check rate symmetry and full support over sample states or a whole grid.
+
+    For a :class:`StateGrid` the rates come from :func:`grid_rates`, one
+    evaluation per state; pass its result as ``rates`` to share it with
+    :func:`symgame.chain.build_generator`.
+    """
+    if not len(states):
         raise ValueError("need at least one sample state")
     protocols = protocol_tuple(protocol, game)
-    per_pop = [[0.0, math.inf] for _ in range(game.num_populations)]
-    for state in states:
-        payoffs = game.payoff_at(state)
-        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
-            rho = proto.rates(pi, x)
-            per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
-            per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
+    if rates is None and isinstance(states, StateGrid):
+        rates = grid_rates(game, protocols, states)
+    elif rates is None:
+        per_state = [
+            [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(s), s.parts)]
+            for s in states
+        ]
+        rates = [np.array(stack) for stack in zip(*per_state)]
+    per_pop = [
+        (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
+    ]
     max_asym = max(stats[0] for stats in per_pop)
     min_rate = min(stats[1] for stats in per_pop)
     cap_symmetric = all(
@@ -493,7 +672,7 @@ def validate_hypotheses(
         sample_count=len(states),
         exhaustive=exhaustive,
         support_floor=floor,
-        per_population=tuple((s[0], s[1]) for s in per_pop),
+        per_population=tuple(per_pop),
     )
 
 

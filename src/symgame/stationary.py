@@ -23,7 +23,6 @@ import numpy as np
 
 from .chain import StateGrid, StationaryTable
 from .errors import EmptySupportError, SymgameError
-from .games import simplex_counts
 from .transform import TransformedGame
 
 __all__ = [
@@ -193,13 +192,12 @@ def product_form_joint(
                 raise ValueError(
                     f"population {p}: marginal has {m.shape[0]} entries, expected {size + 1}"
                 )
-        states = list(_pop_states(grid, p))
-        if n >= 3:
-            weights = np.array(
-                [np.prod([block[t][k] for t, k in enumerate(counts)]) for counts in states]
-            )
-        else:
-            weights = np.array([block[0][counts[0]] for counts in states])
+        # one marginal per strategy for n >= 3, multiplied in strategy order;
+        # a 2-strategy population reads its single marginal at the first count
+        counts = grid.pop_counts[p]
+        weights = block[0][counts[:, 0]]
+        for t in range(1, len(block)):
+            weights = weights * block[t][counts[:, t]]
         total = weights.sum()
         if total <= 0:
             raise EmptySupportError(
@@ -216,11 +214,6 @@ def product_form_joint(
         provenance="predicted-product-form",
         metadata=metadata or {},
     )
-
-
-def _pop_states(grid: StateGrid, p: int):
-    # per-population composition list in grid order
-    return simplex_counts(grid.sizes[p], grid.strategy_counts[p])
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,5 @@ def marginal_from_exact(
             f"strategy {strategy} out of range for population {population} "
             f"({grid.strategy_counts[population]} strategies)"
         )
-    out = np.zeros(grid.sizes[population] + 1)
-    for ordinal, prob in enumerate(table.probabilities):
-        out[table.grid.state(ordinal)[population][strategy]] += prob
-    return out
+    column = grid.counts[:, grid.offsets[population] + strategy]
+    return np.bincount(column, weights=table.probabilities, minlength=grid.sizes[population] + 1)

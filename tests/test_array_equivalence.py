@@ -1,0 +1,350 @@
+"""The array-backed lattice code against per-state reference implementations.
+
+Each ``_reference_*`` function below is the straightforward per-state
+algorithm: it walks Python tuples of counts, evaluates the validated payoff
+and rate map at every state and looks neighbours up in a dict.  The library
+versions must reproduce them exactly, element for element and in the same
+order, on randomly drawn games, protocols and grids.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symgame import (
+    ProtocolError,
+    SocialState,
+    StateGrid,
+    StationaryTable,
+    build_generator,
+    check_detailed_balance,
+    constant_protocol,
+    custom_protocol,
+    make_linear_game,
+    make_separable_game,
+    marginal_from_exact,
+    product_form_joint,
+    sample_states,
+    sum_exponential_protocol,
+    table_protocol,
+    validate_hypotheses,
+)
+from symgame.chain import build_grid
+from symgame.games import count_states, protocol_tuple
+
+# -- per-state reference implementations ------------------------------------
+
+
+def simplex_counts(total, parts):
+    """All compositions of ``total`` into ``parts`` nonnegative integers, lexicographic."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in simplex_counts(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _reference_states(strategy_counts, sizes):
+    per_pop = [list(simplex_counts(s, n)) for n, s in zip(strategy_counts, sizes)]
+    return list(itertools.product(*per_pop))
+
+
+def _reference_generator(game, protocol, resolution):
+    protocols = protocol_tuple(protocol, game)
+    resolutions = (resolution,) * game.num_populations
+    sizes = [round(resolution * m) for m in game.masses]
+    states = _reference_states(game.strategy_counts, sizes)
+    index = {counts: i for i, counts in enumerate(states)}
+    src, dst, rate, pop, s_from, s_to = [], [], [], [], [], []
+    for ordinal, counts in enumerate(states):
+        state = SocialState.from_counts(counts, resolutions)
+        payoffs = game.payoff_at(state)
+        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
+            rho = proto.rates(pi, x)
+            part = counts[p]
+            for i, k_i in enumerate(part):
+                if k_i == 0:
+                    continue
+                for j in range(len(part)):
+                    if j == i:
+                        continue
+                    q = k_i * rho[i, j]
+                    if q == 0.0:
+                        continue
+                    target = list(counts)
+                    moved = list(part)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    target[p] = tuple(moved)
+                    src.append(ordinal)
+                    dst.append(index[tuple(target)])
+                    rate.append(q)
+                    pop.append(p)
+                    s_from.append(i)
+                    s_to.append(j)
+    n = len(states)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    rate = np.asarray(rate, dtype=float)
+    off_diag = sp.coo_matrix((rate, (src, dst)), shape=(n, n))
+    row_sums = np.asarray(off_diag.sum(axis=1)).ravel()
+    diag = sp.coo_matrix((-row_sums, (np.arange(n), np.arange(n))), shape=(n, n))
+    return {
+        "generator": (off_diag + diag).tocsr(),
+        "src": src,
+        "dst": dst,
+        "rate": rate,
+        "pop": np.asarray(pop, dtype=np.int32),
+        "from_strategy": np.asarray(s_from, dtype=np.int32),
+        "to_strategy": np.asarray(s_to, dtype=np.int32),
+    }
+
+
+def _reference_balance(chain, mu):
+    rate_of = {(int(s), int(d)): float(r) for s, d, r in zip(chain.src, chain.dst, chain.rate)}
+    max_flow = 0.0
+    worst = (0, 0)
+    max_imbalance = 0.0
+    for (s, d), q in rate_of.items():
+        fwd = mu[s] * q
+        max_flow = max(max_flow, fwd)
+        if s > d and (d, s) in rate_of:
+            continue
+        back = mu[d] * rate_of.get((d, s), 0.0)
+        gap = abs(fwd - back)
+        if gap > max_imbalance:
+            max_imbalance = gap
+            worst = (s, d)
+    if max_flow > 0:
+        max_imbalance /= max_flow
+    return max_imbalance, worst
+
+
+def _reference_validation(game, protocol, states):
+    protocols = protocol_tuple(protocol, game)
+    per_pop = [[0.0, math.inf] for _ in range(game.num_populations)]
+    for state in states:
+        for p, (proto, pi, x) in enumerate(zip(protocols, game.payoff_at(state), state.parts)):
+            rho = proto.rates(pi, x)
+            per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
+            per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
+    return tuple((a, b) for a, b in per_pop)
+
+
+def _reference_joint_weights(marginals, strategy_counts, sizes):
+    per_pop, cursor = [], 0
+    for n, size in zip(strategy_counts, sizes):
+        block = marginals[cursor : cursor + (n if n >= 3 else 1)]
+        cursor += len(block)
+        states = list(simplex_counts(size, n))
+        if n >= 3:
+            weights = np.array(
+                [np.prod([block[t][k] for t, k in enumerate(counts)]) for counts in states]
+            )
+        else:
+            weights = np.array([block[0][counts[0]] for counts in states])
+        per_pop.append(weights / weights.sum())
+    joint = per_pop[0]
+    for weights in per_pop[1:]:
+        joint = np.multiply.outer(joint, weights)
+    return joint.ravel()
+
+
+# -- randomized inputs ------------------------------------------------------
+
+# largest agent count per population, by number of populations, keeping grids small
+_MAX_SIZE = {1: 8, 2: 4, 3: 2}
+
+
+@st.composite
+def layouts(draw, min_size=0):
+    n_pops = draw(st.integers(1, 3))
+    counts = tuple(draw(st.lists(st.integers(2, 5), min_size=n_pops, max_size=n_pops)))
+    sizes = tuple(
+        draw(st.lists(st.integers(min_size, _MAX_SIZE[n_pops]), min_size=n_pops, max_size=n_pops))
+    )
+    return counts, sizes
+
+
+def _masked_protocol(n_zero_mod):
+    # state- and payoff-dependent, asymmetric, and zero on some ordered pairs
+    def rate_fn(pi, x):
+        n = len(x)
+        ij = np.add.outer(3 * np.arange(n), np.arange(n))
+        return np.where(ij % n_zero_mod == 0, 0.0, np.exp(pi)[:, None] + x[None, :])
+
+    return custom_protocol(rate_fn)
+
+
+def _protocol(kind, n, rng):
+    if kind == "constant":
+        return constant_protocol(float(rng.uniform(0.5, 2.0)))
+    if kind == "sum_exponential":
+        return sum_exponential_protocol(float(rng.uniform(-1.5, 1.5)))
+    if kind == "table":
+        return table_protocol(rng.uniform(0.0, 2.0, size=(n, n)))
+    return _masked_protocol(int(rng.integers(2, 4)))
+
+
+PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
+
+
+@st.composite
+def models(draw):
+    """A linear or separable game, one protocol per population, and a resolution."""
+    n_pops = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in counts]
+    if n_pops == 1 and draw(st.booleans()):
+        game = make_linear_game(matrices[0])
+    else:
+        game = make_separable_game(matrices)
+    kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS), min_size=n_pops, max_size=n_pops))
+    protocols = tuple(_protocol(kind, n, rng) for kind, n in zip(kinds, counts))
+    resolution = draw(st.integers(1, _MAX_SIZE[n_pops]))
+    return game, protocols, resolution
+
+
+# -- tests ------------------------------------------------------------------
+
+
+class TestStateGrid:
+    @given(layouts())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_unrank_against_simplex_counts(self, layout):
+        strategy_counts, sizes = layout
+        grid = StateGrid(strategy_counts, sizes, [max(s, 1) for s in sizes])
+        expected = _reference_states(strategy_counts, sizes)
+        assert len(grid) == len(expected) == count_states(strategy_counts, sizes)
+        assert [grid.state(i) for i in range(len(grid))] == expected
+        assert [grid.index(s) for s in expected] == list(range(len(expected)))
+        assert np.array_equal(grid.ranks(grid.counts), np.arange(len(grid)))
+        flat = [tuple(v for part in s for v in part) for s in expected]
+        assert np.array_equal(grid.counts, np.array(flat, dtype=np.int64).reshape(len(flat), -1))
+
+    def test_index_rejects_off_grid_states(self):
+        grid = StateGrid((3,), (4,), (4,))
+        for bad in (((1, 1, 1),), ((5, -1, 0),), ((2, 2),), ((4, 0, 0), (1, 0))):
+            with pytest.raises(KeyError):
+                grid.index(bad)
+
+
+class TestBuildGenerator:
+    @given(models())
+    @settings(max_examples=60, deadline=None)
+    def test_edges_and_generator_match_per_state_loop(self, model):
+        game, protocols, resolution = model
+        chain = build_generator(game, protocols, resolution)
+        expected = _reference_generator(game, protocols, resolution)
+        for name in ("src", "dst", "rate", "pop", "from_strategy", "to_strategy"):
+            got = getattr(chain, name)
+            assert got.dtype == expected[name].dtype, name
+            assert np.array_equal(got, expected[name]), name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(chain.generator, part), getattr(expected["generator"], part))
+
+    @pytest.mark.parametrize(
+        "bad_rate_fn",
+        [
+            lambda pi, x: pi[:, None] * np.ones(len(x)),  # negative where a payoff is
+            lambda pi, x: np.full((len(x), len(x)), np.inf if x[0] < 0.3 else 1.0),
+            lambda pi, x: np.ones((len(x), len(x) + (x[1] > 0.5))),  # wrong shape at some states
+            lambda pi, x: np.ones(len(x)) if x[2] > 0.6 else np.ones((len(x), len(x))),
+        ],
+    )
+    def test_invalid_rates_raise_the_per_state_error(self, bad_rate_fn):
+        game = make_linear_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
+        proto = custom_protocol(bad_rate_fn)
+        with pytest.raises((ValueError, ProtocolError)) as expected:
+            _reference_generator(game, proto, 4)
+        with pytest.raises(expected.type, match=None) as got:
+            build_generator(game, proto, 4)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "bad_payoff",
+        [
+            lambda s: (np.array([1.0, np.nan]) if s.parts[0][0] > 0.5 else np.zeros(2),),
+            lambda s: (np.zeros(3 if s.parts[0][0] > 0.5 else 2),),
+            lambda s: (np.zeros(2), np.zeros(2)) if s.parts[0][0] > 0.5 else (np.zeros(2),),
+        ],
+    )
+    def test_invalid_payoffs_raise_the_per_state_error(self, bad_payoff):
+        from symgame import PopulationGame
+
+        game = PopulationGame(masses=(1.0,), strategy_counts=(2,), payoff=bad_payoff)
+        with pytest.raises(ValueError) as expected:
+            _reference_generator(game, constant_protocol(1.0), 4)
+        with pytest.raises(ValueError) as got:
+            build_generator(game, constant_protocol(1.0), 4)
+        assert str(got.value) == str(expected.value)
+
+
+class TestDetailedBalance:
+    @given(models(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_imbalance_and_worst_edge_match_dict_walk(self, model, seed, uniform):
+        game, protocols, resolution = model
+        chain = build_generator(game, protocols, resolution)
+        n = len(chain.grid)
+        # uniform weights with constant rates produce ties, which go to the first edge
+        mu = np.full(n, 1.0 / n) if uniform else np.random.default_rng(seed).dirichlet(np.ones(n))
+        table = StationaryTable(grid=chain.grid, probabilities=mu, provenance="exact")
+        report = check_detailed_balance(chain, table)
+        max_imbalance, worst = _reference_balance(chain, table.probabilities)
+        assert report.max_imbalance == max_imbalance
+        assert report.worst_edge == (
+            chain.grid.format_state(worst[0]),
+            chain.grid.format_state(worst[1]),
+        )
+
+
+class TestValidateHypotheses:
+    @given(models())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_report_equals_sampled_lattice_report(self, model):
+        game, protocols, resolution = model
+        grid = build_grid(game, resolution)
+        states = sample_states(game, resolution=resolution)
+        on_grid = validate_hypotheses(game, protocols, grid, exhaustive=True)
+        on_states = validate_hypotheses(game, protocols, states, exhaustive=True)
+        assert on_grid == on_states
+        assert on_grid.per_population == _reference_validation(game, protocols, states)
+
+
+class TestProjections:
+    @given(layouts(min_size=1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_product_form_joint_matches_per_state_products(self, layout, seed):
+        strategy_counts, sizes = layout
+        rng = np.random.default_rng(seed)
+        marginals = [
+            rng.dirichlet(np.ones(size + 1))
+            for n, size in zip(strategy_counts, sizes)
+            for _ in range(n if n >= 3 else 1)
+        ]
+        grid = StateGrid(strategy_counts, sizes, sizes)
+        table = product_form_joint(marginals, grid)
+        expected = _reference_joint_weights(marginals, strategy_counts, sizes)
+        assert np.array_equal(table.probabilities, expected / expected.sum())
+
+    @given(layouts(min_size=1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_marginal_from_exact_matches_per_state_sums(self, layout, seed):
+        strategy_counts, sizes = layout
+        grid = StateGrid(strategy_counts, sizes, sizes)
+        mu = np.random.default_rng(seed).dirichlet(np.ones(len(grid)))
+        table = StationaryTable(grid=grid, probabilities=mu, provenance="exact")
+        for p, n in enumerate(strategy_counts):
+            for strategy in range(n):
+                expected = np.zeros(sizes[p] + 1)
+                for ordinal, prob in enumerate(table.probabilities):
+                    expected[grid.state(ordinal)[p][strategy]] += prob
+                assert np.array_equal(marginal_from_exact(table, strategy, p), expected)

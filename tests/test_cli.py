@@ -176,3 +176,44 @@ class TestCommands:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+class TestRateEvaluations:
+    def test_experiment_evaluates_rates_once_per_lattice_state(self, tmp_path, monkeypatch):
+        # the hypothesis check and the generator share one evaluation per main-grid
+        # state; each marginal chain adds one per state.  The stages that evaluate
+        # off the lattice (decomposition samples, RK4, birth-death rates) are
+        # not counted.
+        import numpy as np
+
+        from symgame import cli, custom_protocol
+        from symgame.config import ExperimentConfig
+
+        calls = {"count": 0, "paused": 0}
+
+        def rate_fn(pi, x):
+            if not calls["paused"]:
+                calls["count"] += 1
+            u = np.exp(pi)
+            return np.outer(u, u)
+
+        protocol = custom_protocol(rate_fn, support_floor=np.exp(-2.0), symmetric=True)
+        monkeypatch.setattr(ExperimentConfig, "build_protocols", lambda self, game: (protocol,))
+
+        def paused(fn):
+            def wrapper(*args, **kwargs):
+                calls["paused"] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    calls["paused"] -= 1
+
+            return wrapper
+
+        for name in ("decompose", "integrate_mean_dynamic", "birth_death_weights"):
+            monkeypatch.setattr(cli, name, paused(getattr(cli, name)))
+        config = tmp_path / "rps.cfg"
+        config.write_text(RPS_CONSTANT.replace("N = 2", "N = 6").replace("horizon = 20.0", "horizon = 1.0"))
+        assert run("experiment", config, tmp_path / "out") == 0
+        # C(6 + 2, 2) = 28 main-grid states; three derived 2-strategy chains of 7 states
+        assert calls["count"] == 28 + 3 * 7

@@ -1,0 +1,72 @@
+"""Byte-identity of the experiment artifacts for the documented example configs.
+
+Each example in ``docs/examples`` is run through ``symgame experiment`` with
+its configured seeds, and the sha256 of every file written is compared with
+a recorded digest.  A change that alters any printed digit, state order or
+path fails here; one that does so on purpose must record the new digests and
+say why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from symgame.cli import main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+GOLDEN = {
+    "coordination_table": {
+        "exact_stationary.csv": "3683b4798d458e8c80cc1147eda7759ba29e4428352f42b341cea32ad64d4b6f",
+        "experiment_report.txt": "56de75d481c16f19980e9e9cbdd3c9e879f787206064dfd92825bff97732adc0",
+        "occupancy_5.csv": "96a571408ccdd277fe7e0ff760ff62f0387689c443d9930def7a378fb89af621",
+        "path_5.csv": "e9953171a5fb60284593e6a79d50ccc58a1a2bcc7916a884c6a7840542a4a818",
+        "predicted.csv": "ab8b0e98ced80b16eb824450529d3bf8620bb003c2ee97b62bff5757e5015df0",
+        "trajectory.csv": "43b6eed8c42eee6fa4fbb431ba914cb1a13e56ad8199506de5013975eb748fdf",
+        "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
+    },
+    "rps_constant": {
+        "exact_stationary.csv": "7dc8c5265ef17b8c1e7bcaf27fcaa38d06125b94d405c3ed3a1379f7469cee3c",
+        "experiment_report.txt": "bc0ffe8cf47325048fb5bef7075ad977f9e195c2b26b8cd0e13df7f04de3dca3",
+        "occupancy_1.csv": "7600cc3279d7a59861cee8cd0909bec1c33234039654c8de96c11f1d5316ca50",
+        "occupancy_2.csv": "7821a80b3dca755ff278e64dac7250ef4dbefb0064175e80ba61ef3bdf4f0a4c",
+        "occupancy_3.csv": "9f4db1cd0aec07cfac8dc73cc446047e556858513b2f2b5d8dcc42bbb7fdf4d3",
+        "path_1.csv": "8c291365653cae11f6933c875cd19f13a915976a5c4abf3ee051f4504bdf3c1f",
+        "path_2.csv": "0a0c3c3ab21ea2daa5fdfe2dd15d7a1b5923c4d0b4289ef5efbc31cd725d588c",
+        "path_3.csv": "785656cc507c4640ab7fbbfeaa20d3e02a4352a1ad9d7ac9a86cee246fd30907",
+        "predicted.csv": "30fe3d0cac7efbcb60f75968b1153657153c02078313f355597d85401f353b79",
+        "trajectory.csv": "5f9f12832ece50aff1736ad65c77d14f165d3ab42a4395a0cf64e6a5d6501b10",
+        "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
+    },
+    "rps_sum_exponential": {
+        "exact_stationary.csv": "7049ca67bafcb7c1af2621b7ad61c1645f3428e4869293aee7216b2a3d4c2888",
+        "experiment_report.txt": "700089e7a0300dcb4a23fb1807ebdef8231375f34c346b44c6da8a5e6fad2bf6",
+        "occupancy_11.csv": "9e7444310b661961bf6fb1d1922d1a00e482946ff929c77a1b4674a596b870d0",
+        "occupancy_12.csv": "0a28f25c54f70cedd2e247e2d5db09a82dadc81dd948e78ae1874e66cdd10cfe",
+        "path_11.csv": "69b27ed2c6e7d4b7e0036f4baae81eca429b82e25d2aab203f7ef43f8ae64d96",
+        "path_12.csv": "2e4a3770e8b4e376d78e587e59b1fd4dcade4eeafd82cfa8ef6b3e696f346857",
+        "predicted.csv": "4110db1dbb123e7a7446c1053e3c3ceb122d3b3865802cad22de750707c6d6ec",
+        "trajectory.csv": "8454cf5fc977b37d32bd8ce0af2a22f0c172f47513285576beca4287ec14e8ac",
+        "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
+    },
+    "two_populations": {
+        "exact_stationary.csv": "c8fdc6159393b13c17f4ce3718586c2c225bad339ca217ed955dd5b531cef97e",
+        "experiment_report.txt": "af61daec59fad91ba185be443a1ec6671a0ca63f346c698adbcae6deb8b73138",
+        "occupancy_21.csv": "e1ce2c99c0ecf1ea8882d74f255d47a64c2aac51a74abd279b2078b46f07573e",
+        "occupancy_22.csv": "473fdf0709ff88b6d8474b7b56fd263496f038b16f109691946bf5a759dbde28",
+        "path_21.csv": "7e13b6a5e3c0f5537ce7352b4ff0495cff4b713977117d3bdd1eda59d04e03bb",
+        "path_22.csv": "46fbac567db7c561459135f9833cd05f26687b4d39c680da124963e96c8d8944",
+        "predicted.csv": "d11c5f4d56a8d70d81192f18b4e60d6d48ea4e76c47ad770faffcba37dfaa542",
+        "trajectory.csv": "aec2e56ec1124cce521d5bdf9dfae269f1191b2042afb537e85ad957c2d6d1e0",
+        "transformed_game.cfg": "e2cee232bac605ae099a00ea21465c224c1cdbb28a668123cdf0bcc6014410f8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_experiment_artifacts_match_recorded_digests(name, tmp_path):
+    out = tmp_path / name
+    assert main(["experiment", "--config", str(EXAMPLES / f"{name}.cfg"), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN[name]
