@@ -37,7 +37,6 @@ from .games import (
     ValidationReport,
     constant_protocol,
     custom_protocol,
-    default_rate_cap,
     evaluate_rates,
     make_linear_game,
     make_separable_game,

@@ -58,12 +58,8 @@ def enumerate_states(n: int, size: int, limit: int = DEFAULT_GRID_LIMIT) -> Stat
     return StateGrid((n,), (size,), (size,), limit=limit)
 
 
-def build_grid(
-    game: PopulationGame,
-    resolution: int | Sequence[int],
-    limit: int = DEFAULT_GRID_LIMIT,
-) -> StateGrid:
-    """Grid for a game at lattice resolution N per population (counts = N * mass)."""
+def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-population resolutions N and agent counts N * mass, which must be integers."""
     if isinstance(resolution, int):
         resolution = (resolution,) * game.num_populations
     resolutions = tuple(int(r) for r in resolution)
@@ -77,6 +73,16 @@ def build_grid(
                 f"population {p}: resolution {res} x mass {m} is not an integer agent count"
             )
         sizes.append(int(round(size)))
+    return resolutions, tuple(sizes)
+
+
+def build_grid(
+    game: PopulationGame,
+    resolution: int | Sequence[int],
+    limit: int = DEFAULT_GRID_LIMIT,
+) -> StateGrid:
+    """Grid for a game at lattice resolution N per population (counts = N * mass)."""
+    resolutions, sizes = _lattice_sizes(game, resolution)
     return StateGrid(game.strategy_counts, sizes, resolutions, limit=limit)
 
 
@@ -326,7 +332,7 @@ class PathResult:
         return buf.getvalue()
 
 
-def _normalize_x0(x0, strategy_counts, resolutions) -> list[np.ndarray]:
+def _normalize_x0(x0, strategy_counts, resolutions, sizes) -> list[np.ndarray]:
     if isinstance(x0, SocialState):
         counts = x0.counts(resolutions)
     else:
@@ -337,6 +343,8 @@ def _normalize_x0(x0, strategy_counts, resolutions) -> list[np.ndarray]:
             raise ValueError(f"population {p}: initial counts shape {part.shape} != ({n},)")
         if np.any(part < 0):
             raise ValueError(f"population {p}: negative initial counts")
+    if tuple(int(part.sum()) for part in parts) != sizes:
+        raise KeyError(f"state {tuple(tuple(part.tolist()) for part in parts)} is not on the grid")
     return parts
 
 
@@ -350,129 +358,57 @@ def simulate_path(
 ) -> PathResult:
     """Gillespie realization of the revision process.
 
-    ``model`` is either a prebuilt :class:`FiniteChain` or an on-the-fly
-    ``(game, protocol, resolution)`` triple for grids too large to enumerate.
-    Holding times are exponential in the total exit rate and the next state
-    is chosen proportionally to the rates; a fixed seed reproduces the path
-    exactly.  Occupancy is the time-weighted state distribution over
-    ``(burn_in, horizon]``, normalized to one.
+    ``model`` is a prebuilt :class:`FiniteChain`, which supplies its game,
+    protocols and grid, or a ``(game, protocol, resolution)`` triple for grids
+    too large to enumerate.  One event loop serves both: it evaluates the
+    payoffs and rates at each visited state, draws an exponential holding
+    time in the total exit rate and picks the move proportionally to its
+    rate, so a fixed seed reproduces the path exactly.  ``x0`` must hold the
+    ``N * mass`` agents of each population, else ``KeyError``.  Occupancy,
+    collected by default for a chain only, is computed from the finished
+    path: the time-weighted state distribution over ``(burn_in, horizon]``,
+    normalized to one.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not 0 <= burn_in < horizon:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}")
     if isinstance(model, FiniteChain):
-        return _simulate_chain(model, x0, horizon, seed, burn_in, collect_occupancy)
-    game, protocol, resolution = model
-    return _simulate_on_the_fly(
-        game, protocol, resolution, x0, horizon, seed, burn_in, collect_occupancy
-    )
+        game, protocols, grid = model.game, model.protocols, model.grid
+        resolutions, sizes = grid.resolutions, grid.sizes
+        if collect_occupancy is None:
+            collect_occupancy = True
+    else:
+        game, protocol, resolution = model
+        protocols = protocol_tuple(protocol, game)
+        resolutions, sizes = _lattice_sizes(game, resolution)
+        grid = StateGrid(game.strategy_counts, sizes, resolutions) if collect_occupancy else None
+    parts = _normalize_x0(x0, game.strategy_counts, resolutions, sizes)
 
-
-def _simulate_chain(chain, x0, horizon, seed, burn_in, collect_occupancy):
-    if collect_occupancy is None:
-        collect_occupancy = True
-    grid = chain.grid
-    parts = _normalize_x0(x0, grid.strategy_counts, grid.resolutions)
-    current = grid.index(tuple(tuple(int(v) for v in p) for p in parts))
-
-    row_ptr = np.searchsorted(chain.src, np.arange(len(grid) + 1))
-
-    rng = np.random.default_rng(seed)
-    times = [0.0]
-    visited = [current]
-    residence = np.zeros(len(grid)) if collect_occupancy else None
-    t = 0.0
-    while True:
-        lo, hi = row_ptr[current], row_ptr[current + 1]
-        rates = chain.rate[lo:hi]
-        total = float(rates.sum())
-        if total <= 0.0:
-            t_next = horizon
-        else:
-            t_next = t + rng.exponential(1.0 / total)
-        if t_next >= horizon:
-            if residence is not None:
-                residence[current] += horizon - max(t, burn_in) if horizon > burn_in else 0.0
-            break
-        if residence is not None and t_next > burn_in:
-            residence[current] += t_next - max(t, burn_in)
-        cum = np.cumsum(rates)
-        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        current = int(chain.dst[lo + pick])
-        t = t_next
-        times.append(t)
-        visited.append(current)
-
-    counts = grid.counts[visited]
-    occupancy = None
-    if residence is not None:
-        weights = residence / (horizon - burn_in)
-        occupancy = StationaryTable(
-            grid=grid,
-            probabilities=weights,
-            provenance="empirical",
-            metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
-        )
-    return PathResult(
-        times=np.asarray(times),
-        counts=counts,
-        horizon=horizon,
-        seed=seed,
-        strategy_counts=grid.strategy_counts,
-        resolutions=grid.resolutions,
-        occupancy=occupancy,
-    )
-
-
-def _simulate_on_the_fly(game, protocol, resolution, x0, horizon, seed, burn_in,
-                         collect_occupancy):
-    protocols = protocol_tuple(protocol, game)
-    if isinstance(resolution, int):
-        resolution = (resolution,) * game.num_populations
-    resolutions = tuple(int(r) for r in resolution)
-    parts = _normalize_x0(x0, game.strategy_counts, resolutions)
-
-    # fixed move layout: per population, all ordered off-diagonal pairs
-    move_pop: list[int] = []
-    move_from: list[int] = []
-    move_to: list[int] = []
-    flat_idx = []
-    for p, n in enumerate(game.strategy_counts):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        move_pop.extend(p for _ in pairs)
-        move_from.extend(i for i, _ in pairs)
-        move_to.extend(j for _, j in pairs)
-        flat_idx.append(np.array([i * n + j for i, j in pairs]))
+    # fixed move layout: per population, all ordered off-diagonal pairs (i, j)
+    moves = [(p, i, j) for p, n in enumerate(game.strategy_counts)
+             for i in range(n) for j in range(n) if i != j]
+    flat_idx = [np.flatnonzero(~np.eye(n, dtype=bool)) for n in game.strategy_counts]
 
     rng = np.random.default_rng(seed)
     t = 0.0
     times = [0.0]
-    rows = [np.concatenate(parts).copy()]
-    residence: dict[tuple, float] = {} if collect_occupancy else None
-    first_step = True
-
+    rows = [np.concatenate(parts)]
     while True:
         x_parts = tuple(p / r for p, r in zip(parts, resolutions))
-        state = SocialState._unchecked(x_parts)
-        if first_step:
-            payoffs = game.payoff_at(state)
-            weight_blocks = [
-                (parts[p][:, None] * proto.rates(pi, x_parts[p])).ravel()[flat_idx[p]]
-                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
-            ]
-            first_step = False
-        else:
-            payoffs = game.payoff(state)
+        try:
+            payoffs = game.payoff(SocialState._unchecked(x_parts))
             if isinstance(payoffs, np.ndarray):
                 payoffs = (payoffs,)
-            weight_blocks = [
+            weights = np.concatenate([
                 (parts[p][:, None] * proto.rate_fn(pi, x_parts[p])).ravel()[flat_idx[p]]
-                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
-            ]
-        weights = np.concatenate(weight_blocks)
-        total = float(weights.sum())
-        if not math.isfinite(total) or np.any(weights < 0):
+                for p, (proto, pi) in enumerate(zip(protocols, payoffs, strict=True))
+            ])
+            total = float(weights.sum())
+            valid = math.isfinite(total) and not (weights < 0).any()
+        except (TypeError, ValueError, IndexError):
+            valid = False
+        if not valid:
             # re-evaluate through the validating path for a precise error
             state = SocialState(parts=x_parts)
             for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
@@ -483,34 +419,28 @@ def _simulate_on_the_fly(game, protocol, resolution, x0, horizon, seed, burn_in,
         else:
             t_next = t + rng.exponential(1.0 / total)
         if t_next >= horizon:
-            if residence is not None and horizon > burn_in:
-                key = tuple(np.concatenate(parts).tolist())
-                residence[key] = residence.get(key, 0.0) + horizon - max(t, burn_in)
             break
-        if residence is not None and t_next > burn_in:
-            key = tuple(np.concatenate(parts).tolist())
-            residence[key] = residence.get(key, 0.0) + t_next - max(t, burn_in)
-        cum = np.cumsum(weights)
-        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        parts[move_pop[pick]][move_from[pick]] -= 1
-        parts[move_pop[pick]][move_to[pick]] += 1
+        pick = int(weights.cumsum().searchsorted(rng.random() * total, side="right"))
+        p, i, j = moves[pick]
+        parts[p][i] -= 1
+        parts[p][j] += 1
         t = t_next
         times.append(t)
-        rows.append(np.concatenate(parts).copy())
+        rows.append(np.concatenate(parts))
 
+    times = np.asarray(times)
+    counts = np.asarray(rows, dtype=np.int64)
     occupancy = None
-    if residence is not None:
-        grid = StateGrid(game.strategy_counts,
-                         [int(p.sum()) for p in parts], resolutions)
-        probs = np.zeros(len(grid))
-        probs[grid.ranks(list(residence))] = np.array(list(residence.values())) / (horizon - burn_in)
+    if collect_occupancy:
+        dwell = np.diff(np.maximum(np.append(times, horizon), burn_in))
+        residence = np.bincount(grid.ranks(counts), weights=dwell, minlength=len(grid))
         occupancy = StationaryTable(
-            grid=grid, probabilities=probs, provenance="empirical",
+            grid=grid, probabilities=residence / (horizon - burn_in), provenance="empirical",
             metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
         )
     return PathResult(
-        times=np.asarray(times),
-        counts=np.asarray(rows, dtype=np.int64),
+        times=times,
+        counts=counts,
         horizon=horizon,
         seed=seed,
         strategy_counts=game.strategy_counts,

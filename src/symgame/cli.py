@@ -47,7 +47,7 @@ COMMANDS = (
     "experiment",
 )
 
-CHAIN_STATE_BUDGET = 20_000  # prebuild the generator below this many states
+CHAIN_STATE_BUDGET = 20_000  # write path occupancy tables below this many states
 
 
 class ArtifactWriter:
@@ -103,12 +103,16 @@ class _Model:
             self.game, self.protocols = self.base_game, self.base_protocols
 
     @property
-    def resolutions(self) -> tuple[int, ...]:
+    def base_resolutions(self) -> tuple[int, ...]:
         res = self.config.resolutions
-        base = tuple(res) if len(res) == self.base_game.num_populations else (res[0],) * self.base_game.num_populations
+        n_pop = self.base_game.num_populations
+        return tuple(res) if len(res) == n_pop else (res[0],) * n_pop
+
+    @property
+    def resolutions(self) -> tuple[int, ...]:
         if self.transformed is None:
-            return base
-        return tuple(base[pop.base_population] for pop in self.transformed.populations)
+            return self.base_resolutions
+        return tuple(self.base_resolutions[pop.base_population] for pop in self.transformed.populations)
 
     def initial_state(self) -> SocialState:
         parts = self.config.initial_state_parts(self.base_game)
@@ -181,26 +185,33 @@ def _build_chain(model: _Model, rates=None):
     return chain_mod.build_generator(model.game, model.protocols, model.resolutions, rates=rates)
 
 
-def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
+def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
+    """Simulate one path per config seed, write its path and occupancy CSVs and yield it.
+
+    Occupancy tables are written only for lattices of at most
+    ``CHAIN_STATE_BUDGET`` states.
+    """
     config = model.config
     if not config.seeds:
-        raise SymgameError("simulate needs a nonempty seed list (run section, 'seeds')")
+        raise SymgameError(f"{command} needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
-    use_chain = lattice_grid(model.game, model.resolutions, CHAIN_STATE_BUDGET) is not None
-    prebuilt = _build_chain(model) if use_chain else None
+    occupancy = lattice_grid(model.game, model.resolutions, CHAIN_STATE_BUDGET) is not None
     for seed in config.seeds:
-        source = prebuilt if prebuilt is not None else (model.game, model.protocols, model.resolutions)
         path = chain_mod.simulate_path(
-            source, x0, config.horizon, seed,
+            (model.game, model.protocols, model.resolutions), x0, config.horizon, seed,
             burn_in=config.burn_in,
-            collect_occupancy=use_chain,
+            collect_occupancy=occupancy,
         )
-        writer.write(f"path_{seed}.csv", _provenance(config, "simulate", seed) + path.to_csv())
+        header = _provenance(config, command, seed)
+        writer.write(f"path_{seed}.csv", header + path.to_csv())
         if path.occupancy is not None:
-            writer.write(
-                f"occupancy_{seed}.csv",
-                _provenance(config, "simulate", seed) + path.occupancy.to_csv(),
-            )
+            writer.write(f"occupancy_{seed}.csv", header + path.occupancy.to_csv())
+        yield path
+
+
+def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
+    for _ in _simulate_seeds(model, writer, "simulate"):
+        pass
     return 0
 
 
@@ -230,14 +241,15 @@ def _cmd_transform(model: _Model, writer: ArtifactWriter) -> int:
     return 0
 
 
+def _degenerate_line(results) -> str:
+    degenerate = [str(i) for i, r in enumerate(results) if r.degenerate]
+    return "degenerate_marginals: " + (", ".join(degenerate) or "none")
+
+
 def _predict_table(model: _Model):
     config = model.config
     transformed = decompose(model.base_game, model.base_protocols, fstar=config.fstar)
-    base_res = (
-        tuple(config.resolutions)
-        if len(config.resolutions) == model.base_game.num_populations
-        else (config.resolutions[0],) * model.base_game.num_populations
-    )
+    base_res = model.base_resolutions
     sizes = [
         int(round(base_res[pop.base_population] * model.base_game.masses[pop.base_population]))
         for pop in transformed.populations
@@ -270,9 +282,7 @@ def _cmd_predict(model: _Model, writer: ArtifactWriter) -> int:
         text = _provenance(config, "predict") + "count,probability\n"
         text += "".join(f"{k},{v:.17g}\n" for k, v in enumerate(marginal))
         writer.write(f"predicted_marginal_{i}.csv", text)
-    degenerate = [str(i) for i, r in enumerate(results) if r.degenerate]
-    header = _provenance(config, "predict")
-    header += "# degenerate_marginals: " + (", ".join(degenerate) if degenerate else "none") + "\n"
+    header = _provenance(config, "predict") + f"# {_degenerate_line(results)}\n"
     writer.write("predicted.csv", header + table.to_csv())
     return 0
 
@@ -285,10 +295,7 @@ def _cmd_compare(model: _Model, writer: ArtifactWriter) -> int:
     metrics = compare(predicted, exact)
     lines = [_provenance(config, "compare"), "[compare]"]
     lines.extend(metrics.as_lines("predicted_vs_exact"))
-    lines.append(
-        "degenerate_marginals: "
-        + (", ".join(str(i) for i, r in enumerate(results) if r.degenerate) or "none")
-    )
+    lines.append(_degenerate_line(results))
     writer.write("compare_report.txt", "\n".join(lines) + "\n")
     return 0
 
@@ -330,10 +337,7 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     writer.write("predicted.csv", _provenance(config, "experiment") + predicted.to_csv())
     report.append("")
     report.append("[predict]")
-    report.append(
-        "degenerate_marginals: "
-        + (", ".join(str(i) for i, r in enumerate(results) if r.degenerate) or "none")
-    )
+    report.append(_degenerate_line(results))
 
     # exact stationary law
     chain = _build_chain(model, rates)
@@ -370,23 +374,10 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     # stochastic paths against the trajectory
     report.append("")
     report.append("[simulate]")
-    x0 = model.lattice_counts()
-    use_chain = len(chain.grid) <= CHAIN_STATE_BUDGET
-    for seed in config.seeds:
-        source = chain if use_chain else (model.game, model.protocols, model.resolutions)
-        path = chain_mod.simulate_path(
-            source, x0, config.horizon, seed, burn_in=config.burn_in,
-            collect_occupancy=use_chain,
-        )
-        writer.write(f"path_{seed}.csv", _provenance(config, "experiment", seed) + path.to_csv())
-        if path.occupancy is not None:
-            writer.write(
-                f"occupancy_{seed}.csv",
-                _provenance(config, "experiment", seed) + path.occupancy.to_csv(),
-            )
+    for path in _simulate_seeds(model, writer, "experiment"):
         deviation = chain_mod.deviation_vs_ode(path, traj)
-        report.append(f"seed_{seed}_events: {len(path.times) - 1}")
-        report.append(f"seed_{seed}_deviation_vs_ode: {deviation:.17g}")
+        report.append(f"seed_{path.seed}_events: {len(path.times) - 1}")
+        report.append(f"seed_{path.seed}_deviation_vs_ode: {deviation:.17g}")
 
     writer.write("experiment_report.txt", "\n".join(report) + "\n")
     return 0

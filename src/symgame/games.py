@@ -38,7 +38,6 @@ __all__ = [
     "sample_states",
     "lattice_grid",
     "count_states",
-    "default_rate_cap",
 ]
 
 # Rate functions map (payoff vector, population state) -> n x n switch-rate matrix.
@@ -231,15 +230,13 @@ class RevisionProtocol:
 
     ``rate_fn(payoffs, state_part)`` returns the n x n rate matrix for one
     population.  ``support_floor`` is the declared lower rate bound (> 0 for a
-    fully supported protocol); ``rate_cap`` optionally fixes the per-pair
-    normalization caps, otherwise they default to 1.1x the sampled maximum.
-    Diagonal entries are carried but never drive transitions.
+    fully supported protocol).  Diagonal entries are carried but never drive
+    transitions.
     """
 
     kind: str
     rate_fn: RateFn
     support_floor: float = 0.0
-    rate_cap: np.ndarray | None = None
     symmetric: bool | None = None
     params: dict = field(default_factory=dict)
 
@@ -315,7 +312,6 @@ def table_protocol(matrix, support_floor: float | None = None) -> RevisionProtoc
         kind="table",
         rate_fn=rate_fn,
         support_floor=floor,
-        rate_cap=_readonly(1.1 * M),
         symmetric=bool(np.array_equal(M, M.T)),
         params={"matrix": M},
     )
@@ -549,8 +545,8 @@ class ValidationReport:
     """Outcome of sampling-based hypothesis checks.
 
     ``symmetric`` holds when the largest rate asymmetry over all samples is
-    zero to 1e-14 and any explicit caps are symmetric; ``fully_supported``
-    when every sampled rate stays at or above a positive declared floor.
+    zero to 1e-14; ``fully_supported`` when every sampled rate stays at or
+    above a positive declared floor.
     Sampling is a surrogate for the underlying universally quantified
     conditions, so the sample count and exhaustiveness are recorded.
     """
@@ -659,13 +655,9 @@ def validate_hypotheses(
     ]
     max_asym = max(stats[0] for stats in per_pop)
     min_rate = min(stats[1] for stats in per_pop)
-    cap_symmetric = all(
-        proto.rate_cap is None or np.array_equal(proto.rate_cap, proto.rate_cap.T)
-        for proto in protocols
-    )
     floor = min(proto.support_floor for proto in protocols)
     return ValidationReport(
-        symmetric=(max_asym <= SYMMETRY_TOL) and cap_symmetric,
+        symmetric=max_asym <= SYMMETRY_TOL,
         fully_supported=(floor > 0) and (min_rate >= floor),
         max_asymmetry=max_asym,
         min_rate=min_rate,
@@ -673,22 +665,4 @@ def validate_hypotheses(
         exhaustive=exhaustive,
         support_floor=floor,
         per_population=tuple(per_pop),
-    )
-
-
-def default_rate_cap(
-    game: PopulationGame,
-    protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    states: Sequence[SocialState],
-) -> tuple[np.ndarray, ...]:
-    """Per-pair normalization caps: sampled rate maximum inflated by 10%."""
-    protocols = protocol_tuple(protocol, game)
-    caps = [np.zeros((n, n)) for n in game.strategy_counts]
-    for state in states:
-        payoffs = game.payoff_at(state)
-        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
-            np.maximum(caps[p], proto.rates(pi, x), out=caps[p])
-    return tuple(
-        proto.rate_cap if proto.rate_cap is not None else _readonly(1.1 * cap)
-        for proto, cap in zip(protocols, caps)
     )

@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import rest_point
 from .errors import SymgameError
 from .games import (
+    SYMMETRY_TOL,
     PopulationGame,
     RevisionProtocol,
     SocialState,
@@ -55,8 +56,6 @@ __all__ = [
     "reduce_to",
     "decompose",
 ]
-
-SYMMETRY_TOL = 1e-14
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ Each ``_reference_*`` function below is the straightforward per-state
 algorithm: it walks Python tuples of counts, evaluates the validated payoff
 and rate map at every state and looks neighbours up in a dict.  The library
 versions must reproduce them exactly, element for element and in the same
-order, on randomly drawn games, protocols and grids.
+order, on randomly drawn games, protocols and grids.  The two
+``_reference_*_path`` functions are the Gillespie loops that
+:func:`symgame.simulate_path` replaced: one read the rates from a prebuilt
+chain's edges, the other evaluated the protocol at each event and kept
+occupancy in a dict.
 """
 
 import itertools
@@ -30,6 +34,7 @@ from symgame import (
     marginal_from_exact,
     product_form_joint,
     sample_states,
+    simulate_path,
     sum_exponential_protocol,
     table_protocol,
     validate_hypotheses,
@@ -154,6 +159,101 @@ def _reference_joint_weights(marginals, strategy_counts, sizes):
     for weights in per_pop[1:]:
         joint = np.multiply.outer(joint, weights)
     return joint.ravel()
+
+
+def _reference_chain_path(chain, x0, horizon, seed, burn_in):
+    grid = chain.grid
+    current = grid.index(x0)
+    row_ptr = np.searchsorted(chain.src, np.arange(len(grid) + 1))
+    rng = np.random.default_rng(seed)
+    times = [0.0]
+    visited = [current]
+    residence = np.zeros(len(grid))
+    t = 0.0
+    while True:
+        lo, hi = row_ptr[current], row_ptr[current + 1]
+        rates = chain.rate[lo:hi]
+        total = float(rates.sum())
+        if total <= 0.0:
+            t_next = horizon
+        else:
+            t_next = t + rng.exponential(1.0 / total)
+        if t_next >= horizon:
+            residence[current] += horizon - max(t, burn_in) if horizon > burn_in else 0.0
+            break
+        if t_next > burn_in:
+            residence[current] += t_next - max(t, burn_in)
+        cum = np.cumsum(rates)
+        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        current = int(chain.dst[lo + pick])
+        t = t_next
+        times.append(t)
+        visited.append(current)
+    occupancy = StationaryTable(grid=grid, probabilities=residence / (horizon - burn_in),
+                                provenance="empirical")
+    return np.asarray(times), grid.counts[visited], occupancy.probabilities
+
+
+def _reference_fly_path(game, protocol, resolution, x0, horizon, seed, burn_in):
+    protocols = protocol_tuple(protocol, game)
+    resolutions = (resolution,) * game.num_populations
+    parts = [np.asarray(part, dtype=np.int64) for part in x0]
+    move_pop, move_from, move_to, flat_idx = [], [], [], []
+    for p, n in enumerate(game.strategy_counts):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        move_pop.extend(p for _ in pairs)
+        move_from.extend(i for i, _ in pairs)
+        move_to.extend(j for _, j in pairs)
+        flat_idx.append(np.array([i * n + j for i, j in pairs]))
+    rng = np.random.default_rng(seed)
+    t = 0.0
+    times = [0.0]
+    rows = [np.concatenate(parts).copy()]
+    residence = {}
+    first_step = True
+    while True:
+        x_parts = tuple(p / r for p, r in zip(parts, resolutions))
+        state = SocialState._unchecked(x_parts)
+        if first_step:
+            payoffs = game.payoff_at(state)
+            weight_blocks = [
+                (parts[p][:, None] * proto.rates(pi, x_parts[p])).ravel()[flat_idx[p]]
+                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
+            ]
+            first_step = False
+        else:
+            payoffs = game.payoff(state)
+            if isinstance(payoffs, np.ndarray):
+                payoffs = (payoffs,)
+            weight_blocks = [
+                (parts[p][:, None] * proto.rate_fn(pi, x_parts[p])).ravel()[flat_idx[p]]
+                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
+            ]
+        weights = np.concatenate(weight_blocks)
+        total = float(weights.sum())
+        if total <= 0.0:
+            t_next = horizon
+        else:
+            t_next = t + rng.exponential(1.0 / total)
+        key = tuple(np.concatenate(parts).tolist())
+        if t_next >= horizon:
+            if horizon > burn_in:
+                residence[key] = residence.get(key, 0.0) + horizon - max(t, burn_in)
+            break
+        if t_next > burn_in:
+            residence[key] = residence.get(key, 0.0) + t_next - max(t, burn_in)
+        cum = np.cumsum(weights)
+        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        parts[move_pop[pick]][move_from[pick]] -= 1
+        parts[move_pop[pick]][move_to[pick]] += 1
+        t = t_next
+        times.append(t)
+        rows.append(np.concatenate(parts).copy())
+    grid = StateGrid(game.strategy_counts, [int(p.sum()) for p in parts], resolutions)
+    probs = np.zeros(len(grid))
+    probs[grid.ranks(list(residence))] = np.array(list(residence.values())) / (horizon - burn_in)
+    occupancy = StationaryTable(grid=grid, probabilities=probs, provenance="empirical")
+    return np.asarray(times), np.asarray(rows, dtype=np.int64), occupancy.probabilities
 
 
 # -- randomized inputs ------------------------------------------------------
@@ -348,3 +448,51 @@ class TestProjections:
                 for ordinal, prob in enumerate(table.probabilities):
                     expected[grid.state(ordinal)[p][strategy]] += prob
                 assert np.array_equal(marginal_from_exact(table, strategy, p), expected)
+
+
+class TestSimulatePath:
+    @staticmethod
+    def _draw_path_inputs(model, seed, burn_in_share):
+        game, protocols, resolution = model
+        chain = build_generator(game, protocols, resolution)
+        x0 = chain.grid.state(int(np.random.default_rng(seed).integers(len(chain.grid))))
+        horizon = 10.0  # tens to hundreds of events
+        return game, protocols, resolution, chain, x0, horizon, burn_in_share * horizon
+
+    @given(models(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_event_protocol_loop(self, model, seed, burn_in_share):
+        game, protocols, resolution, _, x0, horizon, burn_in = self._draw_path_inputs(
+            model, seed, burn_in_share
+        )
+        path = simulate_path((game, protocols, resolution), x0, horizon, seed,
+                             burn_in=burn_in, collect_occupancy=True)
+        times, counts, occupancy = _reference_fly_path(
+            game, protocols, resolution, x0, horizon, seed, burn_in
+        )
+        assert path.times.tobytes() == times.tobytes()
+        assert path.counts.dtype == counts.dtype
+        assert path.counts.tobytes() == counts.tobytes()
+        # the dict loop added a revisit as (residence + end) - start, the
+        # library as residence + (end - start), like the chain loop did
+        assert np.allclose(path.occupancy.probabilities, occupancy, rtol=0.0, atol=1e-10)
+
+    @given(models(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_chain_edge_loop(self, model, seed, burn_in_share):
+        # below 8 moves per state numpy sums the exit rates in order, so the
+        # zero-rate moves the chain skips cannot change a bit; from 8 moves on
+        # it sums in blocks and the event times may differ in the last bits
+        game, protocols, resolution, chain, x0, horizon, burn_in = self._draw_path_inputs(
+            model, seed, burn_in_share
+        )
+        path = simulate_path(chain, x0, horizon, seed, burn_in=burn_in)
+        times, counts, occupancy = _reference_chain_path(chain, x0, horizon, seed, burn_in)
+        assert np.array_equal(path.counts, counts)
+        moves = sum(n * (n - 1) for n in game.strategy_counts)
+        if moves < 8:
+            assert path.times.tobytes() == times.tobytes()
+            assert path.occupancy.probabilities.tobytes() == occupancy.tobytes()
+        else:
+            assert np.allclose(path.times, times, rtol=1e-12, atol=0.0)
+            assert np.allclose(path.occupancy.probabilities, occupancy, rtol=1e-9, atol=1e-15)

@@ -10,6 +10,7 @@ from symgame import (
     build_generator,
     check_detailed_balance,
     constant_protocol,
+    custom_protocol,
     deviation_vs_ode,
     enumerate_states,
     exact_stationary,
@@ -242,6 +243,41 @@ class TestSimulatePath:
                 tvs.append(0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum())
             mean_tv.append(np.mean(tvs))
         assert mean_tv[0] >= mean_tv[1] >= mean_tv[2]
+
+
+    @pytest.mark.parametrize("model", ["chain", "triple", "triple-occupancy"])
+    def test_off_lattice_x0_raises_before_the_first_event(self, model):
+        # 9 agents at resolution 10 would simulate fractions summing to 0.9
+        calls = []
+
+        def rate_fn(pi, x):
+            calls.append(x)
+            return np.ones((len(x), len(x)))
+
+        game = make_linear_game(RPS)
+        proto = custom_protocol(rate_fn, support_floor=1.0, symmetric=True)
+        source = build_generator(game, proto, 10) if model == "chain" else (game, proto, 10)
+        calls.clear()
+        with pytest.raises(KeyError, match=r"state \(\(3, 3, 3\),\) is not on the grid"):
+            simulate_path(source, ((3, 3, 3),), 1.0, seed=0,
+                          collect_occupancy=model != "triple")
+        assert calls == []
+
+    def test_fractional_agent_count_raises_as_for_a_chain(self):
+        # mass 0.5 at resolution 3 is 1.5 agents: build_generator refuses it too
+        game = make_linear_game(np.zeros((2, 2)), mass=0.5)
+        with pytest.raises(ValueError, match="not an integer agent count"):
+            simulate_path((game, constant_protocol(1.0), 3), ((1, 1),), 1.0, seed=0)
+
+    def test_chain_and_triple_give_the_same_path(self):
+        game = make_linear_game(RPS)
+        proto = sum_exponential_protocol(1.0)
+        chain = build_generator(game, proto, 5)
+        a = simulate_path(chain, ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
+        b = simulate_path((game, proto, 5), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
+                          collect_occupancy=True)
+        assert a.to_csv() == b.to_csv()
+        assert a.occupancy.to_csv() == b.occupancy.to_csv()
 
 
 class TestDetailedBalance:

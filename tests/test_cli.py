@@ -182,16 +182,18 @@ class TestRateEvaluations:
     def test_experiment_evaluates_rates_once_per_lattice_state(self, tmp_path, monkeypatch):
         # the hypothesis check and the generator share one evaluation per main-grid
         # state; each marginal chain adds one per state.  The stages that evaluate
-        # off the lattice (decomposition samples, RK4, birth-death rates) are
-        # not counted.
+        # off the lattice or along a path (decomposition samples, RK4,
+        # birth-death rates, simulated paths) are not counted here; each path
+        # evaluates once per visited state, events + 1 times.
         import numpy as np
 
         from symgame import cli, custom_protocol
         from symgame.config import ExperimentConfig
 
-        calls = {"count": 0, "paused": 0}
+        calls = {"count": 0, "all": 0, "paused": 0}
 
         def rate_fn(pi, x):
+            calls["all"] += 1
             if not calls["paused"]:
                 calls["count"] += 1
             u = np.exp(pi)
@@ -212,8 +214,22 @@ class TestRateEvaluations:
 
         for name in ("decompose", "integrate_mean_dynamic", "birth_death_weights"):
             monkeypatch.setattr(cli, name, paused(getattr(cli, name)))
+        per_path = []
+        simulate_path = paused(cli.chain_mod.simulate_path)
+
+        def counted_path(*args, **kwargs):
+            start = calls["all"]
+            path = simulate_path(*args, **kwargs)
+            per_path.append((calls["all"] - start, len(path.times) - 1))
+            return path
+
+        monkeypatch.setattr(cli.chain_mod, "simulate_path", counted_path)
         config = tmp_path / "rps.cfg"
         config.write_text(RPS_CONSTANT.replace("N = 2", "N = 6").replace("horizon = 20.0", "horizon = 1.0"))
         assert run("experiment", config, tmp_path / "out") == 0
         # C(6 + 2, 2) = 28 main-grid states; three derived 2-strategy chains of 7 states
         assert calls["count"] == 28 + 3 * 7
+        assert len(per_path) == 2  # seeds 1, 2
+        for evaluations, events in per_path:
+            assert events > 0
+            assert evaluations == events + 1

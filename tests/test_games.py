@@ -10,7 +10,6 @@ from symgame import (
     SocialState,
     constant_protocol,
     custom_protocol,
-    default_rate_cap,
     evaluate_rates,
     make_linear_game,
     make_separable_game,
@@ -169,19 +168,6 @@ class TestValidateHypotheses:
         assert len(states) == 1000
         for state in states[:10]:
             game.require_valid_state(state, tol=1e-9)
-
-
-class TestRateCap:
-    def test_default_cap_inflates_by_ten_percent(self):
-        game = make_linear_game(RPS)
-        states = sample_states(game, resolution=5)
-        (cap,) = default_rate_cap(game, constant_protocol(2.0), states)
-        assert np.allclose(cap, 2.2)
-
-    def test_table_protocol_carries_its_own_cap(self):
-        proto = table_protocol([[1.0, 2.0], [2.0, 1.0]])
-        assert np.allclose(proto.rate_cap, [[1.1, 2.2], [2.2, 1.1]])
-        assert np.array_equal(proto.rate_cap, proto.rate_cap.T)
 
 
 class TestMultiPopulation:

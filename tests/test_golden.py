@@ -1,8 +1,8 @@
-"""Byte-identity of the experiment artifacts for the documented example configs.
+"""Byte-identity of the CLI artifacts for the documented example configs.
 
-Each example in ``docs/examples`` is run through ``symgame experiment`` with
-its configured seeds, and the sha256 of every file written is compared with
-a recorded digest.  A change that alters any printed digit, state order or
+Each example in ``docs/examples`` is run through ``symgame experiment`` and
+``symgame simulate`` with its configured seeds, and the sha256 of every file
+written is compared with a recorded digest.  A change that alters any printed digit, state order or
 path fails here; one that does so on purpose must record the new digests and
 say why.
 """
@@ -63,10 +63,44 @@ GOLDEN = {
     },
 }
 
+GOLDEN_SIMULATE = {
+    "coordination_table": {
+        "occupancy_5.csv": "1a6658c1728b5f0475e0d9a0bffd9926f3ee1a8cc21f01da70ea7a17cc9dc1fd",
+        "path_5.csv": "365ffd5c6e1e655ffe9d70aed94243da915473cadf0cba2ab06b63c11340522b",
+    },
+    "rps_constant": {
+        "occupancy_1.csv": "0a745eed02273052d638765146a8c3966170d19e0b7463dd1f292f861fbd17f8",
+        "occupancy_2.csv": "023f620a1040a4541b1a829610363931dd6b3cc1d7f4866816f8768b13d51115",
+        "occupancy_3.csv": "4e1c859eebab1b4e104042ac41851c28484929ef1ef3e9be2c9663c8cfdfd3bd",
+        "path_1.csv": "378705167bc73148800c663fbcea2105f29051a201a951e400dc1bccc5edb36f",
+        "path_2.csv": "dbb94e415dc5a643418a77afa8362c0d761f79bf57549f0a2389374d192599c8",
+        "path_3.csv": "fce8d7df7beb768a06d35a9188e3f09b0965892475c06c3d9681488758b2aecb",
+    },
+    "rps_sum_exponential": {
+        "occupancy_11.csv": "3c7ee5d687a1a57510d4eaa00532802ce5353f547d8a73a540b77ebd54fe1cc9",
+        "occupancy_12.csv": "ff3ab2307884e5833f2cb4a87d182156944e20c12d8522ba88010a9c826cfd63",
+        "path_11.csv": "7e1bc920e91d81e8f6048c6920ab2b656c4b9052fede3a23d9518e751d174357",
+        "path_12.csv": "8505658ee6c84d00c312cbf3569125500317a5fd440f927b850e951424e40cc6",
+    },
+    "two_populations": {
+        "occupancy_21.csv": "91ba28a6855c74a49c2ae28834716b0aff782cd2cfc5d0d11dc863a20342f9c2",
+        "occupancy_22.csv": "3f7e72b617341d76ff0034ad72361771b5b689e06bcda0567d833601e35fa64a",
+        "path_21.csv": "3c419c6541d4bd5c5cc297dbb587d540010879316753aeca9df6becf7e35f7a4",
+        "path_22.csv": "2dedf9ee6cc87d69d43d2676a238928dde8db419fd2709a80484fd3b59fb6766",
+    },
+}
+
+
+def _digests(command, name, out):
+    assert main([command, "--config", str(EXAMPLES / f"{name}.cfg"), "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_experiment_artifacts_match_recorded_digests(name, tmp_path):
-    out = tmp_path / name
-    assert main(["experiment", "--config", str(EXAMPLES / f"{name}.cfg"), "--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == GOLDEN[name]
+    assert _digests("experiment", name, tmp_path / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
+def test_simulate_artifacts_match_recorded_digests(name, tmp_path):
+    assert _digests("simulate", name, tmp_path / name) == GOLDEN_SIMULATE[name]
