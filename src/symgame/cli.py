@@ -346,6 +346,7 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     report.append("")
     report.append("[exact]")
     report.append(f"states: {len(chain.grid)}")
+    report.append(f"edges: {len(chain.src)}")
     report.append(f"solver: {exact.metadata['solver']}")
     report.append(f"residual: {exact.metadata['residual']:.17g}")
 

@@ -8,7 +8,8 @@ order, on randomly drawn games, protocols and grids.  The two
 ``_reference_*_path`` functions are the Gillespie loops that
 :func:`symgame.simulate_path` replaced: one read the rates from a prebuilt
 chain's edges, the other evaluated the protocol at each event and kept
-occupancy in a dict.
+occupancy in a dict.  ``_reference_dense_stationary`` is the dense LU solve
+that the sparse factorization in :func:`symgame.exact_stationary` replaced.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from symgame import (
     ProtocolError,
+    ReducibleChainError,
     SocialState,
     StateGrid,
     StationaryTable,
@@ -29,6 +31,7 @@ from symgame import (
     check_detailed_balance,
     constant_protocol,
     custom_protocol,
+    exact_stationary,
     make_linear_game,
     make_separable_game,
     marginal_from_exact,
@@ -39,7 +42,7 @@ from symgame import (
     table_protocol,
     validate_hypotheses,
 )
-from symgame.chain import build_grid
+from symgame.chain import _communicating_classes, build_grid
 from symgame.games import count_states, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -140,6 +143,17 @@ def _reference_validation(game, protocol, states):
             per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
             per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
     return tuple((a, b) for a, b in per_pop)
+
+
+def _reference_dense_stationary(chain):
+    # Q^T densified, its last equation replaced by sum(mu) = 1
+    n = chain.num_states
+    A = chain.generator.toarray().T
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    mu = np.maximum(np.linalg.solve(A, b), 0.0)
+    return mu / mu.sum()
 
 
 def _reference_joint_weights(marginals, strategy_counts, sizes):
@@ -296,9 +310,9 @@ PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
 
 
 @st.composite
-def models(draw):
+def models(draw, max_pops=3):
     """A linear or separable game, one protocol per population, and a resolution."""
-    n_pops = draw(st.integers(1, 3))
+    n_pops = draw(st.integers(1, max_pops))
     counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in counts]
@@ -404,6 +418,25 @@ class TestDetailedBalance:
             chain.grid.format_state(worst[0]),
             chain.grid.format_state(worst[1]),
         )
+
+
+class TestExactStationary:
+    @given(models(max_pops=2))
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_lu_matches_the_dense_solve(self, model):
+        game, protocols, resolution = model
+        chain = build_generator(game, protocols, resolution)
+        if _communicating_classes(chain)[0] > 1:  # a custom protocol can cut moves
+            with pytest.raises(ReducibleChainError):
+                exact_stationary(chain)
+            return
+        before = [getattr(chain.generator, part).copy() for part in ("indptr", "indices", "data")]
+        exact = exact_stationary(chain, solver="lu")
+        assert exact.metadata["solver"] == "lu"
+        for part, old in zip(("indptr", "indices", "data"), before):
+            assert np.array_equal(getattr(chain.generator, part), old), part
+        expected = _reference_dense_stationary(chain)
+        assert np.max(np.abs(exact.probabilities - expected)) <= 1e-13
 
 
 class TestValidateHypotheses:

@@ -18,8 +18,8 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 GOLDEN = {
     "coordination_table": {
-        "exact_stationary.csv": "3683b4798d458e8c80cc1147eda7759ba29e4428352f42b341cea32ad64d4b6f",
-        "experiment_report.txt": "56de75d481c16f19980e9e9cbdd3c9e879f787206064dfd92825bff97732adc0",
+        "exact_stationary.csv": "794226b6aeb887db3b49eb9b8c257188b30810cf66cec891e7127e7927f5bd7f",
+        "experiment_report.txt": "1e9c7820c2952b2d8416d9c660f204464a982f36f831e1ceaedde4d8d702da21",
         "occupancy_5.csv": "96a571408ccdd277fe7e0ff760ff62f0387689c443d9930def7a378fb89af621",
         "path_5.csv": "e9953171a5fb60284593e6a79d50ccc58a1a2bcc7916a884c6a7840542a4a818",
         "predicted.csv": "ab8b0e98ced80b16eb824450529d3bf8620bb003c2ee97b62bff5757e5015df0",
@@ -27,8 +27,8 @@ GOLDEN = {
         "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
     },
     "rps_constant": {
-        "exact_stationary.csv": "7dc8c5265ef17b8c1e7bcaf27fcaa38d06125b94d405c3ed3a1379f7469cee3c",
-        "experiment_report.txt": "bc0ffe8cf47325048fb5bef7075ad977f9e195c2b26b8cd0e13df7f04de3dca3",
+        "exact_stationary.csv": "19c223ca450e49031f432fdbe76b10e371cb0403a84401de3b3005599c835474",
+        "experiment_report.txt": "0e03a86566965a086014adfcf1ab23bfef4b316275bc808f156cae079a0ed10c",
         "occupancy_1.csv": "7600cc3279d7a59861cee8cd0909bec1c33234039654c8de96c11f1d5316ca50",
         "occupancy_2.csv": "7821a80b3dca755ff278e64dac7250ef4dbefb0064175e80ba61ef3bdf4f0a4c",
         "occupancy_3.csv": "9f4db1cd0aec07cfac8dc73cc446047e556858513b2f2b5d8dcc42bbb7fdf4d3",
@@ -40,8 +40,8 @@ GOLDEN = {
         "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
     },
     "rps_sum_exponential": {
-        "exact_stationary.csv": "7049ca67bafcb7c1af2621b7ad61c1645f3428e4869293aee7216b2a3d4c2888",
-        "experiment_report.txt": "700089e7a0300dcb4a23fb1807ebdef8231375f34c346b44c6da8a5e6fad2bf6",
+        "exact_stationary.csv": "f9d584a8aebbe9650eac4d3ce5c858a9383ec21d89e07908c5222396d84c8984",
+        "experiment_report.txt": "1257844b3e45e7dbdf2c1d19d2b0421f1e433be4d5a726624088481569f52a04",
         "occupancy_11.csv": "9e7444310b661961bf6fb1d1922d1a00e482946ff929c77a1b4674a596b870d0",
         "occupancy_12.csv": "0a28f25c54f70cedd2e247e2d5db09a82dadc81dd948e78ae1874e66cdd10cfe",
         "path_11.csv": "69b27ed2c6e7d4b7e0036f4baae81eca429b82e25d2aab203f7ef43f8ae64d96",
@@ -51,8 +51,8 @@ GOLDEN = {
         "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
     },
     "two_populations": {
-        "exact_stationary.csv": "c8fdc6159393b13c17f4ce3718586c2c225bad339ca217ed955dd5b531cef97e",
-        "experiment_report.txt": "af61daec59fad91ba185be443a1ec6671a0ca63f346c698adbcae6deb8b73138",
+        "exact_stationary.csv": "21f3f427414ac196d2d528b81ff6e62c7d3ee6e3214ed3053b82360d7ffd973e",
+        "experiment_report.txt": "35ef2991bea46116fef901731c4b731627a4a651c61a09a4a5be85a61b61e9d5",
         "occupancy_21.csv": "e1ce2c99c0ecf1ea8882d74f255d47a64c2aac51a74abd279b2078b46f07573e",
         "occupancy_22.csv": "473fdf0709ff88b6d8474b7b56fd263496f038b16f109691946bf5a759dbde28",
         "path_21.csv": "7e13b6a5e3c0f5537ce7352b4ff0495cff4b713977117d3bdd1eda59d04e03bb",
