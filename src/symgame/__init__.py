@@ -37,7 +37,6 @@ from .games import (
     ValidationReport,
     constant_protocol,
     custom_protocol,
-    evaluate_rates,
     make_linear_game,
     make_separable_game,
     sample_states,
@@ -62,9 +61,6 @@ from .transform import (
     decompose,
     derived_block,
     invert_3to2,
-    reduce_once,
-    reduce_to,
-    symmetrize_3to2,
 )
 
 __version__ = "0.1.0"

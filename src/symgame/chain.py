@@ -491,9 +491,11 @@ def check_detailed_balance(chain: FiniteChain, stationary: StationaryTable) -> D
     back = np.where(has_rev, mu[dst] * chain.rate[rev], 0.0)
     # each reversible pair is measured once, from its lower-ordinal end
     gap = np.where((src > dst) & has_rev, 0.0, np.abs(fwd - back))
-    worst_k = int(np.argmax(gap)) if len(gap) else 0
-    max_imbalance = float(gap[worst_k]) if len(gap) else 0.0
-    worst = (int(src[worst_k]), int(dst[worst_k])) if max_imbalance > 0 else (0, 0)
+    if len(gap):
+        worst_k = int(np.argmax(gap))
+        max_imbalance, worst = float(gap[worst_k]), (int(src[worst_k]), int(dst[worst_k]))
+    else:
+        max_imbalance, worst = 0.0, (0, 0)
     max_flow = float(fwd.max()) if len(fwd) else 0.0
     if max_flow > 0:
         max_imbalance /= max_flow

@@ -60,15 +60,34 @@ class Trajectory:
 
 
 def _rhs_parts(game, protocols, parts):
-    state = SocialState(parts=tuple(np.maximum(p, 0.0) for p in parts))
-    payoffs = game.payoff_at(state)
-    out = []
-    for proto, pi, x in zip(protocols, payoffs, state.parts):
-        rho = proto.rates(pi, x)
-        inflow = rho.T @ x
-        outflow = x * rho.sum(axis=1)
-        out.append(inflow - outflow)
-    return out
+    # the payoff map and rate functions run on raw arrays; shape, finiteness
+    # and sign are checked once on the results
+    xs = tuple(np.maximum(p, 0.0) for p in parts)
+    for x in xs:
+        x.setflags(write=False)
+    try:
+        payoffs = game.payoff(SocialState._unchecked(xs))
+        if isinstance(payoffs, np.ndarray) and len(protocols) == 1:
+            payoffs = (payoffs,)
+        pis = [np.asarray(v, dtype=float) for v in payoffs]
+        rates = [
+            np.asarray(proto.rate_fn(pi, x), dtype=float)
+            for proto, pi, x in zip(protocols, pis, xs, strict=True)
+        ]
+        valid = all(
+            pi.shape == x.shape and rho.shape == (len(x), len(x))
+            for pi, x, rho in zip(pis, xs, rates)
+        )
+        if valid:
+            flat = np.concatenate([*xs, *pis, *(rho.ravel() for rho in rates)])
+            valid = bool(np.isfinite(flat).all()) and min(rho.min() for rho in rates) >= 0
+    except (TypeError, ValueError, IndexError):
+        valid = False
+    if not valid:
+        # the validating path raises the precise error, or agrees if nothing is wrong
+        state = SocialState(parts=xs)
+        rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), xs)]
+    return [rho.T @ x - x * rho.sum(axis=1) for rho, x in zip(rates, xs)]
 
 
 def mean_dynamic_rhs(

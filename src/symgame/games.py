@@ -32,7 +32,6 @@ __all__ = [
     "table_protocol",
     "custom_protocol",
     "protocol_tuple",
-    "evaluate_rates",
     "grid_rates",
     "validate_hypotheses",
     "sample_states",
@@ -340,36 +339,6 @@ def protocol_tuple(
             f"got {len(protocols)} protocols for {game.num_populations} populations"
         )
     return protocols
-
-
-def evaluate_rates(
-    protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    payoffs: Sequence[np.ndarray] | np.ndarray,
-    state: SocialState,
-) -> tuple[np.ndarray, ...]:
-    """Per-population switch-rate matrices at one (payoff, state) pair.
-
-    Every matrix entry is validated finite and nonnegative; a violating
-    protocol raises :class:`ProtocolError`.
-    """
-    if isinstance(payoffs, np.ndarray) and payoffs.ndim == 1:
-        payoffs = (payoffs,)
-    payoffs = tuple(np.asarray(v, dtype=float) for v in payoffs)
-    if len(payoffs) != state.num_populations:
-        raise ValueError(
-            f"got {len(payoffs)} payoff vectors for {state.num_populations} populations"
-        )
-    if isinstance(protocol, RevisionProtocol):
-        protocols = (protocol,) * state.num_populations
-    else:
-        protocols = tuple(protocol)
-        if len(protocols) != state.num_populations:
-            raise ValueError(
-                f"got {len(protocols)} protocols for {state.num_populations} populations"
-            )
-    return tuple(
-        proto.rates(pi, x) for proto, pi, x in zip(protocols, payoffs, state.parts)
-    )
 
 
 def count_states(strategy_counts: Sequence[int], sizes: Sequence[int]) -> int:

@@ -17,6 +17,10 @@ sum the two columns, whose outgoing rates average the two rows, and whose
 self-rate sums the aggregated 2x2 block.  The final step down to two
 strategies always uses the half-weighted 3-to-2 rules above.
 
+:func:`decompose` is the one builder: it checks the hypotheses once and
+reduces every population of a game to at most ``target`` strategies (two by
+default); :func:`invert_3to2` undoes the 3-to-2 split.
+
 Derived rate blocks are functions of the base (payoff, state) pair.  When a
 derived population must be evaluated standalone (its siblings' states
 unknown), the base state is filled in from its own coordinates, splitting
@@ -40,7 +44,6 @@ from .games import (
     PopulationGame,
     RevisionProtocol,
     SocialState,
-    ValidationReport,
     protocol_tuple,
     sample_states,
     validate_hypotheses,
@@ -50,10 +53,7 @@ __all__ = [
     "DerivedPopulation",
     "TransformedGame",
     "derived_block",
-    "symmetrize_3to2",
     "invert_3to2",
-    "reduce_once",
-    "reduce_to",
     "decompose",
 ]
 
@@ -126,17 +126,6 @@ def _reduced_population(base_population: int, leading: int, n: int, target: int)
         members=tuple(members),
         rotation=rotation,
         stages=tuple(stages),
-    )
-
-
-def _passthrough_population(base_population: int, n: int) -> DerivedPopulation:
-    return DerivedPopulation(
-        base_population=base_population,
-        leading=0,
-        labels=tuple(str(i + 1) for i in range(n)),
-        members=tuple((i,) for i in range(n)),
-        rotation=tuple(range(n)),
-        stages=(),
     )
 
 
@@ -235,16 +224,13 @@ class TransformedGame:
             self._padded_payoff(pop, base_state) for pop in self.populations
         )
 
-    def block_at(self, population: DerivedPopulation, base_state: SocialState) -> np.ndarray:
-        payoffs = self.base_game.payoff_at(base_state)
-        bp = population.base_population
-        rho = self.base_protocols[bp].rates(payoffs[bp], base_state.parts[bp])
-        return derived_block(population, rho)
-
     def marginal_block(self, index: int, part: np.ndarray) -> np.ndarray:
         """Rate block of derived population ``index`` at its own state only."""
         pop = self.populations[index]
-        return self.block_at(pop, self.fill_base_state(pop, np.asarray(part, dtype=float)))
+        base_state = self.fill_base_state(pop, np.asarray(part, dtype=float))
+        bp = pop.base_population
+        pi = self.base_game.payoff_at(base_state)[bp]
+        return derived_block(pop, self.base_protocols[bp].rates(pi, base_state.parts[bp]))
 
     def rate_pair(self, index: int):
         """(up, down) rate functions of the leading-strategy fraction.
@@ -297,15 +283,7 @@ class TransformedGame:
         game = PopulationGame(
             masses=masses, strategy_counts=self.arities, payoff=self.derived_payoff
         )
-        protocols = tuple(
-            RevisionProtocol(
-                kind="derived",
-                rate_fn=(lambda idx: lambda pi, x: self.marginal_block(idx, x))(i),
-                support_floor=self.base_protocols[pop.base_population].support_floor,
-                symmetric=None,
-            )
-            for i, pop in enumerate(self.populations)
-        )
+        protocols = tuple(self.marginal_game(i)[1] for i in range(len(self.populations)))
         return game, protocols
 
 
@@ -315,41 +293,6 @@ def _default_samples(game: PopulationGame, protocols) -> list[SocialState]:
     # probed at the full sampling depth
     declared = all(proto.symmetric for proto in protocols)
     return sample_states(game, n_random=16 if declared else 1000, seed=0)
-
-
-def _check_symmetry(game, protocols, samples) -> ValidationReport:
-    if samples is None:
-        samples = _default_samples(game, protocols)
-    report = validate_hypotheses(game, protocols, samples)
-    if not report.symmetric:
-        raise SymgameError(
-            f"protocol is not symmetric: max asymmetry {report.max_asymmetry:.6g} "
-            f"over {report.sample_count} sampled states"
-        )
-    return report
-
-
-def symmetrize_3to2(
-    game: PopulationGame,
-    protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    samples: Sequence[SocialState] | None = None,
-    fstar: str = "zero",
-) -> TransformedGame:
-    """Replace a 3-strategy population by three 2-strategy populations."""
-    if game.num_populations != 1 or game.strategy_counts[0] != 3:
-        raise ValueError(
-            f"expected a single 3-strategy population, got {game.strategy_counts}"
-        )
-    protocols = protocol_tuple(protocol, game)
-    _check_symmetry(game, protocols, samples)
-    populations = tuple(_reduced_population(0, lead, 3, 2) for lead in range(3))
-    return TransformedGame(
-        base_game=game,
-        base_protocols=protocols,
-        populations=populations,
-        lineage=("3->2",),
-        fstar=fstar,
-    )
 
 
 def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
@@ -366,7 +309,6 @@ def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
             f"{transformed.arities}"
         )
     by_lead = {pop.leading: pop for pop in pops}
-    base = transformed.base_game
     protocols = transformed.base_protocols
 
     def rate_fn(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -391,82 +333,33 @@ def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
     )
 
 
-def reduce_once(
-    game: PopulationGame,
-    protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    samples: Sequence[SocialState] | None = None,
-    fstar: str = "zero",
-) -> TransformedGame:
-    """One reduction stage: n strategies -> n populations of n-1 strategies."""
-    if game.num_populations != 1:
-        raise ValueError("reduction applies to a single-population game")
-    n = game.strategy_counts[0]
-    if n <= 3:
-        raise ValueError(f"reduction needs more than 3 strategies, got {n}")
-    protocols = protocol_tuple(protocol, game)
-    _check_symmetry(game, protocols, samples)
-    populations = tuple(_reduced_population(0, lead, n, n - 1) for lead in range(n))
-    return TransformedGame(
-        base_game=game,
-        base_protocols=protocols,
-        populations=populations,
-        lineage=(f"{n}->{n - 1}",),
-        fstar=fstar,
-    )
-
-
-def reduce_to(
-    game: PopulationGame,
-    protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    target: int,
-    samples: Sequence[SocialState] | None = None,
-    fstar: str = "zero",
-) -> TransformedGame:
-    """Iterated reduction keeping one population per base strategy.
-
-    Each stage lumps the last two strategies of every kept block; the final
-    step down to two strategies uses the half-weighted 3-to-2 rules, so
-    ``reduce_to(..., 2)`` agrees with reducing to 3 and then splitting.
-    """
-    if game.num_populations != 1:
-        raise ValueError("reduction applies to a single-population game")
-    n = game.strategy_counts[0]
-    if target < 2:
-        raise ValueError(f"target arity must be at least 2, got {target}")
-    if target >= n:
-        raise ValueError(f"target arity {target} is not below the current {n}: nothing to reduce")
-    protocols = protocol_tuple(protocol, game)
-    _check_symmetry(game, protocols, samples)
-    populations = tuple(_reduced_population(0, lead, n, target) for lead in range(n))
-    return TransformedGame(
-        base_game=game,
-        base_protocols=protocols,
-        populations=populations,
-        lineage=tuple(f"{a}->{a - 1}" for a in range(n, target, -1)),
-        fstar=fstar,
-    )
-
-
 def decompose(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
+    target: int = 2,
     samples: Sequence[SocialState] | None = None,
     fstar: str = "zero",
 ) -> TransformedGame:
-    """Full 2-strategy decomposition, dispatching per population.
+    """Reduce every population to at most ``target`` strategies.
 
-    Populations with two strategies pass through unchanged; three or more
-    strategies split into one derived population per strategy.  Symmetry is
-    required wherever an actual reduction happens; full support is required
-    everywhere.  All failures are reported together.
+    A population with at most ``target`` strategies passes through unchanged;
+    a larger one of n strategies splits into n derived populations of
+    ``target`` strategies, one per leading strategy, lumping trailing
+    strategies one stage at a time (lineage ``n->n-1 ... target+1->target``).
+    The final step down to two strategies uses the half-weighted 3-to-2
+    rules, so reducing to 3 and then splitting agrees with reducing straight
+    to 2.  Symmetry is required wherever a reduction happens; full support is
+    required everywhere.  All failures are reported together.
     """
+    if target < 2:
+        raise ValueError(f"target arity must be at least 2, got {target}")
     protocols = protocol_tuple(protocol, game)
     if samples is None:
         samples = _default_samples(game, protocols)
     report = validate_hypotheses(game, protocols, samples)
     problems = []
     for p, (asym, min_rate) in enumerate(report.per_population):
-        if game.strategy_counts[p] >= 3 and asym > SYMMETRY_TOL:
+        if game.strategy_counts[p] > target and asym > SYMMETRY_TOL:
             problems.append(f"population {p}: max asymmetry {asym:.6g} exceeds {SYMMETRY_TOL}")
         floor = protocols[p].support_floor
         if floor <= 0:
@@ -482,13 +375,13 @@ def decompose(
     lineage: list[str] = []
     for p, n in enumerate(game.strategy_counts):
         prefix = "" if game.num_populations == 1 else f"p{p + 1}:"
-        if n == 2:
-            populations.append(_passthrough_population(p, n))
+        if n <= target:
+            populations.append(_reduced_population(p, 0, n, n))
             if prefix:
                 lineage.append(f"{prefix}id")
         else:
-            populations.extend(_reduced_population(p, lead, n, 2) for lead in range(n))
-            lineage.extend(f"{prefix}{a}->{a - 1}" for a in range(n, 2, -1))
+            populations.extend(_reduced_population(p, lead, n, target) for lead in range(n))
+            lineage.extend(f"{prefix}{a}->{a - 1}" for a in range(n, target, -1))
     return TransformedGame(
         base_game=game,
         base_protocols=protocols,

@@ -26,11 +26,9 @@ from symgame import (
     marginal_from_exact,
     birth_death_weights,
     product_form_joint,
-    reduce_to,
     simulate_path,
     specs_from_transform,
     sum_exponential_protocol,
-    symmetrize_3to2,
     table_protocol,
 )
 from symgame.cli import main as cli_main
@@ -115,7 +113,7 @@ def test_01_transformation_round_trip():
         # then exact in floating point, so equality can be literal
         vals = rng.integers(103, 10241, size=(3, 3)) / 1024.0
         table = np.triu(vals) + np.triu(vals, 1).T
-        recovered = invert_3to2(symmetrize_3to2(game, table_protocol(table))).rates(pi, x)
+        recovered = invert_3to2(decompose(game, table_protocol(table))).rates(pi, x)
         exact_all = exact_all and np.array_equal(recovered, table)
     elapsed = time.perf_counter() - start
     ok = exact_all and elapsed < 1.0
@@ -284,7 +282,7 @@ def test_08_ode_mass_conservation():
 def test_09_reduction_pipeline_shape():
     c = 1.0
     game = make_linear_game(np.eye(5))
-    tg = reduce_to(game, constant_protocol(c), 2)
+    tg = decompose(game, constant_protocol(c))
     shape_ok = (
         len(tg.populations) == 5
         and tg.arities == (2, 2, 2, 2, 2)
@@ -293,7 +291,7 @@ def test_09_reduction_pipeline_shape():
     closure_ok = True
     R = np.full((5, 5), c)
     for target in (4, 3, 2):
-        staged = reduce_to(game, constant_protocol(c), target)
+        staged = decompose(game, constant_protocol(c), target)
         for pop in staged.populations:
             block = derived_block(pop, R)
             inner = block[: target - 1, : target - 1]

@@ -9,7 +9,9 @@ order, on randomly drawn games, protocols and grids.  The two
 :func:`symgame.simulate_path` replaced: one read the rates from a prebuilt
 chain's edges, the other evaluated the protocol at each event and kept
 occupancy in a dict.  ``_reference_dense_stationary`` is the dense LU solve
-that the sparse factorization in :func:`symgame.exact_stationary` replaced.
+that the sparse factorization in :func:`symgame.exact_stationary` replaced,
+and ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
+validated state and validated rates on every call.
 """
 
 import itertools
@@ -43,6 +45,7 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame.chain import _communicating_classes, build_grid
+from symgame.dynamics import _rhs_parts
 from symgame.games import count_states, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -117,7 +120,8 @@ def _reference_generator(game, protocol, resolution):
 def _reference_balance(chain, mu):
     rate_of = {(int(s), int(d)): float(r) for s, d, r in zip(chain.src, chain.dst, chain.rate)}
     max_flow = 0.0
-    worst = (0, 0)
+    # ties, including an all-zero imbalance, go to the first edge
+    worst = (int(chain.src[0]), int(chain.dst[0])) if len(chain.src) else (0, 0)
     max_imbalance = 0.0
     for (s, d), q in rate_of.items():
         fwd = mu[s] * q
@@ -154,6 +158,18 @@ def _reference_dense_stationary(chain):
     b[-1] = 1.0
     mu = np.maximum(np.linalg.solve(A, b), 0.0)
     return mu / mu.sum()
+
+
+def _reference_rhs_parts(game, protocols, parts):
+    state = SocialState(parts=tuple(np.maximum(p, 0.0) for p in parts))
+    payoffs = game.payoff_at(state)
+    out = []
+    for proto, pi, x in zip(protocols, payoffs, state.parts):
+        rho = proto.rates(pi, x)
+        inflow = rho.T @ x
+        outflow = x * rho.sum(axis=1)
+        out.append(inflow - outflow)
+    return out
 
 
 def _reference_joint_weights(marginals, strategy_counts, sizes):
@@ -481,6 +497,25 @@ class TestProjections:
                 for ordinal, prob in enumerate(table.probabilities):
                     expected[grid.state(ordinal)[p][strategy]] += prob
                 assert np.array_equal(marginal_from_exact(table, strategy, p), expected)
+
+
+class TestMeanDynamicRhs:
+    @given(models(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_validating_rhs(self, model, seed):
+        game, protocols, _ = model
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            # RK4 stages can undershoot zero slightly; both versions clamp
+            parts = [
+                np.where(rng.random(n) < 0.3, -1e-10, m * rng.dirichlet(np.ones(n)))
+                for m, n in zip(game.masses, game.strategy_counts)
+            ]
+            got = _rhs_parts(game, protocols, parts)
+            want = _reference_rhs_parts(game, protocols, parts)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestSimulatePath:

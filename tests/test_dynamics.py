@@ -5,6 +5,8 @@ import pytest
 
 from symgame import (
     IntegrationDivergedError,
+    PopulationGame,
+    ProtocolError,
     SocialState,
     constant_protocol,
     custom_protocol,
@@ -16,6 +18,7 @@ from symgame import (
 )
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+NEGATIVE_RATES = f"protocol 'custom' produced negative rates (min {np.float64(-1.0)!r})"
 
 
 def closed_form_uniform_switching(x0, t, n=3):
@@ -117,6 +120,31 @@ class TestIntegrate:
         with pytest.raises(IntegrationDivergedError, match="step 1") as err:
             integrate_mean_dynamic(game, stiff, SocialState.single([1, 0, 0]), 1.0, 0.5)
         assert err.value.step == 1
+
+    @pytest.mark.parametrize(
+        "payoff,rate_fn,error,message",
+        [
+            (None, lambda pi, x: -np.ones((3, 3)), ProtocolError,
+             NEGATIVE_RATES),
+            (None, lambda pi, x: np.full((3, 3), np.nan), ProtocolError,
+             "protocol 'custom' produced non-finite rates"),
+            # valid at x0, negative once strategy 1 falls below half the mass
+            (None, lambda pi, x: np.ones((3, 3)) if x[0] >= 0.5 else -np.ones((3, 3)),
+             ProtocolError, NEGATIVE_RATES),
+            (lambda s: (np.zeros(2),), lambda pi, x: np.ones((3, 3)), ValueError,
+             "population 0: payoff shape (2,) != (3,)"),
+            (lambda s: (np.full(3, np.nan),), lambda pi, x: np.ones((3, 3)), ValueError,
+             "population 0: payoff has non-finite entries"),
+        ],
+    )
+    def test_invalid_payoff_or_rates_raise_precise_error(self, payoff, rate_fn, error, message):
+        game = make_linear_game(RPS)
+        if payoff is not None:
+            game = PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=payoff)
+        x0 = SocialState.single([0.7, 0.2, 0.1])
+        with pytest.raises(error) as err:
+            integrate_mean_dynamic(game, custom_protocol(rate_fn), x0, 10.0, 0.01)
+        assert str(err.value) == message
 
     def test_bad_horizon_args(self):
         game = make_linear_game(RPS)

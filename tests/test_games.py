@@ -10,7 +10,6 @@ from symgame import (
     SocialState,
     constant_protocol,
     custom_protocol,
-    evaluate_rates,
     make_linear_game,
     make_separable_game,
     sample_states,
@@ -18,6 +17,7 @@ from symgame import (
     table_protocol,
     validate_hypotheses,
 )
+from symgame.games import protocol_tuple
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
@@ -84,21 +84,21 @@ class TestSocialState:
             SocialState.single([0.5, 0.5]).counts()
 
 
-class TestEvaluateRates:
+class TestProtocolRates:
     def test_constant_protocol_all_ones(self):
         state = SocialState.single([0.2, 0.3, 0.5])
-        (rho,) = evaluate_rates(constant_protocol(1.0), np.zeros(3), state)
+        rho = constant_protocol(1.0).rates(np.zeros(3), state.parts[0])
         assert np.array_equal(rho, np.ones((3, 3)))
 
     def test_sum_exponential_zero_temperature(self):
         state = SocialState.single([0.2, 0.3, 0.5])
-        (rho,) = evaluate_rates(sum_exponential_protocol(0.0), np.array([3.0, -1.0, 0.5]), state)
+        rho = sum_exponential_protocol(0.0).rates(np.array([3.0, -1.0, 0.5]), state.parts[0])
         assert np.array_equal(rho, np.ones((3, 3)))
 
     def test_sum_exponential_values(self):
         state = SocialState.single([0.2, 0.3, 0.5])
         pi = np.array([1.0, 0.0, -1.0])
-        (rho,) = evaluate_rates(sum_exponential_protocol(1.0), pi, state)
+        rho = sum_exponential_protocol(1.0).rates(pi, state.parts[0])
         e = math.e
         expected = [[e**2, e, 1.0], [e, 1.0, 1 / e], [1.0, 1 / e, e**-2]]
         assert np.allclose(rho, expected, rtol=1e-15)
@@ -109,17 +109,17 @@ class TestEvaluateRates:
     def test_dimension_mismatch(self):
         state = SocialState.single([0.5, 0.5])
         with pytest.raises(ValueError):
-            evaluate_rates(constant_protocol(1.0), np.zeros(3), state)
+            constant_protocol(1.0).rates(np.zeros(3), state.parts[0])
 
     def test_negative_rate_from_custom_protocol(self):
         bad = custom_protocol(lambda pi, x: -np.ones((len(x), len(x))))
         with pytest.raises(ProtocolError, match="negative"):
-            evaluate_rates(bad, np.zeros(2), SocialState.single([0.5, 0.5]))
+            bad.rates(np.zeros(2), np.array([0.5, 0.5]))
 
     def test_non_finite_rate_from_custom_protocol(self):
         bad = custom_protocol(lambda pi, x: np.full((len(x), len(x)), np.nan))
         with pytest.raises(ProtocolError, match="non-finite"):
-            evaluate_rates(bad, np.zeros(2), SocialState.single([0.5, 0.5]))
+            bad.rates(np.zeros(2), np.array([0.5, 0.5]))
 
 
 class TestValidateHypotheses:
@@ -159,7 +159,7 @@ class TestValidateHypotheses:
         states = sample_states(game, n_random=200, seed=3)
         for proto in (constant_protocol(2.5), sum_exponential_protocol(1.7)):
             for state in states:
-                (rho,) = evaluate_rates(proto, game.payoff_at(state)[0], state)
+                rho = proto.rates(game.payoff_at(state)[0], state.parts[0])
                 assert np.array_equal(rho, rho.T)
 
     def test_random_sampling_size(self):
@@ -180,6 +180,5 @@ class TestMultiPopulation:
 
     def test_protocol_count_mismatch(self):
         game = make_separable_game([np.eye(2), np.eye(2)])
-        state = game.barycenter()
         with pytest.raises(ValueError, match="protocols"):
-            evaluate_rates([constant_protocol(1.0)] * 3, game.payoff_at(state), state)
+            protocol_tuple([constant_protocol(1.0)] * 3, game)

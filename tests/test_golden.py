@@ -28,7 +28,7 @@ GOLDEN = {
     },
     "rps_constant": {
         "exact_stationary.csv": "19c223ca450e49031f432fdbe76b10e371cb0403a84401de3b3005599c835474",
-        "experiment_report.txt": "0e03a86566965a086014adfcf1ab23bfef4b316275bc808f156cae079a0ed10c",
+        "experiment_report.txt": "3e372540c363e9cf1fbdcdc8b0966873e4db5acb76845b398318ca49071a8699",
         "occupancy_1.csv": "7600cc3279d7a59861cee8cd0909bec1c33234039654c8de96c11f1d5316ca50",
         "occupancy_2.csv": "7821a80b3dca755ff278e64dac7250ef4dbefb0064175e80ba61ef3bdf4f0a4c",
         "occupancy_3.csv": "9f4db1cd0aec07cfac8dc73cc446047e556858513b2f2b5d8dcc42bbb7fdf4d3",

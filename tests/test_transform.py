@@ -12,10 +12,7 @@ from symgame import (
     invert_3to2,
     make_linear_game,
     make_separable_game,
-    reduce_once,
-    reduce_to,
     sum_exponential_protocol,
-    symmetrize_3to2,
     table_protocol,
     unconstrained_joint,
 )
@@ -50,7 +47,7 @@ def reduction_block_oracle(R, lead):
 class TestSymmetrize3to2:
     def test_constant_blocks(self):
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0))
         assert tg.arities == (2, 2, 2)
         for i in range(3):
             block = tg.marginal_block(i, np.array([0.4, 0.6]))
@@ -62,7 +59,7 @@ class TestSymmetrize3to2:
     def test_table_example(self):
         game = make_linear_game(RPS)
         table = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0], [3.0, 5.0, 1.0]])
-        tg = symmetrize_3to2(game, table_protocol(table))
+        tg = decompose(game, table_protocol(table))
         x = np.array([0.5, 0.5])
         down = [tg.marginal_block(i, x)[0, 1] for i in range(3)]
         up = [tg.marginal_block(i, x)[1, 0] for i in range(3)]
@@ -71,7 +68,7 @@ class TestSymmetrize3to2:
 
     def test_payoff_zero_padding(self):
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0))
         x = SocialState.single([0.6, 0.3, 0.1])
         (alpha, beta, gamma) = game.payoff_at(x)[0]
         padded = tg.derived_payoff(tg.embed(x))
@@ -79,7 +76,7 @@ class TestSymmetrize3to2:
 
     def test_payoff_weighted_padding(self):
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, constant_protocol(1.0), fstar="weighted")
+        tg = decompose(game, constant_protocol(1.0), fstar="weighted")
         x = np.array([0.6, 0.3, 0.1])
         (y,) = game.payoff_at(SocialState.single(x))
         padded = tg.derived_payoff(tg.embed(SocialState.single(x)))
@@ -90,16 +87,11 @@ class TestSymmetrize3to2:
         game = make_linear_game(RPS)
         skew = table_protocol([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         with pytest.raises(SymgameError, match="max asymmetry 1"):
-            symmetrize_3to2(game, skew)
-
-    def test_rejects_wrong_arity(self):
-        game = make_linear_game(np.eye(4))
-        with pytest.raises(ValueError, match="3-strategy"):
-            symmetrize_3to2(game, constant_protocol(1.0))
+            decompose(game, skew)
 
     def test_embedding_mass_exact_on_dyadic_lattice(self):
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0))
         for N in (2, 4, 8):
             for i in range(N + 1):
                 for j in range(N + 1 - i):
@@ -110,7 +102,9 @@ class TestSymmetrize3to2:
     def test_block_diagonal_independence(self):
         # a derived population's rates ignore its siblings' coordinates
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, sum_exponential_protocol(1.0))
+        eta = 1.0
+        # RPS payoffs lie in [-1, 1], so exp(eta * (pi_i + pi_j)) >= exp(-2 eta)
+        tg = decompose(game, sum_exponential_protocol(eta, support_floor=np.exp(-2 * eta)))
         dg, protocols = tg.as_population_game()
         x_own = np.array([0.3, 0.7])
         base = protocols[1].rates(np.zeros(2), x_own)
@@ -121,7 +115,7 @@ class TestInvert3to2:
     def test_worked_example(self):
         game = make_linear_game(RPS)
         table = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0], [3.0, 5.0, 1.0]])
-        tg = symmetrize_3to2(game, table_protocol(table))
+        tg = decompose(game, table_protocol(table))
         recovered = invert_3to2(tg)
         out = recovered.rates(np.zeros(3), np.array([1 / 3, 1 / 3, 1 / 3]))
         # (5 + 7 - 2*4) / 2 = 2 and (5 + 8 - 2*3.5) / 2 = 3
@@ -131,7 +125,7 @@ class TestInvert3to2:
 
     def test_constant_case(self):
         game = make_linear_game(RPS)
-        tg = symmetrize_3to2(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0))
         out = invert_3to2(tg).rates(np.zeros(3), np.full(3, 1 / 3))
         assert np.array_equal(out, np.ones((3, 3)))  # (2 + 2 - 2*1) / 2 = 1
 
@@ -142,14 +136,15 @@ class TestInvert3to2:
         pi = np.zeros(3)
         for _ in range(100):
             table = random_symmetric_table(rng)
-            tg = symmetrize_3to2(game, table_protocol(table))
+            tg = decompose(game, table_protocol(table))
             out = invert_3to2(tg).rates(pi, x)
             assert np.array_equal(out, table)
 
     def test_round_trip_payoff_dependent_protocol(self):
         game = make_linear_game(RPS)
-        proto = sum_exponential_protocol(1.3)
-        tg = symmetrize_3to2(game, proto)
+        eta = 1.3
+        proto = sum_exponential_protocol(eta, support_floor=np.exp(-2 * eta))
+        tg = decompose(game, proto)
         recovered = invert_3to2(tg)
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -161,7 +156,7 @@ class TestInvert3to2:
 
     def test_shape_mismatch(self):
         game = make_linear_game(np.eye(4))
-        tg = reduce_once(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0), 3)
         with pytest.raises(ValueError, match="2-strategy blocks"):
             invert_3to2(tg)
 
@@ -170,7 +165,7 @@ class TestReduceOnce:
     def test_constant_instantiation_n4(self):
         game = make_linear_game(np.eye(4))
         c = 2.0
-        tg = reduce_once(game, constant_protocol(c))
+        tg = decompose(game, constant_protocol(c), 3)
         assert len(tg.populations) == 4
         assert tg.arities == (3, 3, 3, 3)
         assert sum(tg.arities) == 12
@@ -186,45 +181,39 @@ class TestReduceOnce:
         game = make_linear_game(np.eye(5))
         rng = np.random.default_rng(77)
         table = random_symmetric_table(rng, n=5)
-        tg = reduce_once(game, table_protocol(table))
+        tg = decompose(game, table_protocol(table), 4)
         for lead, pop in enumerate(tg.populations):
             assert np.array_equal(derived_block(pop, table), reduction_block_oracle(table, lead))
 
     def test_aggregate_members_n5(self):
         # population 1 lumps strategies 4 and 5 (1-based)
         game = make_linear_game(np.eye(5))
-        tg = reduce_once(game, constant_protocol(1.0))
+        tg = decompose(game, constant_protocol(1.0), 4)
         pop = tg.populations[0]
         assert pop.members[-1] == (3, 4)
         table = random_symmetric_table(np.random.default_rng(3), n=5)
         block = derived_block(pop, table)
         assert block[0, 3] == table[0, 3] + table[0, 4]
 
-    def test_wrong_arity_errors(self):
-        with pytest.raises(ValueError, match="more than 3"):
-            reduce_once(make_linear_game(RPS), constant_protocol(1.0))
-        with pytest.raises(ValueError, match="more than 3"):
-            reduce_once(make_linear_game(np.eye(2)), constant_protocol(1.0))
-
     def test_rejects_asymmetric(self):
         game = make_linear_game(np.eye(4))
         skew = np.ones((4, 4))
         skew[0, 1] = 3.0
         with pytest.raises(SymgameError, match="asymmetry"):
-            reduce_once(game, table_protocol(skew))
+            decompose(game, table_protocol(skew), 3)
 
 
 class TestReduceTo:
     def test_single_stage(self):
         game = make_linear_game(np.eye(4))
-        tg = reduce_to(game, constant_protocol(1.0), 3)
+        tg = decompose(game, constant_protocol(1.0), 3)
         assert tg.lineage == ("4->3",)
         assert len(tg.populations) == 4
         assert tg.arities == (3, 3, 3, 3)
 
     def test_five_to_two_lineage(self):
         game = make_linear_game(np.eye(5))
-        tg = reduce_to(game, constant_protocol(1.0), 2)
+        tg = decompose(game, constant_protocol(1.0), 2)
         assert tg.lineage == ("5->4", "4->3", "3->2")
         assert len(tg.populations) == 5
         assert tg.arities == (2, 2, 2, 2, 2)
@@ -235,7 +224,7 @@ class TestReduceTo:
             game = make_linear_game(np.eye(n))
             R = np.full((n, n), c)
             for target in range(n - 1, 1, -1):
-                tg = reduce_to(game, constant_protocol(c), target)
+                tg = decompose(game, constant_protocol(c), target)
                 for pop in tg.populations:
                     block = derived_block(pop, R)
                     inner = block[: target - 1, : target - 1]
@@ -245,7 +234,7 @@ class TestReduceTo:
         # reducing to 3 and then splitting equals reducing straight to 2
         c = 2.0
         game5 = make_linear_game(np.eye(5))
-        tg2 = reduce_to(game5, constant_protocol(c), 2)
+        tg2 = decompose(game5, constant_protocol(c), 2)
         R = np.full((5, 5), c)
         for pop in tg2.populations:
             block = derived_block(pop, R)
@@ -253,17 +242,15 @@ class TestReduceTo:
             assert block[1, 0] == c  # join rate stays at c
         # the down/up pair therefore matches the direct 3-strategy result
         game3 = make_linear_game(RPS)
-        tg3 = symmetrize_3to2(game3, constant_protocol(c))
+        tg3 = decompose(game3, constant_protocol(c))
         up3 = tg3.marginal_block(0, np.array([0.5, 0.5]))[1, 0]
         up5 = tg2.marginal_block(0, np.array([0.5, 0.5]))[1, 0]
         assert up3 == up5 == c
 
-    def test_noop_target_errors(self):
+    def test_target_below_two_errors(self):
         game = make_linear_game(np.eye(4))
-        with pytest.raises(ValueError, match="nothing to reduce"):
-            reduce_to(game, constant_protocol(1.0), 4)
         with pytest.raises(ValueError, match="at least 2"):
-            reduce_to(game, constant_protocol(1.0), 1)
+            decompose(game, constant_protocol(1.0), 1)
 
 
 class TestDecompose:
@@ -275,10 +262,45 @@ class TestDecompose:
         block = tg.marginal_block(0, np.array([0.25, 0.75]))
         assert np.array_equal(block, [[0.5, 1.0], [2.0, 0.5]])
 
-    def test_dispatch_matches_symmetrize(self):
+    def test_three_strategy_split_layout(self):
+        tg = decompose(make_linear_game(RPS), constant_protocol(1.0))
+        assert tg.lineage == ("3->2",)
+        assert [pop.members for pop in tg.populations] == [
+            ((0,), (1, 2)),
+            ((1,), (2, 0)),
+            ((2,), (0, 1)),
+        ]
+        assert [pop.rotation for pop in tg.populations] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert [pop.stages for pop in tg.populations] == [("half",)] * 3
+
+    def test_target_at_or_above_arity_passes_through(self):
+        game = make_separable_game([np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((4, 4))])
+        for target in (4, 5):
+            tg = decompose(game, constant_protocol(1.0), target)
+            assert tg.arities == (2, 3, 4)
+            assert tg.lineage == ("p1:id", "p2:id", "p3:id")
+            for pop, n in zip(tg.populations, (2, 3, 4)):
+                assert pop.is_passthrough
+                assert pop.members == tuple((i,) for i in range(n))
+                assert pop.rotation == tuple(range(n))
+        single = decompose(make_linear_game(RPS), constant_protocol(1.0), 3)
+        assert single.lineage == ()
+        assert single.populations[0].is_passthrough
+
+    def test_mixed_population_game_partial_target(self):
+        game = make_separable_game([np.zeros((2, 2)), np.zeros((4, 4))])
+        tg = decompose(game, constant_protocol(1.0), 3)
+        assert tg.lineage == ("p1:id", "p2:4->3")
+        assert tg.arities == (2, 3, 3, 3, 3)
+        assert [pop.base_population for pop in tg.populations] == [0, 1, 1, 1, 1]
+
+    def test_symmetry_required_only_where_reduced(self):
         game = make_linear_game(RPS)
-        proto = constant_protocol(1.0)
-        assert decompose(game, proto) == symmetrize_3to2(game, proto)
+        skew = table_protocol([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        tg = decompose(game, skew, 3)
+        assert tg.populations[0].is_passthrough
+        with pytest.raises(SymgameError, match="asymmetry"):
+            decompose(game, skew, 2)
 
     def test_mixed_population_game(self):
         game = make_separable_game([np.zeros((2, 2)), np.zeros((3, 3))])
