@@ -16,7 +16,6 @@ from .chain import (
     build_grid,
     check_detailed_balance,
     deviation_vs_ode,
-    enumerate_states,
     exact_stationary,
     simulate_path,
 )
@@ -53,7 +52,6 @@ from .stationary import (
     marginal_from_exact,
     product_form_joint,
     specs_from_transform,
-    unconstrained_joint,
 )
 from .transform import (
     DerivedPopulation,

@@ -28,6 +28,7 @@ from .games import (
     RevisionProtocol,
     SocialState,
     StateGrid,
+    checked_rates,
     grid_rates,
     protocol_tuple,
 )
@@ -38,7 +39,6 @@ __all__ = [
     "StationaryTable",
     "PathResult",
     "DetailedBalanceReport",
-    "enumerate_states",
     "build_grid",
     "build_generator",
     "exact_stationary",
@@ -49,15 +49,6 @@ __all__ = [
 
 # above this, LU fill-in costs more memory than power iteration (+33% peak RSS at 45,451 states)
 LU_STATE_LIMIT = 20_000
-
-
-def enumerate_states(n: int, size: int, limit: int = DEFAULT_GRID_LIMIT) -> StateGrid:
-    """Single-population grid: all compositions of ``size`` agents into ``n`` strategies."""
-    if n < 2:
-        raise ValueError(f"need at least 2 strategies, got {n}")
-    if size < 1:
-        raise ValueError(f"population size must be at least 1, got {size}")
-    return StateGrid((n,), (size,), (size,), limit=limit)
 
 
 def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -83,7 +74,10 @@ def build_grid(
     resolution: int | Sequence[int],
     limit: int = DEFAULT_GRID_LIMIT,
 ) -> StateGrid:
-    """Grid for a game at lattice resolution N per population (counts = N * mass)."""
+    """The game's lattice at resolution N per population (N * mass agents, an integer).
+
+    Above ``limit`` states it raises ``GridSizeError`` before enumerating any.
+    """
     resolutions, sizes = _lattice_sizes(game, resolution)
     return StateGrid(game.strategy_counts, sizes, resolutions, limit=limit)
 
@@ -399,7 +393,7 @@ def simulate_path(
         game, protocol, resolution = model
         protocols = protocol_tuple(protocol, game)
         resolutions, sizes = _lattice_sizes(game, resolution)
-        grid = StateGrid(game.strategy_counts, sizes, resolutions) if collect_occupancy else None
+        grid = build_grid(game, resolutions) if collect_occupancy else None
     parts = _normalize_x0(x0, game.strategy_counts, resolutions, sizes)
 
     # fixed move layout: per population, all ordered off-diagonal pairs (i, j)
@@ -427,9 +421,7 @@ def simulate_path(
             valid = False
         if not valid:
             # re-evaluate through the validating path for a precise error
-            state = SocialState(parts=x_parts)
-            for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
-                proto.rates(pi, x)
+            checked_rates(game, protocols, SocialState(parts=x_parts))
             raise ProtocolError("protocol produced invalid rates along the path")
         if total <= 0.0:
             t_next = horizon

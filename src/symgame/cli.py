@@ -18,11 +18,12 @@ import numpy as np
 from . import chain as chain_mod
 from .config import ExperimentConfig, parse_config, render_config
 from .dynamics import integrate_mean_dynamic
-from .errors import ConfigError, SymgameError
+from .errors import ConfigError, GridSizeError, SymgameError
 from .games import (
+    ENUMERATION_LIMIT,
     SocialState,
+    count_states,
     grid_rates,
-    lattice_grid,
     sample_states,
     validate_hypotheses,
 )
@@ -154,13 +155,13 @@ def _check_hypotheses(model: _Model):
     Returns the report and, for the exhaustive check, the per-state rate
     tensors for :func:`chain.build_generator`.
     """
-    grid = lattice_grid(model.game, model.resolutions)
-    if grid is None:
+    try:
+        grid = chain_mod.build_grid(model.game, model.resolutions, limit=ENUMERATION_LIMIT)
+    except GridSizeError:
         states = sample_states(model.game, n_random=1000, seed=0)
         return validate_hypotheses(model.game, model.protocols, states), None
     rates = grid_rates(model.game, model.protocols, grid)
-    report = validate_hypotheses(model.game, model.protocols, grid, exhaustive=True, rates=rates)
-    return report, rates
+    return validate_hypotheses(model.game, model.protocols, grid, rates=rates), rates
 
 
 def _cmd_validate(model: _Model, writer: ArtifactWriter) -> int:
@@ -195,7 +196,8 @@ def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
     if not config.seeds:
         raise SymgameError(f"{command} needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
-    occupancy = lattice_grid(model.game, model.resolutions, CHAIN_STATE_BUDGET) is not None
+    sizes = [sum(part) for part in x0]
+    occupancy = count_states(model.game.strategy_counts, sizes) <= CHAIN_STATE_BUDGET
     for seed in config.seeds:
         path = chain_mod.simulate_path(
             (model.game, model.protocols, model.resolutions), x0, config.horizon, seed,
@@ -249,20 +251,15 @@ def _degenerate_line(results) -> str:
 def _predict_table(model: _Model):
     config = model.config
     transformed = decompose(model.base_game, model.base_protocols, fstar=config.fstar)
-    base_res = model.base_resolutions
-    sizes = [
-        int(round(base_res[pop.base_population] * model.base_game.masses[pop.base_population]))
-        for pop in transformed.populations
-    ]
+    grid = chain_mod.build_grid(model.base_game, model.base_resolutions)
     specs = specs_from_transform(
         transformed,
-        sizes,
+        [grid.sizes[pop.base_population] for pop in transformed.populations],
         factor_variant=config.variant_factor,
         orientation_variant=config.variant_orientation,
     )
     results = [birth_death_weights(spec) for spec in specs]
     marginals = [r.normalized() for r in results]
-    grid = chain_mod.build_grid(model.base_game, base_res)
     table = product_form_joint(
         marginals,
         grid,

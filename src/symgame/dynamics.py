@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .games import PopulationGame, RevisionProtocol, SocialState, protocol_tuple
+from .games import PopulationGame, RevisionProtocol, SocialState, checked_rates, protocol_tuple
 
 __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_point"]
 
@@ -85,8 +85,7 @@ def _rhs_parts(game, protocols, parts):
         valid = False
     if not valid:
         # the validating path raises the precise error, or agrees if nothing is wrong
-        state = SocialState(parts=xs)
-        rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), xs)]
+        rates = checked_rates(game, protocols, SocialState(parts=xs))
     return [rho.T @ x - x * rho.sum(axis=1) for rho, x in zip(rates, xs)]
 
 

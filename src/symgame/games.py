@@ -35,7 +35,6 @@ __all__ = [
     "grid_rates",
     "validate_hypotheses",
     "sample_states",
-    "lattice_grid",
     "count_states",
 ]
 
@@ -113,9 +112,6 @@ class SocialState:
     @property
     def num_populations(self) -> int:
         return len(self.parts)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,20 +443,6 @@ class StateGrid:
     def state(self, ordinal: int) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(part) for part in self._parts(ordinal))
 
-    def index(self, state: Sequence[Sequence[int]]) -> int:
-        parts = tuple(tuple(int(k) for k in counts) for counts in state)
-        if (
-            tuple(map(len, parts)) != self.strategy_counts
-            or tuple(map(sum, parts)) != self.sizes
-            or any(k < 0 for part in parts for k in part)
-        ):
-            raise KeyError(f"state {parts} is not on the grid")
-        return int(self.ranks([k for part in parts for k in part]))
-
-    def states(self):
-        for ordinal in range(len(self)):
-            yield self.state(ordinal)
-
     def social_state(self, ordinal: int) -> SocialState:
         return SocialState.from_counts(self.state(ordinal), self.resolutions)
 
@@ -468,36 +450,12 @@ class StateGrid:
         return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
 
 
-def lattice_grid(
-    game: PopulationGame,
-    resolution: int | Sequence[int],
-    limit: int = ENUMERATION_LIMIT,
-) -> StateGrid | None:
-    """The game's lattice at resolution N (``round(N * mass)`` agents), or None above ``limit`` states."""
-    if isinstance(resolution, int):
-        resolution = (resolution,) * game.num_populations
-    sizes = [int(round(n_res * m)) for n_res, m in zip(resolution, game.masses, strict=True)]
-    if count_states(game.strategy_counts, sizes) > limit:
-        return None
-    return StateGrid(game.strategy_counts, sizes, resolution, limit=limit)
+def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> list[SocialState]:
+    """At least ``n_random`` seeded Dirichlet-uniform simplex states, to probe protocol hypotheses.
 
-
-def sample_states(
-    game: PopulationGame,
-    resolution: int | Sequence[int] | None = None,
-    n_random: int = 1000,
-    seed: int = 0,
-    enumeration_limit: int = ENUMERATION_LIMIT,
-) -> list[SocialState]:
-    """States used to probe protocol hypotheses.
-
-    With a small enough lattice the full grid is enumerated; otherwise at
-    least ``n_random`` seeded Dirichlet-uniform simplex states are drawn.
+    The whole lattice is checked by passing its :class:`StateGrid` to
+    :func:`validate_hypotheses` instead.
     """
-    if resolution is not None:
-        grid = lattice_grid(game, resolution, enumeration_limit)
-        if grid is not None:
-            return [grid.social_state(ordinal) for ordinal in range(len(grid))]
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(max(n_random, 1)):
@@ -544,6 +502,16 @@ class ValidationReport:
 SYMMETRY_TOL = 1e-14
 
 
+def checked_rates(
+    game: PopulationGame, protocols: Sequence[RevisionProtocol], state: SocialState
+) -> list[np.ndarray]:
+    """Rate matrices at one state through the validating path, which raises the precise error.
+
+    The unchecked fast paths re-walk states through it once their bulk check has failed.
+    """
+    return [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
+
+
 def grid_rates(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
@@ -588,9 +556,7 @@ def grid_rates(
     ):
         # re-evaluate in order through the validating path for the precise error
         for ordinal in range(len(grid)):
-            state = grid.social_state(ordinal)
-            for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
-                proto.rates(pi, x)
+            checked_rates(game, protocols, grid.social_state(ordinal))
         raise ProtocolError("payoff or protocol changed its output on re-evaluation")
     return stacked
 
@@ -599,25 +565,22 @@ def validate_hypotheses(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
     states: Sequence[SocialState] | StateGrid,
-    exhaustive: bool = False,
     rates: Sequence[np.ndarray] | None = None,
 ) -> ValidationReport:
     """Check rate symmetry and full support over sample states or a whole grid.
 
-    For a :class:`StateGrid` the rates come from :func:`grid_rates`, one
-    evaluation per state; pass its result as ``rates`` to share it with
-    :func:`symgame.chain.build_generator`.
+    A :class:`StateGrid` makes the check exhaustive.  Its rates come from
+    :func:`grid_rates`, one evaluation per state; pass its result as
+    ``rates`` to share it with :func:`symgame.chain.build_generator`.
     """
     if not len(states):
         raise ValueError("need at least one sample state")
     protocols = protocol_tuple(protocol, game)
-    if rates is None and isinstance(states, StateGrid):
+    exhaustive = isinstance(states, StateGrid)
+    if rates is None and exhaustive:
         rates = grid_rates(game, protocols, states)
     elif rates is None:
-        per_state = [
-            [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(s), s.parts)]
-            for s in states
-        ]
+        per_state = [checked_rates(game, protocols, s) for s in states]
         rates = [np.array(stack) for stack in zip(*per_state)]
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates

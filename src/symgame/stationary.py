@@ -1,10 +1,11 @@
 """Infinite-horizon predictions from two-strategy birth-death products.
 
 Each derived 2-strategy population of size N is a birth-death chain on the
-counts {0, ..., N}: from count k it gains an agent at rate (N-k) * up(k/N)
-and loses one at rate k * down(k/N).  Its stationary weights are the product
+counts {0, ..., N}: from count k it gains an agent at rate (N-k) * up[k]
+and loses one at rate k * down[k], where up[k] and down[k] are the derived
+rates at fraction k/N.  Its stationary weights are the product
 
-    w_k / w_0 = prod_{j=1..N k/N} [(N-j+1)/j] * [up((j-1)/N) / down(j/N)]
+    w_k / w_0 = prod_{j=1..k} [(N-j+1)/j] * [up[j-1] / down[j]]
 
 which the ``factor`` and ``orientation`` variant flags can switch to an
 alternative spelling (factor (N-j-1)/j, ratio flipped) that zeroes out the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,32 +32,37 @@ __all__ = [
     "ComparisonMetrics",
     "birth_death_weights",
     "specs_from_transform",
-    "unconstrained_joint",
     "product_form_joint",
     "compare",
     "marginal_from_exact",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BirthDeathSpec:
-    """Up/down rate functions of one derived 2-strategy population.
+    """Up/down rates of one derived 2-strategy population over the counts 0..N.
 
-    ``up_rate(f)`` is the conditional rate of switching into the tracked
-    strategy at fraction f, ``down_rate(f)`` the rate of leaving it.  Both
-    must be strictly positive on the grid.
+    ``up[k]`` is the conditional rate of switching into the tracked strategy
+    at count k (fraction k/N), ``down[k]`` the rate of leaving it.  Both must
+    be strictly positive where the product reads them.
     """
 
     population_index: int
     size: int
-    up_rate: Callable[[float], float]
-    down_rate: Callable[[float], float]
+    up: np.ndarray
+    down: np.ndarray
     factor_variant: str = "standard"
     orientation_variant: str = "standard"
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"population size must be at least 1, got {self.size}")
+        for name in ("up", "down"):
+            rates = np.array(getattr(self, name), dtype=float)
+            if rates.shape != (self.size + 1,):
+                raise ValueError(f"{name} rates have shape {rates.shape}, expected ({self.size + 1},)")
+            rates.setflags(write=False)
+            object.__setattr__(self, name, rates)
         for name, value in (("factor", self.factor_variant),
                             ("orientation", self.orientation_variant)):
             if value not in ("standard", "paper"):
@@ -85,16 +91,15 @@ def birth_death_weights(spec: BirthDeathSpec) -> BirthDeathWeights:
     than raised.
     """
     N = spec.size
+    up, down = spec.up.tolist(), spec.down.tolist()
+    if spec.orientation_variant == "paper":
+        up, down = down, up
     weights = np.empty(N + 1)
     weights[0] = 1.0
     degenerate = False
     w = 1.0
     for j in range(1, N + 1):
-        lo = spec.up_rate((j - 1) / N)
-        hi = spec.down_rate(j / N)
-        if spec.orientation_variant == "paper":
-            lo = spec.down_rate((j - 1) / N)
-            hi = spec.up_rate(j / N)
+        lo, hi = up[j - 1], down[j]
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
             raise SymgameError(
                 f"population {spec.population_index}: nonpositive or non-finite rate at "
@@ -126,7 +131,8 @@ def specs_from_transform(
     """One birth-death spec per derived 2-strategy population.
 
     ``size`` is the agent count shared by all derived populations, or one
-    count per derived population.
+    count per derived population.  The rates come from one
+    :meth:`TransformedGame.marginal_block` evaluation per count 0..N.
     """
     if isinstance(size, int):
         sizes = [size] * len(transformed.populations)
@@ -142,26 +148,25 @@ def specs_from_transform(
             raise ValueError(
                 f"derived population {i} has arity {pop.arity}; reduce to 2 strategies first"
             )
-        up, down = transformed.rate_pair(i)
+        N, mass = sizes[i], transformed.base_game.masses[pop.base_population]
+        if N < 1:
+            raise ValueError(f"population size must be at least 1, got {N}")
+        # block[1, 0] switches into the leading strategy, block[0, 1] out of it
+        blocks = [
+            transformed.marginal_block(i, np.array([k / N * mass, (1.0 - k / N) * mass]))
+            for k in range(N + 1)
+        ]
         specs.append(
             BirthDeathSpec(
                 population_index=i,
-                size=sizes[i],
-                up_rate=up,
-                down_rate=down,
+                size=N,
+                up=[block[1, 0] for block in blocks],
+                down=[block[0, 1] for block in blocks],
                 factor_variant=factor_variant,
                 orientation_variant=orientation_variant,
             )
         )
     return specs
-
-
-def unconstrained_joint(marginals: Sequence[np.ndarray]) -> np.ndarray:
-    """Plain product of marginals over the count hypercube (no conditioning)."""
-    joint = np.asarray(marginals[0], dtype=float)
-    for marg in marginals[1:]:
-        joint = np.multiply.outer(joint, np.asarray(marg, dtype=float))
-    return joint
 
 
 def product_form_joint(

@@ -232,27 +232,6 @@ class TransformedGame:
         pi = self.base_game.payoff_at(base_state)[bp]
         return derived_block(pop, self.base_protocols[bp].rates(pi, base_state.parts[bp]))
 
-    def rate_pair(self, index: int):
-        """(up, down) rate functions of the leading-strategy fraction.
-
-        Only defined for 2-strategy derived populations: up is the rate of
-        switching into the leading strategy, down the rate of leaving it.
-        """
-        pop = self.populations[index]
-        if pop.arity != 2:
-            raise ValueError(f"derived population {index} has arity {pop.arity}, expected 2")
-        mass = self.base_game.masses[pop.base_population]
-
-        def up(fraction: float) -> float:
-            part = np.array([fraction * mass, (1.0 - fraction) * mass])
-            return float(self.marginal_block(index, part)[1, 0])
-
-        def down(fraction: float) -> float:
-            part = np.array([fraction * mass, (1.0 - fraction) * mass])
-            return float(self.marginal_block(index, part)[0, 1])
-
-        return up, down
-
     def marginal_game(self, index: int) -> tuple[PopulationGame, RevisionProtocol]:
         """Standalone single-population game for one derived population."""
         pop = self.populations[index]

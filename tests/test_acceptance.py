@@ -84,9 +84,8 @@ def marginal_chain_probabilities(tg, index, size):
     game, protocol = tg.marginal_game(index)
     chain = build_generator(game, protocol, size)
     exact = exact_stationary(chain)
-    return chain, exact, np.array(
-        [exact.probabilities[chain.grid.index(((k, size - k),))] for k in range(size + 1)]
-    )
+    ordinals = chain.grid.ranks([(k, size - k) for k in range(size + 1)])
+    return chain, exact, exact.probabilities[ordinals]
 
 
 def protocol_game_matrix():

@@ -10,10 +10,13 @@ order, on randomly drawn games, protocols and grids.  The two
 chain's edges, the other evaluated the protocol at each event and kept
 occupancy in a dict.  ``_reference_dense_stationary`` is the dense LU solve
 that the sparse factorization in :func:`symgame.exact_stationary` replaced,
-and ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
-validated state and validated rates on every call.
+``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
+validated state and validated rates on every call, and
+``_reference_birth_death_weights`` the product loop that called the up and
+down rates as functions of the fraction, one derived rate block per call.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -27,19 +30,22 @@ from symgame import (
     ProtocolError,
     ReducibleChainError,
     SocialState,
+    SymgameError,
     StateGrid,
     StationaryTable,
+    birth_death_weights,
     build_generator,
     check_detailed_balance,
     constant_protocol,
     custom_protocol,
+    decompose,
     exact_stationary,
     make_linear_game,
     make_separable_game,
     marginal_from_exact,
     product_form_joint,
-    sample_states,
     simulate_path,
+    specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
     validate_hypotheses,
@@ -172,6 +178,51 @@ def _reference_rhs_parts(game, protocols, parts):
     return out
 
 
+def _reference_birth_death_weights(transformed, index, N, factor_variant, orientation_variant):
+    mass = transformed.base_game.masses[transformed.populations[index].base_population]
+
+    def rate(fraction, entry):
+        part = np.array([fraction * mass, (1.0 - fraction) * mass])
+        return float(transformed.marginal_block(index, part)[entry])
+
+    def up_rate(fraction):
+        return rate(fraction, (1, 0))
+
+    def down_rate(fraction):
+        return rate(fraction, (0, 1))
+
+    weights = np.empty(N + 1)
+    weights[0] = 1.0
+    degenerate = False
+    w = 1.0
+    for j in range(1, N + 1):
+        lo = up_rate((j - 1) / N)
+        hi = down_rate(j / N)
+        if orientation_variant == "paper":
+            lo = down_rate((j - 1) / N)
+            hi = up_rate(j / N)
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
+            raise SymgameError(
+                f"population {index}: nonpositive or non-finite rate at "
+                f"count {j} (numerator {lo!r}, denominator {hi!r})"
+            )
+        if factor_variant == "paper":
+            factor = (N - j - 1) / j
+        else:
+            factor = (N - j + 1) / j
+        w = w * factor * (lo / hi)
+        if w == 0.0:
+            degenerate = True
+            w = 0.0
+        elif w < 0.0:
+            raise SymgameError(
+                f"population {index}: negative weight at count {j} "
+                f"(factor variant '{factor_variant}' with N={N})"
+            )
+        weights[j] = w
+    return weights, degenerate
+
+
 def _reference_joint_weights(marginals, strategy_counts, sizes):
     per_pop, cursor = [], 0
     for n, size in zip(strategy_counts, sizes):
@@ -193,7 +244,7 @@ def _reference_joint_weights(marginals, strategy_counts, sizes):
 
 def _reference_chain_path(chain, x0, horizon, seed, burn_in):
     grid = chain.grid
-    current = grid.index(x0)
+    current = int(grid.ranks([k for part in x0 for k in part]))
     row_ptr = np.searchsorted(chain.src, np.arange(len(grid) + 1))
     rng = np.random.default_rng(seed)
     times = [0.0]
@@ -325,6 +376,25 @@ def _protocol(kind, n, rng):
 PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
 
 
+def _decomposable(proto):
+    # the same kind made symmetric and fully supported; payoffs of the drawn
+    # games lie in [-1, 1]
+    if proto.kind == "sum_exponential":
+        eta = proto.params["eta"]
+        return sum_exponential_protocol(eta, support_floor=0.5 * math.exp(-2.0 * abs(eta)))
+    if proto.kind == "table":
+        M = proto.params["matrix"]
+        return table_protocol(M + M.T + 0.1)
+    if proto.kind == "constant":
+        return proto
+
+    def rate_fn(pi, x):
+        u = np.exp(pi)
+        return np.add.outer(u, u) * (1.0 + np.add.outer(x, x))
+
+    return custom_protocol(rate_fn, support_floor=0.5, symmetric=True)
+
+
 @st.composite
 def models(draw, max_pops=3):
     """A linear or separable game, one protocol per population, and a resolution."""
@@ -354,16 +424,9 @@ class TestStateGrid:
         expected = _reference_states(strategy_counts, sizes)
         assert len(grid) == len(expected) == count_states(strategy_counts, sizes)
         assert [grid.state(i) for i in range(len(grid))] == expected
-        assert [grid.index(s) for s in expected] == list(range(len(expected)))
         assert np.array_equal(grid.ranks(grid.counts), np.arange(len(grid)))
         flat = [tuple(v for part in s for v in part) for s in expected]
         assert np.array_equal(grid.counts, np.array(flat, dtype=np.int64).reshape(len(flat), -1))
-
-    def test_index_rejects_off_grid_states(self):
-        grid = StateGrid((3,), (4,), (4,))
-        for bad in (((1, 1, 1),), ((5, -1, 0),), ((2, 2),), ((4, 0, 0), (1, 0))):
-            with pytest.raises(KeyError):
-                grid.index(bad)
 
 
 class TestBuildGenerator:
@@ -459,12 +522,14 @@ class TestValidateHypotheses:
     @given(models())
     @settings(max_examples=60, deadline=None)
     def test_grid_report_equals_sampled_lattice_report(self, model):
+        # the grid's one-pass rates against the validating per-state path
         game, protocols, resolution = model
         grid = build_grid(game, resolution)
-        states = sample_states(game, resolution=resolution)
-        on_grid = validate_hypotheses(game, protocols, grid, exhaustive=True)
-        on_states = validate_hypotheses(game, protocols, states, exhaustive=True)
-        assert on_grid == on_states
+        states = [grid.social_state(ordinal) for ordinal in range(len(grid))]
+        on_grid = validate_hypotheses(game, protocols, grid)
+        on_states = validate_hypotheses(game, protocols, states)
+        assert on_grid.exhaustive and not on_states.exhaustive
+        assert on_grid == dataclasses.replace(on_states, exhaustive=True)
         assert on_grid.per_population == _reference_validation(game, protocols, states)
 
 
@@ -564,3 +629,30 @@ class TestSimulatePath:
         else:
             assert np.allclose(path.times, times, rtol=1e-12, atol=0.0)
             assert np.allclose(path.occupancy.probabilities, occupancy, rtol=1e-9, atol=1e-15)
+
+
+class TestBirthDeathRates:
+    @given(models())
+    @settings(max_examples=60, deadline=None)
+    def test_rate_arrays_and_weights_match_the_per_fraction_closures(self, model):
+        game, protocols, N = model
+        transformed = decompose(game, tuple(_decomposable(proto) for proto in protocols))
+        for variants in itertools.product(("standard", "paper"), repeat=2):
+            for i, spec in enumerate(specs_from_transform(transformed, N, *variants)):
+                mass = game.masses[transformed.populations[i].base_population]
+                blocks = [
+                    transformed.marginal_block(i, np.array([k / N * mass, (1.0 - k / N) * mass]))
+                    for k in range(N + 1)
+                ]
+                assert spec.up.tobytes() == np.array([b[1, 0] for b in blocks]).tobytes()
+                assert spec.down.tobytes() == np.array([b[0, 1] for b in blocks]).tobytes()
+                try:
+                    weights, degenerate = _reference_birth_death_weights(transformed, i, N, *variants)
+                except SymgameError as err:  # the paper factor at N = 1
+                    with pytest.raises(SymgameError) as got:
+                        birth_death_weights(spec)
+                    assert str(got.value) == str(err)
+                    continue
+                got = birth_death_weights(spec)
+                assert got.weights.tobytes() == weights.tobytes()
+                assert got.degenerate == degenerate

@@ -12,7 +12,6 @@ from symgame import (
     constant_protocol,
     custom_protocol,
     deviation_vs_ode,
-    enumerate_states,
     exact_stationary,
     integrate_mean_dynamic,
     make_linear_game,
@@ -21,6 +20,7 @@ from symgame import (
     sum_exponential_protocol,
     table_protocol,
 )
+from symgame.chain import build_grid
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
@@ -48,8 +48,7 @@ def birth_death_closed_form(chain):
     w /= w.sum()
     # reorder onto grid ordinals (grid lists counts of strategy 1 ascending)
     out = np.zeros(N + 1)
-    for k in range(N + 1):
-        out[grid.index(((k, N - k),))] = w[k]
+    out[grid.ranks([(k, N - k) for k in range(N + 1)])] = w
     return out
 
 
@@ -74,41 +73,45 @@ def gth_stationary(chain):
     return pi / pi.sum()
 
 
+def lattice(n, size, **kwargs):
+    """The lattice of ``size`` agents over ``n`` strategies, from a zero-payoff game."""
+    return build_grid(make_linear_game(np.zeros((n, n))), size, **kwargs)
+
+
 class TestEnumerateStates:
     def test_small_grid_sizes(self):
-        assert len(enumerate_states(3, 2)) == 6
-        assert len(enumerate_states(2, 5)) == 6
-        assert len(enumerate_states(4, 10)) == 286  # C(13, 3)
+        assert len(lattice(3, 2)) == 6
+        assert len(lattice(2, 5)) == 6
+        assert len(lattice(4, 10)) == 286  # C(13, 3)
 
     def test_two_strategy_line(self):
-        grid = enumerate_states(2, 5)
+        grid = lattice(2, 5)
         states = [grid.state(i)[0] for i in range(len(grid))]
         assert states == [(0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0)]
 
     def test_lexicographic_order_and_bijection(self):
-        grid = enumerate_states(3, 4)
+        grid = lattice(3, 4)
         states = [grid.state(i)[0] for i in range(len(grid))]
         assert states == sorted(states)
-        assert all(grid.index((s,)) == i for i, s in enumerate(states))
+        assert np.array_equal(grid.ranks(states), np.arange(len(states)))
 
     def test_grid_limit(self):
         with pytest.raises(GridSizeError, match="286"):
-            enumerate_states(4, 10, limit=200)
+            lattice(4, 10, limit=200)
 
 
 class TestBuildGenerator:
     def test_single_switch_rate(self):
         game = make_linear_game(np.zeros((2, 2)))
         chain = build_generator(game, constant_protocol(1.0), 2)
-        src = chain.grid.index(((1, 1),))
-        dst = chain.grid.index(((0, 2),))
+        src, dst = chain.grid.ranks([(1, 1), (0, 2)])
         q = chain.generator[src, dst]
         assert q == pytest.approx(1.0)  # 2 * (1/2) * 1
 
     def test_total_exit_rate_at_pure_state(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, constant_protocol(1.0), 2)
-        pure = chain.grid.index(((2, 0, 0),))
+        pure = chain.grid.ranks([2, 0, 0])
         assert -chain.generator[pure, pure] == pytest.approx(4.0)  # 2 * 1 * (1 + 1)
 
     def test_row_sums_zero(self):
@@ -156,7 +159,7 @@ class TestExactStationary:
         chain = build_generator(game, constant_protocol(1.0), 2)
         exact = exact_stationary(chain)
         # counts of strategy 1: 0,1,2 -> 1/4, 1/2, 1/4
-        probs = [exact.probabilities[chain.grid.index(((k, 2 - k),))] for k in range(3)]
+        probs = exact.probabilities[chain.grid.ranks([(k, 2 - k) for k in range(3)])]
         assert np.allclose(probs, [0.25, 0.5, 0.25], atol=1e-12)
 
     def test_constant_protocol_multinomial(self):
@@ -258,8 +261,7 @@ class TestSimulatePath:
         chain = build_generator(game, constant_protocol(1.0), 50)
         path = simulate_path(chain, ((50, 0),), 1e4, seed=2024, burn_in=1e2)
         target = np.zeros(51)
-        for k in range(51):
-            target[chain.grid.index(((k, 50 - k),))] = binom.pmf(k, 50, 0.5)
+        target[chain.grid.ranks([(k, 50 - k) for k in range(51)])] = binom.pmf(np.arange(51), 50, 0.5)
         tv = 0.5 * np.abs(path.occupancy.probabilities - target).sum()
         assert tv < 0.02
 

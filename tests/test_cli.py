@@ -42,6 +42,11 @@ horizon = 1.0
 seeds = 1
 """
 
+# mass 0.5 at N = 3 is 1.5 agents: no lattice exists
+HALF_AGENT = RPS_CONSTANT.replace("type = linear", "type = linear\nmass = 0.5").replace(
+    "N = 2", "N = 3"
+).replace("horizon = 20.0", "horizon = 1.0")
+
 
 @pytest.fixture
 def rps_config(tmp_path):
@@ -173,6 +178,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "did you mean 'protocol'" in err
 
+    @pytest.mark.parametrize(
+        "command", ["validate", "simulate", "exact-stationary", "predict", "compare", "experiment"]
+    )
+    def test_non_integer_agent_count_is_rejected(self, command, tmp_path, capsys):
+        # every command that needs the lattice refuses the config instead of rounding it
+        config = tmp_path / "half.cfg"
+        config.write_text(HALF_AGENT)
+        out = tmp_path / "out"
+        assert run(command, config, out) == 1
+        assert "not an integer agent count" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_integer_agent_count_keeps_mean_dynamic(self, tmp_path):
+        config = tmp_path / "half.cfg"
+        config.write_text(HALF_AGENT)
+        assert run("mean-dynamic", config, tmp_path / "out") == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -184,11 +206,13 @@ class TestRateEvaluations:
         # state; each marginal chain adds one per state.  The stages that evaluate
         # off the lattice or along a path (decomposition samples, RK4,
         # birth-death rates, simulated paths) are not counted here; each path
-        # evaluates once per visited state, events + 1 times.
+        # evaluates once per visited state, events + 1 times, and the
+        # birth-death rates take one derived block per count 0..N.
         import numpy as np
 
         from symgame import cli, custom_protocol
         from symgame.config import ExperimentConfig
+        from symgame.transform import TransformedGame
 
         calls = {"count": 0, "all": 0, "paused": 0}
 
@@ -212,8 +236,22 @@ class TestRateEvaluations:
 
             return wrapper
 
-        for name in ("decompose", "integrate_mean_dynamic", "birth_death_weights"):
+        for name in ("decompose", "integrate_mean_dynamic"):
             monkeypatch.setattr(cli, name, paused(getattr(cli, name)))
+        blocks = []  # derived population of each block evaluated for birth-death rates
+        marginal_block = TransformedGame.marginal_block
+        specs_from_transform = paused(cli.specs_from_transform)
+
+        def counted_block(self, index, part):
+            blocks.append(index)
+            return marginal_block(self, index, part)
+
+        def counted_specs(*args, **kwargs):
+            with monkeypatch.context() as patch:
+                patch.setattr(TransformedGame, "marginal_block", counted_block)
+                return specs_from_transform(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "specs_from_transform", counted_specs)
         per_path = []
         simulate_path = paused(cli.chain_mod.simulate_path)
 
@@ -229,6 +267,7 @@ class TestRateEvaluations:
         assert run("experiment", config, tmp_path / "out") == 0
         # C(6 + 2, 2) = 28 main-grid states; three derived 2-strategy chains of 7 states
         assert calls["count"] == 28 + 3 * 7
+        assert blocks == [i for i in range(3) for _ in range(6 + 1)]  # N + 1 per population
         assert len(per_path) == 2  # seeds 1, 2
         for evaluations, events in per_path:
             assert events > 0

@@ -17,6 +17,7 @@ from symgame import (
     table_protocol,
     validate_hypotheses,
 )
+from symgame.chain import build_grid
 from symgame.games import protocol_tuple
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -125,18 +126,18 @@ class TestProtocolRates:
 class TestValidateHypotheses:
     def test_constant_protocol_report(self):
         game = make_linear_game(RPS)
-        states = sample_states(game, resolution=6)
-        report = validate_hypotheses(game, constant_protocol(1.0), states, exhaustive=True)
+        report = validate_hypotheses(game, constant_protocol(1.0), build_grid(game, 6))
         assert report.symmetric
         assert report.fully_supported
         assert report.max_asymmetry == 0.0
         assert report.min_rate == 1.0
-        assert report.exhaustive
+        assert report.exhaustive  # a grid is checked state by state
+        assert report.sample_count == 28
 
     def test_asymmetric_table(self):
         game = make_linear_game(np.zeros((2, 2)))
         proto = table_protocol([[1.0, 2.0], [3.0, 1.0]])
-        report = validate_hypotheses(game, proto, sample_states(game, resolution=4))
+        report = validate_hypotheses(game, proto, build_grid(game, 4))
         assert not report.symmetric
         assert report.max_asymmetry == 1.0
 
@@ -144,12 +145,12 @@ class TestValidateHypotheses:
         # payoff sums on the simplex stay above -2, so exp(pi_i + pi_j) >= e^-2
         game = make_linear_game(RPS)
         proto = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
-        states = sample_states(game, resolution=40)
-        report = validate_hypotheses(game, proto, states)
+        grid = build_grid(game, 40)
+        report = validate_hypotheses(game, proto, grid)
         assert report.fully_supported
         floor = min(
             float(np.min(np.add.outer(pi, pi)))
-            for pi in (game.payoff_at(s)[0] for s in states)
+            for pi in (game.payoff_at(grid.social_state(o))[0] for o in range(len(grid)))
         )
         assert math.exp(floor) >= math.exp(-2.0)
         assert report.min_rate >= math.exp(-2.0)
@@ -168,6 +169,7 @@ class TestValidateHypotheses:
         assert len(states) == 1000
         for state in states[:10]:
             game.require_valid_state(state, tol=1e-9)
+        assert not validate_hypotheses(game, constant_protocol(1.0), states).exhaustive
 
 
 class TestMultiPopulation:

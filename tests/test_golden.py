@@ -1,10 +1,11 @@
 """Byte-identity of the CLI artifacts for the documented example configs.
 
-Each example in ``docs/examples`` is run through ``symgame experiment`` and
-``symgame simulate`` with its configured seeds, and the sha256 of every file
-written is compared with a recorded digest.  A change that alters any printed digit, state order or
-path fails here; one that does so on purpose must record the new digests and
-say why.
+Each example in ``docs/examples`` is run through ``symgame experiment``,
+``symgame simulate`` (with its configured seeds), ``validate``, ``transform``,
+``predict`` and ``compare``, and the sha256 of every file written is compared
+with a recorded digest.  A change that alters any printed digit, state order
+or path fails here; one that does so on purpose must record the new digests
+and say why.
 """
 
 import hashlib
@@ -90,6 +91,83 @@ GOLDEN_SIMULATE = {
     },
 }
 
+# the single-stage commands; their artifacts carry no seed
+GOLDEN_COMMANDS = {
+    "validate": {
+        "coordination_table": {
+            "validate_report.txt": "7acc7de02a1d3ecf0596f2dcdca51b28149a67a397b362e7ec8dd391a9068a26",
+        },
+        "rps_constant": {
+            "validate_report.txt": "2e91282b1db3ca91c38aff975bcb9c31469b95c6fe84f7e19e9f007bd2d427fb",
+        },
+        "rps_sum_exponential": {
+            "validate_report.txt": "011e1e4170ec58be744507cb0649303260b38972d78bec5f5fe57056cc35e68f",
+        },
+        "two_populations": {
+            "validate_report.txt": "d26bc625658952bd09a7850f78fe67b73d9bb04ad75e043d1368d699dcc62d7f",
+        },
+    },
+    "transform": {
+        "coordination_table": {
+            "transform_report.txt": "e0e1a4a29a824a830a1b76e1a2770f9fdb433ed39f6b0c1a9f791e98d207e84d",
+            "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
+        },
+        "rps_constant": {
+            "transform_report.txt": "f64b1619da903f8497e6d37409c9c5f3e3b0a7c3e20f19c39d26ac0fb7736002",
+            "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
+        },
+        "rps_sum_exponential": {
+            "transform_report.txt": "15264bb8ccbd1e63a2bf6ea2388c956575fb6bcd94958405da1cb43356699817",
+            "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
+        },
+        "two_populations": {
+            "transform_report.txt": "1205a9d69061f3f6ef04c3f618700e0ec69ddd287fab6a343847d29551996a70",
+            "transformed_game.cfg": "e2cee232bac605ae099a00ea21465c224c1cdbb28a668123cdf0bcc6014410f8",
+        },
+    },
+    "predict": {
+        "coordination_table": {
+            "predicted.csv": "103aee7e3f2fc3b3977a069a80b850f334ff517ea5309482242d8fa0df563ac5",
+            "predicted_marginal_0.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
+            "predicted_marginal_1.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
+            "predicted_marginal_2.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
+        },
+        "rps_constant": {
+            "predicted.csv": "1eacc9eef48248346d1f453fb2023822c600b1ade872b8f314e963736e0030d2",
+            "predicted_marginal_0.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
+            "predicted_marginal_1.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
+            "predicted_marginal_2.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
+        },
+        "rps_sum_exponential": {
+            "predicted.csv": "bb142deb57ba1b2875b7f33cec217967744cb4766caa92c02627a3f64c62495d",
+            "predicted_marginal_0.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
+            "predicted_marginal_1.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
+            "predicted_marginal_2.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
+        },
+        "two_populations": {
+            "predicted.csv": "38dcb7fa7c4f5f625ae1a2f1eb91041248783808cb458c80e9c5e7d94fcb85d2",
+            "predicted_marginal_0.csv": "7d20fb59e0e1ccf5bef4d1ce13343e39c5166deec481eb29e45a3d1069bdf815",
+            "predicted_marginal_1.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
+            "predicted_marginal_2.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
+            "predicted_marginal_3.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
+        },
+    },
+    "compare": {
+        "coordination_table": {
+            "compare_report.txt": "890cc775037b8be485868a108a41c451b3d591902b46cb75db3943d855502561",
+        },
+        "rps_constant": {
+            "compare_report.txt": "eda1296e4e5ac26b67e8d94b41a805347e06e69970a116c654fa47d0f8566bab",
+        },
+        "rps_sum_exponential": {
+            "compare_report.txt": "853cf16352130871c092ec685ce3512e6d25880afd3de9d13cc81ce17e70b7f3",
+        },
+        "two_populations": {
+            "compare_report.txt": "8351379149f90342e9c722f3a3df57486a65942b102fa9054c788ad6936dc750",
+        },
+    },
+}
+
 
 def _digests(command, name, out):
     assert main([command, "--config", str(EXAMPLES / f"{name}.cfg"), "--out", str(out)]) == 0
@@ -104,3 +182,11 @@ def test_experiment_artifacts_match_recorded_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
 def test_simulate_artifacts_match_recorded_digests(name, tmp_path):
     assert _digests("simulate", name, tmp_path / name) == GOLDEN_SIMULATE[name]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, per_name in GOLDEN_COMMANDS.items() for name in sorted(per_name)],
+)
+def test_stage_artifacts_match_recorded_digests(command, name, tmp_path):
+    assert _digests(command, name, tmp_path / name) == GOLDEN_COMMANDS[command][name]

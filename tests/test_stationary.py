@@ -21,7 +21,6 @@ from symgame import (
     specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
-    unconstrained_joint,
 )
 from symgame.chain import build_grid
 
@@ -30,7 +29,7 @@ RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
 def flat_spec(up, down, N, **kw):
     return BirthDeathSpec(
-        population_index=0, size=N, up_rate=lambda f: up, down_rate=lambda f: down, **kw
+        population_index=0, size=N, up=np.full(N + 1, up), down=np.full(N + 1, down), **kw
     )
 
 
@@ -48,7 +47,7 @@ class TestBirthDeathWeights:
         chain = build_generator(game, proto, 2)
         exact = exact_stationary(chain)
         w = birth_death_weights(flat_spec(1.0, 2.0, 2)).normalized()
-        probs = [exact.probabilities[chain.grid.index(((k, 2 - k),))] for k in range(3)]
+        probs = exact.probabilities[chain.grid.ranks([(k, 2 - k) for k in range(3)])]
         assert np.max(np.abs(w - probs)) < 1e-14
 
     def test_constant_transformed_population_is_binomial(self):
@@ -68,9 +67,7 @@ class TestBirthDeathWeights:
                 mg, mp = tg.marginal_game(i)
                 chain = build_generator(mg, mp, N)
                 exact = exact_stationary(chain)
-                probs = np.array(
-                    [exact.probabilities[chain.grid.index(((k, N - k),))] for k in range(N + 1)]
-                )
+                probs = exact.probabilities[chain.grid.ranks([(k, N - k) for k in range(N + 1)])]
                 assert 0.5 * np.abs(w - probs).sum() <= 1e-10
 
     def test_paper_factor_degenerates_at_n2(self):
@@ -92,6 +89,10 @@ class TestBirthDeathWeights:
         # flat rates: ratio inverts from 1/2 to 2
         assert flipped.weights[1] / flipped.weights[0] == 4 * 2.0
         assert std.weights[1] / std.weights[0] == 4 * 0.5
+
+    def test_rate_arrays_cover_counts_zero_to_n(self):
+        with pytest.raises(ValueError, match="down rates have shape"):
+            BirthDeathSpec(population_index=0, size=2, up=np.ones(3), down=np.ones(2))
 
     def test_nonpositive_rate_errors(self):
         with pytest.raises(SymgameError, match="nonpositive"):
@@ -117,8 +118,8 @@ class TestProductFormJoint:
         grid = build_grid(game, 4)
         marginal = binom.pmf(np.arange(5), 4, 0.3)
         table = product_form_joint([marginal], grid)
-        probs = [table.probabilities[grid.index(((k, 4 - k),))] for k in range(5)]
-        assert np.max(np.abs(np.array(probs) - marginal)) < 1e-15
+        probs = table.probabilities[grid.ranks([(k, 4 - k) for k in range(5)])]
+        assert np.max(np.abs(probs - marginal)) < 1e-15
 
     def test_empty_support_error(self):
         game = make_linear_game(RPS)
@@ -140,14 +141,19 @@ class TestProductFormJoint:
             product_form_joint([np.ones(3) / 3] * 2, grid)
 
     def test_unconditioned_product_projects_back(self):
+        # 2-strategy populations are not conditioned: the joint is the plain
+        # product of their marginals and projects back onto each of them
+        from symgame import make_separable_game
+
         rng = np.random.default_rng(9)
         marginals = [rng.dirichlet(np.ones(5)) for _ in range(3)]
-        joint = unconstrained_joint(marginals)
-        assert joint.shape == (5, 5, 5)
-        for axis in range(3):
-            other = tuple(a for a in range(3) if a != axis)
-            projected = joint.sum(axis=other)
-            assert np.max(np.abs(projected - marginals[axis])) < 1e-12
+        grid = build_grid(make_separable_game([np.zeros((2, 2))] * 3), 4)
+        table = product_form_joint(marginals, grid)
+        for p in range(3):
+            projected = np.bincount(
+                grid.counts[:, grid.offsets[p]], weights=table.probabilities, minlength=5
+            )
+            assert np.max(np.abs(projected - marginals[p])) < 1e-12
 
     def test_multi_population_outer_product(self):
         from symgame import make_separable_game
@@ -224,14 +230,14 @@ class TestMarginalFromExact:
         chain = build_generator(game, constant_protocol(1.0), 5)
         exact = exact_stationary(chain)
         marg = marginal_from_exact(exact, 0)
-        probs = [exact.probabilities[chain.grid.index(((k, 5 - k),))] for k in range(6)]
+        probs = exact.probabilities[chain.grid.ranks([(k, 5 - k) for k in range(6)])]
         assert np.array_equal(marg, probs)
 
     def test_point_mass(self):
         game = make_linear_game(RPS)
         grid = build_grid(game, 3)
         probs = np.zeros(len(grid))
-        probs[grid.index(((3, 0, 0),))] = 1.0
+        probs[grid.ranks([3, 0, 0])] = 1.0
         table = StationaryTable(grid, probs, "exact")
         marg = marginal_from_exact(table, 0)
         assert marg.tolist() == [0.0, 0.0, 0.0, 1.0]
