@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,18 +89,20 @@ def _provenance(config: ExperimentConfig, command: str, seed: int | None = None)
 
 
 class _Model:
-    """Game, protocols, and initial state resolved from a config."""
+    """One run: the game, protocols and initial state of a config, and each stage's result.
+
+    Every stage is an attribute computed on first use and at most once, so
+    the commands and the experiment that reads them all share one lattice,
+    one rate evaluation and one decomposition.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.base_game = config.build_game()
         self.base_protocols = config.build_protocols(self.base_game)
-        self.transformed = None
-        if config.transform_lineage is not None:
-            self.transformed = decompose(
-                self.base_game, self.base_protocols, fstar=config.fstar
-            )
-            self.game, self.protocols = self.transformed.as_population_game()
+        self.transformed = config.transform_lineage is not None
+        if self.transformed:
+            self.game, self.protocols = self.decomposition.as_population_game()
         else:
             self.game, self.protocols = self.base_game, self.base_protocols
 
@@ -111,16 +114,17 @@ class _Model:
 
     @property
     def resolutions(self) -> tuple[int, ...]:
-        if self.transformed is None:
+        if not self.transformed:
             return self.base_resolutions
-        return tuple(self.base_resolutions[pop.base_population] for pop in self.transformed.populations)
+        pops = self.decomposition.populations
+        return tuple(self.base_resolutions[pop.base_population] for pop in pops)
 
     def initial_state(self) -> SocialState:
         parts = self.config.initial_state_parts(self.base_game)
         state = SocialState(parts=tuple(parts))
         self.base_game.require_valid_state(state, tol=1e-9)
-        if self.transformed is not None:
-            return self.transformed.embed(state)
+        if self.transformed:
+            return self.decomposition.embed(state)
         return state
 
     def lattice_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -140,50 +144,133 @@ class _Model:
             counts.append(tuple(int(v) for v in k))
         return tuple(counts)
 
+    @cached_property
+    def decomposition(self):
+        return decompose(self.base_game, self.base_protocols, fstar=self.config.fstar)
+
+    @cached_property
+    def grid(self):
+        return chain_mod.build_grid(self.game, self.resolutions)
+
+    @cached_property
+    def rates(self):
+        return grid_rates(self.game, self.protocols, self.grid)
+
+    @cached_property
+    def hypotheses(self):
+        """Exhaustive check on a lattice small enough to enumerate, else 1000 random states.
+
+        A lattice above ``ENUMERATION_LIMIT`` states is refused before any state is
+        enumerated; a smaller one becomes the run's :attr:`grid` (read this first, or
+        the lattice is built twice).
+        """
+        try:
+            self.grid = chain_mod.build_grid(self.game, self.resolutions, limit=ENUMERATION_LIMIT)
+        except GridSizeError:
+            states = sample_states(self.game, n_random=1000, seed=0)
+            return validate_hypotheses(self.game, self.protocols, states)
+        return validate_hypotheses(self.game, self.protocols, self.grid, rates=self.rates)
+
+    @cached_property
+    def trajectory(self):
+        config = self.config
+        return integrate_mean_dynamic(
+            self.game, self.protocols, self.initial_state(), config.horizon, config.dt
+        )
+
+    @cached_property
+    def prediction(self):
+        """Birth-death weights, their normalized marginals and the product-form table on the grid."""
+        config = self.config
+        transformed = self.decomposition
+        specs = specs_from_transform(
+            transformed,
+            [self.grid.sizes[pop.base_population] for pop in transformed.populations],
+            config.variant_factor,
+            config.variant_orientation,
+        )
+        results = [birth_death_weights(spec) for spec in specs]
+        marginals = [r.normalized() for r in results]
+        variants = {
+            "variant_factor": config.variant_factor,
+            "variant_orientation": config.variant_orientation,
+        }
+        return results, marginals, product_form_joint(marginals, self.grid, metadata=variants)
+
+    @cached_property
+    def chain(self):
+        return chain_mod.build_generator(self.game, self.protocols, self.grid, rates=self.rates)
+
+    @cached_property
+    def exact(self):
+        return chain_mod.exact_stationary(self.chain)
+
 
 def _require_base(model: _Model, command: str) -> None:
-    if model.transformed is not None:
+    if model.transformed:
         raise SymgameError(
             f"command '{command}' expects an untransformed game config "
             "(this one carries a [transform] section)"
         )
 
 
-def _check_hypotheses(model: _Model):
-    """Exhaustive check on a lattice small enough to enumerate, else 1000 random states.
+def _write(writer: ArtifactWriter, model: _Model, command: str, name: str, body: str, *comments):
+    """Write a table under the provenance header and one ``# `` line per comment."""
+    header = _provenance(model.config, command) + "".join(f"# {c}\n" for c in comments)
+    writer.write(name, header + body)
 
-    Returns the report and, for the exhaustive check, the per-state rate
-    tensors for :func:`chain.build_generator`.
-    """
-    try:
-        grid = chain_mod.build_grid(model.game, model.resolutions, limit=ENUMERATION_LIMIT)
-    except GridSizeError:
-        states = sample_states(model.game, n_random=1000, seed=0)
-        return validate_hypotheses(model.game, model.protocols, states), None
-    rates = grid_rates(model.game, model.protocols, grid)
-    return validate_hypotheses(model.game, model.protocols, grid, rates=rates), rates
+
+def _write_report(writer: ArtifactWriter, model: _Model, command: str, *sections) -> None:
+    """Write ``<command>_report.txt``: blank-line separated sections of ``key: value`` lines."""
+    body = "\n\n".join("\n".join(section) for section in sections)
+    writer.write(f"{command}_report.txt", _provenance(model.config, command) + "\n" + body + "\n")
+
+
+def _validate_section(model: _Model) -> list[str]:
+    return ["[validate]", *model.hypotheses.as_lines()]
+
+
+def _hypotheses_hold(model: _Model) -> bool:
+    return model.hypotheses.symmetric and model.hypotheses.fully_supported
+
+
+def _transform_section(model: _Model, writer: ArtifactWriter) -> list[str]:
+    """Write transformed_game.cfg and return the [transform] section."""
+    transformed = model.decomposition
+    writer.write("transformed_game.cfg", render_config(model.config, lineage=transformed.lineage))
+    return [
+        "[transform]",
+        f"derived_populations: {len(transformed.populations)}",
+        "arities: " + ", ".join(str(a) for a in transformed.arities),
+        "lineage: " + ", ".join(transformed.lineage),
+    ]
+
+
+def _degenerate_line(model: _Model) -> str:
+    results, _, _ = model.prediction
+    degenerate = [str(i) for i, r in enumerate(results) if r.degenerate]
+    return "degenerate_marginals: " + (", ".join(degenerate) or "none")
+
+
+def _solver_lines(model: _Model) -> list[str]:
+    metadata = model.exact.metadata
+    return [f"solver: {metadata['solver']}", f"residual: {metadata['residual']:.17g}"]
+
+
+def _compare_section(model: _Model) -> list[str]:
+    _, _, predicted = model.prediction
+    metrics = compare(predicted, model.exact)
+    return ["[compare]", *metrics.as_lines("predicted_vs_exact")]
 
 
 def _cmd_validate(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
-    report, _ = _check_hypotheses(model)
-    lines = [_provenance(config, "validate"), "[validate]"]
-    lines.extend(report.as_lines())
-    writer.write("validate_report.txt", "\n".join(lines) + "\n")
-    return 0 if (report.symmetric and report.fully_supported) else 1
+    _write_report(writer, model, "validate", _validate_section(model))
+    return 0 if _hypotheses_hold(model) else 1
 
 
 def _cmd_mean_dynamic(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
-    traj = integrate_mean_dynamic(
-        model.game, model.protocols, model.initial_state(), config.horizon, config.dt
-    )
-    writer.write("trajectory.csv", _provenance(config, "mean-dynamic") + traj.to_csv())
+    _write(writer, model, "mean-dynamic", "trajectory.csv", model.trajectory.to_csv())
     return 0
-
-
-def _build_chain(model: _Model, rates=None):
-    return chain_mod.build_generator(model.game, model.protocols, model.resolutions, rates=rates)
 
 
 def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
@@ -196,8 +283,7 @@ def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
     if not config.seeds:
         raise SymgameError(f"{command} needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
-    sizes = [sum(part) for part in x0]
-    occupancy = count_states(model.game.strategy_counts, sizes) <= CHAIN_STATE_BUDGET
+    occupancy = count_states(model.game.strategy_counts, [sum(p) for p in x0]) <= CHAIN_STATE_BUDGET
     for seed in config.seeds:
         path = chain_mod.simulate_path(
             (model.game, model.protocols, model.resolutions), x0, config.horizon, seed,
@@ -218,82 +304,33 @@ def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
 
 
 def _cmd_exact_stationary(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
-    chain = _build_chain(model)
-    exact = chain_mod.exact_stationary(chain)
-    header = _provenance(config, "exact-stationary")
-    header += f"# solver: {exact.metadata['solver']}\n"
-    header += f"# residual: {exact.metadata['residual']:.17g}\n"
-    writer.write("exact_stationary.csv", header + exact.to_csv())
+    body = model.exact.to_csv()
+    _write(writer, model, "exact-stationary", "exact_stationary.csv", body, *_solver_lines(model))
     return 0
 
 
 def _cmd_transform(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
     _require_base(model, "transform")
-    transformed = decompose(model.base_game, model.base_protocols, fstar=config.fstar)
-    writer.write("transformed_game.cfg", render_config(config, lineage=transformed.lineage))
-    lines = [_provenance(config, "transform"), "[transform]"]
-    lines.append(f"derived_populations: {len(transformed.populations)}")
-    lines.append("arities: " + ", ".join(str(a) for a in transformed.arities))
-    lines.append("lineage: " + ", ".join(transformed.lineage))
-    for i, pop in enumerate(transformed.populations):
-        lines.append(f"population_{i}_labels: " + ", ".join(pop.labels))
-    writer.write("transform_report.txt", "\n".join(lines) + "\n")
+    section = _transform_section(model, writer)
+    for i, pop in enumerate(model.decomposition.populations):
+        section.append(f"population_{i}_labels: " + ", ".join(pop.labels))
+    _write_report(writer, model, "transform", section)
     return 0
 
 
-def _degenerate_line(results) -> str:
-    degenerate = [str(i) for i, r in enumerate(results) if r.degenerate]
-    return "degenerate_marginals: " + (", ".join(degenerate) or "none")
-
-
-def _predict_table(model: _Model):
-    config = model.config
-    transformed = decompose(model.base_game, model.base_protocols, fstar=config.fstar)
-    grid = chain_mod.build_grid(model.base_game, model.base_resolutions)
-    specs = specs_from_transform(
-        transformed,
-        [grid.sizes[pop.base_population] for pop in transformed.populations],
-        factor_variant=config.variant_factor,
-        orientation_variant=config.variant_orientation,
-    )
-    results = [birth_death_weights(spec) for spec in specs]
-    marginals = [r.normalized() for r in results]
-    table = product_form_joint(
-        marginals,
-        grid,
-        metadata={
-            "variant_factor": config.variant_factor,
-            "variant_orientation": config.variant_orientation,
-        },
-    )
-    return transformed, results, marginals, table
-
-
 def _cmd_predict(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
     _require_base(model, "predict")
-    _, results, marginals, table = _predict_table(model)
+    _, marginals, table = model.prediction
     for i, marginal in enumerate(marginals):
-        text = _provenance(config, "predict") + "count,probability\n"
-        text += "".join(f"{k},{v:.17g}\n" for k, v in enumerate(marginal))
-        writer.write(f"predicted_marginal_{i}.csv", text)
-    header = _provenance(config, "predict") + f"# {_degenerate_line(results)}\n"
-    writer.write("predicted.csv", header + table.to_csv())
+        rows = "".join(f"{k},{v:.17g}\n" for k, v in enumerate(marginal))
+        _write(writer, model, "predict", f"predicted_marginal_{i}.csv", "count,probability\n" + rows)
+    _write(writer, model, "predict", "predicted.csv", table.to_csv(), _degenerate_line(model))
     return 0
 
 
 def _cmd_compare(model: _Model, writer: ArtifactWriter) -> int:
-    config = model.config
     _require_base(model, "compare")
-    _, results, _, predicted = _predict_table(model)
-    exact = chain_mod.exact_stationary(_build_chain(model))
-    metrics = compare(predicted, exact)
-    lines = [_provenance(config, "compare"), "[compare]"]
-    lines.extend(metrics.as_lines("predicted_vs_exact"))
-    lines.append(_degenerate_line(results))
-    writer.write("compare_report.txt", "\n".join(lines) + "\n")
+    _write_report(writer, model, "compare", _compare_section(model) + [_degenerate_line(model)])
     return 0
 
 
@@ -302,82 +339,47 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
     _require_base(model, "experiment")
     if not config.seeds:
         raise SymgameError("experiment needs a nonempty seed list (run section, 'seeds')")
-    report: list[str] = [_provenance(config, "experiment")]
-    report.append("[experiment]")
-    report.append("seeds: " + ", ".join(str(s) for s in config.seeds))
-
-    # hypothesis checks; their rate tensors are reused by the generator
-    hyp, rates = _check_hypotheses(model)
-    report.append("")
-    report.append("[validate]")
-    report.extend(hyp.as_lines())
-    if not (hyp.symmetric and hyp.fully_supported):
+    seeds = "seeds: " + ", ".join(str(s) for s in config.seeds)
+    sections = [["[experiment]", seeds], _validate_section(model)]
+    if not _hypotheses_hold(model):
+        hyp = model.hypotheses
         raise SymgameError(
             "hypotheses fail: the protocol must be symmetric and fully supported "
             f"(max_asymmetry={hyp.max_asymmetry:.6g}, min_rate={hyp.min_rate:.6g})"
         )
+    _write(writer, model, "experiment", "trajectory.csv", model.trajectory.to_csv())
+    sections.append(_transform_section(model, writer))
+    results, _, predicted = model.prediction
+    _write(writer, model, "experiment", "predicted.csv", predicted.to_csv())
+    sections.append(["[predict]", _degenerate_line(model)])
+    chain = model.chain
+    _write(writer, model, "experiment", "exact_stationary.csv", model.exact.to_csv())
+    exact = ["[exact]", f"states: {len(chain.grid)}", f"edges: {len(chain.src)}", *_solver_lines(model)]
+    sections += [exact, _compare_section(model)]
 
-    # reference trajectory
-    traj = integrate_mean_dynamic(
-        model.game, model.protocols, model.initial_state(), config.horizon, config.dt
-    )
-    writer.write("trajectory.csv", _provenance(config, "experiment") + traj.to_csv())
-
-    # transformation and prediction
-    transformed, results, marginals, predicted = _predict_table(model)
-    writer.write("transformed_game.cfg", render_config(config, lineage=transformed.lineage))
-    report.append("")
-    report.append("[transform]")
-    report.append(f"derived_populations: {len(transformed.populations)}")
-    report.append("arities: " + ", ".join(str(a) for a in transformed.arities))
-    report.append("lineage: " + ", ".join(transformed.lineage))
-    writer.write("predicted.csv", _provenance(config, "experiment") + predicted.to_csv())
-    report.append("")
-    report.append("[predict]")
-    report.append(_degenerate_line(results))
-
-    # exact stationary law
-    chain = _build_chain(model, rates)
-    exact = chain_mod.exact_stationary(chain)
-    writer.write("exact_stationary.csv", _provenance(config, "experiment") + exact.to_csv())
-    report.append("")
-    report.append("[exact]")
-    report.append(f"states: {len(chain.grid)}")
-    report.append(f"edges: {len(chain.src)}")
-    report.append(f"solver: {exact.metadata['solver']}")
-    report.append(f"residual: {exact.metadata['residual']:.17g}")
-
-    # headline gap
-    metrics = compare(predicted, exact)
-    report.append("")
-    report.append("[compare]")
-    report.extend(metrics.as_lines("predicted_vs_exact"))
-
-    # reversibility measurements
-    balance = chain_mod.check_detailed_balance(chain, exact)
-    report.append("")
-    report.append("[detailed_balance]")
-    report.append(f"original_max_imbalance: {balance.max_imbalance:.17g}")
-    report.append(f"original_worst_edge: {balance.worst_edge[0]} -> {balance.worst_edge[1]}")
+    # reversibility of the original chain and of each derived birth-death chain
+    balance = chain_mod.check_detailed_balance(chain, model.exact)
     derived_imbalance = 0.0
-    for i in range(len(transformed.populations)):
-        mg, mp = transformed.marginal_game(i)
-        size = results[i].weights.shape[0] - 1
-        mchain = chain_mod.build_generator(mg, mp, size)
-        mexact = chain_mod.exact_stationary(mchain)
-        mbalance = chain_mod.check_detailed_balance(mchain, mexact)
+    for i, result in enumerate(results):
+        mg, mp = model.decomposition.marginal_game(i)
+        mchain = chain_mod.build_generator(mg, mp, chain_mod.build_grid(mg, len(result.weights) - 1))
+        mbalance = chain_mod.check_detailed_balance(mchain, chain_mod.exact_stationary(mchain))
         derived_imbalance = max(derived_imbalance, mbalance.max_imbalance)
-    report.append(f"derived_max_imbalance: {derived_imbalance:.17g}")
+    sections.append([
+        "[detailed_balance]",
+        f"original_max_imbalance: {balance.max_imbalance:.17g}",
+        f"original_worst_edge: {balance.worst_edge[0]} -> {balance.worst_edge[1]}",
+        f"derived_max_imbalance: {derived_imbalance:.17g}",
+    ])
 
     # stochastic paths against the trajectory
-    report.append("")
-    report.append("[simulate]")
+    simulate = ["[simulate]"]
     for path in _simulate_seeds(model, writer, "experiment"):
-        deviation = chain_mod.deviation_vs_ode(path, traj)
-        report.append(f"seed_{path.seed}_events: {len(path.times) - 1}")
-        report.append(f"seed_{path.seed}_deviation_vs_ode: {deviation:.17g}")
-
-    writer.write("experiment_report.txt", "\n".join(report) + "\n")
+        deviation = chain_mod.deviation_vs_ode(path, model.trajectory)
+        simulate.append(f"seed_{path.seed}_events: {len(path.times) - 1}")
+        simulate.append(f"seed_{path.seed}_deviation_vs_ode: {deviation:.17g}")
+    sections.append(simulate)
+    _write_report(writer, model, "experiment", *sections)
     return 0
 
 

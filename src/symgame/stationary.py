@@ -17,6 +17,7 @@ marginals conditioned on the shared simplex constraint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,7 +135,7 @@ def specs_from_transform(
     count per derived population.  The rates come from one
     :meth:`TransformedGame.marginal_block` evaluation per count 0..N.
     """
-    if isinstance(size, int):
+    if isinstance(size, numbers.Integral):
         sizes = [size] * len(transformed.populations)
     else:
         sizes = [int(s) for s in size]

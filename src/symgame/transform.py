@@ -266,14 +266,6 @@ class TransformedGame:
         return game, protocols
 
 
-def _default_samples(game: PopulationGame, protocols) -> list[SocialState]:
-    # protocols that declare symmetry (structurally, or computed exactly from
-    # a rate table) only get a small confirming sample; unknown ones are
-    # probed at the full sampling depth
-    declared = all(proto.symmetric for proto in protocols)
-    return sample_states(game, n_random=16 if declared else 1000, seed=0)
-
-
 def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
     """Recover the base 3x3 rates from the derived 2x2 blocks.
 
@@ -316,7 +308,6 @@ def decompose(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
     target: int = 2,
-    samples: Sequence[SocialState] | None = None,
     fstar: str = "zero",
 ) -> TransformedGame:
     """Reduce every population to at most ``target`` strategies.
@@ -328,13 +319,15 @@ def decompose(
     The final step down to two strategies uses the half-weighted 3-to-2
     rules, so reducing to 3 and then splitting agrees with reducing straight
     to 2.  Symmetry is required wherever a reduction happens; full support is
-    required everywhere.  All failures are reported together.
+    required everywhere.  Both are checked on seeded random states: 16 when
+    every protocol declares symmetry (structurally, or exactly from a rate
+    table), 1000 otherwise.  All failures are reported together.
     """
     if target < 2:
         raise ValueError(f"target arity must be at least 2, got {target}")
     protocols = protocol_tuple(protocol, game)
-    if samples is None:
-        samples = _default_samples(game, protocols)
+    declared = all(proto.symmetric for proto in protocols)
+    samples = sample_states(game, n_random=16 if declared else 1000, seed=0)
     report = validate_hypotheses(game, protocols, samples)
     problems = []
     for p, (asym, min_rate) in enumerate(report.per_population):

@@ -14,6 +14,7 @@ from scipy.stats import binom, multinomial
 
 from symgame import (
     build_generator,
+    build_grid,
     check_detailed_balance,
     constant_protocol,
     decompose,
@@ -82,7 +83,7 @@ def report(num, name, ok, detail=""):
 
 def marginal_chain_probabilities(tg, index, size):
     game, protocol = tg.marginal_game(index)
-    chain = build_generator(game, protocol, size)
+    chain = build_generator(game, protocol, build_grid(game, size))
     exact = exact_stationary(chain)
     ordinals = chain.grid.ranks([(k, size - k) for k in range(size + 1)])
     return chain, exact, exact.probabilities[ordinals]
@@ -153,7 +154,7 @@ def test_03_paper_variant_degeneracy():
 def test_04_constant_protocol_ground_truth():
     start = time.perf_counter()
     game = make_linear_game(RPS)
-    chain = build_generator(game, constant_protocol(1.0), 4)
+    chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
     exact = exact_stationary(chain)
     target = np.array(
         [multinomial.pmf(chain.grid.state(i)[0], 4, [1 / 3] * 3) for i in range(len(chain.grid))]
@@ -182,7 +183,7 @@ def test_05_product_form_gap_pinned(tmp_path):
     tg = decompose(game, proto)
     gaps = {}
     for size in range(2, 9):
-        chain = build_generator(game, proto, size)
+        chain = build_generator(game, proto, build_grid(game, size))
         exact = exact_stationary(chain)
         marginals = [
             birth_death_weights(s).normalized() for s in specs_from_transform(tg, size)
@@ -218,7 +219,7 @@ def test_06_reversibility_facts():
                 balance = check_detailed_balance(chain, exact)
                 worst_derived = max(worst_derived, balance.max_imbalance)
     game = make_linear_game(RPS)
-    chain = build_generator(game, sum_exponential_protocol(2.0), 4)
+    chain = build_generator(game, sum_exponential_protocol(2.0), build_grid(game, 4))
     original = check_detailed_balance(chain, exact_stationary(chain))
     pinned_ok = abs(original.max_imbalance - PINNED_RPS_IMBALANCE) <= 1e-9 * PINNED_RPS_IMBALANCE
     ok = worst_derived <= 1e-12 and original.max_imbalance > 0 and pinned_ok

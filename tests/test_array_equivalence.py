@@ -434,7 +434,7 @@ class TestBuildGenerator:
     @settings(max_examples=60, deadline=None)
     def test_edges_and_generator_match_per_state_loop(self, model):
         game, protocols, resolution = model
-        chain = build_generator(game, protocols, resolution)
+        chain = build_generator(game, protocols, build_grid(game, resolution))
         expected = _reference_generator(game, protocols, resolution)
         for name in ("src", "dst", "rate", "pop", "from_strategy", "to_strategy"):
             got = getattr(chain, name)
@@ -458,7 +458,7 @@ class TestBuildGenerator:
         with pytest.raises((ValueError, ProtocolError)) as expected:
             _reference_generator(game, proto, 4)
         with pytest.raises(expected.type, match=None) as got:
-            build_generator(game, proto, 4)
+            build_generator(game, proto, build_grid(game, 4))
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
@@ -476,7 +476,7 @@ class TestBuildGenerator:
         with pytest.raises(ValueError) as expected:
             _reference_generator(game, constant_protocol(1.0), 4)
         with pytest.raises(ValueError) as got:
-            build_generator(game, constant_protocol(1.0), 4)
+            build_generator(game, constant_protocol(1.0), build_grid(game, 4))
         assert str(got.value) == str(expected.value)
 
 
@@ -485,7 +485,7 @@ class TestDetailedBalance:
     @settings(max_examples=60, deadline=None)
     def test_imbalance_and_worst_edge_match_dict_walk(self, model, seed, uniform):
         game, protocols, resolution = model
-        chain = build_generator(game, protocols, resolution)
+        chain = build_generator(game, protocols, build_grid(game, resolution))
         n = len(chain.grid)
         # uniform weights with constant rates produce ties, which go to the first edge
         mu = np.full(n, 1.0 / n) if uniform else np.random.default_rng(seed).dirichlet(np.ones(n))
@@ -504,7 +504,7 @@ class TestExactStationary:
     @settings(max_examples=60, deadline=None)
     def test_sparse_lu_matches_the_dense_solve(self, model):
         game, protocols, resolution = model
-        chain = build_generator(game, protocols, resolution)
+        chain = build_generator(game, protocols, build_grid(game, resolution))
         if _communicating_classes(chain)[0] > 1:  # a custom protocol can cut moves
             with pytest.raises(ReducibleChainError):
                 exact_stationary(chain)
@@ -587,7 +587,7 @@ class TestSimulatePath:
     @staticmethod
     def _draw_path_inputs(model, seed, burn_in_share):
         game, protocols, resolution = model
-        chain = build_generator(game, protocols, resolution)
+        chain = build_generator(game, protocols, build_grid(game, resolution))
         x0 = chain.grid.state(int(np.random.default_rng(seed).integers(len(chain.grid))))
         horizon = 10.0  # tens to hundreds of events
         return game, protocols, resolution, chain, x0, horizon, burn_in_share * horizon

@@ -11,12 +11,14 @@ from symgame import (
     check_detailed_balance,
     constant_protocol,
     custom_protocol,
+    decompose,
     deviation_vs_ode,
     exact_stationary,
     integrate_mean_dynamic,
     make_linear_game,
     mean_dynamic_rhs,
     simulate_path,
+    specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
 )
@@ -100,23 +102,42 @@ class TestEnumerateStates:
             lattice(4, 10, limit=200)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+@pytest.mark.parametrize("stage", ["build_grid", "simulate_path", "specs_from_transform"])
+def test_numpy_integer_resolution_acts_as_int(stage, integer):
+    game, proto = make_linear_game(RPS), constant_protocol(1.0)
+    run = {
+        "build_grid": lambda n: build_grid(game, n).counts,
+        "simulate_path": lambda n: simulate_path((game, proto, n), ((2, 1, 1),), 2.0, seed=3).counts,
+        "specs_from_transform": lambda n: [
+            spec.up for spec in specs_from_transform(decompose(game, proto), n)
+        ],
+    }[stage]
+    assert np.array_equal(run(integer(4)), run(4))
+
+
 class TestBuildGenerator:
+    def test_grid_of_another_layout_is_rejected(self):
+        game = make_linear_game(RPS)
+        with pytest.raises(ValueError, match="strategy counts"):
+            build_generator(game, constant_protocol(1.0), lattice(2, 3))
+
     def test_single_switch_rate(self):
         game = make_linear_game(np.zeros((2, 2)))
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         src, dst = chain.grid.ranks([(1, 1), (0, 2)])
         q = chain.generator[src, dst]
         assert q == pytest.approx(1.0)  # 2 * (1/2) * 1
 
     def test_total_exit_rate_at_pure_state(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         pure = chain.grid.ranks([2, 0, 0])
         assert -chain.generator[pure, pure] == pytest.approx(4.0)  # 2 * 1 * (1 + 1)
 
     def test_row_sums_zero(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, sum_exponential_protocol(1.0), 5)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 5))
         rows = np.asarray(chain.generator.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
 
@@ -125,7 +146,7 @@ class TestBuildGenerator:
         game = make_linear_game(RPS)
         proto = sum_exponential_protocol(0.8)
         N = 4
-        chain = build_generator(game, proto, N)
+        chain = build_generator(game, proto, build_grid(game, N))
         velocity = np.zeros((len(chain.grid), 3))
         for s, d, r in zip(chain.src, chain.dst, chain.rate):
             delta = (np.array(chain.grid.state(d)[0]) - np.array(chain.grid.state(s)[0])) / N
@@ -139,7 +160,7 @@ class TestBuildGenerator:
         from symgame import make_separable_game
 
         game = make_separable_game([np.zeros((2, 2)), np.zeros((3, 3))])
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         assert len(chain.grid) == 3 * 6
         rows = np.asarray(chain.generator.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
@@ -150,13 +171,13 @@ class TestBuildGenerator:
         game = make_linear_game(RPS)
         bad = custom_protocol(lambda pi, x: pi[:, None] * np.ones(len(x)))
         with pytest.raises(ProtocolError, match="negative"):
-            build_generator(game, bad, 2)
+            build_generator(game, bad, build_grid(game, 2))
 
 
 class TestExactStationary:
     def test_two_strategy_hand_solve(self):
         game = make_linear_game(np.zeros((2, 2)))
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         exact = exact_stationary(chain)
         # counts of strategy 1: 0,1,2 -> 1/4, 1/2, 1/4
         probs = exact.probabilities[chain.grid.ranks([(k, 2 - k) for k in range(3)])]
@@ -164,7 +185,7 @@ class TestExactStationary:
 
     def test_constant_protocol_multinomial(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         exact = exact_stationary(chain)
         for ordinal in range(len(chain.grid)):
             counts = chain.grid.state(ordinal)[0]
@@ -173,14 +194,14 @@ class TestExactStationary:
 
     def test_normalization(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, sum_exponential_protocol(2.0), 3)
+        chain = build_generator(game, sum_exponential_protocol(2.0), build_grid(game, 3))
         exact = exact_stationary(chain)
         assert abs(exact.probabilities.sum() - 1.0) < 1e-12
 
     def test_birth_death_closed_form_oracle(self):
         game = make_linear_game([[0.3, -0.2], [0.1, 0.5]])
         for N in (2, 5, 11):
-            chain = build_generator(game, sum_exponential_protocol(1.0), N)
+            chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, N))
             exact = exact_stationary(chain)
             oracle = birth_death_closed_form(chain)
             assert 0.5 * np.abs(exact.probabilities - oracle).sum() <= 1e-12
@@ -190,14 +211,15 @@ class TestExactStationary:
     def test_lu_agrees_with_gth_on_stiff_coordination(self, eta, N):
         # per-agent rates exp(eta (pi_i + pi_j)) span e^(2 eta); at N = 40 the
         # smallest probability is 8e-20
-        chain = build_generator(make_linear_game(np.eye(3)), sum_exponential_protocol(eta), N)
+        game = make_linear_game(np.eye(3))
+        chain = build_generator(game, sum_exponential_protocol(eta), build_grid(game, N))
         exact = exact_stationary(chain)
         assert exact.metadata["solver"] == "lu"
         assert 0.5 * np.abs(exact.probabilities - gth_stationary(chain)).sum() <= 1e-14
 
     def test_power_iteration_agrees_with_lu(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, sum_exponential_protocol(1.0), 6)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
         lu = exact_stationary(chain, solver="lu")
         power = exact_stationary(chain, solver="power")
         assert np.max(np.abs(lu.probabilities - power.probabilities)) < 1e-10
@@ -205,7 +227,7 @@ class TestExactStationary:
     def test_reducible_chain_reports_classes(self):
         game = make_linear_game(np.zeros((2, 2)))
         one_way = table_protocol([[0.0, 1.0], [0.0, 0.0]])
-        chain = build_generator(game, one_way, 3)
+        chain = build_generator(game, one_way, build_grid(game, 3))
         with pytest.raises(ReducibleChainError, match="communicating classes") as err:
             exact_stationary(chain)
         assert len(err.value.classes) == 4
@@ -215,7 +237,7 @@ class TestExactStationary:
 
         game = make_linear_game(RPS)
         for proto in (constant_protocol(0.5), sum_exponential_protocol(2.0)):
-            chain = build_generator(game, proto, 4)
+            chain = build_generator(game, proto, build_grid(game, 4))
             n_comp, _ = _communicating_classes(chain)
             assert n_comp == 1
 
@@ -223,7 +245,7 @@ class TestExactStationary:
 class TestSimulatePath:
     def test_seed_determinism(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 4)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
         a = simulate_path(chain, ((4, 0, 0),), 50.0, seed=42)
         b = simulate_path(chain, ((4, 0, 0),), 50.0, seed=42)
         assert np.array_equal(a.times, b.times)
@@ -232,14 +254,14 @@ class TestSimulatePath:
 
     def test_different_seeds_differ(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 4)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
         a = simulate_path(chain, ((4, 0, 0),), 50.0, seed=1)
         b = simulate_path(chain, ((4, 0, 0),), 50.0, seed=2)
         assert not (len(a.times) == len(b.times) and np.array_equal(a.times, b.times))
 
     def test_occupancy_sums_to_one(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 3)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 3))
         path = simulate_path(chain, ((3, 0, 0),), 200.0, seed=7, burn_in=10.0)
         assert abs(path.occupancy.probabilities.sum() - 1.0) < 1e-12
         assert path.occupancy.provenance == "empirical"
@@ -249,7 +271,7 @@ class TestSimulatePath:
         # the direction of each move; this law is 0.29 in TV from that of the
         # transposed table and 0.26 from uniform
         game = make_linear_game(np.eye(3))
-        chain = build_generator(game, table_protocol([[0, 1, 4], [2, 0, 1], [1, 3, 0]]), 3)
+        chain = build_generator(game, table_protocol([[0, 1, 4], [2, 0, 1], [1, 3, 0]]), build_grid(game, 3))
         exact = exact_stationary(chain)
         path = simulate_path(chain, ((3, 0, 0),), 2000.0, seed=3, burn_in=20.0)
         tv = 0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum()
@@ -258,7 +280,7 @@ class TestSimulatePath:
     def test_binomial_occupancy(self):
         # two strategies with uniform switching settle at Binomial(N, 1/2)
         game = make_linear_game(np.zeros((2, 2)))
-        chain = build_generator(game, constant_protocol(1.0), 50)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 50))
         path = simulate_path(chain, ((50, 0),), 1e4, seed=2024, burn_in=1e2)
         target = np.zeros(51)
         target[chain.grid.ranks([(k, 50 - k) for k in range(51)])] = binom.pmf(np.arange(51), 50, 0.5)
@@ -268,7 +290,7 @@ class TestSimulatePath:
     def test_occupancy_tv_nonincreasing_in_horizon(self):
         game = make_linear_game(np.zeros((2, 2)))
         proto = constant_protocol(0.5)
-        chain = build_generator(game, proto, 4)
+        chain = build_generator(game, proto, build_grid(game, 4))
         exact = exact_stationary(chain)
         mean_tv = []
         for horizon in (1e2, 1e3, 1e4):
@@ -291,7 +313,7 @@ class TestSimulatePath:
 
         game = make_linear_game(RPS)
         proto = custom_protocol(rate_fn, support_floor=1.0, symmetric=True)
-        source = build_generator(game, proto, 10) if model == "chain" else (game, proto, 10)
+        source = build_generator(game, proto, build_grid(game, 10)) if model == "chain" else (game, proto, 10)
         calls.clear()
         with pytest.raises(KeyError, match=r"state \(\(3, 3, 3\),\) is not on the grid"):
             simulate_path(source, ((3, 3, 3),), 1.0, seed=0,
@@ -307,7 +329,7 @@ class TestSimulatePath:
     def test_chain_and_triple_give_the_same_path(self):
         game = make_linear_game(RPS)
         proto = sum_exponential_protocol(1.0)
-        chain = build_generator(game, proto, 5)
+        chain = build_generator(game, proto, build_grid(game, 5))
         a = simulate_path(chain, ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
         b = simulate_path((game, proto, 5), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
                           collect_occupancy=True)
@@ -318,19 +340,19 @@ class TestSimulatePath:
 class TestDetailedBalance:
     def test_two_strategy_chain_reversible(self):
         game = make_linear_game([[0.2, -0.1], [0.4, 0.0]])
-        chain = build_generator(game, sum_exponential_protocol(1.5), 8)
+        chain = build_generator(game, sum_exponential_protocol(1.5), build_grid(game, 8))
         report = check_detailed_balance(chain, exact_stationary(chain))
         assert report.max_imbalance <= 1e-12
 
     def test_constant_multinomial_reversible(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         report = check_detailed_balance(chain, exact_stationary(chain))
         assert report.max_imbalance <= 1e-12
 
     def test_rps_sum_exponential_breaks_balance(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, sum_exponential_protocol(2.0), 4)
+        chain = build_generator(game, sum_exponential_protocol(2.0), build_grid(game, 4))
         report = check_detailed_balance(chain, exact_stationary(chain))
         assert report.max_imbalance > 1e-6
         # pinned on first computation; guards against silent rate changes
@@ -338,7 +360,7 @@ class TestDetailedBalance:
 
     def test_requires_exact_table(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         path = simulate_path(chain, ((2, 0, 0),), 10.0, seed=0)
         with pytest.raises(ValueError, match="exact"):
             check_detailed_balance(chain, path.occupancy)

@@ -272,3 +272,35 @@ class TestRateEvaluations:
         for evaluations, events in per_path:
             assert events > 0
             assert evaluations == events + 1
+
+
+class TestStageBuilds:
+    @staticmethod
+    def _counted(monkeypatch):
+        from symgame import cli
+
+        calls = {"build_grid": 0, "decompose": 0}
+        for owner, name in ((cli.chain_mod, "build_grid"), (cli, "decompose")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.fixture
+    def rps6(self, tmp_path):
+        path = tmp_path / "rps6.cfg"
+        path.write_text(RPS_CONSTANT.replace("N = 2", "N = 6").replace("horizon = 20.0", "horizon = 1.0"))
+        return path
+
+    def test_experiment_builds_each_lattice_and_decomposition_once(self, rps6, tmp_path, monkeypatch):
+        calls = self._counted(monkeypatch)
+        assert run("experiment", rps6, tmp_path / "out") == 0
+        # the base lattice, three derived marginal chains, one occupancy grid per seed (1, 2)
+        assert calls == {"build_grid": 1 + 3 + 2, "decompose": 1}
+
+    def test_compare_builds_one_lattice(self, rps6, tmp_path, monkeypatch):
+        calls = self._counted(monkeypatch)
+        assert run("compare", rps6, tmp_path / "out") == 0
+        assert calls == {"build_grid": 1, "decompose": 1}

@@ -1,8 +1,9 @@
 """Byte-identity of the CLI artifacts for the documented example configs.
 
-Each example in ``docs/examples`` is run through ``symgame experiment``,
-``symgame simulate`` (with its configured seeds), ``validate``, ``transform``,
-``predict`` and ``compare``, and the sha256 of every file written is compared
+Each example in ``docs/examples`` is run through every command (``simulate``
+and ``experiment`` with its configured seeds), and the ``transform`` output
+of each is fed back through ``validate``, ``exact-stationary``, ``simulate``
+and ``mean-dynamic``.  The sha256 of every file written is compared
 with a recorded digest.  A change that alters any printed digit, state order
 or path fails here; one that does so on purpose must record the new digests
 and say why.
@@ -166,22 +167,125 @@ GOLDEN_COMMANDS = {
             "compare_report.txt": "8351379149f90342e9c722f3a3df57486a65942b102fa9054c788ad6936dc750",
         },
     },
+    "mean-dynamic": {
+        "coordination_table": {
+            "trajectory.csv": "2b1e15ccdb05fb00238d6a62f932ba33ad4b1043b172bd6aab565cdef578d88b",
+        },
+        "rps_constant": {
+            "trajectory.csv": "ddea4a8e594cb626c5f8b5ece999ce4c474137be5ef7e9931f8d35278205582a",
+        },
+        "rps_sum_exponential": {
+            "trajectory.csv": "db6fcc1e0cef2b1a03a4c4b5535a4e293272e5a46170fad715002558957bf3dc",
+        },
+        "two_populations": {
+            "trajectory.csv": "f6de043161f633d141d74d75e90a5a6516da47ee3c7692651291e506eca3ec89",
+        },
+    },
+    "exact-stationary": {
+        "coordination_table": {
+            "exact_stationary.csv": "8f62615988c967207674eabb60f8b7d3a3e5dcfff685ef59683dcfb2156a0155",
+        },
+        "rps_constant": {
+            "exact_stationary.csv": "80246f6bf29e0ad702f24b91bbd7afc42bd2a764789e42eac1e43f64764fbb4c",
+        },
+        "rps_sum_exponential": {
+            "exact_stationary.csv": "51f8f93273125fdd80ee501415a39e48299f9d722c5efcf254df320cb12c323a",
+        },
+        "two_populations": {
+            "exact_stationary.csv": "fd05983bb662720bcd27ef034cd42a0a01f94053cad9c307447e482067de9db7",
+        },
+    },
 }
 
+# the single-stage commands on each example's transformed_game.cfg
+GOLDEN_TRANSFORMED = {
+    "validate": {
+        "coordination_table": {
+            "validate_report.txt": "00b0bb4f0acb12fd48282ca2a324e0a3132493832dd9190fdb476b78fd3598c0",
+        },
+        "rps_constant": {
+            "validate_report.txt": "505e4651921e5f504abc4eb09174ab1d0ae0dab6b40e6224a3c2d7abf28c5fde",
+        },
+        "rps_sum_exponential": {
+            "validate_report.txt": "deee2a1539168ec8be6722050760b7aabea308ca7254b8e5d7d6308d409f1e77",
+        },
+        "two_populations": {
+            "validate_report.txt": "1bc7ed3389210751144d8ab5dcc3d7c95ded2038cb3c068b1f9775f367ca4276",
+        },
+    },
+    "exact-stationary": {
+        "coordination_table": {
+            "exact_stationary.csv": "4fc482931527d5bdfd34c1c42974176fd1e35d247782aa65b2ac6ca0971adb83",
+        },
+        "rps_constant": {
+            "exact_stationary.csv": "5fd29d73b5c3a7891512a195eef08ee0cd6fa20de4a6822aa2db11f8a75c38ac",
+        },
+        "rps_sum_exponential": {
+            "exact_stationary.csv": "e49a3af1ec772bd79379d94b9df2f2443e898c309db286f973ca39c31ad2ddf2",
+        },
+        "two_populations": {
+            "exact_stationary.csv": "04c67a6cee964164a8da80b444b9f01a8ab121837440cf948761f48f0b0a9034",
+        },
+    },
+    "simulate": {
+        "coordination_table": {
+            "occupancy_5.csv": "907a3534aee0140a677db5425ececef7817e38a833ca35482afd59fb9d37a4b3",
+            "path_5.csv": "f793242e04b11e6fe2eb00bc69536f1f1c3b86c8b254228cbae3d937518569aa",
+        },
+        "rps_constant": {
+            "occupancy_1.csv": "d0a8479668700d959f6db604a4201df912a8e95d3c7f0f8444f0d2a717b72546",
+            "occupancy_2.csv": "aba33b1be12ce7a4f5fac577a97692d6ef0357f03b0f9597e86119cf5e101bc2",
+            "occupancy_3.csv": "626156f4ed7f60b9e5484812e87d59f3bbbdf4b2f18221d055b307c3d10d2210",
+            "path_1.csv": "863dbfde958ff0e2833605d06cd59201debf5201562f4ccf4797cf9d0ac0176d",
+            "path_2.csv": "dce3388dde4efb39c6d3d4b5f59d85fd9e6e21d9ccde52192a0f79219e484c10",
+            "path_3.csv": "c910f1cd87eea61f8eefaa89156b8dc9a426d850f7bf1cf16a1a8bf08e4331ad",
+        },
+        "rps_sum_exponential": {
+            "occupancy_11.csv": "7c60d772c3be9e321a8689a9d4ae17e25f94b8519a6b206d27eaf6a6a087ea27",
+            "occupancy_12.csv": "32ca53a5c34d721e1f0442155954a93c4c4172426908a68fcbf2c27cb060dca8",
+            "path_11.csv": "e02599d697ba1a5362e9b7835439fe68b3dff2859214861b87c326409e4bccee",
+            "path_12.csv": "f3048374aa76ea62867aa397150f4de1913d0ee7753e026dffe598ee6d171738",
+        },
+        "two_populations": {
+            "occupancy_21.csv": "763679244bd700f473279bf3da4ff196ce3e0e876631df3391f52394527e0408",
+            "occupancy_22.csv": "2b2786ffee96a8b2bb5a5aecf2db852fb273cb3366d8bbb71e421d855c47a257",
+            "path_21.csv": "1f88285fa1841b881fafdc280aa92b06781e367933419c29d2eeeb40f39d8fc5",
+            "path_22.csv": "e46ee6230a0a9406f6c32952a7b55d2ba52d26fa8687a35dc87b2389613803d9",
+        },
+    },
+    "mean-dynamic": {
+        "coordination_table": {
+            "trajectory.csv": "b6c0ebfd1c1bd5a92025374d20e148262b08d3096765f98c8824c95ba9891e96",
+        },
+        "rps_constant": {
+            "trajectory.csv": "0252b6b9f866de527a09184983f06a4b1ac249c4d7d18001e947648b1b0ddd9f",
+        },
+        "rps_sum_exponential": {
+            "trajectory.csv": "cac1978f32358b100c93e6c7c0f0aa81bb1af02d14294f48f45b6c6767e60c70",
+        },
+        "two_populations": {
+            "trajectory.csv": "c75c8351d5da01114f817eafbccd8cf9bde519a9921ab07aa6002ea722721305",
+        },
+    },
+}
 
-def _digests(command, name, out):
-    assert main([command, "--config", str(EXAMPLES / f"{name}.cfg"), "--out", str(out)]) == 0
+# the derived two-strategy blocks are not symmetric, so validate reports failure
+TRANSFORMED_STATUS = {"validate": 1}
+
+
+def _digests(command, config, out, status=0):
+    assert main([command, "--config", str(config), "--out", str(out)]) == status
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_experiment_artifacts_match_recorded_digests(name, tmp_path):
-    assert _digests("experiment", name, tmp_path / name) == GOLDEN[name]
+    assert _digests("experiment", EXAMPLES / f"{name}.cfg", tmp_path / name) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
 def test_simulate_artifacts_match_recorded_digests(name, tmp_path):
-    assert _digests("simulate", name, tmp_path / name) == GOLDEN_SIMULATE[name]
+    assert _digests("simulate", EXAMPLES / f"{name}.cfg", tmp_path / name) == GOLDEN_SIMULATE[name]
 
 
 @pytest.mark.parametrize(
@@ -189,4 +293,16 @@ def test_simulate_artifacts_match_recorded_digests(name, tmp_path):
     [(command, name) for command, per_name in GOLDEN_COMMANDS.items() for name in sorted(per_name)],
 )
 def test_stage_artifacts_match_recorded_digests(command, name, tmp_path):
-    assert _digests(command, name, tmp_path / name) == GOLDEN_COMMANDS[command][name]
+    digests = _digests(command, EXAMPLES / f"{name}.cfg", tmp_path / name)
+    assert digests == GOLDEN_COMMANDS[command][name]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command, per_name in GOLDEN_TRANSFORMED.items() for name in sorted(per_name)],
+)
+def test_transformed_round_trip_matches_recorded_digests(command, name, tmp_path):
+    _digests("transform", EXAMPLES / f"{name}.cfg", tmp_path / "transform")
+    config = tmp_path / "transform" / "transformed_game.cfg"
+    digests = _digests(command, config, tmp_path / name, TRANSFORMED_STATUS.get(command, 0))
+    assert digests == GOLDEN_TRANSFORMED[command][name]

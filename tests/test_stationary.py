@@ -44,7 +44,7 @@ class TestBirthDeathWeights:
         # oracle: the 3-state generator with the same up/down rates
         game = make_linear_game(np.zeros((2, 2)))
         proto = table_protocol([[0.0, 2.0], [1.0, 0.0]])
-        chain = build_generator(game, proto, 2)
+        chain = build_generator(game, proto, build_grid(game, 2))
         exact = exact_stationary(chain)
         w = birth_death_weights(flat_spec(1.0, 2.0, 2)).normalized()
         probs = exact.probabilities[chain.grid.ranks([(k, 2 - k) for k in range(3)])]
@@ -65,7 +65,7 @@ class TestBirthDeathWeights:
             for i, spec in enumerate(specs_from_transform(tg, N)):
                 w = birth_death_weights(spec).normalized()
                 mg, mp = tg.marginal_game(i)
-                chain = build_generator(mg, mp, N)
+                chain = build_generator(mg, mp, build_grid(mg, N))
                 exact = exact_stationary(chain)
                 probs = exact.probabilities[chain.grid.ranks([(k, N - k) for k in range(N + 1)])]
                 assert 0.5 * np.abs(w - probs).sum() <= 1e-10
@@ -218,7 +218,7 @@ class TestCompare:
 class TestMarginalFromExact:
     def test_constant_marginals_are_binomial(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 4)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
         exact = exact_stationary(chain)
         for i in range(3):
             marg = marginal_from_exact(exact, i)
@@ -227,7 +227,7 @@ class TestMarginalFromExact:
 
     def test_two_strategy_identity_projection(self):
         game = make_linear_game(np.zeros((2, 2)))
-        chain = build_generator(game, constant_protocol(1.0), 5)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 5))
         exact = exact_stationary(chain)
         marg = marginal_from_exact(exact, 0)
         probs = exact.probabilities[chain.grid.ranks([(k, 5 - k) for k in range(6)])]
@@ -244,7 +244,7 @@ class TestMarginalFromExact:
 
     def test_index_out_of_range(self):
         game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), 2)
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
         exact = exact_stationary(chain)
         with pytest.raises(IndexError):
             marginal_from_exact(exact, 3)

@@ -5,6 +5,7 @@ from symgame import (
     SocialState,
     SymgameError,
     build_generator,
+    build_grid,
     constant_protocol,
     decompose,
     derived_block,
@@ -332,12 +333,12 @@ class TestDecompose:
         game = make_linear_game(RPS)
         tg = decompose(game, constant_protocol(1.0))
         dg, protocols = tg.as_population_game()
-        joint_chain = build_generator(dg, protocols, 2)
+        joint_chain = build_generator(dg, protocols, build_grid(dg, 2))
         joint = exact_stationary(joint_chain)
         marginal_tables = []
         for i in range(3):
             mg, mp = tg.marginal_game(i)
-            mchain = build_generator(mg, mp, 2)
+            mchain = build_generator(mg, mp, build_grid(mg, 2))
             mexact = exact_stationary(mchain)
             marginal_tables.append(mexact.probabilities)
         a, b, c = marginal_tables
