@@ -10,7 +10,6 @@ expected velocity field of this process is exactly the mean dynamic.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import splu
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _format_rows
 from .errors import ProtocolError, ReducibleChainError
 from .games import (
     DEFAULT_GRID_LIMIT,
@@ -83,6 +82,11 @@ def build_grid(
     return StateGrid(game.strategy_counts, sizes, resolutions, limit=limit)
 
 
+def _counts_format(strategy_counts: Sequence[int]) -> str:
+    # one lattice state as StateGrid.format_state prints it, as a ``%`` format
+    return "|".join(" ".join(["%d"] * n) for n in strategy_counts)
+
+
 @dataclass(frozen=True, eq=False)
 class StationaryTable:
     """A probability distribution over a state grid with provenance.
@@ -113,11 +117,10 @@ class StationaryTable:
         object.__setattr__(self, "probabilities", probs)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("state_counts,probability,provenance\n")
-        for ordinal, prob in enumerate(self.probabilities):
-            buf.write(f"{self.grid.format_state(ordinal)},{prob:.17g},{self.provenance}\n")
-        return buf.getvalue()
+        provenance = self.provenance.replace("%", "%%")
+        line = f"{_counts_format(self.grid.strategy_counts)},%.17g,{provenance}\n"
+        rows = _format_rows(line, self.grid.counts, self.probabilities[:, None])
+        return "state_counts,probability,provenance\n" + rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +164,7 @@ def build_generator(
     Rate of ``x -> x + (e_j - e_i)/N^p`` is ``N^p x_i^p rho^p_ij(F(x), x^p)``,
     i.e. ``k_i^p`` agents each revising at the conditional rate.  Diagonal
     entries are the negative row sums.  The rate matrices come from
-    :func:`symgame.games.grid_rates`, one evaluation per state, or from
+    :func:`symgame.games.grid_rates`, evaluated once per grid, or from
     ``rates`` when the caller already holds them for this grid; edges are
     then assembled with array operations, ordered by source state,
     population, from- and to-strategy.
@@ -334,16 +337,8 @@ class PathResult:
         return self.counts / scale
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,state_counts\n")
-        offsets = np.concatenate(([0], np.cumsum(self.strategy_counts)))
-        for t, row in zip(self.times, self.counts):
-            parts = "|".join(
-                " ".join(str(int(v)) for v in row[offsets[p]:offsets[p + 1]])
-                for p in range(len(self.strategy_counts))
-            )
-            buf.write(f"{t:.17g},{parts}\n")
-        return buf.getvalue()
+        line = f"%.17g,{_counts_format(self.strategy_counts)}\n"
+        return "t,state_counts\n" + _format_rows(line, self.times[:, None], self.counts)
 
 
 def _normalize_x0(x0, strategy_counts, resolutions, sizes) -> list[np.ndarray]:

@@ -8,7 +8,6 @@ Trajectories come from fixed-step RK4 so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +17,24 @@ from .errors import IntegrationDivergedError
 from .games import PopulationGame, RevisionProtocol, SocialState, checked_rates, protocol_tuple
 
 __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_point"]
+
+
+_ROW_BLOCK = 1024
+
+
+def _format_rows(line: str, left: np.ndarray, right: np.ndarray) -> str:
+    """``line % (*left[k], *right[k])`` for every row ``k`` of two 2-D arrays, joined.
+
+    ``"%.17g" % v`` prints the same as ``f"{v:.17g}"``.  Each block of rows
+    becomes one flat tuple of Python numbers, formatted by ``line`` repeated
+    once per row, so the objects alive at once stay small next to the text.
+    """
+    blocks = []
+    for a in range(0, len(left), _ROW_BLOCK):
+        block = slice(a, a + _ROW_BLOCK)
+        rows = np.concatenate((left[block], right[block]), axis=1, dtype=object)
+        blocks.append((line * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,15 +65,12 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Tabular text: header ``t,x_1,...,x_n`` (population blocks in order)."""
-        buf = io.StringIO()
         names = []
         for p, n in enumerate(self.strategy_counts):
             tag = "" if len(self.strategy_counts) == 1 else f"p{p + 1}_"
             names.extend(f"{tag}x_{i + 1}" for i in range(n))
-        buf.write("t," + ",".join(names) + "\n")
-        for t, row in zip(self.times, self.states):
-            buf.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
+        line = ",".join(["%.17g"] * (1 + len(names))) + "\n"
+        return "t," + ",".join(names) + "\n" + _format_rows(line, self.times[:, None], self.states)
 
 
 def _rhs_parts(game, protocols, parts):

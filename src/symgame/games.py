@@ -119,12 +119,18 @@ class PopulationGame:
     """A population game: masses, strategy counts, and a total payoff map.
 
     ``payoff(state)`` must return one payoff vector per population for every
-    valid :class:`SocialState` (it never raises on valid input).
+    valid :class:`SocialState` (it never raises on valid input).  A
+    ``vectorized`` game declares that the same callable also takes a state
+    whose parts carry a leading axis of states, ``(S, n_p)`` each, and
+    returns one ``(S, n_p)`` payoff array per population, row ``s`` equal to
+    the payoff at state ``s``.  With vectorized protocols too,
+    :func:`grid_rates` evaluates a whole lattice in one call each.
     """
 
     masses: tuple[float, ...]
     strategy_counts: tuple[int, ...]
     payoff: PayoffFn
+    vectorized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
@@ -177,6 +183,12 @@ class PopulationGame:
         )
 
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # a stack of states goes through one gemv per state, as a single ``A @ x``
+    # does, so both give the same bits (``x @ A.T`` does not)
+    return A @ x if x.ndim == 1 else np.matmul(A, x[..., None])[..., 0]
+
+
 def make_linear_game(payoff_matrix, mass: float = 1.0) -> PopulationGame:
     """Single-population game with linear payoffs ``A @ x``.
 
@@ -192,9 +204,11 @@ def make_linear_game(payoff_matrix, mass: float = 1.0) -> PopulationGame:
     A.setflags(write=False)
 
     def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
-        return (A @ state.parts[0],)
+        return (_matvec(A, state.parts[0]),)
 
-    return PopulationGame(masses=(float(mass),), strategy_counts=(A.shape[0],), payoff=payoff)
+    return PopulationGame(
+        masses=(float(mass),), strategy_counts=(A.shape[0],), payoff=payoff, vectorized=True
+    )
 
 
 def make_separable_game(payoff_matrices, masses=None) -> PopulationGame:
@@ -210,12 +224,13 @@ def make_separable_game(payoff_matrices, masses=None) -> PopulationGame:
         masses = [1.0] * len(mats)
 
     def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
-        return tuple(A @ x for A, x in zip(mats, state.parts, strict=True))
+        return tuple(_matvec(A, x) for A, x in zip(mats, state.parts, strict=True))
 
     return PopulationGame(
         masses=tuple(masses),
         strategy_counts=tuple(A.shape[0] for A in mats),
         payoff=payoff,
+        vectorized=True,
     )
 
 
@@ -226,7 +241,10 @@ class RevisionProtocol:
     ``rate_fn(payoffs, state_part)`` returns the n x n rate matrix for one
     population.  ``support_floor`` is the declared lower rate bound (> 0 for a
     fully supported protocol).  Diagonal entries are carried but never drive
-    transitions.
+    transitions.  A ``vectorized`` protocol declares that the same
+    ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per state,
+    and returns the ``(S, n, n)`` stack of their rate matrices; the built-in
+    protocols are vectorized.
     """
 
     kind: str
@@ -234,6 +252,7 @@ class RevisionProtocol:
     support_floor: float = 0.0
     symmetric: bool | None = None
     params: dict = field(default_factory=dict)
+    vectorized: bool = False
 
     def rates(self, payoffs: np.ndarray, state_part: np.ndarray) -> np.ndarray:
         """Evaluate and validate the rate matrix at one (payoff, state) pair."""
@@ -259,10 +278,11 @@ def constant_protocol(c: float = 1.0) -> RevisionProtocol:
         raise ValueError(f"constant rate must be positive and finite, got {c}")
     return RevisionProtocol(
         kind="constant",
-        rate_fn=lambda pi, x: np.full((len(x), len(x)), c),
+        rate_fn=lambda pi, x: np.full((*x.shape, x.shape[-1]), c),
         support_floor=c,
         symmetric=True,
         params={"c": c},
+        vectorized=True,
     )
 
 
@@ -277,7 +297,7 @@ def sum_exponential_protocol(eta: float, support_floor: float = 0.0) -> Revision
 
     def rate_fn(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
         u = np.exp(eta * pi)
-        return np.outer(u, u)
+        return u[..., :, None] * u[..., None, :]
 
     return RevisionProtocol(
         kind="sum_exponential",
@@ -285,6 +305,7 @@ def sum_exponential_protocol(eta: float, support_floor: float = 0.0) -> Revision
         support_floor=float(support_floor),
         symmetric=True,
         params={"eta": eta},
+        vectorized=True,
     )
 
 
@@ -299,9 +320,11 @@ def table_protocol(matrix, support_floor: float | None = None) -> RevisionProtoc
     floor = float(M.min()) if support_floor is None else float(support_floor)
 
     def rate_fn(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if len(x) != M.shape[0]:
-            raise ValueError(f"rate table is {M.shape[0]}x{M.shape[0]}, state has {len(x)} strategies")
-        return M
+        if x.shape[-1] != M.shape[0]:
+            raise ValueError(
+                f"rate table is {M.shape[0]}x{M.shape[0]}, state has {x.shape[-1]} strategies"
+            )
+        return M if x.ndim == 1 else np.broadcast_to(M, (*x.shape[:-1], *M.shape))
 
     return RevisionProtocol(
         kind="table",
@@ -309,6 +332,7 @@ def table_protocol(matrix, support_floor: float | None = None) -> RevisionProtoc
         support_floor=floor,
         symmetric=bool(np.array_equal(M, M.T)),
         params={"matrix": M},
+        vectorized=True,
     )
 
 
@@ -512,6 +536,26 @@ def checked_rates(
     return [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
 
 
+def _payoff_arrays(game: PopulationGame, state: SocialState, n_pops: int) -> list[np.ndarray]:
+    values = game.payoff(state)
+    if isinstance(values, np.ndarray) and n_pops == 1:
+        values = (values,)
+    return [np.asarray(v, dtype=float) for v in values]
+
+
+def _per_state_rates(game, protocols, fractions, resolutions):
+    # one payoff and one rate_fn call per state; no rates once a payoff has the wrong shape
+    shapes = [(x.shape[1],) for x in fractions]
+    payoffs, rates = [], []
+    for parts in zip(*fractions):
+        values = _payoff_arrays(game, SocialState._unchecked(parts, resolutions), len(protocols))
+        if [v.shape for v in values] != shapes:
+            return payoffs, None
+        payoffs.append(values)
+        rates.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, values, parts)])
+    return list(zip(*payoffs)), list(zip(*rates))
+
+
 def grid_rates(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
@@ -519,10 +563,12 @@ def grid_rates(
 ) -> tuple[np.ndarray, ...]:
     """Switch-rate matrices at every grid state: one ``(len(grid), n_p, n_p)`` array per population.
 
-    The payoff map and each ``rate_fn`` are called exactly once per state, on
-    the lattice fractions ``counts / resolution``.  Shape, finiteness and
-    sign are checked once on the stacked results; a violation raises the
-    error that :meth:`PopulationGame.payoff_at` or
+    Payoffs and rates are evaluated on the lattice fractions ``counts /
+    resolution``.  When the game and every protocol are ``vectorized``, the
+    payoff map and each ``rate_fn`` are called once, on the whole stack of
+    states; otherwise each is called exactly once per state.  Shape,
+    finiteness and sign are checked once on the stacked results; a violation
+    raises the error that :meth:`PopulationGame.payoff_at` or
     :meth:`RevisionProtocol.rates` gives at the first offending state.
     """
     protocols = protocol_tuple(protocol, game)
@@ -532,27 +578,24 @@ def grid_rates(
     ]
     for x in fractions:
         x.setflags(write=False)
-    shapes = [(n,) for n in grid.strategy_counts]
-    payoffs, rates = [], []
-    for parts in zip(*fractions):
-        values = game.payoff(SocialState._unchecked(parts, grid.resolutions))
-        if isinstance(values, np.ndarray) and len(protocols) == 1:
-            values = (values,)
-        values = [np.asarray(v, dtype=float) for v in values]
-        if [v.shape for v in values] != shapes:
-            break
-        payoffs.append(values)
-        rates.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, values, parts)])
+    if game.vectorized and all(proto.vectorized for proto in protocols):
+        state = SocialState._unchecked(tuple(fractions), grid.resolutions)
+        payoffs = _payoff_arrays(game, state, len(protocols))
+        rates = None
+        if [v.shape for v in payoffs] == [x.shape for x in fractions]:
+            rates = [proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, fractions)]
+    else:
+        payoffs, rates = _per_state_rates(game, protocols, fractions, grid.resolutions)
     try:
-        stacked = tuple(np.array(r, dtype=float) for r in zip(*rates))
+        stacked = tuple(np.ascontiguousarray(rho, dtype=float) for rho in rates or ())
     except (TypeError, ValueError):
         stacked = ()
-    if len(rates) < len(grid) or not stacked or not all(
-        rho.shape[1:] == (n, n)
+    if not stacked or not all(
+        rho.shape == (len(grid), n, n)
         and np.isfinite(pay).all()
         and np.isfinite(rho).all()
         and (rho >= 0).all()
-        for rho, pay, n in zip(stacked, zip(*payoffs), grid.strategy_counts)
+        for rho, pay, n in zip(stacked, payoffs, grid.strategy_counts)
     ):
         # re-evaluate in order through the validating path for the precise error
         for ordinal in range(len(grid)):
@@ -570,7 +613,7 @@ def validate_hypotheses(
     """Check rate symmetry and full support over sample states or a whole grid.
 
     A :class:`StateGrid` makes the check exhaustive.  Its rates come from
-    :func:`grid_rates`, one evaluation per state; pass its result as
+    :func:`grid_rates`, evaluated once per grid; pass its result as
     ``rates`` to share it with :func:`symgame.chain.build_generator`.
     """
     if not len(states):

@@ -14,8 +14,12 @@ that the sparse factorization in :func:`symgame.exact_stationary` replaced,
 validated state and validated rates on every call, and
 ``_reference_birth_death_weights`` the product loop that called the up and
 down rates as functions of the fraction, one derived rate block per call.
+``_reference_grid_rates`` is the per-state payoff and rate loop that
+:func:`symgame.games.grid_rates` keeps for custom callables, and the three
+``_reference_*_csv`` functions the per-row f-string CSV writers.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -27,12 +31,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgame import (
+    PathResult,
+    PopulationGame,
     ProtocolError,
     ReducibleChainError,
+    RevisionProtocol,
     SocialState,
     SymgameError,
     StateGrid,
     StationaryTable,
+    Trajectory,
     birth_death_weights,
     build_generator,
     check_detailed_balance,
@@ -51,8 +59,8 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame.chain import _communicating_classes, build_grid
-from symgame.dynamics import _rhs_parts
-from symgame.games import count_states, protocol_tuple
+from symgame.dynamics import _ROW_BLOCK, _rhs_parts
+from symgame.games import count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
 
@@ -121,6 +129,48 @@ def _reference_generator(game, protocol, resolution):
         "from_strategy": np.asarray(s_from, dtype=np.int32),
         "to_strategy": np.asarray(s_to, dtype=np.int32),
     }
+
+
+def _reference_grid_rates(game, protocols, grid):
+    # one payoff and one rate_fn call per state, stacked afterwards
+    per_state = []
+    for ordinal in range(len(grid)):
+        state = grid.social_state(ordinal)
+        payoffs = game.payoff(state)
+        per_state.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, state.parts)])
+    return [np.array(stack, dtype=float) for stack in zip(*per_state)]
+
+
+def _reference_table_csv(table):
+    grid = table.grid
+    rows = [
+        f"{grid.format_state(ordinal)},{prob:.17g},{table.provenance}\n"
+        for ordinal, prob in enumerate(table.probabilities)
+    ]
+    return "state_counts,probability,provenance\n" + "".join(rows)
+
+
+def _reference_path_csv(path):
+    offsets = np.concatenate(([0], np.cumsum(path.strategy_counts)))
+    lines = ["t,state_counts\n"]
+    for t, row in zip(path.times, path.counts):
+        parts = "|".join(
+            " ".join(str(int(v)) for v in row[offsets[p]:offsets[p + 1]])
+            for p in range(len(path.strategy_counts))
+        )
+        lines.append(f"{t:.17g},{parts}\n")
+    return "".join(lines)
+
+
+def _reference_trajectory_csv(traj):
+    names = []
+    for p, n in enumerate(traj.strategy_counts):
+        tag = "" if len(traj.strategy_counts) == 1 else f"p{p + 1}_"
+        names.extend(f"{tag}x_{i + 1}" for i in range(n))
+    lines = ["t," + ",".join(names) + "\n"]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
 
 
 def _reference_balance(chain, mu):
@@ -450,11 +500,28 @@ class TestBuildGenerator:
             lambda pi, x: np.full((len(x), len(x)), np.inf if x[0] < 0.3 else 1.0),
             lambda pi, x: np.ones((len(x), len(x) + (x[1] > 0.5))),  # wrong shape at some states
             lambda pi, x: np.ones(len(x)) if x[2] > 0.6 else np.ones((len(x), len(x))),
+            # stacked evaluation: exp(500 (pi_i + pi_j)) overflows where a payoff sum exceeds 1.42
+            pytest.param(
+                sum_exponential_protocol(500.0),
+                id="sum_exponential_overflow",
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+            ),
+            pytest.param(
+                RevisionProtocol(
+                    kind="one_stack",
+                    rate_fn=lambda pi, x: np.ones((1, x.shape[-1], x.shape[-1])),
+                    vectorized=True,
+                ),
+                id="vectorized_wrong_stack",
+            ),
         ],
     )
     def test_invalid_rates_raise_the_per_state_error(self, bad_rate_fn):
         game = make_linear_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
-        proto = custom_protocol(bad_rate_fn)
+        if isinstance(bad_rate_fn, RevisionProtocol):
+            proto = bad_rate_fn
+        else:
+            proto = custom_protocol(bad_rate_fn)
         with pytest.raises((ValueError, ProtocolError)) as expected:
             _reference_generator(game, proto, 4)
         with pytest.raises(expected.type, match=None) as got:
@@ -467,12 +534,23 @@ class TestBuildGenerator:
             lambda s: (np.array([1.0, np.nan]) if s.parts[0][0] > 0.5 else np.zeros(2),),
             lambda s: (np.zeros(3 if s.parts[0][0] > 0.5 else 2),),
             lambda s: (np.zeros(2), np.zeros(2)) if s.parts[0][0] > 0.5 else (np.zeros(2),),
+            # stacked evaluation: NaN in the rows of the states with x_1 > 1/2
+            pytest.param(
+                PopulationGame(
+                    masses=(1.0,),
+                    strategy_counts=(2,),
+                    payoff=lambda s: (np.where(s.parts[0][..., :1] > 0.5, [1.0, np.nan], 0.0),),
+                    vectorized=True,
+                ),
+                id="vectorized_nan",
+            ),
         ],
     )
     def test_invalid_payoffs_raise_the_per_state_error(self, bad_payoff):
-        from symgame import PopulationGame
-
-        game = PopulationGame(masses=(1.0,), strategy_counts=(2,), payoff=bad_payoff)
+        if isinstance(bad_payoff, PopulationGame):
+            game = bad_payoff
+        else:
+            game = PopulationGame(masses=(1.0,), strategy_counts=(2,), payoff=bad_payoff)
         with pytest.raises(ValueError) as expected:
             _reference_generator(game, constant_protocol(1.0), 4)
         with pytest.raises(ValueError) as got:
@@ -656,3 +734,105 @@ class TestBirthDeathRates:
                 got = birth_death_weights(spec)
                 assert got.weights.tobytes() == weights.tobytes()
                 assert got.degenerate == degenerate
+
+
+def _counted(fn, calls, key):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return counted
+
+
+class TestGridRates:
+    @given(models())
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_evaluation_matches_the_per_state_loop(self, model):
+        game, protocols, resolution = model
+        grid = build_grid(game, resolution)
+        calls = collections.Counter()
+        counted_game = dataclasses.replace(game, payoff=_counted(game.payoff, calls, "payoff"))
+        counted_protocols = tuple(
+            dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, p))
+            for p, proto in enumerate(protocols)
+        )
+        got = grid_rates(counted_game, counted_protocols, grid)
+        want = _reference_grid_rates(game, protocols, grid)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        # the built-in games and protocols are stacked; one custom protocol
+        # sends the whole grid through the per-state loop
+        assert game.vectorized
+        stacked = all(proto.kind != "custom" for proto in protocols)
+        assert stacked == all(proto.vectorized for proto in protocols)
+        per_callable = 1 if stacked else len(grid)
+        assert calls == {"payoff": per_callable, **{p: per_callable for p in range(len(protocols))}}
+
+    def test_vectorized_rate_fn_runs_once_per_population(self):
+        game = make_separable_game([[[0, 1], [1, 0]], [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]])
+        calls = collections.Counter()
+        proto = sum_exponential_protocol(0.7)
+        counted = dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, "rate_fn"))
+        grid = build_grid(game, 4)
+        for _ in range(2):
+            grid_rates(game, counted, grid)
+        assert len(grid) == 5 * 15
+        assert calls == {"rate_fn": 2 * 2}  # two calls, two populations each
+
+    def test_table_checks_the_last_axis_of_a_stack(self):
+        proto = table_protocol(np.arange(9.0).reshape(3, 3))
+        stack = proto.rate_fn(np.zeros((4, 3)), np.full((4, 3), 1.0 / 3))
+        assert stack.shape == (4, 3, 3)
+        assert np.array_equal(stack, np.broadcast_to(proto.params["matrix"], (4, 3, 3)))
+        with pytest.raises(ValueError, match="rate table is 3x3, state has 2 strategies"):
+            proto.rate_fn(np.zeros((3, 2)), np.full((3, 2), 0.5))
+
+
+# probabilities whose 17-digit rendering is easy to get wrong: zero, tiny,
+# subnormal, the smallest subnormal and one
+_AWKWARD = (0.0, 8e-20, 1e-310, 5e-324, 1.0)
+
+
+class TestCsvWriters:
+    @given(
+        layouts(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["exact", "empirical", "predicted-product-form", "50%-mix"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_format_string_matches_per_row_f_strings(self, layout, seed, provenance):
+        strategy_counts, sizes = layout
+        grid = StateGrid(strategy_counts, sizes, [max(s, 1) for s in sizes])
+        rng = np.random.default_rng(seed)
+        n = len(grid)
+        # a spread law, or a point mass; the awkward values ride along in both
+        probs = rng.dirichlet(np.ones(n)) if rng.random() < 0.5 else np.eye(n)[rng.integers(n)]
+        awkward = (rng.random(n) < 0.4) & (probs < 1.0)
+        awkward[rng.integers(n)] = False
+        probs[awkward] = rng.choice(_AWKWARD[:-1], size=int(awkward.sum()))
+        probs[~awkward] /= probs[~awkward].sum()
+        table = StationaryTable(grid=grid, probabilities=probs, provenance=provenance)
+        assert table.to_csv() == _reference_table_csv(table)
+
+        # path and trajectory lengths on both sides of the writers' row blocks
+        lengths = [1, 2, 17, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3]
+        picks = rng.integers(n, size=int(rng.choice(lengths)))
+        times = np.concatenate(([0.0], np.sort(rng.exponential(size=len(picks) - 1))))
+        path = PathResult(
+            times=times, counts=grid.counts[picks], horizon=float(times[-1]) + 1.0, seed=seed,
+            strategy_counts=strategy_counts, resolutions=grid.resolutions,
+        )
+        assert path.to_csv() == _reference_path_csv(path)
+
+        values = np.concatenate((_AWKWARD, [-0.0, 1 / 3, -2.5e-17, 1e300, np.inf, np.nan]))
+        shape = (len(times), grid.counts.shape[1])
+        states = np.where(
+            rng.random(shape) < 0.5, rng.choice(values, size=shape), rng.uniform(-1.0, 2.0, size=shape)
+        )
+        traj = Trajectory(
+            times=times, states=states, dt=0.1, strategy_counts=strategy_counts,
+            masses=(1.0,) * len(strategy_counts),
+        )
+        assert traj.to_csv() == _reference_trajectory_csv(traj)
