@@ -284,9 +284,10 @@ def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
         raise SymgameError(f"{command} needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
     occupancy = count_states(model.game.strategy_counts, [sum(p) for p in x0]) <= CHAIN_STATE_BUDGET
+    lattice = model.grid if occupancy else model.resolutions
     for seed in config.seeds:
         path = chain_mod.simulate_path(
-            (model.game, model.protocols, model.resolutions), x0, config.horizon, seed,
+            (model.game, model.protocols, lattice), x0, config.horizon, seed,
             burn_in=config.burn_in,
             collect_occupancy=occupancy,
         )

@@ -13,6 +13,7 @@ import configparser
 import difflib
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,18 @@ def _parse_list(text: str, conv, label: str, problems: list[str]):
         return None
 
 
+def _parse_number(text: str, conv, label: str, problems: list[str]):
+    """``conv(text)`` if it is a finite number; else a labelled problem and NaN, which fails no later check."""
+    try:
+        value = conv(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    problems.append(f"{label}: expected a finite number, got {text!r}")
+    return math.nan
+
+
 def _get(parser, section, key, default=None):
     if parser.has_option(section, key):
         return parser.get(section, key)
@@ -194,9 +207,13 @@ def parse_config(text: str) -> ExperimentConfig:
             M = _parse_matrix(raw, "game section", problems)
             if M is not None:
                 matrices = [M]
-        masses = [float(_get(parser, "game", "mass", "1.0"))]
+        raw = _get(parser, "game", "mass", "1.0")
+        masses = [_parse_number(raw, float, "game section (mass)", problems)]
     elif game_type == "table-payoff":
-        count = int(_get(parser, "game", "populations", "1"))
+        raw = _get(parser, "game", "populations", "1")
+        count = _parse_number(raw, int, "game section (populations)", problems)
+        if math.isnan(count):  # go on with one population per matrix given
+            count = len(matrix_keys_seen["game"])
         for p in range(1, count + 1):
             raw = _get(parser, "game", f"payoff_matrix_{p}")
             if raw is None:
@@ -222,9 +239,11 @@ def parse_config(text: str) -> ExperimentConfig:
     kind = _get(parser, "protocol", "kind")
     params: dict = {}
     protocol_matrices: list[np.ndarray] = []
-    support_floor = float(_get(parser, "protocol", "support_floor", "0.0"))
+    support_floor = _parse_number(
+        _get(parser, "protocol", "support_floor", "0.0"), float, "protocol section (support_floor)", problems
+    )
     if kind == "constant":
-        c = float(_get(parser, "protocol", "c", "1.0"))
+        c = _parse_number(_get(parser, "protocol", "c", "1.0"), float, "protocol section (c)", problems)
         params["c"] = c
         if support_floor == 0.0:
             support_floor = c
@@ -233,7 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if raw is None:
             problems.append("protocol section: sum_exponential needs 'eta'")
         else:
-            params["eta"] = float(raw)
+            params["eta"] = _parse_number(raw, float, "protocol section (eta)", problems)
     elif kind == "table":
         keys = ["matrix"] if parser.has_option("protocol", "matrix") else sorted(
             matrix_keys_seen["protocol"]
@@ -250,10 +269,10 @@ def parse_config(text: str) -> ExperimentConfig:
     # --- run section ---
     raw_n = _get(parser, "run", "N", "2")
     resolutions = _parse_list(raw_n, int, "run section (N)", problems) or []
-    horizon = float(_get(parser, "run", "horizon", "10.0"))
-    dt = float(_get(parser, "run", "dt", "0.01"))
-    burn_in_raw = _get(parser, "run", "burn_in")
-    burn_in = float(burn_in_raw) if burn_in_raw is not None else horizon / 10.0
+    horizon = _parse_number(_get(parser, "run", "horizon", "10.0"), float, "run section (horizon)", problems)
+    dt = _parse_number(_get(parser, "run", "dt", "0.01"), float, "run section (dt)", problems)
+    raw = _get(parser, "run", "burn_in")
+    burn_in = horizon / 10.0 if raw is None else _parse_number(raw, float, "run section (burn_in)", problems)
     seeds = _parse_list(_get(parser, "run", "seeds", ""), int, "run section (seeds)", problems) or []
     x0_raw = _get(parser, "run", "x0")
     x0 = None
@@ -278,7 +297,7 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append(f"run section: horizon must be positive, got {horizon}")
     if dt <= 0 or (horizon > 0 and dt > horizon):
         problems.append(f"run section: need 0 < dt <= horizon, got dt={dt}")
-    if not 0 <= burn_in < max(horizon, 1e-300):
+    if burn_in < 0 or burn_in >= max(horizon, 1e-300):
         problems.append(f"run section: burn_in must lie in [0, horizon), got {burn_in}")
     for N in resolutions:
         if N < 1:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .games import PopulationGame, RevisionProtocol, SocialState, checked_rates, protocol_tuple
+from .games import PopulationGame, RevisionProtocol, SocialState, _checked_rates, protocol_tuple
 
 __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_point"]
 
@@ -74,32 +74,9 @@ class Trajectory:
 
 
 def _rhs_parts(game, protocols, parts):
-    # the payoff map and rate functions run on raw arrays; shape, finiteness
-    # and sign are checked once on the results
+    # RK4 stages can undershoot zero slightly; rates are taken at the clamped state
     xs = tuple(np.maximum(p, 0.0) for p in parts)
-    for x in xs:
-        x.setflags(write=False)
-    try:
-        payoffs = game.payoff(SocialState._unchecked(xs))
-        if isinstance(payoffs, np.ndarray) and len(protocols) == 1:
-            payoffs = (payoffs,)
-        pis = [np.asarray(v, dtype=float) for v in payoffs]
-        rates = [
-            np.asarray(proto.rate_fn(pi, x), dtype=float)
-            for proto, pi, x in zip(protocols, pis, xs, strict=True)
-        ]
-        valid = all(
-            pi.shape == x.shape and rho.shape == (len(x), len(x))
-            for pi, x, rho in zip(pis, xs, rates)
-        )
-        if valid:
-            flat = np.concatenate([*xs, *pis, *(rho.ravel() for rho in rates)])
-            valid = bool(np.isfinite(flat).all()) and min(rho.min() for rho in rates) >= 0
-    except (TypeError, ValueError, IndexError):
-        valid = False
-    if not valid:
-        # the validating path raises the precise error, or agrees if nothing is wrong
-        rates = checked_rates(game, protocols, SocialState(parts=xs))
+    rates = _checked_rates(game, protocols, xs)
     return [rho.T @ x - x * rho.sum(axis=1) for rho, x in zip(rates, xs)]
 
 

@@ -526,34 +526,49 @@ class ValidationReport:
 SYMMETRY_TOL = 1e-14
 
 
-def checked_rates(
-    game: PopulationGame, protocols: Sequence[RevisionProtocol], state: SocialState
-) -> list[np.ndarray]:
-    """Rate matrices at one state through the validating path, which raises the precise error.
-
-    The unchecked fast paths re-walk states through it once their bulk check has failed.
-    """
-    return [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
-
-
-def _payoff_arrays(game: PopulationGame, state: SocialState, n_pops: int) -> list[np.ndarray]:
-    values = game.payoff(state)
-    if isinstance(values, np.ndarray) and n_pops == 1:
+def _evaluate(game, protocols, parts, denominators):
+    # the payoff map, then each rate_fn, called once on one state or on one
+    # stack of states; None when an output has the wrong count or shape
+    values = game.payoff(SocialState._unchecked(parts, denominators))
+    if isinstance(values, np.ndarray) and len(protocols) == 1:
         values = (values,)
-    return [np.asarray(v, dtype=float) for v in values]
+    payoffs = [np.asarray(v, dtype=float) for v in values]
+    if [pi.shape for pi in payoffs] != [x.shape for x in parts]:
+        return None
+    rates = [np.asarray(proto.rate_fn(pi, x), dtype=float) for proto, pi, x in zip(protocols, payoffs, parts)]
+    if all(rho.shape == (*x.shape, x.shape[-1]) for rho, x in zip(rates, parts)):
+        return payoffs, rates
+    return None
 
 
-def _per_state_rates(game, protocols, fractions, resolutions):
-    # one payoff and one rate_fn call per state; no rates once a payoff has the wrong shape
-    shapes = [(x.shape[1],) for x in fractions]
-    payoffs, rates = [], []
-    for parts in zip(*fractions):
-        values = _payoff_arrays(game, SocialState._unchecked(parts, resolutions), len(protocols))
-        if [v.shape for v in values] != shapes:
-            return payoffs, None
-        payoffs.append(values)
-        rates.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, values, parts)])
-    return list(zip(*payoffs)), list(zip(*rates))
+def _checked_rates(game, protocols, parts, denominators=None) -> list[np.ndarray]:
+    """Rate matrices at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
+
+    ``parts`` are made read-only.  A stack takes one call of the payoff map
+    and of each ``rate_fn`` when the game and every protocol are
+    ``vectorized``, else one per state.  States, payoffs and rates are then
+    screened once for shape, finiteness and sign; on a failure the states are
+    re-evaluated in order through :meth:`PopulationGame.payoff_at` and
+    :meth:`RevisionProtocol.rates`, which raise the precise error at the
+    first offending state.
+    """
+    for x in parts:
+        x.setflags(write=False)
+    if parts[0].ndim == 1 or (game.vectorized and all(proto.vectorized for proto in protocols)):
+        out = _evaluate(game, protocols, parts, denominators)
+    else:
+        rows = [_evaluate(game, protocols, row, denominators) for row in zip(*parts)]
+        out = None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
+    if out is None or not (
+        np.isfinite(np.concatenate([*parts, *out[0], *out[1]], axis=None)).all()
+        and min(rho.min() for rho in out[1]) >= 0
+    ):
+        for row in [parts] if parts[0].ndim == 1 else zip(*parts):
+            state = SocialState(parts=row, denominators=denominators)
+            for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
+                proto.rates(pi, x)
+        raise ProtocolError("payoff or protocol changed its output on re-evaluation")
+    return out[1]
 
 
 def grid_rates(
@@ -564,44 +579,15 @@ def grid_rates(
     """Switch-rate matrices at every grid state: one ``(len(grid), n_p, n_p)`` array per population.
 
     Payoffs and rates are evaluated on the lattice fractions ``counts /
-    resolution``.  When the game and every protocol are ``vectorized``, the
-    payoff map and each ``rate_fn`` are called once, on the whole stack of
-    states; otherwise each is called exactly once per state.  Shape,
-    finiteness and sign are checked once on the stacked results; a violation
-    raises the error that :meth:`PopulationGame.payoff_at` or
-    :meth:`RevisionProtocol.rates` gives at the first offending state.
+    resolution``: in one call each when the game and every protocol are
+    ``vectorized``, else once per state.  Invalid output raises the error
+    of the validating path at the first offending state.
     """
-    protocols = protocol_tuple(protocol, game)
-    fractions = [
-        grid.counts[:, a:b] / res
-        for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
-    ]
-    for x in fractions:
-        x.setflags(write=False)
-    if game.vectorized and all(proto.vectorized for proto in protocols):
-        state = SocialState._unchecked(tuple(fractions), grid.resolutions)
-        payoffs = _payoff_arrays(game, state, len(protocols))
-        rates = None
-        if [v.shape for v in payoffs] == [x.shape for x in fractions]:
-            rates = [proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, fractions)]
-    else:
-        payoffs, rates = _per_state_rates(game, protocols, fractions, grid.resolutions)
-    try:
-        stacked = tuple(np.ascontiguousarray(rho, dtype=float) for rho in rates or ())
-    except (TypeError, ValueError):
-        stacked = ()
-    if not stacked or not all(
-        rho.shape == (len(grid), n, n)
-        and np.isfinite(pay).all()
-        and np.isfinite(rho).all()
-        and (rho >= 0).all()
-        for rho, pay, n in zip(stacked, payoffs, grid.strategy_counts)
-    ):
-        # re-evaluate in order through the validating path for the precise error
-        for ordinal in range(len(grid)):
-            checked_rates(game, protocols, grid.social_state(ordinal))
-        raise ProtocolError("payoff or protocol changed its output on re-evaluation")
-    return stacked
+    fractions = tuple(
+        grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
+    )
+    rates = _checked_rates(game, protocol_tuple(protocol, game), fractions, grid.resolutions)
+    return tuple(np.ascontiguousarray(rho) for rho in rates)
 
 
 def validate_hypotheses(
@@ -623,8 +609,8 @@ def validate_hypotheses(
     if rates is None and exhaustive:
         rates = grid_rates(game, protocols, states)
     elif rates is None:
-        per_state = [checked_rates(game, protocols, s) for s in states]
-        rates = [np.array(stack) for stack in zip(*per_state)]
+        parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
+        rates = _checked_rates(game, protocols, parts)
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
     ]

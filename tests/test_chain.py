@@ -7,6 +7,7 @@ from symgame import (
     PathResult,
     ReducibleChainError,
     SocialState,
+    StationaryTable,
     build_generator,
     check_detailed_balance,
     constant_protocol,
@@ -333,8 +334,24 @@ class TestSimulatePath:
         a = simulate_path(chain, ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
         b = simulate_path((game, proto, 5), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
                           collect_occupancy=True)
-        assert a.to_csv() == b.to_csv()
-        assert a.occupancy.to_csv() == b.occupancy.to_csv()
+        c = simulate_path((game, proto, chain.grid), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
+                          collect_occupancy=True)
+        for path in (b, c):
+            assert a.to_csv() == path.to_csv()
+            assert a.occupancy.to_csv() == path.occupancy.to_csv()
+
+    def test_grid_of_another_layout_is_rejected(self):
+        game = make_linear_game(RPS)
+        with pytest.raises(ValueError, match=r"grid strategy counts \(2,\) != \(3,\)"):
+            simulate_path((game, constant_protocol(1.0), lattice(2, 5)), ((3, 1, 1),), 1.0, seed=0)
+
+
+class TestStationaryTable:
+    @pytest.mark.parametrize("probs,shape", [(1.0, "()"), (np.full((4, 1), 0.25), "(4, 1)")])
+    def test_wrong_shape_is_reported(self, probs, shape):
+        with pytest.raises(ValueError) as err:
+            StationaryTable(lattice(2, 3), probs, "exact")
+        assert str(err.value) == f"got probabilities of shape {shape} for 4 states"
 
 
 class TestDetailedBalance:

@@ -297,8 +297,8 @@ class TestStageBuilds:
     def test_experiment_builds_each_lattice_and_decomposition_once(self, rps6, tmp_path, monkeypatch):
         calls = self._counted(monkeypatch)
         assert run("experiment", rps6, tmp_path / "out") == 0
-        # the base lattice, three derived marginal chains, one occupancy grid per seed (1, 2)
-        assert calls == {"build_grid": 1 + 3 + 2, "decompose": 1}
+        # the base lattice, shared with the occupancy of every path, and three derived marginal chains
+        assert calls == {"build_grid": 1 + 3, "decompose": 1}
 
     def test_compare_builds_one_lattice(self, rps6, tmp_path, monkeypatch):
         calls = self._counted(monkeypatch)

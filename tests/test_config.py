@@ -23,6 +23,30 @@ seeds = 1
 """
 
 
+MULTI_POPULATION = """\
+[game]
+type = table-payoff
+populations = 2
+masses = 1.0, 1.0
+payoff_matrix_1 =
+    0 0
+    0 0
+payoff_matrix_2 =
+    0 -1 1
+    1 0 -1
+    -1 1 0
+
+[protocol]
+kind = constant
+c = 0.5
+
+[run]
+N = 3
+horizon = 5.0
+seeds = 7
+"""
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         config = parse_config(MINIMAL_RPS)
@@ -79,32 +103,29 @@ class TestParseConfig:
             parse_config(text)
 
     def test_multi_population_game(self):
-        text = """\
-[game]
-type = table-payoff
-populations = 2
-masses = 1.0, 1.0
-payoff_matrix_1 =
-    0 0
-    0 0
-payoff_matrix_2 =
-    0 -1 1
-    1 0 -1
-    -1 1 0
-
-[protocol]
-kind = constant
-c = 0.5
-
-[run]
-N = 3
-horizon = 5.0
-seeds = 7
-"""
-        config = parse_config(text)
+        config = parse_config(MULTI_POPULATION)
         game = config.build_game()
         assert game.strategy_counts == (2, 3)
         assert config.resolutions == [3, 3]
+
+    def test_bad_scalars_are_reported_together_under_their_keys(self):
+        text = MINIMAL_RPS.replace("horizon = 10.0", "horizon = fifty\ndt = nan")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [
+            "run section (horizon): expected a finite number, got 'fifty'",
+            "run section (dt): expected a finite number, got 'nan'",
+        ]
+
+    def test_infinite_horizon_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_RPS.replace("horizon = 10.0", "horizon = inf"))
+        assert err.value.problems == ["run section (horizon): expected a finite number, got 'inf'"]
+
+    def test_bad_population_count_goes_on_with_the_matrices_given(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MULTI_POPULATION.replace("populations = 2", "populations = two"))
+        assert err.value.problems == ["game section (populations): expected a finite number, got 'two'"]
 
     def test_config_hash_depends_on_text(self):
         a = parse_config(MINIMAL_RPS)

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgame import (
+    PopulationGame,
     ProtocolError,
+    RevisionProtocol,
     SocialState,
+    build_generator,
     constant_protocol,
     custom_protocol,
+    integrate_mean_dynamic,
     make_linear_game,
     make_separable_game,
+    mean_dynamic_rhs,
     sample_states,
     sum_exponential_protocol,
     table_protocol,
@@ -184,3 +189,64 @@ class TestMultiPopulation:
         game = make_separable_game([np.eye(2), np.eye(2)])
         with pytest.raises(ValueError, match="protocols"):
             protocol_tuple([constant_protocol(1.0)] * 3, game)
+
+
+def _rates_like(x, value):
+    # one (n, n) matrix for a state, an (S, n, n) stack for a stack of states
+    return np.full((*x.shape, x.shape[-1]), value)
+
+
+# 1e200 out of strategy 2, which x0 leaves empty: finite, and no flow moves it
+_HUGE = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1e200, 1.0, 1.0]])
+
+# (payoff of the state part, or None for RPS; rates of the state part), 1-D or stacked;
+# each output is the same at every state, and all but the last are invalid
+_FAULTS = {
+    "payoff_count": (lambda x: (np.zeros(x.shape), np.zeros(x.shape)), lambda x: _rates_like(x, 1.0)),
+    "payoff_shape": (lambda x: (x[..., :2],), lambda x: _rates_like(x, 1.0)),
+    "payoff_nan": (lambda x: (np.full(x.shape, np.nan),), lambda x: _rates_like(x, 1.0)),
+    "rate_shape": (None, lambda x: np.ones((*x.shape[:-1], 2, 2))),
+    "rate_nan": (None, lambda x: _rates_like(x, np.nan)),
+    "rate_inf": (None, lambda x: _rates_like(x, np.inf)),
+    "rate_negative": (None, lambda x: _rates_like(x, -1.0)),
+    "rate_huge": (None, lambda x: np.broadcast_to(_HUGE, (*x.shape, 3))),
+}
+
+
+def _model(fault, vectorized):
+    payoff, rates = _FAULTS[fault]
+    game = make_linear_game(RPS) if payoff is None else PopulationGame(
+        masses=(1.0,), strategy_counts=(3,), payoff=lambda s: payoff(s.parts[0]), vectorized=vectorized
+    )
+    return game, RevisionProtocol(kind="custom", rate_fn=lambda pi, x: rates(x), vectorized=vectorized)
+
+
+_ENTRY_POINTS = {
+    "build_generator": lambda game, proto, x0: build_generator(game, proto, build_grid(game, 3)),
+    "validate_hypotheses": lambda game, proto, x0: validate_hypotheses(game, proto, sample_states(game, 16)),
+    "mean_dynamic_rhs": lambda game, proto, x0: mean_dynamic_rhs(game, proto, x0),
+    "integrate_mean_dynamic": lambda game, proto, x0: integrate_mean_dynamic(game, proto, x0, 1.0, 0.1),
+}
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["per_state", "vectorized"])
+    @pytest.mark.parametrize("fault", [f for f in _FAULTS if f != "rate_huge"])
+    def test_every_evaluation_raises_the_validating_error(self, fault, vectorized, entry):
+        game, proto = _model(fault, vectorized)
+        x0 = SocialState.single([0.5, 0.5, 0.0])
+        with pytest.raises(ValueError) as expected:  # ProtocolError is a ValueError
+            (pi,) = game.payoff_at(x0)
+            proto.rates(pi, x0.parts[0])
+        with pytest.raises(expected.type) as got:
+            _ENTRY_POINTS[entry](game, proto, x0)
+        assert type(got.value) is expected.type
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["per_state", "vectorized"])
+    def test_a_huge_finite_rate_is_no_false_alarm(self, vectorized, entry):
+        game, proto = _model("rate_huge", vectorized)
+        x0 = SocialState.single([0.5, 0.5, 0.0])
+        _ENTRY_POINTS[entry](game, proto, x0)
