@@ -18,6 +18,7 @@ from .chain import (
     deviation_vs_ode,
     exact_stationary,
     simulate_path,
+    simulate_paths,
 )
 from .dynamics import Trajectory, integrate_mean_dynamic, mean_dynamic_rhs, rest_point
 from .errors import (

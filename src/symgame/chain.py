@@ -10,6 +10,7 @@ expected velocity field of this process is exactly the mean dynamic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .games import (
     SocialState,
     StateGrid,
     _checked_rates,
+    _unscreened_rates,
     grid_rates,
     protocol_tuple,
 )
@@ -43,12 +45,16 @@ __all__ = [
     "build_generator",
     "exact_stationary",
     "simulate_path",
+    "simulate_paths",
     "check_detailed_balance",
     "deviation_vs_ode",
 ]
 
 # above this, LU fill-in costs more memory than power iteration (+33% peak RSS at 45,451 states)
 LU_STATE_LIMIT = 20_000
+
+# random draws per refill of each path's two streams, and event rows per recorded block
+DRAW_BLOCK = 1024
 
 
 def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -365,26 +371,52 @@ def simulate_path(
     burn_in: float = 0.0,
     collect_occupancy: bool | None = None,
 ) -> PathResult:
-    """Gillespie realization of the revision process.
+    """One Gillespie path: :func:`simulate_paths` with the single seed ``seed``.
+
+    A seed run alone gives the same bytes as the same seed in any batch.
+    """
+    return simulate_paths(model, x0, horizon, [seed], burn_in, collect_occupancy)[0]
+
+
+def simulate_paths(
+    model: "FiniteChain | tuple",
+    x0,
+    horizon: float,
+    seeds: Sequence[int],
+    burn_in: float = 0.0,
+    collect_occupancy: bool | None = None,
+) -> list[PathResult]:
+    """Gillespie realizations of the revision process from ``x0``, one per seed, in seed order.
 
     ``model`` is a prebuilt :class:`FiniteChain`, which supplies its game,
     protocols and grid, or a ``(game, protocol, lattice)`` triple whose
     ``lattice`` is the game's :class:`StateGrid` or, for grids too large to
-    enumerate, its resolution.  One event loop serves both: it evaluates the
-    payoffs and rates at each visited state, draws an exponential holding
-    time in the total exit rate and picks the move proportionally to its
-    rate, so a fixed seed reproduces the path exactly.  ``x0`` must hold the
-    ``N * mass`` agents of each population, else ``KeyError``.  Occupancy,
-    collected by default for a chain only, is computed from the finished
-    path: the time-weighted state distribution over ``(burn_in, horizon]``,
-    normalized to one.
+    enumerate, its resolution.  ``x0`` must hold the ``N * mass`` agents of
+    each population, else ``KeyError``.
+
+    All paths advance in lockstep over one ``(S, width)`` count array: each
+    step evaluates the payoffs and rates of every unfinished path in one
+    stacked call (one call per path for a game or protocol that is not
+    ``vectorized``), forms the move weights ``k_i * rho_ij`` in a fixed move
+    order, their running sums and the total exit rate (the last running
+    sum), and applies one move per path.  A path leaves the batch at the
+    step whose holding time passes ``horizon``.  Path ``s`` owns two streams,
+    ``default_rng`` of each child of ``SeedSequence(seed).spawn(2)``: the
+    first gives the standard exponential ``E`` of each step (holding time
+    ``E / total``), the second the uniform ``V`` (the move is the first
+    whose running sum exceeds ``V * total``).  Both are drawn in blocks of
+    ``DRAW_BLOCK``, so a path's bytes depend neither on the block size nor on
+    the other seeds of the batch.  Occupancy, collected by default for a
+    chain only, is computed from each finished path: the time-weighted state
+    distribution over ``(burn_in, horizon]``, normalized to one.
 
     Invalid output raises the error of the validating path at the first
-    offending state, with one exception: to keep about a quarter of the event
-    throughput (RPS, ``sum_exponential``, N = 1000), each event screens only
-    the rates it draws from, so an invalid payoff that the protocol ignores,
-    or a negative diagonal rate, passes here; :func:`build_generator` and
-    the mean dynamic reject both.
+    offending state, and weights that overflow although every rate is finite
+    raise ``ProtocolError`` naming the state.  To keep the event throughput,
+    each step screens only the weights it draws from (a finite total, no
+    negative weight), so an invalid payoff that the protocol ignores, or a
+    negative diagonal rate, passes here; :func:`build_generator` and the mean
+    dynamic reject both.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -403,68 +435,105 @@ def simulate_path(
     else:
         resolutions, sizes = _lattice_sizes(game, grid)
         grid = build_grid(game, resolutions) if collect_occupancy else None
-    parts = _normalize_x0(x0, game.strategy_counts, resolutions, sizes)
+    k0 = np.concatenate(_normalize_x0(x0, game.strategy_counts, resolutions, sizes))
+    recorded = _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds)
+    paths = []
+    for seed, (path_times, path_counts) in zip(seeds, recorded):
+        occupancy = None
+        if collect_occupancy:
+            dwell = np.diff(np.maximum(np.append(path_times, horizon), burn_in))
+            residence = np.bincount(grid.ranks(path_counts), weights=dwell, minlength=len(grid))
+            occupancy = StationaryTable(
+                grid=grid, probabilities=residence / (horizon - burn_in), provenance="empirical",
+                metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
+            )
+        paths.append(PathResult(
+            times=path_times,
+            counts=path_counts,
+            horizon=horizon,
+            seed=seed,
+            strategy_counts=game.strategy_counts,
+            resolutions=resolutions,
+            occupancy=occupancy,
+        ))
+    return paths
 
-    # fixed move layout: per population, all ordered off-diagonal pairs (i, j)
-    moves = [(p, i, j) for p, n in enumerate(game.strategy_counts)
-             for i in range(n) for j in range(n) if i != j]
-    flat_idx = [np.flatnonzero(~np.eye(n, dtype=bool)) for n in game.strategy_counts]
 
-    rng = np.random.default_rng(seed)
-    t = 0.0
-    times = [0.0]
-    rows = [np.concatenate(parts)]
-    while True:
-        x_parts = tuple(p / r for p, r in zip(parts, resolutions))
-        try:
-            payoffs = game.payoff(SocialState._unchecked(x_parts))
-            if isinstance(payoffs, np.ndarray):
-                payoffs = (payoffs,)
-            weights = np.concatenate([
-                (parts[p][:, None] * proto.rate_fn(pi, x_parts[p])).ravel()[flat_idx[p]]
-                for p, (proto, pi) in enumerate(zip(protocols, payoffs, strict=True))
-            ])
-            total = float(weights.sum())
-            valid = math.isfinite(total) and not (weights < 0).any()
-        except (TypeError, ValueError, IndexError):
-            valid = False
-        if not valid:
-            # the checked evaluation raises the precise error, if there is one
-            _checked_rates(game, protocols, x_parts)
-            raise ProtocolError("protocol produced invalid rates along the path")
-        if total <= 0.0:
-            t_next = horizon
-        else:
-            t_next = t + rng.exponential(1.0 / total)
-        if t_next >= horizon:
-            break
-        pick = int(weights.cumsum().searchsorted(rng.random() * total, side="right"))
-        p, i, j = moves[pick]
-        parts[p][i] -= 1
-        parts[p][j] += 1
+def _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds):
+    """The event loop of :func:`simulate_paths`: the event times and count rows of each path."""
+    width = len(k0)
+    offsets = (0, *itertools.accumulate(game.strategy_counts))
+    spans = list(zip(offsets, offsets[1:]))
+    # fixed move layout: per population, its ordered off-diagonal pairs (i, j)
+    # row-major; row m of `deltas` is the count change of move m
+    off_diagonal = [np.flatnonzero(~np.eye(b - a, dtype=bool)) for a, b in spans]
+    unit = np.eye(width)
+    deltas = np.array([
+        unit[a + j] - unit[a + i]
+        for (a, b), idx in zip(spans, off_diagonal) for i, j in zip(*np.divmod(idx, b - a))
+    ])
+    streams = [[np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)] for seed in seeds]
+
+    live = np.arange(len(seeds))  # the path of each row
+    k = np.tile(k0.astype(float), (len(seeds), 1))  # exact: counts stay far below 2**53
+    t = np.zeros(len(seeds))
+    recorded = [[(np.zeros(1), k0[None, :])] for _ in seeds]  # (times, counts) blocks per path
+    step = 0
+    while len(live):
+        col = step % DRAW_BLOCK
+        if col == 0:
+            exp_block = np.array([streams[s][0].standard_exponential(DRAW_BLOCK) for s in live])
+            unif_block = np.array([streams[s][1].random(DRAW_BLOCK) for s in live])
+            t_block = np.empty((len(live), DRAW_BLOCK))
+            k_block = np.empty((len(live), DRAW_BLOCK, width), dtype=np.int64)
+        x_parts = tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)])
+        out = _unscreened_rates(game, protocols, x_parts)
+        if out is None:
+            _raise_invalid(game, protocols, x_parts, k, None)
+        weights = [
+            (k[:, a:b, None] * rho).reshape(len(k), -1)[:, idx]
+            for (a, b), rho, idx in zip(spans, out[1], off_diagonal)
+        ]
+        weights = weights[0] if len(weights) == 1 else np.concatenate(weights, axis=1)
+        cumulative = np.add.accumulate(weights, axis=1)
+        total = cumulative[:, -1]
+        if not (np.minimum.reduce(weights, axis=None) >= 0.0 and math.isfinite(np.maximum.reduce(total))):
+            _raise_invalid(game, protocols, x_parts, k, weights)
+        if np.minimum.reduce(total) > 0.0:
+            t_next = t + exp_block[:, col] / total
+        else:  # a path with no possible move holds its state to the horizon
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_next = np.where(total > 0.0, t + exp_block[:, col] / total, np.inf)
+        if np.maximum.reduce(t_next) >= horizon:
+            done = t_next >= horizon
+            for r in np.flatnonzero(done):
+                recorded[live[r]].append((t_block[r, :col].copy(), k_block[r, :col].copy()))
+            keep = ~done
+            live, k, t_next, cumulative, total, exp_block, unif_block, t_block, k_block = (
+                a[keep] for a in (live, k, t_next, cumulative, total, exp_block, unif_block, t_block, k_block))
+        pick = np.add.reduce(cumulative <= (unif_block[:, col] * total)[:, None], axis=1)
+        k += deltas[pick]
         t = t_next
-        times.append(t)
-        rows.append(np.concatenate(parts))
+        t_block[:, col] = t
+        k_block[:, col] = k
+        step += 1
+        if col == DRAW_BLOCK - 1:
+            for r, s in enumerate(live):
+                recorded[s].append((t_block[r], k_block[r]))
+    return [[np.concatenate(side) for side in zip(*path)] for path in recorded]
 
-    times = np.asarray(times)
-    counts = np.asarray(rows, dtype=np.int64)
-    occupancy = None
-    if collect_occupancy:
-        dwell = np.diff(np.maximum(np.append(times, horizon), burn_in))
-        residence = np.bincount(grid.ranks(counts), weights=dwell, minlength=len(grid))
-        occupancy = StationaryTable(
-            grid=grid, probabilities=residence / (horizon - burn_in), provenance="empirical",
-            metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
-        )
-    return PathResult(
-        times=times,
-        counts=counts,
-        horizon=horizon,
-        seed=seed,
-        strategy_counts=game.strategy_counts,
-        resolutions=resolutions,
-        occupancy=occupancy,
-    )
+
+def _raise_invalid(game, protocols, x_parts, k, weights) -> None:
+    """Raise the error of the first state whose move weights failed the event loop's screen."""
+    if weights is None:  # an output of the wrong count or shape: every state
+        rows = np.arange(len(k))
+    else:
+        total = np.add.accumulate(weights, axis=1)[:, -1]
+        rows = np.flatnonzero(~np.isfinite(total) | (weights < 0).any(axis=1))
+    # the checked evaluation raises the precise error at the first offending state, if there is one
+    _checked_rates(game, protocols, tuple(x[rows] for x in x_parts))
+    state = _counts_format(game.strategy_counts) % tuple(k[rows[0]].tolist())
+    raise ProtocolError(f"jump rates k_i * rho_ij overflow at state {state}; every rate is finite")
 
 
 @dataclass(frozen=True)

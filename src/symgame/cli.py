@@ -273,8 +273,8 @@ def _cmd_mean_dynamic(model: _Model, writer: ArtifactWriter) -> int:
     return 0
 
 
-def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
-    """Simulate one path per config seed, write its path and occupancy CSVs and yield it.
+def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str) -> list[chain_mod.PathResult]:
+    """Simulate one path per config seed in one batch, write each path and occupancy CSV, return the paths.
 
     Occupancy tables are written only for lattices of at most
     ``CHAIN_STATE_BUDGET`` states.
@@ -285,22 +285,21 @@ def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str):
     x0 = model.lattice_counts()
     occupancy = count_states(model.game.strategy_counts, [sum(p) for p in x0]) <= CHAIN_STATE_BUDGET
     lattice = model.grid if occupancy else model.resolutions
-    for seed in config.seeds:
-        path = chain_mod.simulate_path(
-            (model.game, model.protocols, lattice), x0, config.horizon, seed,
-            burn_in=config.burn_in,
-            collect_occupancy=occupancy,
-        )
-        header = _provenance(config, command, seed)
-        writer.write(f"path_{seed}.csv", header + path.to_csv())
+    paths = chain_mod.simulate_paths(
+        (model.game, model.protocols, lattice), x0, config.horizon, config.seeds,
+        burn_in=config.burn_in,
+        collect_occupancy=occupancy,
+    )
+    for path in paths:
+        header = _provenance(config, command, path.seed)
+        writer.write(f"path_{path.seed}.csv", header + path.to_csv())
         if path.occupancy is not None:
-            writer.write(f"occupancy_{seed}.csv", header + path.occupancy.to_csv())
-        yield path
+            writer.write(f"occupancy_{path.seed}.csv", header + path.occupancy.to_csv())
+    return paths
 
 
 def _cmd_simulate(model: _Model, writer: ArtifactWriter) -> int:
-    for _ in _simulate_seeds(model, writer, "simulate"):
-        pass
+    _simulate_seeds(model, writer, "simulate")
     return 0
 
 

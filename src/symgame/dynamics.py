@@ -124,7 +124,17 @@ def integrate_mean_dynamic(
     clamp_events: list[int] = []
 
     def rhs(ps):
-        return _rhs_parts(game, protocols, ps)
+        try:
+            return _rhs_parts(game, protocols, ps)
+        except ValueError:
+            # rates whose row sums overflow make an RK4 stage state non-finite
+            bad = [p for p, x in enumerate(ps) if not np.isfinite(x).all()]
+            if not bad:
+                raise
+            raise IntegrationDivergedError(
+                f"integration diverged at step {step} (population {bad[0]}: non-finite RK4 stage)",
+                step=step,
+            ) from None
 
     for step in range(1, steps + 1):
         k1 = rhs(parts)
@@ -134,7 +144,7 @@ def integrate_mean_dynamic(
         new_parts = []
         for p, (x, a, b, c, d) in enumerate(zip(parts, k1, k2, k3, k4)):
             nxt = x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            if np.any(np.abs(nxt) > 10.0 * game.masses[p]):
+            if not np.max(np.abs(nxt)) <= 10.0 * game.masses[p]:  # NaN fails too
                 raise IntegrationDivergedError(
                     f"integration diverged at step {step} (population {p}: "
                     f"max |x| = {np.max(np.abs(nxt)):.6g})",

@@ -541,24 +541,32 @@ def _evaluate(game, protocols, parts, denominators):
     return None
 
 
-def _checked_rates(game, protocols, parts, denominators=None) -> list[np.ndarray]:
-    """Rate matrices at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
+def _unscreened_rates(game, protocols, parts, denominators=None):
+    """Payoffs and rates at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
 
-    ``parts`` are made read-only.  A stack takes one call of the payoff map
-    and of each ``rate_fn`` when the game and every protocol are
-    ``vectorized``, else one per state.  States, payoffs and rates are then
-    screened once for shape, finiteness and sign; on a failure the states are
+    A stack takes one call of the payoff map and of each ``rate_fn`` when the
+    game and every protocol are ``vectorized``, else one per state.  Returns
+    ``(payoffs, rates)``, one array per population, or None when an output
+    has the wrong count or shape; values are not screened.
+    """
+    if parts[0].ndim == 1 or (game.vectorized and all(proto.vectorized for proto in protocols)):
+        return _evaluate(game, protocols, parts, denominators)
+    rows = [_evaluate(game, protocols, row, denominators) for row in zip(*parts)]
+    return None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
+
+
+def _checked_rates(game, protocols, parts, denominators=None) -> list[np.ndarray]:
+    """Rate matrices at one state or at each of a stack of states, evaluated by :func:`_unscreened_rates`.
+
+    ``parts`` are made read-only.  States, payoffs and rates are screened
+    once for shape, finiteness and sign; on a failure the states are
     re-evaluated in order through :meth:`PopulationGame.payoff_at` and
     :meth:`RevisionProtocol.rates`, which raise the precise error at the
     first offending state.
     """
     for x in parts:
         x.setflags(write=False)
-    if parts[0].ndim == 1 or (game.vectorized and all(proto.vectorized for proto in protocols)):
-        out = _evaluate(game, protocols, parts, denominators)
-    else:
-        rows = [_evaluate(game, protocols, row, denominators) for row in zip(*parts)]
-        out = None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
+    out = _unscreened_rates(game, protocols, parts, denominators)
     if out is None or not (
         np.isfinite(np.concatenate([*parts, *out[0], *out[1]], axis=None)).all()
         and min(rho.min() for rho in out[1]) >= 0

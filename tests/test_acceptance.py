@@ -27,7 +27,7 @@ from symgame import (
     marginal_from_exact,
     birth_death_weights,
     product_form_joint,
-    simulate_path,
+    simulate_paths,
     specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
@@ -242,10 +242,10 @@ def test_07_deterministic_approximation():
     trajectory = integrate_mean_dynamic(game, proto, x0, 10.0, 0.01)
     hits = 0
     worst = 0.0
-    for seed in range(100):
-        path = simulate_path(
-            (game, proto, 1000), ((500, 300, 200),), 10.0, seed, collect_occupancy=False
-        )
+    paths = simulate_paths(
+        (game, proto, 1000), ((500, 300, 200),), 10.0, list(range(100)), collect_occupancy=False
+    )
+    for path in paths:
         deviation = deviation_vs_ode(path, trajectory)
         worst = max(worst, deviation)
         if deviation < 0.1:

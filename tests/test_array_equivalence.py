@@ -5,11 +5,12 @@ algorithm: it walks Python tuples of counts, evaluates the validated payoff
 and rate map at every state and looks neighbours up in a dict.  The library
 versions must reproduce them exactly, element for element and in the same
 order, on randomly drawn games, protocols and grids.  The two
-``_reference_*_path`` functions are the Gillespie loops that
-:func:`symgame.simulate_path` replaced: one read the rates from a prebuilt
-chain's edges, the other evaluated the protocol at each event and kept
-occupancy in a dict.  ``_reference_dense_stationary`` is the dense LU solve
-that the sparse factorization in :func:`symgame.exact_stationary` replaced,
+``_reference_*_path`` functions are per-event Gillespie loops on Python
+floats that read a path's two draw streams one draw at a time: one reads
+the rates from a prebuilt chain's edges, the other evaluates the validated
+protocol at each event and keeps occupancy in a dict.
+``_reference_dense_stationary`` is the dense LU solve that the sparse
+factorization in :func:`symgame.exact_stationary` replaced,
 ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
 validated state and validated rates on every call, and
 ``_reference_birth_death_weights`` the product loop that called the up and
@@ -23,6 +24,7 @@ import collections
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,11 +55,13 @@ from symgame import (
     marginal_from_exact,
     product_form_joint,
     simulate_path,
+    simulate_paths,
     specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
     validate_hypotheses,
 )
+from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, build_grid
 from symgame.dynamics import _ROW_BLOCK, _rhs_parts
 from symgame.games import count_states, grid_rates, protocol_tuple
@@ -292,30 +296,41 @@ def _reference_joint_weights(marginals, strategy_counts, sizes):
     return joint.ravel()
 
 
+def _path_streams(seed):
+    # the exponential and the uniform stream of one path, read one draw per event
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _reference_step(weights, t, horizon, streams):
+    """One Gillespie event on Python floats: the next time and the index of the move, or None."""
+    cumulative, total = [], 0.0
+    for w in weights:
+        total += w
+        cumulative.append(total)
+    t_next = t + streams[0].standard_exponential() / total if total > 0.0 else math.inf
+    if t_next >= horizon:
+        return t_next, None
+    u = streams[1].random() * total
+    return t_next, sum(c <= u for c in cumulative)
+
+
 def _reference_chain_path(chain, x0, horizon, seed, burn_in):
     grid = chain.grid
     current = int(grid.ranks([k for part in x0 for k in part]))
     row_ptr = np.searchsorted(chain.src, np.arange(len(grid) + 1))
-    rng = np.random.default_rng(seed)
+    streams = _path_streams(seed)
     times = [0.0]
     visited = [current]
     residence = np.zeros(len(grid))
     t = 0.0
     while True:
         lo, hi = row_ptr[current], row_ptr[current + 1]
-        rates = chain.rate[lo:hi]
-        total = float(rates.sum())
-        if total <= 0.0:
-            t_next = horizon
-        else:
-            t_next = t + rng.exponential(1.0 / total)
-        if t_next >= horizon:
-            residence[current] += horizon - max(t, burn_in) if horizon > burn_in else 0.0
+        t_next, pick = _reference_step(chain.rate[lo:hi].tolist(), t, horizon, streams)
+        end = min(t_next, horizon)
+        if end > burn_in:
+            residence[current] += end - max(t, burn_in)
+        if pick is None:
             break
-        if t_next > burn_in:
-            residence[current] += t_next - max(t, burn_in)
-        cum = np.cumsum(rates)
-        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
         current = int(chain.dst[lo + pick])
         t = t_next
         times.append(t)
@@ -328,59 +343,32 @@ def _reference_chain_path(chain, x0, horizon, seed, burn_in):
 def _reference_fly_path(game, protocol, resolution, x0, horizon, seed, burn_in):
     protocols = protocol_tuple(protocol, game)
     resolutions = (resolution,) * game.num_populations
-    parts = [np.asarray(part, dtype=np.int64) for part in x0]
-    move_pop, move_from, move_to, flat_idx = [], [], [], []
-    for p, n in enumerate(game.strategy_counts):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        move_pop.extend(p for _ in pairs)
-        move_from.extend(i for i, _ in pairs)
-        move_to.extend(j for _, j in pairs)
-        flat_idx.append(np.array([i * n + j for i, j in pairs]))
-    rng = np.random.default_rng(seed)
+    parts = [list(part) for part in x0]
+    moves = [(p, i, j) for p, n in enumerate(game.strategy_counts)
+             for i in range(n) for j in range(n) if i != j]
+    streams = _path_streams(seed)
     t = 0.0
+    rows = [sum(parts, [])]
     times = [0.0]
-    rows = [np.concatenate(parts).copy()]
     residence = {}
-    first_step = True
     while True:
-        x_parts = tuple(p / r for p, r in zip(parts, resolutions))
-        state = SocialState._unchecked(x_parts)
-        if first_step:
-            payoffs = game.payoff_at(state)
-            weight_blocks = [
-                (parts[p][:, None] * proto.rates(pi, x_parts[p])).ravel()[flat_idx[p]]
-                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
-            ]
-            first_step = False
-        else:
-            payoffs = game.payoff(state)
-            if isinstance(payoffs, np.ndarray):
-                payoffs = (payoffs,)
-            weight_blocks = [
-                (parts[p][:, None] * proto.rate_fn(pi, x_parts[p])).ravel()[flat_idx[p]]
-                for p, (proto, pi) in enumerate(zip(protocols, payoffs))
-            ]
-        weights = np.concatenate(weight_blocks)
-        total = float(weights.sum())
-        if total <= 0.0:
-            t_next = horizon
-        else:
-            t_next = t + rng.exponential(1.0 / total)
-        key = tuple(np.concatenate(parts).tolist())
-        if t_next >= horizon:
-            if horizon > burn_in:
-                residence[key] = residence.get(key, 0.0) + horizon - max(t, burn_in)
+        state = SocialState.from_counts(parts, resolutions)
+        rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
+        weights = [parts[p][i] * float(rates[p][i, j]) for p, i, j in moves]
+        t_next, pick = _reference_step(weights, t, horizon, streams)
+        end = min(t_next, horizon)
+        if end > burn_in:
+            key = tuple(rows[-1])
+            residence[key] = residence.get(key, 0.0) + (end - max(t, burn_in))
+        if pick is None:
             break
-        if t_next > burn_in:
-            residence[key] = residence.get(key, 0.0) + t_next - max(t, burn_in)
-        cum = np.cumsum(weights)
-        pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        parts[move_pop[pick]][move_from[pick]] -= 1
-        parts[move_pop[pick]][move_to[pick]] += 1
+        p, i, j = moves[pick]
+        parts[p][i] -= 1
+        parts[p][j] += 1
         t = t_next
         times.append(t)
-        rows.append(np.concatenate(parts).copy())
-    grid = StateGrid(game.strategy_counts, [int(p.sum()) for p in parts], resolutions)
+        rows.append(sum(parts, []))
+    grid = StateGrid(game.strategy_counts, [sum(part) for part in parts], resolutions)
     probs = np.zeros(len(grid))
     probs[grid.ranks(list(residence))] = np.array(list(residence.values())) / (horizon - burn_in)
     occupancy = StationaryTable(grid=grid, probabilities=probs, provenance="empirical")
@@ -684,29 +672,56 @@ class TestSimulatePath:
         assert path.times.tobytes() == times.tobytes()
         assert path.counts.dtype == counts.dtype
         assert path.counts.tobytes() == counts.tobytes()
-        # the dict loop added a revisit as (residence + end) - start, the
-        # library as residence + (end - start), like the chain loop did
-        assert np.allclose(path.occupancy.probabilities, occupancy, rtol=0.0, atol=1e-10)
+        assert path.occupancy.probabilities.tobytes() == occupancy.tobytes()
 
     @given(models(), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_chain_edge_loop(self, model, seed, burn_in_share):
-        # below 8 moves per state numpy sums the exit rates in order, so the
-        # zero-rate moves the chain skips cannot change a bit; from 8 moves on
-        # it sums in blocks and the event times may differ in the last bits
+        # the chain skips zero-rate moves; adding their zero weights leaves every
+        # running sum, and so the total exit rate, unchanged to the bit
         game, protocols, resolution, chain, x0, horizon, burn_in = self._draw_path_inputs(
             model, seed, burn_in_share
         )
         path = simulate_path(chain, x0, horizon, seed, burn_in=burn_in)
         times, counts, occupancy = _reference_chain_path(chain, x0, horizon, seed, burn_in)
-        assert np.array_equal(path.counts, counts)
-        moves = sum(n * (n - 1) for n in game.strategy_counts)
-        if moves < 8:
-            assert path.times.tobytes() == times.tobytes()
-            assert path.occupancy.probabilities.tobytes() == occupancy.tobytes()
-        else:
-            assert np.allclose(path.times, times, rtol=1e-12, atol=0.0)
-            assert np.allclose(path.occupancy.probabilities, occupancy, rtol=1e-9, atol=1e-15)
+        assert path.times.tobytes() == times.tobytes()
+        assert path.counts.tobytes() == counts.tobytes()
+        assert path.occupancy.probabilities.tobytes() == occupancy.tobytes()
+
+    @given(models(), st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6, unique=True),
+           st.booleans(), st.sampled_from([chain_module.DRAW_BLOCK, 5]), st.floats(0.0, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_each_seed_of_a_batch_gives_its_bytes_alone(self, model, seeds, custom, block, burn_in_share):
+        # seeds come in random order; a block of 5 draws makes paths leave the
+        # batch in the middle of blocks and refill many times
+        game, protocols, resolution = model
+        if custom:  # not vectorized: the batch is evaluated one state at a time
+            protocols = (_masked_protocol(2), *protocols[1:])
+        _, protocols, resolution, _, x0, horizon, burn_in = self._draw_path_inputs(
+            (game, protocols, resolution), seeds[0], burn_in_share
+        )
+        model = (game, protocols, resolution)
+        with mock.patch.object(chain_module, "DRAW_BLOCK", block):
+            batch = simulate_paths(model, x0, horizon, seeds, burn_in=burn_in, collect_occupancy=True)
+            alone = [simulate_path(model, x0, horizon, seed, burn_in=burn_in, collect_occupancy=True)
+                     for seed in seeds]
+        assert [path.seed for path in batch] == seeds
+        for a, b in zip(batch, alone):
+            assert a.to_csv() == b.to_csv()
+            assert a.occupancy.to_csv() == b.occupancy.to_csv()
+
+    def test_block_size_does_not_change_the_bytes(self, monkeypatch):
+        # about 2,000 events per path: the default block refills once, a block of 7 every 7 events
+        game = make_separable_game([[[0, -1, 1], [1, 0, -1], [-1, 1, 0]], [[1, 0], [0, 2]]])
+        protocols = (sum_exponential_protocol(1.0), constant_protocol(1.0))
+        model = (game, protocols, 100)
+        runs = []
+        for block in (chain_module.DRAW_BLOCK, 7):
+            monkeypatch.setattr(chain_module, "DRAW_BLOCK", block)
+            paths = simulate_paths(model, ((50, 30, 20), (60, 40)), 10.0, [3, 1, 4])
+            runs.append([path.to_csv() for path in paths])
+        assert min(len(text.splitlines()) for text in runs[0]) > chain_module.DRAW_BLOCK
+        assert runs[0] == runs[1]
 
 
 class TestBirthDeathRates:

@@ -19,6 +19,7 @@ from symgame import (
     make_linear_game,
     mean_dynamic_rhs,
     simulate_path,
+    simulate_paths,
     specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
@@ -295,10 +296,8 @@ class TestSimulatePath:
         exact = exact_stationary(chain)
         mean_tv = []
         for horizon in (1e2, 1e3, 1e4):
-            tvs = []
-            for seed in range(10):
-                path = simulate_path(chain, ((2, 2),), horizon, seed=seed)
-                tvs.append(0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum())
+            paths = simulate_paths(chain, ((2, 2),), horizon, list(range(10)))
+            tvs = [0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum() for path in paths]
             mean_tv.append(np.mean(tvs))
         assert mean_tv[0] >= mean_tv[1] >= mean_tv[2]
 
@@ -344,6 +343,24 @@ class TestSimulatePath:
         game = make_linear_game(RPS)
         with pytest.raises(ValueError, match=r"grid strategy counts \(2,\) != \(3,\)"):
             simulate_path((game, constant_protocol(1.0), lattice(2, 5)), ((3, 1, 1),), 1.0, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_jump_rates_are_named_at_their_state(self):
+        # every rate is 1e306, finite and valid; 500 agents times 1e306 is not
+        from symgame import ProtocolError
+
+        game = make_linear_game(RPS)
+        with pytest.raises(ProtocolError, match=r"^jump rates k_i \* rho_ij overflow at state 500 300 200;"):
+            simulate_path((game, constant_protocol(1e306), 1000), ((500, 300, 200),), 1.0, seed=0)
+
+    def test_invalid_rates_of_one_path_raise_in_a_batch(self):
+        # the rates turn negative once strategy 0 drops below 3 of 5 agents
+        from symgame import ProtocolError
+
+        game = make_linear_game(RPS)
+        proto = custom_protocol(lambda pi, x: np.ones((3, 3)) if x[0] >= 0.6 else -np.ones((3, 3)))
+        with pytest.raises(ProtocolError, match="protocol 'custom' produced negative rates"):
+            simulate_paths((game, proto, 5), ((4, 1, 0),), 50.0, [1, 2, 3])
 
 
 class TestStationaryTable:

@@ -164,6 +164,12 @@ class TestCommands:
         assert (out / "path_9.csv").exists()
         assert not (out / "path_1.csv").exists()
 
+    def test_a_seed_in_a_batch_writes_the_files_of_its_run_alone(self, rps_config, tmp_path):
+        assert run("simulate", rps_config, tmp_path / "batch", "--seed-override", "1,2,3") == 0
+        assert run("simulate", rps_config, tmp_path / "alone", "--seed-override", "2") == 0
+        for name in ("path_2.csv", "occupancy_2.csv"):
+            assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
     def test_paper_variant_fails_with_empty_support(self, rps_config, tmp_path, capsys):
         out = tmp_path / "out"
         code = run("predict", rps_config, out, "--variant-factor", "paper")
@@ -205,8 +211,8 @@ class TestRateEvaluations:
         # the hypothesis check and the generator share one evaluation per main-grid
         # state; each marginal chain adds one per state.  The stages that evaluate
         # off the lattice or along a path (decomposition samples, RK4,
-        # birth-death rates, simulated paths) are not counted here; each path
-        # evaluates once per visited state, events + 1 times, and the
+        # birth-death rates, simulated paths) are not counted here; the batch of
+        # paths evaluates once per visited state of each, events + 1 times, and the
         # birth-death rates take one derived block per count 0..N.
         import numpy as np
 
@@ -252,26 +258,25 @@ class TestRateEvaluations:
                 return specs_from_transform(*args, **kwargs)
 
         monkeypatch.setattr(cli, "specs_from_transform", counted_specs)
-        per_path = []
-        simulate_path = paused(cli.chain_mod.simulate_path)
+        batches = []
+        simulate_paths = paused(cli.chain_mod.simulate_paths)
 
-        def counted_path(*args, **kwargs):
+        def counted_paths(*args, **kwargs):
             start = calls["all"]
-            path = simulate_path(*args, **kwargs)
-            per_path.append((calls["all"] - start, len(path.times) - 1))
-            return path
+            paths = simulate_paths(*args, **kwargs)
+            batches.append((calls["all"] - start, [len(path.times) - 1 for path in paths]))
+            return paths
 
-        monkeypatch.setattr(cli.chain_mod, "simulate_path", counted_path)
+        monkeypatch.setattr(cli.chain_mod, "simulate_paths", counted_paths)
         config = tmp_path / "rps.cfg"
         config.write_text(RPS_CONSTANT.replace("N = 2", "N = 6").replace("horizon = 20.0", "horizon = 1.0"))
         assert run("experiment", config, tmp_path / "out") == 0
         # C(6 + 2, 2) = 28 main-grid states; three derived 2-strategy chains of 7 states
         assert calls["count"] == 28 + 3 * 7
         assert blocks == [i for i in range(3) for _ in range(6 + 1)]  # N + 1 per population
-        assert len(per_path) == 2  # seeds 1, 2
-        for evaluations, events in per_path:
-            assert events > 0
-            assert evaluations == events + 1
+        [(evaluations, events)] = batches  # seeds 1, 2 in one batch
+        assert len(events) == 2 and min(events) > 0
+        assert evaluations == sum(n + 1 for n in events)
 
 
 class TestStageBuilds:

@@ -121,6 +121,25 @@ class TestIntegrate:
             integrate_mean_dynamic(game, stiff, SocialState.single([1, 0, 0]), 1.0, 0.5)
         assert err.value.step == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_rate_sums_raise_divergence_with_step(self):
+        # every rate is finite, but each row sums to inf: the velocity is -inf,
+        # and the next RK4 stage evaluates inf * 0 at the clamped state
+        game = make_linear_game(RPS)
+        huge = custom_protocol(lambda pi, x: np.full((3, 3), 1e308))
+        with pytest.raises(IntegrationDivergedError, match="step 1") as err:
+            integrate_mean_dynamic(game, huge, SocialState.single([0.5, 0.3, 0.2]), 1.0, 0.1)
+        assert err.value.step == 1
+
+    def test_nan_step_raises_divergence_with_step(self, monkeypatch):
+        from symgame import dynamics
+
+        monkeypatch.setattr(dynamics, "_rhs_parts", lambda game, protocols, parts: [np.full(3, np.nan)])
+        game = make_linear_game(RPS)
+        with pytest.raises(IntegrationDivergedError, match=r"step 1 \(population 0: max \|x\| = nan\)"):
+            integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), 1.0, 0.1)
+
     @pytest.mark.parametrize(
         "payoff,rate_fn,error,message",
         [

@@ -21,44 +21,44 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 GOLDEN = {
     "coordination_table": {
         "exact_stationary.csv": "794226b6aeb887db3b49eb9b8c257188b30810cf66cec891e7127e7927f5bd7f",
-        "experiment_report.txt": "1e9c7820c2952b2d8416d9c660f204464a982f36f831e1ceaedde4d8d702da21",
-        "occupancy_5.csv": "96a571408ccdd277fe7e0ff760ff62f0387689c443d9930def7a378fb89af621",
-        "path_5.csv": "e9953171a5fb60284593e6a79d50ccc58a1a2bcc7916a884c6a7840542a4a818",
+        "experiment_report.txt": "0dcd4e4895877d46d334d11a2a0130ac9a9121b2f4a539ab3f54363753781a65",
+        "occupancy_5.csv": "5a4cf09b9022eca5450d8875dd5df3b952e3efa1bc82e73346ad79c1ff17bf49",
+        "path_5.csv": "49d04606299901ccc9b89ef5b56967fc9a331e11dab8216a39571f69d6a0a350",
         "predicted.csv": "ab8b0e98ced80b16eb824450529d3bf8620bb003c2ee97b62bff5757e5015df0",
         "trajectory.csv": "43b6eed8c42eee6fa4fbb431ba914cb1a13e56ad8199506de5013975eb748fdf",
         "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
     },
     "rps_constant": {
         "exact_stationary.csv": "19c223ca450e49031f432fdbe76b10e371cb0403a84401de3b3005599c835474",
-        "experiment_report.txt": "3e372540c363e9cf1fbdcdc8b0966873e4db5acb76845b398318ca49071a8699",
-        "occupancy_1.csv": "7600cc3279d7a59861cee8cd0909bec1c33234039654c8de96c11f1d5316ca50",
-        "occupancy_2.csv": "7821a80b3dca755ff278e64dac7250ef4dbefb0064175e80ba61ef3bdf4f0a4c",
-        "occupancy_3.csv": "9f4db1cd0aec07cfac8dc73cc446047e556858513b2f2b5d8dcc42bbb7fdf4d3",
-        "path_1.csv": "8c291365653cae11f6933c875cd19f13a915976a5c4abf3ee051f4504bdf3c1f",
-        "path_2.csv": "0a0c3c3ab21ea2daa5fdfe2dd15d7a1b5923c4d0b4289ef5efbc31cd725d588c",
-        "path_3.csv": "785656cc507c4640ab7fbbfeaa20d3e02a4352a1ad9d7ac9a86cee246fd30907",
+        "experiment_report.txt": "8caffc49b1d72d7ba64d041e98dd2783d159e3cc2dbbb07679ca7eae01eb8ab1",
+        "occupancy_1.csv": "8c959eabdb08488cb40dca973d362f952e9d31c5820e4b99900bc7245dbab270",
+        "occupancy_2.csv": "5b593e14314a467fec1c8b5ecce850c6442d687ae745e5a1fc8060e2d8dc82f0",
+        "occupancy_3.csv": "cf75c14d365b1b04d1c6ca4ead4df7ba2c1581e61cde18d7c32b03a7be998b92",
+        "path_1.csv": "cafbcbffc767a2fc4438fbc83e771862793d88148d67f05fba1f312e5ba7944e",
+        "path_2.csv": "050d39ab4d1b8bb48fc87ed74438188131335487054b2b88ab7ac26178a0447f",
+        "path_3.csv": "d919ba2e644afe7346bf5f5cf59f8e118e297e45635c38b2358665895c80cad8",
         "predicted.csv": "30fe3d0cac7efbcb60f75968b1153657153c02078313f355597d85401f353b79",
         "trajectory.csv": "5f9f12832ece50aff1736ad65c77d14f165d3ab42a4395a0cf64e6a5d6501b10",
         "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
     },
     "rps_sum_exponential": {
         "exact_stationary.csv": "f9d584a8aebbe9650eac4d3ce5c858a9383ec21d89e07908c5222396d84c8984",
-        "experiment_report.txt": "1257844b3e45e7dbdf2c1d19d2b0421f1e433be4d5a726624088481569f52a04",
-        "occupancy_11.csv": "9e7444310b661961bf6fb1d1922d1a00e482946ff929c77a1b4674a596b870d0",
-        "occupancy_12.csv": "0a28f25c54f70cedd2e247e2d5db09a82dadc81dd948e78ae1874e66cdd10cfe",
-        "path_11.csv": "69b27ed2c6e7d4b7e0036f4baae81eca429b82e25d2aab203f7ef43f8ae64d96",
-        "path_12.csv": "2e4a3770e8b4e376d78e587e59b1fd4dcade4eeafd82cfa8ef6b3e696f346857",
+        "experiment_report.txt": "f19165f1af312b63f7654da6569ea82484ff7a48810c77e6c932c73340bd752d",
+        "occupancy_11.csv": "5d687c1381567b2fda4900305e6d72a116fe6d755e93372ee32926fe504bb6fc",
+        "occupancy_12.csv": "4228b11da1d2c75f8374c805166698210c9de795411f151c5c9fa403ca1288b8",
+        "path_11.csv": "b3c9899d2888e310112ee0c9e3e955842de95ecaf9f37467153aeed003a2013c",
+        "path_12.csv": "eebccbbfb4c003d3cc9b15455f719b2e91db8abb28809aae17b1b2b2adeeb50e",
         "predicted.csv": "4110db1dbb123e7a7446c1053e3c3ceb122d3b3865802cad22de750707c6d6ec",
         "trajectory.csv": "8454cf5fc977b37d32bd8ce0af2a22f0c172f47513285576beca4287ec14e8ac",
         "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
     },
     "two_populations": {
         "exact_stationary.csv": "21f3f427414ac196d2d528b81ff6e62c7d3ee6e3214ed3053b82360d7ffd973e",
-        "experiment_report.txt": "35ef2991bea46116fef901731c4b731627a4a651c61a09a4a5be85a61b61e9d5",
-        "occupancy_21.csv": "e1ce2c99c0ecf1ea8882d74f255d47a64c2aac51a74abd279b2078b46f07573e",
-        "occupancy_22.csv": "473fdf0709ff88b6d8474b7b56fd263496f038b16f109691946bf5a759dbde28",
-        "path_21.csv": "7e13b6a5e3c0f5537ce7352b4ff0495cff4b713977117d3bdd1eda59d04e03bb",
-        "path_22.csv": "46fbac567db7c561459135f9833cd05f26687b4d39c680da124963e96c8d8944",
+        "experiment_report.txt": "b28189cc15d6984c8a783620678d154578ab35e852812f76a05b815f2c5f3a1b",
+        "occupancy_21.csv": "5dad830be8c97e86a51863a5ee87a1fc537151c0ec900fc16724782eb67b1f4b",
+        "occupancy_22.csv": "4785378ddd52455eebd1c3baa1754797b7f4b4d25f9878f3a230e84496bcda9c",
+        "path_21.csv": "a81675201da761707a26a447a2875042456ccad0cfc636136a49982cebcb6301",
+        "path_22.csv": "a021f00c3b81b0ee15263ef8328011b9f7009c00e1cbc9030463535578a5e975",
         "predicted.csv": "d11c5f4d56a8d70d81192f18b4e60d6d48ea4e76c47ad770faffcba37dfaa542",
         "trajectory.csv": "aec2e56ec1124cce521d5bdf9dfae269f1191b2042afb537e85ad957c2d6d1e0",
         "transformed_game.cfg": "e2cee232bac605ae099a00ea21465c224c1cdbb28a668123cdf0bcc6014410f8",
@@ -67,28 +67,28 @@ GOLDEN = {
 
 GOLDEN_SIMULATE = {
     "coordination_table": {
-        "occupancy_5.csv": "1a6658c1728b5f0475e0d9a0bffd9926f3ee1a8cc21f01da70ea7a17cc9dc1fd",
-        "path_5.csv": "365ffd5c6e1e655ffe9d70aed94243da915473cadf0cba2ab06b63c11340522b",
+        "occupancy_5.csv": "1eac18e1ea650ed66d845ea0c76760a199468cd9ba810d13de2502d6814db0df",
+        "path_5.csv": "89b6f1633af011a1c36e4ea9dd9b8002d3f31afe7b1032ca36308bea3e0eaec0",
     },
     "rps_constant": {
-        "occupancy_1.csv": "0a745eed02273052d638765146a8c3966170d19e0b7463dd1f292f861fbd17f8",
-        "occupancy_2.csv": "023f620a1040a4541b1a829610363931dd6b3cc1d7f4866816f8768b13d51115",
-        "occupancy_3.csv": "4e1c859eebab1b4e104042ac41851c28484929ef1ef3e9be2c9663c8cfdfd3bd",
-        "path_1.csv": "378705167bc73148800c663fbcea2105f29051a201a951e400dc1bccc5edb36f",
-        "path_2.csv": "dbb94e415dc5a643418a77afa8362c0d761f79bf57549f0a2389374d192599c8",
-        "path_3.csv": "fce8d7df7beb768a06d35a9188e3f09b0965892475c06c3d9681488758b2aecb",
+        "occupancy_1.csv": "1e7a5e483ee1f740937d2e37d148f254dc03682eefa7f8f74199616d05f10ac7",
+        "occupancy_2.csv": "614a5f5c677b600dc75e6477b2c7638067f2c148e0e1bedb65d824c08795a5d1",
+        "occupancy_3.csv": "7d5254552357efd3a0bfce2eefb28ddccdecc28922e0a724b1cecac7b908a561",
+        "path_1.csv": "53a1d7ec0dbd071f8fa70d1c7ea04b21a0cb604aeb6fe7b251a11a66852b0cd4",
+        "path_2.csv": "833c7b7010f79b7bf722f8b430f5d0860e8e94b16c40c4fe6fa5f369bb82efe3",
+        "path_3.csv": "99e44fbcf10b4d4a15fdb410a8ef07430570b770c2084232739c33be126a7ef0",
     },
     "rps_sum_exponential": {
-        "occupancy_11.csv": "3c7ee5d687a1a57510d4eaa00532802ce5353f547d8a73a540b77ebd54fe1cc9",
-        "occupancy_12.csv": "ff3ab2307884e5833f2cb4a87d182156944e20c12d8522ba88010a9c826cfd63",
-        "path_11.csv": "7e1bc920e91d81e8f6048c6920ab2b656c4b9052fede3a23d9518e751d174357",
-        "path_12.csv": "8505658ee6c84d00c312cbf3569125500317a5fd440f927b850e951424e40cc6",
+        "occupancy_11.csv": "1492cc8fb13c6addb08c297de0708690e113030b2fcd8ac32fd9555f0cb5096a",
+        "occupancy_12.csv": "9b952bce42d964911bba58dcc6a76f3b28aac13be98f5c02c805fa813b6760c7",
+        "path_11.csv": "5a1e01584065d29e6edd13f5599e5da5016a1a78d6cd49d281b32fd8e531f635",
+        "path_12.csv": "e2100318d286876f3099e6339a4747f8ec3cbc25e3f91fa782af3d8bbaf823d0",
     },
     "two_populations": {
-        "occupancy_21.csv": "91ba28a6855c74a49c2ae28834716b0aff782cd2cfc5d0d11dc863a20342f9c2",
-        "occupancy_22.csv": "3f7e72b617341d76ff0034ad72361771b5b689e06bcda0567d833601e35fa64a",
-        "path_21.csv": "3c419c6541d4bd5c5cc297dbb587d540010879316753aeca9df6becf7e35f7a4",
-        "path_22.csv": "2dedf9ee6cc87d69d43d2676a238928dde8db419fd2709a80484fd3b59fb6766",
+        "occupancy_21.csv": "ad51b5abc8de55bb35394672db6ebaf56d32d91a2f47bc7c862c2373081a8d05",
+        "occupancy_22.csv": "86c77b8fa8dd059440108446cbf1c6ea17a50286f6ea5e9073eec8028c74e54b",
+        "path_21.csv": "a96a1efd9ddb0a990fe8273d570e258e5ea9f560ca91b036920c89d677ffcf73",
+        "path_22.csv": "3cc826f33662e98de6448664237a260a3bf967a1d09c062ff367fd8ff7078c02",
     },
 }
 
@@ -229,28 +229,28 @@ GOLDEN_TRANSFORMED = {
     },
     "simulate": {
         "coordination_table": {
-            "occupancy_5.csv": "907a3534aee0140a677db5425ececef7817e38a833ca35482afd59fb9d37a4b3",
-            "path_5.csv": "f793242e04b11e6fe2eb00bc69536f1f1c3b86c8b254228cbae3d937518569aa",
+            "occupancy_5.csv": "6b06b4f39e4782ec930fea1cfa364b669d6c54978140e134d4c749aeeda9f06b",
+            "path_5.csv": "725d7bad99087453abf6daffa9c0dbe021399a619b81ac23d8b0e82207721b6f",
         },
         "rps_constant": {
-            "occupancy_1.csv": "d0a8479668700d959f6db604a4201df912a8e95d3c7f0f8444f0d2a717b72546",
-            "occupancy_2.csv": "aba33b1be12ce7a4f5fac577a97692d6ef0357f03b0f9597e86119cf5e101bc2",
-            "occupancy_3.csv": "626156f4ed7f60b9e5484812e87d59f3bbbdf4b2f18221d055b307c3d10d2210",
-            "path_1.csv": "863dbfde958ff0e2833605d06cd59201debf5201562f4ccf4797cf9d0ac0176d",
-            "path_2.csv": "dce3388dde4efb39c6d3d4b5f59d85fd9e6e21d9ccde52192a0f79219e484c10",
-            "path_3.csv": "c910f1cd87eea61f8eefaa89156b8dc9a426d850f7bf1cf16a1a8bf08e4331ad",
+            "occupancy_1.csv": "6c5d35cbd7b9ed6d6304f5dfd764a095f4b0fcf96943cebc54a78e2569138d27",
+            "occupancy_2.csv": "856e1faf719f67ca5311aac9a57f50d984a96bd419a4eca225c770812af2ae72",
+            "occupancy_3.csv": "2cb9153bf48698a2aefe378d8a6e021bda2f7d6d70a334f8b2787fcc3aa083ba",
+            "path_1.csv": "1824c8890c0b9877ac3db13abff34dc732f7ab1cee68b9a7d8652d11bb6f5107",
+            "path_2.csv": "e18e1b9a9cf81d601a3ea86a84c8254ebbede633513aebd2f1104e5cc285f558",
+            "path_3.csv": "3ad87ab36963c60f34664bb8d68fdb08b7f4575ea5d2eca9dd00d53fbacb493d",
         },
         "rps_sum_exponential": {
-            "occupancy_11.csv": "7c60d772c3be9e321a8689a9d4ae17e25f94b8519a6b206d27eaf6a6a087ea27",
-            "occupancy_12.csv": "32ca53a5c34d721e1f0442155954a93c4c4172426908a68fcbf2c27cb060dca8",
-            "path_11.csv": "e02599d697ba1a5362e9b7835439fe68b3dff2859214861b87c326409e4bccee",
-            "path_12.csv": "f3048374aa76ea62867aa397150f4de1913d0ee7753e026dffe598ee6d171738",
+            "occupancy_11.csv": "df23c5fb639fc1935e445736bbaddcce302615f9d544ce593ad0286b7e1dad9f",
+            "occupancy_12.csv": "f3ee2072485b99259fff257a124e20a507a7b5b97976e6fd0bd1cf69745fbef1",
+            "path_11.csv": "1e8ad8174b383a657fb654e43fb573277c330c5df23f3d267e5840e91ef38f42",
+            "path_12.csv": "a10c6632c4a3b25a86b881a9c3853ef344816dd83565f53ed668471b22a4fc34",
         },
         "two_populations": {
-            "occupancy_21.csv": "763679244bd700f473279bf3da4ff196ce3e0e876631df3391f52394527e0408",
-            "occupancy_22.csv": "2b2786ffee96a8b2bb5a5aecf2db852fb273cb3366d8bbb71e421d855c47a257",
-            "path_21.csv": "1f88285fa1841b881fafdc280aa92b06781e367933419c29d2eeeb40f39d8fc5",
-            "path_22.csv": "e46ee6230a0a9406f6c32952a7b55d2ba52d26fa8687a35dc87b2389613803d9",
+            "occupancy_21.csv": "eee1a0e75d6f894594fa1765a910a0f4797511eaf40f193b2fbbefec54e468fc",
+            "occupancy_22.csv": "b39039c1401b19f14bba19798fb745a06c6e3e61ec151e71b053b6fb91611eca",
+            "path_21.csv": "188bd7c67d0e31b473adcc3be626146a9bb5df6a1ed7aa2cdfb1fbc1cd3cc67d",
+            "path_22.csv": "51e3918a764cb6adfaa42260b9cde814e8616866208d08c4a7cd9115d383f46b",
         },
     },
     "mean-dynamic": {

@@ -42,7 +42,7 @@ PUBLIC_NAMES = [
     "compare", "constant_protocol", "custom_protocol", "decompose", "derived_block",
     "deviation_vs_ode", "exact_stationary", "integrate_mean_dynamic", "invert_3to2",
     "make_linear_game", "make_separable_game", "marginal_from_exact", "mean_dynamic_rhs",
-    "product_form_joint", "rest_point", "sample_states", "simulate_path",
+    "product_form_joint", "rest_point", "sample_states", "simulate_path", "simulate_paths",
     "specs_from_transform", "sum_exponential_protocol", "table_protocol",
     "validate_hypotheses",
 ]
