@@ -28,6 +28,7 @@ from .errors import (
     IntegrationDivergedError,
     ProtocolError,
     ReducibleChainError,
+    SolverError,
     SymgameError,
 )
 from .games import (

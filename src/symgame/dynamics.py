@@ -76,7 +76,7 @@ class Trajectory:
 def _rhs_parts(game, protocols, parts):
     # RK4 stages can undershoot zero slightly; rates are taken at the clamped state
     xs = tuple(np.maximum(p, 0.0) for p in parts)
-    rates = _checked_rates(game, protocols, xs)
+    _, rates = _checked_rates(game, protocols, xs)
     return [rho.T @ x - x * rho.sum(axis=1) for rho, x in zip(rates, xs)]
 
 

@@ -21,6 +21,10 @@ class ReducibleChainError(SymgameError):
         self.classes = classes or []
 
 
+class SolverError(SymgameError):
+    """A stationary solve did not converge or failed its residual bound."""
+
+
 class IntegrationDivergedError(SymgameError):
     """ODE integration left the admissible region; names the offending step."""
 

@@ -530,7 +530,7 @@ def _evaluate(game, protocols, parts, denominators):
     # the payoff map, then each rate_fn, called once on one state or on one
     # stack of states; None when an output has the wrong count or shape
     values = game.payoff(SocialState._unchecked(parts, denominators))
-    if isinstance(values, np.ndarray) and len(protocols) == 1:
+    if isinstance(values, np.ndarray) and game.num_populations == 1:
         values = (values,)
     payoffs = [np.asarray(v, dtype=float) for v in values]
     if [pi.shape for pi in payoffs] != [x.shape for x in parts]:
@@ -555,28 +555,27 @@ def _unscreened_rates(game, protocols, parts, denominators=None):
     return None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
 
 
-def _checked_rates(game, protocols, parts, denominators=None) -> list[np.ndarray]:
-    """Rate matrices at one state or at each of a stack of states, evaluated by :func:`_unscreened_rates`.
+def _checked_rates(game, protocols, parts, denominators=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``(payoffs, rates)`` at one state or at each of a stack of states, evaluated by :func:`_unscreened_rates`.
 
-    ``parts`` are made read-only.  States, payoffs and rates are screened
-    once for shape, finiteness and sign; on a failure the states are
+    No ``protocols`` evaluates payoffs only.  ``parts`` are made read-only.  States, payoffs and
+    rates are screened once for shape, finiteness and sign; on a failure the states are
     re-evaluated in order through :meth:`PopulationGame.payoff_at` and
-    :meth:`RevisionProtocol.rates`, which raise the precise error at the
-    first offending state.
+    :meth:`RevisionProtocol.rates`, which raise the precise error at the first offending state.
     """
     for x in parts:
         x.setflags(write=False)
     out = _unscreened_rates(game, protocols, parts, denominators)
     if out is None or not (
         np.isfinite(np.concatenate([*parts, *out[0], *out[1]], axis=None)).all()
-        and min(rho.min() for rho in out[1]) >= 0
+        and all(rho.min() >= 0 for rho in out[1])
     ):
         for row in [parts] if parts[0].ndim == 1 else zip(*parts):
             state = SocialState(parts=row, denominators=denominators)
             for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
                 proto.rates(pi, x)
         raise ProtocolError("payoff or protocol changed its output on re-evaluation")
-    return out[1]
+    return out
 
 
 def grid_rates(
@@ -594,7 +593,7 @@ def grid_rates(
     fractions = tuple(
         grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
     )
-    rates = _checked_rates(game, protocol_tuple(protocol, game), fractions, grid.resolutions)
+    _, rates = _checked_rates(game, protocol_tuple(protocol, game), fractions, grid.resolutions)
     return tuple(np.ascontiguousarray(rho) for rho in rates)
 
 
@@ -618,7 +617,7 @@ def validate_hypotheses(
         rates = grid_rates(game, protocols, states)
     elif rates is None:
         parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
-        rates = _checked_rates(game, protocols, parts)
+        _, rates = _checked_rates(game, protocols, parts)
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
     ]

@@ -132,8 +132,9 @@ def specs_from_transform(
     """One birth-death spec per derived 2-strategy population.
 
     ``size`` is the agent count shared by all derived populations, or one
-    count per derived population.  The rates come from one
-    :meth:`TransformedGame.marginal_block` evaluation per count 0..N.
+    count per derived population.  The rates of each come from one stacked
+    :meth:`TransformedGame.marginal_block` call over the derived states
+    ``[k/N * mass, (1 - k/N) * mass]`` of the counts k = 0..N.
     """
     if isinstance(size, numbers.Integral):
         sizes = [size] * len(transformed.populations)
@@ -152,21 +153,13 @@ def specs_from_transform(
         N, mass = sizes[i], transformed.base_game.masses[pop.base_population]
         if N < 1:
             raise ValueError(f"population size must be at least 1, got {N}")
+        fractions = np.arange(N + 1) / N
+        blocks = transformed.marginal_block(i, np.column_stack([fractions * mass, (1.0 - fractions) * mass]))
         # block[1, 0] switches into the leading strategy, block[0, 1] out of it
-        blocks = [
-            transformed.marginal_block(i, np.array([k / N * mass, (1.0 - k / N) * mass]))
-            for k in range(N + 1)
-        ]
-        specs.append(
-            BirthDeathSpec(
-                population_index=i,
-                size=N,
-                up=[block[1, 0] for block in blocks],
-                down=[block[0, 1] for block in blocks],
-                factor_variant=factor_variant,
-                orientation_variant=orientation_variant,
-            )
-        )
+        specs.append(BirthDeathSpec(
+            population_index=i, size=N, up=blocks[:, 1, 0], down=blocks[:, 0, 1],
+            factor_variant=factor_variant, orientation_variant=orientation_variant,
+        ))
     return specs
 
 

@@ -44,6 +44,7 @@ from .games import (
     PopulationGame,
     RevisionProtocol,
     SocialState,
+    _checked_rates,
     protocol_tuple,
     sample_states,
     validate_hypotheses,
@@ -86,19 +87,20 @@ class DerivedPopulation:
 
 
 def _collapse_last_two(M: np.ndarray, mode: str) -> np.ndarray:
-    a = M.shape[0]
-    out = np.empty((a - 1, a - 1))
-    out[: a - 2, : a - 2] = M[: a - 2, : a - 2]
-    out[: a - 2, a - 2] = M[: a - 2, a - 2] + M[: a - 2, a - 1]
-    out[a - 2, : a - 2] = 0.5 * (M[a - 2, : a - 2] + M[a - 1, : a - 2])
-    corner = M[a - 2 :, a - 2 :].sum()
-    out[a - 2, a - 2] = 0.5 * corner if mode == "half" else corner
+    a = M.shape[-1]
+    out = np.empty((*M.shape[:-2], a - 1, a - 1))
+    out[..., : a - 2, : a - 2] = M[..., : a - 2, : a - 2]
+    out[..., : a - 2, a - 2] = M[..., : a - 2, a - 2] + M[..., : a - 2, a - 1]
+    out[..., a - 2, : a - 2] = 0.5 * (M[..., a - 2, : a - 2] + M[..., a - 1, : a - 2])
+    # row by row, left to right: the order of ``M[a-2:, a-2:].sum()`` on one matrix
+    corner = M[..., a - 2, a - 2] + M[..., a - 2, a - 1] + M[..., a - 1, a - 2] + M[..., a - 1, a - 1]
+    out[..., a - 2, a - 2] = 0.5 * corner if mode == "half" else corner
     return out
 
 
 def derived_block(population: DerivedPopulation, base_rates: np.ndarray) -> np.ndarray:
-    """Evaluate a derived population's rate block from a base rate matrix."""
-    M = np.asarray(base_rates, dtype=float)[np.ix_(population.rotation, population.rotation)]
+    """Evaluate a derived population's rate block from a base rate matrix or a ``[..., n, n]`` stack of them."""
+    M = np.asarray(base_rates, dtype=float)[(..., *np.ix_(population.rotation, population.rotation))]
     for mode in population.stages:
         M = _collapse_last_two(M, mode)
     return M
@@ -169,84 +171,98 @@ class TransformedGame:
         return SocialState(parts=tuple(parts))
 
     def reconstruct(self, derived_parts: Sequence[np.ndarray]) -> SocialState:
-        """Base state read off the derived leading coordinates."""
-        base_parts = [np.zeros(n) for n in self.base_game.strategy_counts]
+        """Base state read off the derived leading coordinates, of one state or of an ``(S, arity)`` stack."""
+        stack = np.shape(derived_parts[0])[:-1]
+        base_parts = [np.zeros((*stack, n)) for n in self.base_game.strategy_counts]
         for pop, part in zip(self.populations, derived_parts, strict=True):
             if pop.is_passthrough:
-                base_parts[pop.base_population] = np.asarray(part, dtype=float).copy()
+                base_parts[pop.base_population] = np.array(part, dtype=float)
             else:
-                base_parts[pop.base_population][pop.leading] = float(part[0])
-        return SocialState(parts=tuple(base_parts))
+                base_parts[pop.base_population][..., pop.leading] = np.asarray(part)[..., 0]
+        # a stack is not validated here; the checked evaluation screens its values
+        return SocialState._unchecked(tuple(base_parts)) if stack else SocialState(parts=tuple(base_parts))
 
     def fill_base_state(self, population: DerivedPopulation, part: np.ndarray) -> SocialState:
         """Base state inferred from one derived population's coordinates alone.
 
         Singleton members take their coordinate directly; aggregate mass is
         split across members in rest-point proportions.  Other base
-        populations sit at the rest point.
+        populations sit at the rest point.  A stack of derived states, one
+        per row, gives the stack of their base states.
         """
-        parts = [np.array(r, dtype=float) for r in self._rest_parts]
+        part = np.asarray(part, dtype=float)
+        stack = part.shape[:-1]
+        parts = [np.tile(r, (*stack, 1)) for r in self._rest_parts]
         bp = population.base_population
-        vec = np.zeros(self.base_game.strategy_counts[bp])
+        vec = np.zeros((*stack, self.base_game.strategy_counts[bp]))
         for t, mem in enumerate(population.members):
             if len(mem) == 1:
-                vec[mem[0]] = float(part[t])
+                vec[..., mem[0]] = part[..., t]
             else:
                 idx = list(mem)
                 ref = self._rest_parts[bp][idx]
                 total = float(ref.sum())
                 share = ref / total if total > 0 else np.full(len(idx), 1.0 / len(idx))
-                vec[idx] = float(part[t]) * share
+                vec[..., idx] = part[..., t, None] * share
         parts[bp] = vec
-        return SocialState(parts=tuple(parts))
+        return SocialState._unchecked(tuple(parts)) if stack else SocialState(parts=tuple(parts))
 
     # -- payoffs and rates ----------------------------------------------
 
-    def _padded_payoff(self, population, base_state) -> np.ndarray:
-        y = self.base_game.payoff_at(base_state)[population.base_population]
-        x = base_state.parts[population.base_population]
-        out = np.empty(population.arity)
+    def _padded_payoff(self, population: DerivedPopulation, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # derived payoffs from base state x and base payoffs y of the population, one state or a stack
+        out = np.empty((*y.shape[:-1], population.arity))
         for t, mem in enumerate(population.members):
             if len(mem) == 1:
-                out[t] = y[mem[0]]
+                out[..., t] = y[..., mem[0]]
             elif self.fstar == "zero":
-                out[t] = 0.0
+                out[..., t] = 0.0
             else:
-                idx = list(mem)
-                mass = float(x[idx].sum())
-                out[t] = float(x[idx] @ y[idx]) / mass if mass > 0 else 0.0
+                xs, ys = np.take(x, mem, axis=-1), np.take(y, mem, axis=-1)
+                mass = xs.sum(axis=-1)
+                # C-contiguous rows take one BLAS dot per state, as ``x[idx] @ y[idx]`` does
+                dot = np.matmul(xs[..., None, :], ys[..., :, None])[..., 0, 0]
+                out[..., t] = np.divide(dot, mass, out=np.zeros_like(mass), where=mass > 0)
         return out
 
     def derived_payoff(self, derived_state: SocialState) -> tuple[np.ndarray, ...]:
-        """Payoffs of the derived game: member payoffs, aggregates padded."""
+        """Payoffs of the derived game: member payoffs, aggregates padded; one state or a stack."""
         base_state = self.reconstruct(derived_state.parts)
+        payoffs, _ = _checked_rates(self.base_game, (), base_state.parts)
         return tuple(
-            self._padded_payoff(pop, base_state) for pop in self.populations
+            self._padded_payoff(pop, base_state.parts[pop.base_population], payoffs[pop.base_population])
+            for pop in self.populations
         )
 
     def marginal_block(self, index: int, part: np.ndarray) -> np.ndarray:
-        """Rate block of derived population ``index`` at its own state only."""
+        """Rate block of derived population ``index`` at its own state, or the blocks of an ``(S, arity)`` stack.
+
+        A stack costs one base payoff call and one call of each base ``rate_fn`` when all are ``vectorized``,
+        else one per state; invalid values raise the validating path's error at the first offending state.
+        """
         pop = self.populations[index]
-        base_state = self.fill_base_state(pop, np.asarray(part, dtype=float))
-        bp = pop.base_population
-        pi = self.base_game.payoff_at(base_state)[bp]
-        return derived_block(pop, self.base_protocols[bp].rates(pi, base_state.parts[bp]))
+        base_state = self.fill_base_state(pop, part)
+        rates = _checked_rates(self.base_game, self.base_protocols, base_state.parts)[1]
+        return derived_block(pop, rates[pop.base_population])
 
     def marginal_game(self, index: int) -> tuple[PopulationGame, RevisionProtocol]:
         """Standalone single-population game for one derived population."""
         pop = self.populations[index]
-        mass = self.base_game.masses[pop.base_population]
+        bp = pop.base_population
 
         def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
             base = self.fill_base_state(pop, state.parts[0])
-            return (self._padded_payoff(pop, base),)
+            payoffs, _ = _checked_rates(self.base_game, (), base.parts)
+            return (self._padded_payoff(pop, base.parts[bp], payoffs[bp]),)
 
-        game = PopulationGame(masses=(mass,), strategy_counts=(pop.arity,), payoff=payoff)
+        stacked = self.base_game.vectorized and all(proto.vectorized for proto in self.base_protocols)
+        game = PopulationGame((self.base_game.masses[bp],), (pop.arity,), payoff, vectorized=stacked)
         protocol = RevisionProtocol(
             kind="derived",
             rate_fn=lambda pi, x: self.marginal_block(index, x),
-            support_floor=self.base_protocols[pop.base_population].support_floor,
+            support_floor=self.base_protocols[bp].support_floor,
             symmetric=None,
+            vectorized=stacked,
         )
         return game, protocol
 
@@ -255,14 +271,11 @@ class TransformedGame:
 
         Each derived population's protocol reads only its own coordinates
         (via the fill-in rule), so the populations evolve independently.
+        Both are ``vectorized`` exactly when the base game and every base protocol are.
         """
-        masses = tuple(
-            self.base_game.masses[pop.base_population] for pop in self.populations
-        )
-        game = PopulationGame(
-            masses=masses, strategy_counts=self.arities, payoff=self.derived_payoff
-        )
+        masses = tuple(self.base_game.masses[pop.base_population] for pop in self.populations)
         protocols = tuple(self.marginal_game(i)[1] for i in range(len(self.populations)))
+        game = PopulationGame(masses, self.arities, self.derived_payoff, vectorized=protocols[0].vectorized)
         return game, protocols
 
 

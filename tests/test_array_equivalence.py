@@ -17,7 +17,12 @@ validated state and validated rates on every call, and
 down rates as functions of the fraction, one derived rate block per call.
 ``_reference_grid_rates`` is the per-state payoff and rate loop that
 :func:`symgame.games.grid_rates` keeps for custom callables, and the three
-``_reference_*_csv`` functions the per-row f-string CSV writers.
+``_reference_*_csv`` functions the per-row f-string CSV writers.  The
+``_reference_derived_*``, ``_reference_fill_base_state``,
+``_reference_padded_payoff``, ``_reference_marginal_block`` and
+``_reference_collapse_last_two`` functions are the one-state derived-game
+evaluations that the stacked :class:`symgame.TransformedGame` methods
+replaced.
 """
 
 import collections
@@ -49,6 +54,7 @@ from symgame import (
     constant_protocol,
     custom_protocol,
     decompose,
+    derived_block,
     exact_stationary,
     make_linear_game,
     make_separable_game,
@@ -275,6 +281,76 @@ def _reference_birth_death_weights(transformed, index, N, factor_variant, orient
             )
         weights[j] = w
     return weights, degenerate
+
+
+def _reference_collapse_last_two(M, mode):
+    a = M.shape[0]
+    out = np.empty((a - 1, a - 1))
+    out[: a - 2, : a - 2] = M[: a - 2, : a - 2]
+    out[: a - 2, a - 2] = M[: a - 2, a - 2] + M[: a - 2, a - 1]
+    out[a - 2, : a - 2] = 0.5 * (M[a - 2, : a - 2] + M[a - 1, : a - 2])
+    corner = M[a - 2 :, a - 2 :].sum()
+    out[a - 2, a - 2] = 0.5 * corner if mode == "half" else corner
+    return out
+
+
+def _reference_derived_block(population, base_rates):
+    M = np.asarray(base_rates, dtype=float)[np.ix_(population.rotation, population.rotation)]
+    for mode in population.stages:
+        M = _reference_collapse_last_two(M, mode)
+    return M
+
+
+def _reference_fill_base_state(tg, population, part):
+    parts = [np.array(r, dtype=float) for r in tg._rest_parts]
+    bp = population.base_population
+    vec = np.zeros(tg.base_game.strategy_counts[bp])
+    for t, mem in enumerate(population.members):
+        if len(mem) == 1:
+            vec[mem[0]] = float(part[t])
+        else:
+            idx = list(mem)
+            ref = tg._rest_parts[bp][idx]
+            total = float(ref.sum())
+            share = ref / total if total > 0 else np.full(len(idx), 1.0 / len(idx))
+            vec[idx] = float(part[t]) * share
+    parts[bp] = vec
+    return SocialState(parts=tuple(parts))
+
+
+def _reference_padded_payoff(tg, population, base_state):
+    y = tg.base_game.payoff_at(base_state)[population.base_population]
+    x = base_state.parts[population.base_population]
+    out = np.empty(population.arity)
+    for t, mem in enumerate(population.members):
+        if len(mem) == 1:
+            out[t] = y[mem[0]]
+        elif tg.fstar == "zero":
+            out[t] = 0.0
+        else:
+            idx = list(mem)
+            mass = float(x[idx].sum())
+            out[t] = float(x[idx] @ y[idx]) / mass if mass > 0 else 0.0
+    return out
+
+
+def _reference_derived_payoff(tg, derived_parts):
+    base_parts = [np.zeros(n) for n in tg.base_game.strategy_counts]
+    for pop, part in zip(tg.populations, derived_parts, strict=True):
+        if pop.is_passthrough:
+            base_parts[pop.base_population] = np.asarray(part, dtype=float).copy()
+        else:
+            base_parts[pop.base_population][pop.leading] = float(part[0])
+    base_state = SocialState(parts=tuple(base_parts))
+    return tuple(_reference_padded_payoff(tg, pop, base_state) for pop in tg.populations)
+
+
+def _reference_marginal_block(tg, index, part):
+    pop = tg.populations[index]
+    base_state = _reference_fill_base_state(tg, pop, np.asarray(part, dtype=float))
+    bp = pop.base_population
+    pi = tg.base_game.payoff_at(base_state)[bp]
+    return _reference_derived_block(pop, tg.base_protocols[bp].rates(pi, base_state.parts[bp]))
 
 
 def _reference_joint_weights(marginals, strategy_counts, sizes):
@@ -749,6 +825,118 @@ class TestBirthDeathRates:
                 got = birth_death_weights(spec)
                 assert got.weights.tobytes() == weights.tobytes()
                 assert got.degenerate == degenerate
+
+
+@st.composite
+def derived_models(draw):
+    """A decomposition of 1-2 populations, one of 3-5 strategies, and a stack of derived states per derived population.
+
+    The target arity is 2 (``sum`` and ``half`` stages) or 3 (``sum`` stages
+    only, or a pass-through).  Each stack has a few Dirichlet rows and the
+    two rows with all mass on the first or on the last derived strategy.
+    """
+    n_pops = draw(st.integers(1, 2))
+    counts = [draw(st.integers(3, 5))] + draw(st.lists(st.integers(2, 4), min_size=n_pops - 1, max_size=n_pops - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in counts]
+    if n_pops == 1 and draw(st.booleans()):
+        game = make_linear_game(matrices[0])
+    else:
+        game = make_separable_game(matrices)
+    kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS), min_size=n_pops, max_size=n_pops))
+    protocols = tuple(_decomposable(_protocol(kind, n, rng)) for kind, n in zip(kinds, counts))
+    tg = decompose(
+        game, protocols, target=draw(st.sampled_from((2, 3))), fstar=draw(st.sampled_from(("zero", "weighted")))
+    )
+    rows = draw(st.integers(1, 4))
+    stacks = []
+    for pop in tg.populations:
+        ends = np.eye(pop.arity)[[0, -1]]
+        stacks.append(game.masses[pop.base_population] * np.vstack([rng.dirichlet(np.ones(pop.arity), size=rows), ends]))
+    return tg, stacks, rng
+
+
+class TestDerivedStacks:
+    @given(derived_models())
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_of_a_stack_matches_the_per_state_code(self, model):
+        tg, stacks, rng = model
+        for i, (pop, stack) in enumerate(zip(tg.populations, stacks)):
+            filled = tg.fill_base_state(pop, stack)
+            blocks = tg.marginal_block(i, stack)
+            mg, _ = tg.marginal_game(i)
+            payoffs = mg.payoff(SocialState._unchecked((stack,)))[0]
+            assert blocks.shape == (len(stack), pop.arity, pop.arity)
+            for s, part in enumerate(stack):
+                want_state = _reference_fill_base_state(tg, pop, part)
+                want_block = _reference_marginal_block(tg, i, part)
+                want_payoff = _reference_padded_payoff(tg, pop, want_state)
+                one_state = tg.fill_base_state(pop, part)
+                for got, one, want in zip(filled.parts, one_state.parts, want_state.parts):
+                    assert got[s].tobytes() == one.tobytes() == want.tobytes()
+                assert blocks[s].tobytes() == tg.marginal_block(i, part).tobytes() == want_block.tobytes()
+                one_payoff = mg.payoff(SocialState.single(part))[0]
+                assert payoffs[s].tobytes() == one_payoff.tobytes() == want_payoff.tobytes()
+        derived = tg.derived_payoff(SocialState._unchecked(tuple(stacks)))
+        for s in range(len(stacks[0])):
+            want = _reference_derived_payoff(tg, [stack[s] for stack in stacks])
+            one = tg.derived_payoff(SocialState(parts=tuple(stack[s] for stack in stacks)))
+            for got, got_one, w in zip(derived, one, want):
+                assert got[s].tobytes() == got_one.tobytes() == w.tobytes()
+        # rates spread over 16 decades, so every summation order shows
+        for pop in tg.populations:
+            n = tg.base_game.strategy_counts[pop.base_population]
+            base = rng.uniform(0.0, 10.0, size=(5, n, n)) * 10.0 ** rng.integers(-8, 8, size=(5, n, n))
+            got = derived_block(pop, base)
+            for s in range(len(base)):
+                assert got[s].tobytes() == derived_block(pop, base[s]).tobytes()
+                assert got[s].tobytes() == _reference_derived_block(pop, base[s]).tobytes()
+
+    @given(derived_models())
+    @settings(max_examples=30, deadline=None)
+    def test_a_stack_costs_one_base_call_each_when_vectorized(self, model):
+        tg, stacks, _ = model
+        calls = collections.Counter()
+        counted = dataclasses.replace(
+            tg,
+            base_game=dataclasses.replace(tg.base_game, payoff=_counted(tg.base_game.payoff, calls, "payoff")),
+            base_protocols=tuple(
+                dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, p))
+                for p, proto in enumerate(tg.base_protocols)
+            ),
+        )
+        stacked = all(proto.kind != "custom" for proto in tg.base_protocols)
+        game, protocols = counted.as_population_game()
+        assert game.vectorized == stacked and all(proto.vectorized == stacked for proto in protocols)
+        counted._rest_parts  # the rest point's own evaluations are not counted
+        for i, stack in enumerate(stacks):
+            calls.clear()
+            counted.marginal_block(i, stack)
+            per_callable = 1 if stacked else len(stack)
+            assert calls == {"payoff": per_callable, **{p: per_callable for p in range(len(tg.base_protocols))}}
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_an_invalid_rate_at_one_count_raises_the_per_state_error(self, vectorized):
+        # negative rates exactly where x_1 is 3/4 or 1, which sampled states never hit
+        def rate_fn(pi, x):
+            lead = x[..., :1, None]
+            return np.where((lead == 0.75) | (lead == 1.0), -lead, 1.0) * np.ones((3, 3))
+
+        proto = RevisionProtocol(
+            kind="spiked", rate_fn=rate_fn, support_floor=1.0, symmetric=True, vectorized=vectorized
+        )
+        tg = decompose(make_linear_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]), proto)
+        stack = np.column_stack([np.arange(5) / 4, 1.0 - np.arange(5) / 4])
+        with pytest.raises(ProtocolError) as expected:
+            for part in stack:
+                _reference_marginal_block(tg, 0, part)
+        assert str(expected.value).endswith("-0.75))")
+        with pytest.raises(ProtocolError) as got:
+            tg.marginal_block(0, stack)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ProtocolError) as got:
+            specs_from_transform(tg, 4)
+        assert str(got.value) == str(expected.value)
 
 
 def _counted(fn, calls, key):

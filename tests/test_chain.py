@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import binom, multinomial
 
 from symgame import (
@@ -7,6 +8,7 @@ from symgame import (
     PathResult,
     ReducibleChainError,
     SocialState,
+    SolverError,
     StationaryTable,
     build_generator,
     check_detailed_balance,
@@ -24,7 +26,8 @@ from symgame import (
     sum_exponential_protocol,
     table_protocol,
 )
-from symgame.chain import build_grid
+from symgame import chain as chain_module
+from symgame.chain import _power_stationary, build_grid
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
@@ -75,6 +78,21 @@ def gth_stationary(chain):
     for k in range(1, n):
         pi[k] = pi[:k] @ P[:k, k]
     return pi / pi.sum()
+
+
+def _uniformized_power_iterations(chain):
+    # iterations of the power solve on I + Q^T / (1.01 max rate), with the
+    # same stopping rule, before Jacobi scaling replaced it
+    n = chain.num_states
+    kernel_t = (sp.eye(n, format="csr") + chain.generator.T.tocsr() / (1.01 * chain.max_rate())).tocsr()
+    mu = np.full(n, 1.0 / n)
+    target = 1e-12 * chain.max_rate()
+    for it in range(1, 100_000):
+        mu = kernel_t @ mu
+        mu /= mu.sum()
+        if it % 64 == 0 and np.max(np.abs(mu @ chain.generator)) <= target:
+            return it
+    raise AssertionError("uniformized power iteration did not converge")
 
 
 def lattice(n, size, **kwargs):
@@ -225,6 +243,28 @@ class TestExactStationary:
         lu = exact_stationary(chain, solver="lu")
         power = exact_stationary(chain, solver="power")
         assert np.max(np.abs(lu.probabilities - power.probabilities)) < 1e-10
+
+    def test_jacobi_scaled_power_agrees_with_lu_in_fewer_iterations(self):
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 40))
+        lu = exact_stationary(chain, solver="lu")
+        power = exact_stationary(chain, solver="power")
+        assert power.metadata["solver"] == "power"
+        assert 0.5 * np.abs(lu.probabilities - power.probabilities).sum() <= 1e-9
+        assert power.metadata["iterations"] <= 0.75 * _uniformized_power_iterations(chain)
+
+    def test_power_iteration_short_of_the_residual_raises_solver_error(self):
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 40))
+        with pytest.raises(SolverError, match=r"power iteration on 861 states did not reach .* in 64 iterations"):
+            _power_stationary(chain, max_iters=64)
+
+    def test_residual_above_the_bound_raises_solver_error(self, monkeypatch):
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
+        monkeypatch.setattr(chain_module, "_lu_stationary", lambda chain: np.ones(chain.num_states))
+        with pytest.raises(SolverError, match=r"stationary residual .* exceeds bound"):
+            exact_stationary(chain)
 
     def test_reducible_chain_reports_classes(self):
         game = make_linear_game(np.zeros((2, 2)))

@@ -131,7 +131,8 @@ class TestCommands:
         report = (out / "experiment_report.txt").read_text()
         tv_line = [l for l in report.split("\n") if l.startswith("tv_predicted_vs_exact")][0]
         assert abs(float(tv_line.split(":")[1]) - 2 / 15) < 1e-6
-        assert "derived_max_imbalance: 0" in report
+        assert "original_max_imbalance: " in report
+        assert "derived_max_imbalance" not in report
 
     def test_experiment_exit_ignores_gap_size(self, tmp_path):
         # a protocol with a visible prediction gap still completes with status 0
@@ -209,11 +210,11 @@ class TestCommands:
 class TestRateEvaluations:
     def test_experiment_evaluates_rates_once_per_lattice_state(self, tmp_path, monkeypatch):
         # the hypothesis check and the generator share one evaluation per main-grid
-        # state; each marginal chain adds one per state.  The stages that evaluate
-        # off the lattice or along a path (decomposition samples, RK4,
-        # birth-death rates, simulated paths) are not counted here; the batch of
-        # paths evaluates once per visited state of each, events + 1 times, and the
-        # birth-death rates take one derived block per count 0..N.
+        # state.  The stages that evaluate off the lattice or along a path
+        # (decomposition samples, RK4, birth-death rates, simulated paths) are
+        # not counted here; the batch of paths evaluates once per visited state
+        # of each, events + 1 times, and the birth-death rates of each derived
+        # population take one stacked block call over the counts 0..N.
         import numpy as np
 
         from symgame import cli, custom_protocol
@@ -244,12 +245,12 @@ class TestRateEvaluations:
 
         for name in ("decompose", "integrate_mean_dynamic"):
             monkeypatch.setattr(cli, name, paused(getattr(cli, name)))
-        blocks = []  # derived population of each block evaluated for birth-death rates
+        blocks = []  # derived population and stack height of each block call for birth-death rates
         marginal_block = TransformedGame.marginal_block
         specs_from_transform = paused(cli.specs_from_transform)
 
         def counted_block(self, index, part):
-            blocks.append(index)
+            blocks.append((index, len(part)))
             return marginal_block(self, index, part)
 
         def counted_specs(*args, **kwargs):
@@ -271,9 +272,9 @@ class TestRateEvaluations:
         config = tmp_path / "rps.cfg"
         config.write_text(RPS_CONSTANT.replace("N = 2", "N = 6").replace("horizon = 20.0", "horizon = 1.0"))
         assert run("experiment", config, tmp_path / "out") == 0
-        # C(6 + 2, 2) = 28 main-grid states; three derived 2-strategy chains of 7 states
-        assert calls["count"] == 28 + 3 * 7
-        assert blocks == [i for i in range(3) for _ in range(6 + 1)]  # N + 1 per population
+        # C(6 + 2, 2) = 28 main-grid states
+        assert calls["count"] == 28
+        assert blocks == [(i, 6 + 1) for i in range(3)]  # one stack of the counts 0..N per population
         [(evaluations, events)] = batches  # seeds 1, 2 in one batch
         assert len(events) == 2 and min(events) > 0
         assert evaluations == sum(n + 1 for n in events)
@@ -302,8 +303,8 @@ class TestStageBuilds:
     def test_experiment_builds_each_lattice_and_decomposition_once(self, rps6, tmp_path, monkeypatch):
         calls = self._counted(monkeypatch)
         assert run("experiment", rps6, tmp_path / "out") == 0
-        # the base lattice, shared with the occupancy of every path, and three derived marginal chains
-        assert calls == {"build_grid": 1 + 3, "decompose": 1}
+        # the base lattice, shared with the occupancy of every path; no derived chain is built
+        assert calls == {"build_grid": 1, "decompose": 1}
 
     def test_compare_builds_one_lattice(self, rps6, tmp_path, monkeypatch):
         calls = self._counted(monkeypatch)

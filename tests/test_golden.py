@@ -21,7 +21,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 GOLDEN = {
     "coordination_table": {
         "exact_stationary.csv": "794226b6aeb887db3b49eb9b8c257188b30810cf66cec891e7127e7927f5bd7f",
-        "experiment_report.txt": "0dcd4e4895877d46d334d11a2a0130ac9a9121b2f4a539ab3f54363753781a65",
+        "experiment_report.txt": "331f0914555687a66181598d94fba1c1787cbc2f07a8d3eef732ec4c7d72cbe1",
         "occupancy_5.csv": "5a4cf09b9022eca5450d8875dd5df3b952e3efa1bc82e73346ad79c1ff17bf49",
         "path_5.csv": "49d04606299901ccc9b89ef5b56967fc9a331e11dab8216a39571f69d6a0a350",
         "predicted.csv": "ab8b0e98ced80b16eb824450529d3bf8620bb003c2ee97b62bff5757e5015df0",
@@ -30,7 +30,7 @@ GOLDEN = {
     },
     "rps_constant": {
         "exact_stationary.csv": "19c223ca450e49031f432fdbe76b10e371cb0403a84401de3b3005599c835474",
-        "experiment_report.txt": "8caffc49b1d72d7ba64d041e98dd2783d159e3cc2dbbb07679ca7eae01eb8ab1",
+        "experiment_report.txt": "11f5137b82d442ba26bb84f8d04f5b1fd5ac063ecaa8e3a81bb8519a5d866a28",
         "occupancy_1.csv": "8c959eabdb08488cb40dca973d362f952e9d31c5820e4b99900bc7245dbab270",
         "occupancy_2.csv": "5b593e14314a467fec1c8b5ecce850c6442d687ae745e5a1fc8060e2d8dc82f0",
         "occupancy_3.csv": "cf75c14d365b1b04d1c6ca4ead4df7ba2c1581e61cde18d7c32b03a7be998b92",
@@ -43,7 +43,7 @@ GOLDEN = {
     },
     "rps_sum_exponential": {
         "exact_stationary.csv": "f9d584a8aebbe9650eac4d3ce5c858a9383ec21d89e07908c5222396d84c8984",
-        "experiment_report.txt": "f19165f1af312b63f7654da6569ea82484ff7a48810c77e6c932c73340bd752d",
+        "experiment_report.txt": "3831430d043b7def878f4719db4769010b643df9e8baf0067ee58ff80c092418",
         "occupancy_11.csv": "5d687c1381567b2fda4900305e6d72a116fe6d755e93372ee32926fe504bb6fc",
         "occupancy_12.csv": "4228b11da1d2c75f8374c805166698210c9de795411f151c5c9fa403ca1288b8",
         "path_11.csv": "b3c9899d2888e310112ee0c9e3e955842de95ecaf9f37467153aeed003a2013c",
@@ -54,7 +54,7 @@ GOLDEN = {
     },
     "two_populations": {
         "exact_stationary.csv": "21f3f427414ac196d2d528b81ff6e62c7d3ee6e3214ed3053b82360d7ffd973e",
-        "experiment_report.txt": "b28189cc15d6984c8a783620678d154578ab35e852812f76a05b815f2c5f3a1b",
+        "experiment_report.txt": "d372f901305fd10675c24090c0203be5dde231a7e997c2c094b7aa7430093c74",
         "occupancy_21.csv": "5dad830be8c97e86a51863a5ee87a1fc537151c0ec900fc16724782eb67b1f4b",
         "occupancy_22.csv": "4785378ddd52455eebd1c3baa1754797b7f4b4d25f9878f3a230e84496bcda9c",
         "path_21.csv": "a81675201da761707a26a447a2875042456ccad0cfc636136a49982cebcb6301",

@@ -36,7 +36,8 @@ PUBLIC_NAMES = [
     "BirthDeathSpec", "BirthDeathWeights", "ComparisonMetrics", "ConfigError",
     "DerivedPopulation", "DetailedBalanceReport", "EmptySupportError", "FiniteChain",
     "GridSizeError", "IntegrationDivergedError", "PathResult", "PopulationGame",
-    "ProtocolError", "ReducibleChainError", "RevisionProtocol", "SocialState", "StateGrid",
+    "ProtocolError", "ReducibleChainError", "RevisionProtocol", "SocialState", "SolverError",
+    "StateGrid",
     "StationaryTable", "SymgameError", "Trajectory", "TransformedGame", "ValidationReport",
     "birth_death_weights", "build_generator", "build_grid", "check_detailed_balance",
     "compare", "constant_protocol", "custom_protocol", "decompose", "derived_block",
