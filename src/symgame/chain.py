@@ -113,11 +113,11 @@ class StationaryTable:
         if probs.shape != (len(self.grid),):
             raise ValueError(f"got probabilities of shape {probs.shape} for {len(self.grid)} states")
         if np.any(probs < -1e-12):
-            raise ValueError(f"negative probability {probs.min()!r}")
+            raise ValueError(f"negative probability {float(probs.min())}")
         probs = np.maximum(probs, 0.0)
         total = probs.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(total)}, expected 1")
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)

@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,25 +32,39 @@ from .games import (
 
 __all__ = ["ExperimentConfig", "parse_config", "render_config"]
 
-_SECTION_KEYS = {
-    "game": {"type", "payoff_matrix", "mass", "populations", "masses"},
-    "protocol": {"kind", "c", "eta", "matrix", "support_floor"},
-    "run": {
-        "N",
-        "horizon",
-        "dt",
-        "burn_in",
-        "seeds",
-        "x0",
-        "variant_factor",
-        "variant_orientation",
-        "fstar",
+# section -> key -> (kind, default text).  A tuple kind lists the allowed
+# texts; a None default leaves an absent key to a rule in parse_config.
+_KEYS = {
+    "game": {
+        "type": ("text", "linear"),
+        "payoff_matrix": ("matrix", None),
+        "mass": ("float", "1.0"),
+        "populations": ("int", "1"),
+        "masses": ("floats", None),
     },
-    "output": {"directory", "formats"},
-    "transform": {"lineage", "fstar"},
+    "protocol": {
+        "kind": ("text", None),
+        "c": ("float", "1.0"),
+        "eta": ("float", None),
+        "matrix": ("matrix", None),
+        "support_floor": ("float", "0.0"),
+    },
+    "run": {
+        "N": ("ints", "2"),
+        "horizon": ("float", "10.0"),
+        "dt": ("float", "0.01"),
+        "burn_in": ("float", None),
+        "seeds": ("ints", ""),
+        "x0": ("blocks", None),
+        "variant_factor": (("standard", "paper"), "standard"),
+        "variant_orientation": (("standard", "paper"), "standard"),
+        "fstar": (("zero", "weighted"), "zero"),
+    },
+    "output": {"directory": ("text", "out"), "formats": ("texts", "csv, report")},
+    "transform": {"lineage": ("texts", ""), "fstar": (("zero", "weighted"), None)},
 }
-_REQUIRED_SECTIONS = ("game", "protocol", "run")
-_MATRIX_KEY_PREFIXES = ("payoff_matrix_", "matrix_")
+# per-population matrix keys <prefix><p>: section -> (prefix, key, the value of that key that reads them)
+_NUMBERED = {"game": ("payoff_matrix_", "type", "table-payoff"), "protocol": ("matrix_", "kind", "table")}
 
 
 @dataclass
@@ -110,37 +125,34 @@ class ExperimentConfig:
 
 def _parse_matrix(text: str, label: str, problems: list[str]) -> np.ndarray | None:
     rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in filter(None, map(str.strip, text.splitlines())):
         try:
             rows.append([float(v) for v in line.replace(",", " ").split()])
         except ValueError:
             problems.append(f"{label}: cannot parse matrix row {line!r}")
             return None
+    widths = sorted({len(row) for row in rows})
     if not rows:
         problems.append(f"{label}: empty matrix")
-        return None
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        problems.append(f"{label}: ragged matrix rows with widths {sorted(widths)}")
-        return None
-    matrix = np.array(rows, dtype=float)
-    if matrix.shape[0] != matrix.shape[1]:
-        problems.append(
-            f"{label}: matrix must be square, got {matrix.shape[0]}x{matrix.shape[1]}"
-        )
-        return None
-    return matrix
+    elif len(widths) != 1:
+        problems.append(f"{label}: ragged matrix rows with widths {widths}")
+    elif widths[0] != len(rows):
+        problems.append(f"{label}: matrix must be square, got {len(rows)}x{widths[0]}")
+    else:
+        return np.array(rows, dtype=float)
+    return None
 
 
 def _parse_list(text: str, conv, label: str, problems: list[str]):
     try:
-        return [conv(v.strip()) for v in text.split(",") if v.strip()]
+        values = [conv(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         problems.append(f"{label}: cannot parse list {text!r}")
         return None
+    if conv is not float or all(map(math.isfinite, values)):
+        return values
+    problems.append(f"{label}: expected finite numbers, got {text!r}")
+    return None
 
 
 def _parse_number(text: str, conv, label: str, problems: list[str]):
@@ -155,10 +167,34 @@ def _parse_number(text: str, conv, label: str, problems: list[str]):
     return math.nan
 
 
-def _get(parser, section, key, default=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return default
+def _parse(kind: str, text: str, label: str, problems: list[str]):
+    """``text`` read as a value of ``kind``; a bad value is a labelled problem and NaN or None."""
+    if kind == "blocks":  # population blocks separated by '|'; empty and bad ones are dropped
+        return [block for part in text.split("|") if (block := _parse_list(part, float, label, problems))]
+    if kind == "matrix":
+        return _parse_matrix(text, label, problems)
+    if kind == "text":
+        return text
+    conv = {"float": float, "int": int, "text": str}[kind.removesuffix("s")]
+    return (_parse_list if kind.endswith("s") else _parse_number)(text, conv, label, problems)
+
+
+def _numbered_keys(parser, section: str) -> list[str]:
+    """The section's per-population matrix keys in population order, if its type or kind reads them."""
+    prefix, switch, reader = _NUMBERED[section]
+    if parser.get(section, switch, fallback=None) != reader:
+        return []
+    keys = [key for key in parser.options(section) if re.fullmatch(prefix + "[1-9][0-9]*", key)]
+    return sorted(keys, key=lambda key: int(key[len(prefix):]))
+
+
+def _per_population(values: list, n_pops: int, message: str, problems: list[str]) -> list:
+    """One value repeated for every population, or one per population; any other count is a problem."""
+    if len(values) == 1:
+        return values * n_pops
+    if values and len(values) != n_pops:
+        problems.append(message.format(len(values), n_pops))
+    return values
 
 
 def _hint(name: str, known) -> str:
@@ -176,181 +212,116 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
-    matrix_keys_seen: dict[str, list[str]] = {"game": [], "protocol": []}
+    def get(section: str, key: str, label: str | None = None, required: str | None = None):
+        """The key's value read by its kind, or None if absent with no default (a problem if ``required``)."""
+        kind, default = _KEYS[section].get(key, ("matrix", None))
+        raw = parser.get(section, key, fallback=default)
+        if raw is None:
+            if required:
+                problems.append(f"{section} section: {required}")
+        elif isinstance(kind, tuple):  # the allowed texts
+            if raw not in kind:
+                problems.append(f"{section} section: {key} must be {' or '.join(map(repr, kind))}, got '{raw}'")
+        else:
+            return _parse(kind, raw, label or f"{section} section ({key})", problems)
+        return raw
+
+    numbered = {section: _numbered_keys(parser, section) for section in _NUMBERED}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            problems.append(f"unknown section '{section}'{_hint(section, _SECTION_KEYS)}")
+        if section not in _KEYS:
+            problems.append(f"unknown section '{section}'{_hint(section, _KEYS)}")
             continue
         for key in parser.options(section):
-            if key in _SECTION_KEYS[section]:
-                continue
-            if section in ("game", "protocol") and key.startswith(_MATRIX_KEY_PREFIXES):
-                matrix_keys_seen[section].append(key)
-                continue
-            known = set(_SECTION_KEYS[section])
-            problems.append(f"section '{section}': unknown key '{key}'{_hint(key, known)}")
-    for section in _REQUIRED_SECTIONS:
-        if not parser.has_section(section):
-            problems.append(f"missing required section '{section}'")
+            if key not in _KEYS[section] and key not in numbered.get(section, ()):
+                problems.append(f"section '{section}': unknown key '{key}'{_hint(key, _KEYS[section])}")
+    missing = [section for section in ("game", "protocol", "run") if not parser.has_section(section)]
+    problems += [f"missing required section '{section}'" for section in missing]
     if problems:
         raise ConfigError(problems)
 
     # --- game section ---
-    game_type = _get(parser, "game", "type", "linear")
+    game_type = get("game", "type")
     matrices: list[np.ndarray] = []
     masses: list[float] = []
     if game_type == "linear":
-        raw = _get(parser, "game", "payoff_matrix")
-        if raw is None:
-            problems.append("game section: linear games need 'payoff_matrix'")
-        else:
-            M = _parse_matrix(raw, "game section", problems)
-            if M is not None:
-                matrices = [M]
-        raw = _get(parser, "game", "mass", "1.0")
-        masses = [_parse_number(raw, float, "game section (mass)", problems)]
+        required = "linear games need 'payoff_matrix'"
+        matrices = [M for M in [get("game", "payoff_matrix", "game section", required)] if M is not None]
+        masses = [get("game", "mass")]
     elif game_type == "table-payoff":
-        raw = _get(parser, "game", "populations", "1")
-        count = _parse_number(raw, int, "game section (populations)", problems)
+        count = get("game", "populations")
         if math.isnan(count):  # go on with one population per matrix given
-            count = len(matrix_keys_seen["game"])
-        for p in range(1, count + 1):
-            raw = _get(parser, "game", f"payoff_matrix_{p}")
-            if raw is None:
-                problems.append(f"game section: missing 'payoff_matrix_{p}'")
-                continue
-            M = _parse_matrix(raw, f"game section (payoff_matrix_{p})", problems)
-            if M is not None:
-                matrices.append(M)
-        raw_masses = _get(parser, "game", "masses")
-        masses = (
-            _parse_list(raw_masses, float, "game section (masses)", problems)
-            if raw_masses
-            else [1.0] * count
-        ) or []
-        if masses and len(masses) != count:
-            problems.append(
-                f"game section: {len(masses)} masses for {count} populations"
-            )
+            count = len(numbered["game"])
+        if count < 1:
+            problems.append(f"game section: populations must be at least 1, got {count}")
+        else:
+            keys = [f"payoff_matrix_{p}" for p in range(1, count + 1)]
+            matrices = [M for key in keys if (M := get("game", key, required=f"missing '{key}'")) is not None]
+            masses = get("game", "masses") or [1.0] * count
+            if len(masses) != count:
+                problems.append(f"game section: {len(masses)} masses for {count} populations")
     else:
         problems.append(f"game section: unknown type '{game_type}'")
 
     # --- protocol section ---
-    kind = _get(parser, "protocol", "kind")
     params: dict = {}
     protocol_matrices: list[np.ndarray] = []
-    support_floor = _parse_number(
-        _get(parser, "protocol", "support_floor", "0.0"), float, "protocol section (support_floor)", problems
-    )
+    support_floor = get("protocol", "support_floor")
+    kind = get("protocol", "kind", required="missing 'kind'")
     if kind == "constant":
-        c = _parse_number(_get(parser, "protocol", "c", "1.0"), float, "protocol section (c)", problems)
-        params["c"] = c
-        if support_floor == 0.0:
-            support_floor = c
+        params["c"] = get("protocol", "c")
+        if support_floor == 0.0:  # constant rates are their own floor
+            support_floor = params["c"]
     elif kind == "sum_exponential":
-        raw = _get(parser, "protocol", "eta")
-        if raw is None:
-            problems.append("protocol section: sum_exponential needs 'eta'")
-        else:
-            params["eta"] = _parse_number(raw, float, "protocol section (eta)", problems)
+        params["eta"] = get("protocol", "eta", required="sum_exponential needs 'eta'")
     elif kind == "table":
-        keys = ["matrix"] if parser.has_option("protocol", "matrix") else sorted(
-            matrix_keys_seen["protocol"]
-        )
-        if not keys:
-            problems.append("protocol section: table protocols need 'matrix'")
-        for key in keys:
-            M = _parse_matrix(parser.get("protocol", key), f"protocol section ({key})", problems)
-            if M is not None:
-                protocol_matrices.append(M)
-    else:
+        keys = numbered["protocol"] if not parser.has_option("protocol", "matrix") else []
+        found = (get("protocol", key, required="table protocols need 'matrix'") for key in keys or ["matrix"])
+        protocol_matrices = [M for M in found if M is not None]
+    elif kind is not None:
         problems.append(f"protocol section: unknown kind '{kind}'")
 
-    # --- run section ---
-    raw_n = _get(parser, "run", "N", "2")
-    resolutions = _parse_list(raw_n, int, "run section (N)", problems) or []
-    horizon = _parse_number(_get(parser, "run", "horizon", "10.0"), float, "run section (horizon)", problems)
-    dt = _parse_number(_get(parser, "run", "dt", "0.01"), float, "run section (dt)", problems)
-    raw = _get(parser, "run", "burn_in")
-    burn_in = horizon / 10.0 if raw is None else _parse_number(raw, float, "run section (burn_in)", problems)
-    seeds = _parse_list(_get(parser, "run", "seeds", ""), int, "run section (seeds)", problems) or []
-    x0_raw = _get(parser, "run", "x0")
-    x0 = None
-    if x0_raw is not None:
-        x0 = []
-        for block in x0_raw.split("|"):
-            parsed = _parse_list(block, float, "run section (x0)", problems)
-            if parsed:
-                x0.append(parsed)
-    variant_factor = _get(parser, "run", "variant_factor", "standard")
-    variant_orientation = _get(parser, "run", "variant_orientation", "standard")
-    fstar = _get(parser, "run", "fstar", "zero")
-    for name, value in (
-        ("variant_factor", variant_factor),
-        ("variant_orientation", variant_orientation),
-    ):
-        if value not in ("standard", "paper"):
-            problems.append(f"run section: {name} must be 'standard' or 'paper', got '{value}'")
-    if fstar not in ("zero", "weighted"):
-        problems.append(f"run section: fstar must be 'zero' or 'weighted', got '{fstar}'")
+    # --- run section: every key, in table order, named as its ExperimentConfig field ---
+    run = {key: get("run", key) for key in _KEYS["run"]}
+    if run["N"] == []:
+        problems.append("run section (N): expected at least one value")
+    resolutions = run.pop("N") or []
+    if run["burn_in"] is None:
+        run["burn_in"] = run["horizon"] / 10.0
+    horizon, dt, burn_in, x0 = (run[key] for key in ("horizon", "dt", "burn_in", "x0"))
+    run["fstar"] = get("transform", "fstar") or run["fstar"]
     if horizon <= 0:
         problems.append(f"run section: horizon must be positive, got {horizon}")
     if dt <= 0 or (horizon > 0 and dt > horizon):
         problems.append(f"run section: need 0 < dt <= horizon, got dt={dt}")
     if burn_in < 0 or burn_in >= max(horizon, 1e-300):
         problems.append(f"run section: burn_in must lie in [0, horizon), got {burn_in}")
-    for N in resolutions:
-        if N < 1:
-            problems.append(f"run section: N must be at least 1, got {N}")
-
-    # --- output section ---
-    directory = _get(parser, "output", "directory", "out") if parser.has_section("output") else "out"
-    formats_raw = (
-        _get(parser, "output", "formats", "csv, report") if parser.has_section("output") else "csv, report"
-    )
-    formats = [f.strip() for f in formats_raw.split(",") if f.strip()]
-
-    # --- transform marker ---
-    lineage = None
-    if parser.has_section("transform"):
-        raw = _get(parser, "transform", "lineage", "")
-        lineage = tuple(v.strip() for v in raw.split(",") if v.strip())
-        fstar = _get(parser, "transform", "fstar", fstar)
+    problems += [f"run section: N must be at least 1, got {N}" for N in resolutions if N < 1]
 
     # --- cross-section consistency ---
     if matrices:
         n_pops = len(matrices)
-        if resolutions and len(resolutions) not in (1, n_pops):
-            problems.append(
-                f"run section: {len(resolutions)} values of N for {n_pops} populations"
-            )
-        elif len(resolutions) == 1:
-            resolutions = resolutions * n_pops
+        resolutions = _per_population(
+            resolutions, n_pops, "run section: {} values of N for {} populations", problems
+        )
         if kind == "table":
-            if protocol_matrices and len(protocol_matrices) not in (1, n_pops):
-                problems.append(
-                    f"protocol section: {len(protocol_matrices)} rate tables for {n_pops} populations"
-                )
-            elif len(protocol_matrices) == 1:
-                protocol_matrices = protocol_matrices * n_pops
-            for p, (A, M) in enumerate(zip(matrices, protocol_matrices)):
-                if M.shape != A.shape:
-                    problems.append(
-                        f"protocol section: rate table {p + 1} is {M.shape[0]}x{M.shape[1]}, "
-                        f"game has {A.shape[0]} strategies"
-                    )
-        if x0 is not None:
-            if len(x0) != n_pops:
-                problems.append(
-                    f"run section: x0 has {len(x0)} population blocks, game has {n_pops}"
-                )
-            else:
-                for p, (block, A) in enumerate(zip(x0, matrices)):
-                    if len(block) != A.shape[0]:
-                        problems.append(
-                            f"run section: x0 block {p + 1} has {len(block)} entries, "
-                            f"population has {A.shape[0]} strategies"
-                        )
+            protocol_matrices = _per_population(
+                protocol_matrices, n_pops, "protocol section: {} rate tables for {} populations", problems
+            )
+            problems += [
+                f"protocol section: rate table {p} is {M.shape[0]}x{M.shape[1]}, "
+                f"game has {A.shape[0]} strategies"
+                for p, (A, M) in enumerate(zip(matrices, protocol_matrices), start=1)
+                if M.shape != A.shape
+            ]
+        if x0 is not None and len(x0) != n_pops:
+            problems.append(f"run section: x0 has {len(x0)} population blocks, game has {n_pops}")
+        elif x0 is not None:
+            problems += [
+                f"run section: x0 block {p} has {len(block)} entries, "
+                f"population has {A.shape[0]} strategies"
+                for p, (block, A) in enumerate(zip(x0, matrices), start=1)
+                if len(block) != A.shape[0]
+            ]
 
     if problems:
         raise ConfigError(problems)
@@ -363,17 +334,10 @@ def parse_config(text: str) -> ExperimentConfig:
         protocol_params=params,
         support_floor=support_floor,
         resolutions=resolutions,
-        horizon=horizon,
-        dt=dt,
-        burn_in=burn_in,
-        seeds=seeds,
-        x0=x0,
-        variant_factor=variant_factor,
-        variant_orientation=variant_orientation,
-        fstar=fstar,
-        output_directory=directory,
-        output_formats=formats,
-        transform_lineage=lineage,
+        **run,
+        output_directory=get("output", "directory"),
+        output_formats=get("output", "formats"),
+        transform_lineage=tuple(get("transform", "lineage")) if parser.has_section("transform") else None,
         source_text=text,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
         protocol_matrices=protocol_matrices,

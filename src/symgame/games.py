@@ -74,7 +74,7 @@ class SocialState:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"population {p}: state has non-finite entries")
             if np.any(vec < -MASS_TOL):
-                raise ValueError(f"population {p}: negative mass {vec.min()!r}")
+                raise ValueError(f"population {p}: negative mass {float(vec.min())}")
         if self.denominators is not None:
             object.__setattr__(self, "denominators", tuple(int(n) for n in self.denominators))
 
@@ -174,7 +174,7 @@ class PopulationGame:
                 raise ValueError(f"population {p}: state shape {vec.shape} != ({n},)")
             if abs(float(vec.sum()) - m) > max(tol, tol * m):
                 raise ValueError(
-                    f"population {p}: mass {vec.sum()!r} != {m} beyond tolerance {tol}"
+                    f"population {p}: mass {float(vec.sum())} != {m} beyond tolerance {tol}"
                 )
 
     def barycenter(self) -> SocialState:
@@ -267,7 +267,7 @@ class RevisionProtocol:
         if not np.all(np.isfinite(out)):
             raise ProtocolError(f"protocol '{self.kind}' produced non-finite rates")
         if np.any(out < 0):
-            raise ProtocolError(f"protocol '{self.kind}' produced negative rates (min {out.min()!r})")
+            raise ProtocolError(f"protocol '{self.kind}' produced negative rates (min {float(out.min())})")
         return out
 
 

@@ -930,7 +930,7 @@ class TestDerivedStacks:
         with pytest.raises(ProtocolError) as expected:
             for part in stack:
                 _reference_marginal_block(tg, 0, part)
-        assert str(expected.value).endswith("-0.75))")
+        assert str(expected.value).endswith("(min -0.75)")
         with pytest.raises(ProtocolError) as got:
             tg.marginal_block(0, stack)
         assert str(got.value) == str(expected.value)

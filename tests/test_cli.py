@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from symgame.cli import main
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 RPS_CONSTANT = """\
 [game]
@@ -201,6 +208,26 @@ class TestCommands:
         config = tmp_path / "half.cfg"
         config.write_text(HALF_AGENT)
         assert run("mean-dynamic", config, tmp_path / "out") == 0
+
+    @pytest.mark.parametrize(
+        "example, old, new, key",
+        [
+            ("rps_constant", "\nN = 2\n", "\nN =\n", "run section (N)"),
+            ("two_populations", "masses = 1.0, 1.0", "masses = 1.0, inf", "game section (masses)"),
+        ],
+    )
+    def test_bad_values_are_config_errors_under_their_key(self, example, old, new, key, tmp_path):
+        # a blank N and an infinite mass once ended the process with a traceback
+        config = tmp_path / "bad.cfg"
+        config.write_text((ROOT / "docs" / "examples" / f"{example}.cfg").read_text().replace(old, new, 1))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "symgame.cli", "validate", "--config", str(config), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert key in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2

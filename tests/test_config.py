@@ -1,8 +1,16 @@
+import dataclasses
+import pathlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgame import ConfigError
-from symgame.config import parse_config, render_config
+from symgame.config import _KEYS, parse_config, render_config
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "docs" / "examples"
 
 MINIMAL_RPS = """\
 [game]
@@ -127,6 +135,15 @@ class TestParseConfig:
             parse_config(MULTI_POPULATION.replace("populations = 2", "populations = two"))
         assert err.value.problems == ["game section (populations): expected a finite number, got 'two'"]
 
+    def test_numbered_rate_tables_are_read_in_population_order(self):
+        # matrix_10 is the tenth table, not the second
+        lines = ["[game]", "type = table-payoff", "populations = 10"]
+        lines += [f"payoff_matrix_{p} =\n    0 0\n    0 0" for p in range(1, 11)]
+        lines += ["[protocol]", "kind = table"]
+        lines += [f"matrix_{p} =\n    1 {p}\n    {p} 1" for p in range(1, 11)]
+        config = parse_config("\n".join(lines + ["[run]", "N = 2"]) + "\n")
+        assert [M[0, 1] for M in config.protocol_matrices] == list(range(1, 11))
+
     def test_config_hash_depends_on_text(self):
         a = parse_config(MINIMAL_RPS)
         b = parse_config(MINIMAL_RPS + "\n# trailing comment\n")
@@ -135,9 +152,7 @@ class TestParseConfig:
 
 class TestExampleCorpus:
     def test_all_shipped_examples_validate(self):
-        import pathlib
-
-        corpus = sorted((pathlib.Path(__file__).parent.parent / "docs" / "examples").glob("*.cfg"))
+        corpus = sorted(EXAMPLES.glob("*.cfg"))
         assert len(corpus) >= 4
         for path in corpus:
             config = parse_config(path.read_text())
@@ -160,3 +175,498 @@ class TestRenderConfig:
         text = render_config(config, lineage=("3->2",))
         again = parse_config(text)
         assert again.transform_lineage == ("3->2",)
+
+
+VALID = "valid"
+
+# name -> (example, edits, the full problems list in order, or VALID).  Each edit
+# (old, new) replaces the first ``old`` in the example; an empty ``old`` appends.
+CORPUS = {
+    "coordination_table unchanged": ("coordination_table", (), VALID),
+    "rps_constant unchanged": ("rps_constant", (), VALID),
+    "rps_sum_exponential unchanged": ("rps_sum_exponential", (), VALID),
+    "two_populations unchanged": ("two_populations", (), VALID),
+    "duplicate key": (
+        "rps_constant",
+        (("N = 2\n", "N = 2\nN = 3\n"),),
+        [
+            "syntax: While reading from '<string>' [line 17]: option 'N' in section 'run' already exists",
+        ],
+    ),
+    "unknown section with hint": (
+        "rps_constant",
+        (("[protocol]", "[protocl]"),),
+        [
+            "unknown section 'protocl' (did you mean 'protocol'?)",
+            "missing required section 'protocol'",
+        ],
+    ),
+    "unknown section without hint": (
+        "rps_constant",
+        (("", "\n[zzz]\na = 1\n"),),
+        ["unknown section 'zzz'"],
+    ),
+    "missing run section": (
+        "coordination_table",
+        (("[run]", "[rn]"),),
+        ["unknown section 'rn' (did you mean 'run'?)", "missing required section 'run'"],
+    ),
+    "unknown run key with hint": (
+        "rps_constant",
+        (("horizon =", "horizn ="),),
+        ["section 'run': unknown key 'horizn' (did you mean 'horizon'?)"],
+    ),
+    "unknown output key": (
+        "rps_constant",
+        (("directory =", "format = csv\ndirectory ="),),
+        ["section 'output': unknown key 'format' (did you mean 'formats'?)"],
+    ),
+    "unknown game type": (
+        "rps_constant",
+        (("type = linear", "type = quadratic"),),
+        ["game section: unknown type 'quadratic'"],
+    ),
+    "linear without payoff_matrix": (
+        "rps_constant",
+        (("payoff_matrix =\n    0 -1 1\n    1 0 -1\n    -1 1 0\n", ""),),
+        ["game section: linear games need 'payoff_matrix'"],
+    ),
+    "non-square payoff matrix": (
+        "rps_constant",
+        (("    -1 1 0\n", ""),),
+        ["game section: matrix must be square, got 2x3"],
+    ),
+    "ragged payoff matrix": (
+        "rps_constant",
+        (("    1 0 -1\n", "    1 0\n"),),
+        ["game section: ragged matrix rows with widths [2, 3]"],
+    ),
+    "unparsable payoff row": (
+        "rps_constant",
+        (("    1 0 -1\n", "    1 zero -1\n"),),
+        ["game section: cannot parse matrix row '1 zero -1'"],
+    ),
+    "empty payoff matrix": (
+        "rps_constant",
+        (("payoff_matrix =\n    0 -1 1\n    1 0 -1\n    -1 1 0\n", "payoff_matrix =\n"),),
+        ["game section: empty matrix"],
+    ),
+    "non-numeric mass": (
+        "rps_constant",
+        (("mass = 1.0", "mass = heavy"),),
+        ["game section (mass): expected a finite number, got 'heavy'"],
+    ),
+    "infinite mass": (
+        "rps_constant",
+        (("mass = 1.0", "mass = inf"),),
+        ["game section (mass): expected a finite number, got 'inf'"],
+    ),
+    "table-payoff from a linear file": (
+        "rps_constant",
+        (("type = linear", "type = table-payoff"),),
+        ["game section: missing 'payoff_matrix_1'"],
+    ),
+    "linear with numbered payoff matrices": (
+        "two_populations",
+        (("type = table-payoff", "type = linear"),),
+        [
+            "section 'game': unknown key 'payoff_matrix_1' (did you mean 'payoff_matrix'?)",
+            "section 'game': unknown key 'payoff_matrix_2' (did you mean 'payoff_matrix'?)",
+        ],
+    ),
+    "non-numeric populations": (
+        "two_populations",
+        (("populations = 2", "populations = two"),),
+        ["game section (populations): expected a finite number, got 'two'"],
+    ),
+    "fractional populations": (
+        "two_populations",
+        (("populations = 2", "populations = 2.5"),),
+        ["game section (populations): expected a finite number, got '2.5'"],
+    ),
+    "populations beyond the matrices": (
+        "two_populations",
+        (("populations = 2", "populations = 3"),),
+        ["game section: missing 'payoff_matrix_3'", "game section: 2 masses for 3 populations"],
+    ),
+    "zero populations with masses": (
+        "two_populations",
+        (("populations = 2", "populations = 0"),),
+        ["game section: populations must be at least 1, got 0"],
+    ),
+    "zero populations without masses": (
+        "two_populations",
+        (("populations = 2", "populations = 0"), ("masses = 1.0, 1.0\n", "")),
+        ["game section: populations must be at least 1, got 0"],
+    ),
+    "missing second payoff matrix": (
+        "two_populations",
+        (("payoff_matrix_2 =\n    0 -1 1\n    1 0 -1\n    -1 1 0\n", ""),),
+        ["game section: missing 'payoff_matrix_2'"],
+    ),
+    "blank masses": ("two_populations", (("masses = 1.0, 1.0", "masses ="),), VALID),
+    "too few masses": (
+        "two_populations",
+        (("masses = 1.0, 1.0", "masses = 1.0"),),
+        ["game section: 1 masses for 2 populations"],
+    ),
+    "non-numeric masses": (
+        "two_populations",
+        (("masses = 1.0, 1.0", "masses = 1.0, heavy"),),
+        ["game section (masses): cannot parse list '1.0, heavy'"],
+    ),
+    "infinite mass in list": (
+        "two_populations",
+        (("masses = 1.0, 1.0", "masses = 1.0, inf"),),
+        ["game section (masses): expected finite numbers, got '1.0, inf'"],
+    ),
+    "missing kind": (
+        "rps_constant",
+        (("kind = constant\n", ""),),
+        ["protocol section: missing 'kind'"],
+    ),
+    "unknown kind": (
+        "rps_constant",
+        (("kind = constant", "kind = bogus"),),
+        ["protocol section: unknown kind 'bogus'"],
+    ),
+    "numbered matrix with constant kind": (
+        "rps_constant",
+        (("c = 1.0\n", "c = 1.0\nmatrix_1 =\n    1 1 1\n    1 1 1\n    1 1 1\n"),),
+        ["section 'protocol': unknown key 'matrix_1' (did you mean 'matrix'?)"],
+    ),
+    "non-numeric c": (
+        "rps_constant",
+        (("c = 1.0", "c = fast"),),
+        ["protocol section (c): expected a finite number, got 'fast'"],
+    ),
+    "explicit support floor with constant": (
+        "rps_constant",
+        (("c = 1.0", "c = 2.0\nsupport_floor = 0.5"),),
+        VALID,
+    ),
+    "sum_exponential without eta": (
+        "rps_sum_exponential",
+        (("eta = 1.0\n", ""),),
+        ["protocol section: sum_exponential needs 'eta'"],
+    ),
+    "non-numeric eta": (
+        "rps_sum_exponential",
+        (("eta = 1.0", "eta = hot"),),
+        ["protocol section (eta): expected a finite number, got 'hot'"],
+    ),
+    "infinite support floor": (
+        "rps_sum_exponential",
+        (("support_floor = 0.1353352832366127", "support_floor = inf"),),
+        ["protocol section (support_floor): expected a finite number, got 'inf'"],
+    ),
+    "table without matrix": (
+        "coordination_table",
+        (("matrix =\n    1 2 3\n    2 1 5\n    3 5 1\n", ""),),
+        ["protocol section: table protocols need 'matrix'"],
+    ),
+    "rate table under an unnumbered key": (
+        "coordination_table",
+        (("\nmatrix =", "\nmatrix_a ="),),
+        ["section 'protocol': unknown key 'matrix_a' (did you mean 'matrix'?)"],
+    ),
+    "rate table of the wrong size": (
+        "coordination_table",
+        (("matrix =\n    1 2 3\n    2 1 5\n    3 5 1\n", "matrix =\n    1 2\n    2 1\n"),),
+        ["protocol section: rate table 1 is 2x2, game has 3 strategies"],
+    ),
+    "unparsable rate table row": (
+        "coordination_table",
+        (("    2 1 5\n", "    2 one 5\n"),),
+        ["protocol section (matrix): cannot parse matrix row '2 one 5'"],
+    ),
+    "two rate tables for one population": (
+        "coordination_table",
+        (
+            (
+                "matrix =\n    1 2 3\n    2 1 5\n    3 5 1\n",
+                "matrix_1 =\n    1 2 3\n    2 1 5\n    3 5 1\n"
+                "matrix_2 =\n    1 2 3\n    2 1 5\n    3 5 1\n",
+            ),
+        ),
+        ["protocol section: 2 rate tables for 1 populations"],
+    ),
+    "numbered rate tables per population": (
+        "two_populations",
+        (
+            (
+                "kind = constant\nc = 0.5",
+                "kind = table\nmatrix_1 =\n    1 2\n    2 1\nmatrix_2 =\n    1 2 3\n    2 1 5\n    3 5 1",
+            ),
+        ),
+        VALID,
+    ),
+    "one rate table for two populations of different sizes": (
+        "two_populations",
+        (("kind = constant\nc = 0.5", "kind = table\nmatrix =\n    1 2 3\n    2 1 5\n    3 5 1"),),
+        ["protocol section: rate table 1 is 3x3, game has 2 strategies"],
+    ),
+    "N of zero": (
+        "rps_constant",
+        (("\nN = 2\n", "\nN = 0\n"),),
+        ["run section: N must be at least 1, got 0"],
+    ),
+    "non-numeric N": (
+        "rps_constant",
+        (("\nN = 2\n", "\nN = two\n"),),
+        ["run section (N): cannot parse list 'two'"],
+    ),
+    "blank N": (
+        "rps_constant",
+        (("\nN = 2\n", "\nN =\n"),),
+        ["run section (N): expected at least one value"],
+    ),
+    "two N for one population": (
+        "rps_constant",
+        (("\nN = 2\n", "\nN = 2, 3\n"),),
+        ["run section: 2 values of N for 1 populations"],
+    ),
+    "one N per population": ("two_populations", (("N = 2", "N = 2, 3"),), VALID),
+    "three N for two populations": (
+        "two_populations",
+        (("N = 2", "N = 2, 3, 4"),),
+        ["run section: 3 values of N for 2 populations"],
+    ),
+    "negative horizon": (
+        "rps_constant",
+        (("horizon = 20.0", "horizon = -1"),),
+        [
+            "run section: horizon must be positive, got -1.0",
+            "run section: burn_in must lie in [0, horizon), got -0.1",
+        ],
+    ),
+    "zero dt": (
+        "rps_constant",
+        (("dt = 0.01", "dt = 0"),),
+        ["run section: need 0 < dt <= horizon, got dt=0.0"],
+    ),
+    "dt beyond the horizon": (
+        "rps_constant",
+        (("dt = 0.01", "dt = 30"),),
+        ["run section: need 0 < dt <= horizon, got dt=30.0"],
+    ),
+    "burn_in at the horizon": (
+        "rps_sum_exponential",
+        (("burn_in = 5.0", "burn_in = 50"),),
+        ["run section: burn_in must lie in [0, horizon), got 50.0"],
+    ),
+    "non-numeric burn_in": (
+        "rps_sum_exponential",
+        (("burn_in = 5.0", "burn_in = early"),),
+        ["run section (burn_in): expected a finite number, got 'early'"],
+    ),
+    "non-numeric seed": (
+        "rps_constant",
+        (("seeds = 1, 2, 3", "seeds = 1, two"),),
+        ["run section (seeds): cannot parse list '1, two'"],
+    ),
+    "x0 too short": (
+        "rps_sum_exponential",
+        (("x0 = 0.5, 0.3, 0.2", "x0 = 0.5, 0.5"),),
+        ["run section: x0 block 1 has 2 entries, population has 3 strategies"],
+    ),
+    "non-numeric x0": (
+        "rps_sum_exponential",
+        (("x0 = 0.5, 0.3, 0.2", "x0 = 0.5, 0.3, zz"),),
+        [
+            "run section (x0): cannot parse list '0.5, 0.3, zz'",
+            "run section: x0 has 0 population blocks, game has 1",
+        ],
+    ),
+    "infinite x0": (
+        "rps_sum_exponential",
+        (("x0 = 0.5, 0.3, 0.2", "x0 = inf, 0, 0"),),
+        [
+            "run section (x0): expected finite numbers, got 'inf, 0, 0'",
+            "run section: x0 has 0 population blocks, game has 1",
+        ],
+    ),
+    "x0 with one block for two populations": (
+        "two_populations",
+        (("N = 2", "N = 2\nx0 = 0.5, 0.5"),),
+        ["run section: x0 has 1 population blocks, game has 2"],
+    ),
+    "x0 per population": (
+        "two_populations",
+        (("N = 2", "N = 2\nx0 = 1, 0 | 0.5, 0.3, 0.2"),),
+        VALID,
+    ),
+    "unknown variant_factor": (
+        "rps_constant",
+        (("seeds =", "variant_factor = weird\nseeds ="),),
+        ["run section: variant_factor must be 'standard' or 'paper', got 'weird'"],
+    ),
+    "paper orientation": (
+        "rps_constant",
+        (("seeds =", "variant_orientation = paper\nseeds ="),),
+        VALID,
+    ),
+    "unknown fstar": (
+        "rps_constant",
+        (("seeds =", "fstar = bogus\nseeds ="),),
+        ["run section: fstar must be 'zero' or 'weighted', got 'bogus'"],
+    ),
+    "transform marker": (
+        "rps_constant",
+        (("", "\n[transform]\nlineage = 3->2\nfstar = weighted\n"),),
+        VALID,
+    ),
+    "unknown transform fstar": (
+        "rps_constant",
+        (("", "\n[transform]\nlineage = 3->2\nfstar = bogus\n"),),
+        ["transform section: fstar must be 'zero' or 'weighted', got 'bogus'"],
+    ),
+    "unknown transform key": (
+        "rps_constant",
+        (("", "\n[transform]\nlineag = 3->2\n"),),
+        ["section 'transform': unknown key 'lineag' (did you mean 'lineage'?)"],
+    ),
+    "output formats": ("rps_constant", (("", "formats = csv\n"),), VALID),
+    "problems across sections": (
+        "rps_constant",
+        (
+            ("kind = constant", "kind = nonsense"),
+            ("horizon = 20.0", "horizon = -1"),
+            ("    1 0 -1\n", "    1 0\n"),
+        ),
+        [
+            "game section: ragged matrix rows with widths [2, 3]",
+            "protocol section: unknown kind 'nonsense'",
+            "run section: horizon must be positive, got -1.0",
+            "run section: burn_in must lie in [0, horizon), got -0.1",
+        ],
+    ),
+
+}
+
+
+def _edited(example: str, edits) -> str:
+    text = (EXAMPLES / f"{example}.cfg").read_text()
+    for old, new in edits:
+        if old:
+            assert old in text
+            text = text.replace(old, new, 1)
+        else:
+            text += new
+    return text
+
+
+class TestProblemCorpus:
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_problems(self, name):
+        example, edits, expected = CORPUS[name]
+        text = _edited(example, edits)
+        if expected == VALID:
+            parse_config(text)
+            return
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == expected
+
+
+def _matrix_lines(draw, n: int) -> str:
+    entries = st.floats(-10, 10, allow_nan=False)
+    rows = [" ".join(repr(draw(entries)) for _ in range(n)) for _ in range(n)]
+    return "".join(f"\n    {row}" for row in rows)
+
+
+def _list(values) -> str:
+    return ", ".join(repr(v) for v in values)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """Valid config text over both game types, all protocol kinds and every optional key."""
+    game_type = draw(st.sampled_from(["linear", "table-payoff"]))
+    n_pops = 1 if game_type == "linear" else draw(st.integers(1, 12))
+    single_table = draw(st.booleans())
+    size = st.integers(1, 3)
+    sizes = [draw(size)] * n_pops if single_table else [draw(size) for _ in range(n_pops)]
+    masses = [draw(st.floats(0.1, 10)) for _ in range(n_pops)]
+    lines = ["[game]", f"type = {game_type}"]
+    if game_type == "linear":
+        lines += [f"payoff_matrix ={_matrix_lines(draw, sizes[0])}", f"mass = {masses[0]!r}"]
+    else:
+        lines.append(f"populations = {n_pops}")
+        if draw(st.booleans()):
+            lines.append(f"masses = {_list(masses)}")
+        lines += [f"payoff_matrix_{p} ={_matrix_lines(draw, n)}" for p, n in enumerate(sizes, start=1)]
+
+    kind = draw(st.sampled_from(["constant", "sum_exponential", "table"]))
+    lines += ["", "[protocol]", f"kind = {kind}"]
+    if kind == "constant":
+        lines.append(f"c = {draw(st.floats(0.1, 10))!r}")
+    elif kind == "sum_exponential":
+        lines.append(f"eta = {draw(st.floats(-3, 3))!r}")
+    elif single_table:
+        lines.append(f"matrix ={_matrix_lines(draw, sizes[0])}")
+    else:
+        lines += [f"matrix_{p} ={_matrix_lines(draw, n)}" for p, n in enumerate(sizes, start=1)]
+    if draw(st.booleans()):
+        lines.append(f"support_floor = {draw(st.floats(0, 1))!r}")
+
+    horizon = draw(st.floats(0.01, 100))
+    n_values = draw(st.sampled_from([1, n_pops]))  # one N for all, or one per population
+    resolutions = draw(st.lists(st.integers(1, 50), min_size=n_values, max_size=n_values))
+    lines += ["", "[run]", f"N = {_list(resolutions)}"]
+    lines += [f"horizon = {horizon!r}", f"dt = {horizon * draw(st.floats(0.001, 1))!r}"]
+    if draw(st.booleans()):
+        lines.append(f"burn_in = {horizon * draw(st.floats(0, 0.99))!r}")
+    if draw(st.booleans()):
+        lines.append(f"seeds = {_list(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)))}")
+    if draw(st.booleans()):
+        blocks = [[draw(st.floats(0, 1)) for _ in range(n)] for n in sizes]
+        lines.append("x0 = " + " | ".join(_list(block) for block in blocks))
+    for key, choices in (
+        ("variant_factor", ["standard", "paper"]),
+        ("variant_orientation", ["standard", "paper"]),
+        ("fstar", ["zero", "weighted"]),
+    ):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(st.sampled_from(choices))}")
+
+    if draw(st.booleans()):
+        words = st.text("abcdefgh", min_size=1, max_size=6)
+        lines += ["", "[output]", f"directory = out/{draw(words)}"]
+        lines.append("formats = " + ", ".join(draw(st.lists(words, max_size=3))))
+    if draw(st.booleans()):
+        steps = st.text("0123456789->", min_size=1, max_size=5)
+        lines += ["", "[transform]", "lineage = " + ", ".join(draw(st.lists(steps, min_size=1, max_size=3)))]
+        lines.append(f"fstar = {draw(st.sampled_from(['zero', 'weighted']))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(config_texts())
+    def test_render_then_parse_gives_every_field_back(self, text):
+        config = parse_config(text)
+        again = parse_config(render_config(config, config.transform_lineage))
+        for field in dataclasses.fields(config):
+            if field.name in ("source_text", "config_hash"):
+                continue
+            before, after = getattr(config, field.name), getattr(again, field.name)
+            if field.name in ("payoff_matrices", "protocol_matrices"):
+                assert len(before) == len(after)
+                assert all(np.array_equal(a, b) for a, b in zip(before, after)), field.name
+            else:
+                assert before == after, field.name
+
+
+class TestDocs:
+    def test_each_section_table_lists_exactly_its_keys(self):
+        # the numbered per-population matrix rows are documented as extras
+        documented = {}
+        for block in re.split(r"^## ", (EXAMPLES.parent / "config.md").read_text(), flags=re.M):
+            heading = re.match(r"`\[(\w+)\]`", block)
+            if heading is None:
+                continue
+            cells = [row.split("|")[1] for row in block.splitlines() if row.startswith("| `")]
+            names = {name for cell in cells for name in re.findall(r"`(\w+)`", cell)}
+            documented[heading.group(1)] = {n for n in names if not re.fullmatch(r"(payoff_)?matrix_\d+", n)}
+        assert documented == {section: set(keys) for section, keys in _KEYS.items()}

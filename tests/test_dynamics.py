@@ -18,7 +18,7 @@ from symgame import (
 )
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
-NEGATIVE_RATES = f"protocol 'custom' produced negative rates (min {np.float64(-1.0)!r})"
+NEGATIVE_RATES = "protocol 'custom' produced negative rates (min -1.0)"
 
 
 def closed_form_uniform_switching(x0, t, n=3):
