@@ -27,7 +27,6 @@ from .games import (
     DEFAULT_GRID_LIMIT,
     PopulationGame,
     RevisionProtocol,
-    SocialState,
     StateGrid,
     _checked_rates,
     _unscreened_rates,
@@ -229,16 +228,16 @@ def _communicating_classes(chain: FiniteChain):
     return csgraph.connected_components(chain.generator, directed=True, connection="strong")
 
 
-def exact_stationary(chain: FiniteChain, solver: str = "auto") -> StationaryTable:
+def exact_stationary(chain: FiniteChain) -> StationaryTable:
     """Solve mu Q = 0, sum(mu) = 1 for the unique stationary distribution.
 
-    Requires irreducibility (single strongly connected class).  Grids up to
-    20,000 states use sparse LU on Q^T with its last equation replaced by
-    the normalization row, plus one step of iterative refinement.  Above, power iteration
-    runs on the Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q`` (D the exit rates),
-    mapped back by ``mu ~ nu / D``, with its ``iterations`` in the metadata.  The residual
-    ``max |mu Q|`` is checked against 1e-12 times the largest rate and stored in the metadata;
-    ``SolverError`` is raised above it, or when power iteration does not converge.
+    Requires irreducibility (single strongly connected class).  The state count alone picks
+    the solve.  Grids up to ``LU_STATE_LIMIT`` (20,000) states use sparse LU on Q^T with its
+    last equation replaced by the normalization row, plus one step of iterative refinement.
+    Above, power iteration runs on the Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q``
+    (D the exit rates), mapped back by ``mu ~ nu / D``, with its ``iterations`` in the metadata.
+    The residual ``max |mu Q|`` is checked against 1e-12 times the largest rate and stored in
+    the metadata; ``SolverError`` is raised above it, or when power iteration does not converge.
     Probabilities below about 1e-16 are correct only to within a small factor (up to 7.6x at
     8e-20 against a GTH state-reduction solve); the total-variation distance is unaffected.
     """
@@ -250,17 +249,12 @@ def exact_stationary(chain: FiniteChain, solver: str = "auto") -> StationaryTabl
             f"{sorted(sizes.tolist(), reverse=True)}",
             classes=[np.flatnonzero(labels == c).tolist() for c in range(n_comp)],
         )
-    n = chain.num_states
-    if solver == "auto":
-        solver = "lu" if n <= LU_STATE_LIMIT else "power"
-
-    metadata = {"solver": solver}
-    if solver == "lu":
+    if chain.num_states <= LU_STATE_LIMIT:
+        metadata = {"solver": "lu"}
         mu = _lu_stationary(chain)
-    elif solver == "power":
-        mu, metadata["iterations"] = _power_stationary(chain)
     else:
-        raise ValueError(f"unknown solver '{solver}'")
+        metadata = {"solver": "power"}
+        mu, metadata["iterations"] = _power_stationary(chain)
 
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
@@ -343,12 +337,8 @@ class PathResult:
         return "t,state_counts\n" + _format_rows(line, self.times[:, None], self.counts)
 
 
-def _normalize_x0(x0, strategy_counts, resolutions, sizes) -> list[np.ndarray]:
-    if isinstance(x0, SocialState):
-        counts = x0.counts(resolutions)
-    else:
-        counts = tuple(tuple(int(v) for v in part) for part in x0)
-    parts = [np.asarray(part, dtype=np.int64) for part in counts]
+def _normalize_x0(x0, strategy_counts, sizes) -> list[np.ndarray]:
+    parts = [np.asarray([int(v) for v in part], dtype=np.int64) for part in x0]
     for p, (part, n) in enumerate(zip(parts, strategy_counts, strict=True)):
         if part.shape != (n,):
             raise ValueError(f"population {p}: initial counts shape {part.shape} != ({n},)")
@@ -387,8 +377,9 @@ def simulate_paths(
     ``model`` is a prebuilt :class:`FiniteChain`, which supplies its game,
     protocols and grid, or a ``(game, protocol, lattice)`` triple whose
     ``lattice`` is the game's :class:`StateGrid` or, for grids too large to
-    enumerate, its resolution.  ``x0`` must hold the ``N * mass`` agents of
-    each population, else ``KeyError``.
+    enumerate, its resolution.  ``x0`` is per-population agent counts, one
+    sequence per population, and must hold the ``N * mass`` agents of each
+    population, else ``KeyError``.
 
     All paths advance in lockstep over one ``(S, width)`` count array: each
     step evaluates the payoffs and rates of every unfinished path in one
@@ -431,7 +422,7 @@ def simulate_paths(
     else:
         resolutions, sizes = _lattice_sizes(game, grid)
         grid = build_grid(game, resolutions) if collect_occupancy else None
-    k0 = np.concatenate(_normalize_x0(x0, game.strategy_counts, resolutions, sizes))
+    k0 = np.concatenate(_normalize_x0(x0, game.strategy_counts, sizes))
     recorded = _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds)
     paths = []
     for seed, (path_times, path_counts) in zip(seeds, recorded):
@@ -549,12 +540,10 @@ def check_detailed_balance(chain: FiniteChain, stationary: StationaryTable) -> D
     mu = stationary.probabilities
     src, dst = chain.src, chain.dst
     fwd = mu[src] * chain.rate
-    # reverse of each edge: binary search of its (dst, src) key among the sorted (src, dst) keys
-    keys, rev_keys = src * len(mu) + dst, dst * len(mu) + src
-    order = np.argsort(keys)
-    rev = order[np.minimum(np.searchsorted(keys, rev_keys, sorter=order), len(keys) - 1)]
-    has_rev = keys[rev] == rev_keys
-    back = np.where(has_rev, mu[dst] * chain.rate[rev], 0.0)
+    # the reverse rate of each edge, from the generator: nonzero exactly when the reverse edge exists
+    rev_rate = np.asarray(chain.generator[dst, src]).ravel()
+    has_rev = rev_rate != 0.0
+    back = mu[dst] * rev_rate
     # each reversible pair is measured once, from its lower-ordinal end
     gap = np.where((src > dst) & has_rev, 0.0, np.abs(fwd - back))
     if len(gap):

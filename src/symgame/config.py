@@ -227,6 +227,8 @@ def parse_config(text: str) -> ExperimentConfig:
         return raw
 
     numbered = {section: _numbered_keys(parser, section) for section in _NUMBERED}
+    if parser.has_option("protocol", "matrix"):  # one table for all populations: no numbered one is read
+        numbered["protocol"] = []
     for section in parser.sections():
         if section not in _KEYS:
             problems.append(f"unknown section '{section}'{_hint(section, _KEYS)}")
@@ -254,11 +256,21 @@ def parse_config(text: str) -> ExperimentConfig:
         if count < 1:
             problems.append(f"game section: populations must be at least 1, got {count}")
         else:
-            keys = [f"payoff_matrix_{p}" for p in range(1, count + 1)]
-            matrices = [M for key in keys if (M := get("game", key, required=f"missing '{key}'")) is not None]
-            masses = get("game", "masses") or [1.0] * count
-            if len(masses) != count:
+            # keys past the population count are read by nothing; no list here grows with the count
+            keys = [key for key in numbered["game"] if int(key.removeprefix("payoff_matrix_")) <= count]
+            problems += [
+                f"section 'game': unknown key '{key}'{_hint(key, _KEYS['game'])}"
+                for key in numbered["game"][len(keys):]
+            ]
+            matrices = [M for key in keys if (M := get("game", key)) is not None]
+            if len(keys) < count:
+                first = next(p for p, key in enumerate([*keys, None], start=1) if key != f"payoff_matrix_{p}")
+                more = f" ({count - len(keys)} payoff matrices missing)" if count - len(keys) > 1 else ""
+                problems.append(f"game section: missing 'payoff_matrix_{first}'{more}")
+            masses = get("game", "masses")
+            if masses and len(masses) != count:
                 problems.append(f"game section: {len(masses)} masses for {count} populations")
+            masses = masses or [1.0] * len(matrices)
     else:
         problems.append(f"game section: unknown type '{game_type}'")
 
@@ -274,8 +286,8 @@ def parse_config(text: str) -> ExperimentConfig:
     elif kind == "sum_exponential":
         params["eta"] = get("protocol", "eta", required="sum_exponential needs 'eta'")
     elif kind == "table":
-        keys = numbered["protocol"] if not parser.has_option("protocol", "matrix") else []
-        found = (get("protocol", key, required="table protocols need 'matrix'") for key in keys or ["matrix"])
+        keys = numbered["protocol"] or ["matrix"]
+        found = (get("protocol", key, required="table protocols need 'matrix'") for key in keys)
         protocol_matrices = [M for M in found if M is not None]
     elif kind is not None:
         problems.append(f"protocol section: unknown kind '{kind}'")

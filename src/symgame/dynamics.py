@@ -53,15 +53,9 @@ class Trajectory:
     masses: tuple[float, ...]
     clamp_events: tuple[int, ...] = ()
 
-    def state_at(self, index: int) -> SocialState:
-        return SocialState(parts=tuple(np.split(self.states[index], self._offsets())[:-1]))
-
-    def _offsets(self):
-        return np.cumsum(self.strategy_counts)
-
     @property
     def final(self) -> SocialState:
-        return self.state_at(len(self.times) - 1)
+        return SocialState(parts=tuple(np.split(self.states[-1], np.cumsum(self.strategy_counts))[:-1]))
 
     def to_csv(self) -> str:
         """Tabular text: header ``t,x_1,...,x_n`` (population blocks in order)."""

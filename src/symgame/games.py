@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,15 +55,9 @@ def _readonly(vec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SocialState:
-    """Per-population strategy masses, optionally tagged with a lattice denominator.
-
-    ``parts[p]`` is the nonnegative mass vector of population ``p``.  When
-    ``denominators`` is set, ``denominators[p] * parts[p]`` is integer: the
-    state lies on the size-``denominators[p]`` lattice of its simplex.
-    """
+    """Per-population strategy masses: ``parts[p]`` is the nonnegative mass vector of population ``p``."""
 
     parts: tuple[np.ndarray, ...]
-    denominators: tuple[int, ...] | None = None
 
     def __post_init__(self):
         parts = tuple(_readonly(p) for p in self.parts)
@@ -75,39 +69,17 @@ class SocialState:
                 raise ValueError(f"population {p}: state has non-finite entries")
             if np.any(vec < -MASS_TOL):
                 raise ValueError(f"population {p}: negative mass {float(vec.min())}")
-        if self.denominators is not None:
-            object.__setattr__(self, "denominators", tuple(int(n) for n in self.denominators))
 
     @classmethod
     def single(cls, vec) -> "SocialState":
         return cls(parts=(np.asarray(vec, dtype=float),))
 
     @classmethod
-    def _unchecked(cls, parts: tuple[np.ndarray, ...], denominators=None) -> "SocialState":
+    def _unchecked(cls, parts: tuple[np.ndarray, ...]) -> "SocialState":
         # fast constructor for hot loops; callers guarantee validity
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", parts)
-        object.__setattr__(obj, "denominators", denominators)
         return obj
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[Sequence[int]], denominators: Sequence[int]) -> "SocialState":
-        parts = tuple(np.asarray(k, dtype=float) / n for k, n in zip(counts, denominators, strict=True))
-        return cls(parts=parts, denominators=tuple(denominators))
-
-    def counts(self, denominators: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-        """Recover integer lattice counts; exact for denominators up to 1e6."""
-        dens = denominators if denominators is not None else self.denominators
-        if dens is None:
-            raise ValueError("state carries no lattice denominators")
-        out = []
-        for vec, n in zip(self.parts, dens, strict=True):
-            scaled = vec * n
-            k = np.rint(scaled)
-            if np.max(np.abs(scaled - k)) > 1e-6:
-                raise ValueError(f"state is not on the lattice with denominator {n}")
-            out.append(tuple(int(v) for v in k))
-        return tuple(out)
 
     @property
     def num_populations(self) -> int:
@@ -251,7 +223,6 @@ class RevisionProtocol:
     rate_fn: RateFn
     support_floor: float = 0.0
     symmetric: bool | None = None
-    params: dict = field(default_factory=dict)
     vectorized: bool = False
 
     def rates(self, payoffs: np.ndarray, state_part: np.ndarray) -> np.ndarray:
@@ -281,7 +252,6 @@ def constant_protocol(c: float = 1.0) -> RevisionProtocol:
         rate_fn=lambda pi, x: np.full((*x.shape, x.shape[-1]), c),
         support_floor=c,
         symmetric=True,
-        params={"c": c},
         vectorized=True,
     )
 
@@ -304,7 +274,6 @@ def sum_exponential_protocol(eta: float, support_floor: float = 0.0) -> Revision
         rate_fn=rate_fn,
         support_floor=float(support_floor),
         symmetric=True,
-        params={"eta": eta},
         vectorized=True,
     )
 
@@ -331,7 +300,6 @@ def table_protocol(matrix, support_floor: float | None = None) -> RevisionProtoc
         rate_fn=rate_fn,
         support_floor=floor,
         symmetric=bool(np.array_equal(M, M.T)),
-        params={"matrix": M},
         vectorized=True,
     )
 
@@ -468,7 +436,8 @@ class StateGrid:
         return tuple(tuple(part) for part in self._parts(ordinal))
 
     def social_state(self, ordinal: int) -> SocialState:
-        return SocialState.from_counts(self.state(ordinal), self.resolutions)
+        parts = zip(self._parts(ordinal), self.resolutions)
+        return SocialState(parts=tuple(np.asarray(part, dtype=float) / res for part, res in parts))
 
     def format_state(self, ordinal: int) -> str:
         return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
@@ -526,10 +495,18 @@ class ValidationReport:
 SYMMETRY_TOL = 1e-14
 
 
-def _evaluate(game, protocols, parts, denominators):
-    # the payoff map, then each rate_fn, called once on one state or on one
-    # stack of states; None when an output has the wrong count or shape
-    values = game.payoff(SocialState._unchecked(parts, denominators))
+def _unscreened_rates(game, protocols, parts):
+    """Payoffs and rates at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
+
+    A stack takes one call of the payoff map and of each ``rate_fn`` when the
+    game and every protocol are ``vectorized``, else one per state.  Returns
+    ``(payoffs, rates)``, one array per population, or None when an output
+    has the wrong count or shape; values are not screened.
+    """
+    if parts[0].ndim > 1 and not (game.vectorized and all(proto.vectorized for proto in protocols)):
+        rows = [_unscreened_rates(game, protocols, row) for row in zip(*parts)]
+        return None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
+    values = game.payoff(SocialState._unchecked(parts))
     if isinstance(values, np.ndarray) and game.num_populations == 1:
         values = (values,)
     payoffs = [np.asarray(v, dtype=float) for v in values]
@@ -541,21 +518,7 @@ def _evaluate(game, protocols, parts, denominators):
     return None
 
 
-def _unscreened_rates(game, protocols, parts, denominators=None):
-    """Payoffs and rates at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
-
-    A stack takes one call of the payoff map and of each ``rate_fn`` when the
-    game and every protocol are ``vectorized``, else one per state.  Returns
-    ``(payoffs, rates)``, one array per population, or None when an output
-    has the wrong count or shape; values are not screened.
-    """
-    if parts[0].ndim == 1 or (game.vectorized and all(proto.vectorized for proto in protocols)):
-        return _evaluate(game, protocols, parts, denominators)
-    rows = [_evaluate(game, protocols, row, denominators) for row in zip(*parts)]
-    return None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
-
-
-def _checked_rates(game, protocols, parts, denominators=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _checked_rates(game, protocols, parts) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """``(payoffs, rates)`` at one state or at each of a stack of states, evaluated by :func:`_unscreened_rates`.
 
     No ``protocols`` evaluates payoffs only.  ``parts`` are made read-only.  States, payoffs and
@@ -565,13 +528,13 @@ def _checked_rates(game, protocols, parts, denominators=None) -> tuple[list[np.n
     """
     for x in parts:
         x.setflags(write=False)
-    out = _unscreened_rates(game, protocols, parts, denominators)
+    out = _unscreened_rates(game, protocols, parts)
     if out is None or not (
         np.isfinite(np.concatenate([*parts, *out[0], *out[1]], axis=None)).all()
         and all(rho.min() >= 0 for rho in out[1])
     ):
         for row in [parts] if parts[0].ndim == 1 else zip(*parts):
-            state = SocialState(parts=row, denominators=denominators)
+            state = SocialState(parts=row)
             for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
                 proto.rates(pi, x)
         raise ProtocolError("payoff or protocol changed its output on re-evaluation")
@@ -593,7 +556,7 @@ def grid_rates(
     fractions = tuple(
         grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
     )
-    _, rates = _checked_rates(game, protocol_tuple(protocol, game), fractions, grid.resolutions)
+    _, rates = _checked_rates(game, protocol_tuple(protocol, game), fractions)
     return tuple(np.ascontiguousarray(rho) for rho in rates)
 
 

@@ -92,35 +92,29 @@ def birth_death_weights(spec: BirthDeathSpec) -> BirthDeathWeights:
     than raised.
     """
     N = spec.size
-    up, down = spec.up.tolist(), spec.down.tolist()
-    if spec.orientation_variant == "paper":
-        up, down = down, up
-    weights = np.empty(N + 1)
-    weights[0] = 1.0
-    degenerate = False
-    w = 1.0
-    for j in range(1, N + 1):
-        lo, hi = up[j - 1], down[j]
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
+    lo, hi = (spec.down, spec.up) if spec.orientation_variant == "paper" else (spec.up, spec.down)
+    lo, hi = lo[:-1], hi[1:]
+    j = np.arange(1, N + 1)
+    factor = (N - j - 1) / j if spec.factor_variant == "paper" else (N - j + 1) / j
+    # the running products of the interleaved steps [f_1, r_1, f_2, r_2, ...]: weight j is
+    # element 2j - 1, w_j = (w_(j-1) * f_j) * r_j as a loop over the counts would give it
+    with np.errstate(all="ignore"):
+        weights = np.multiply.accumulate(np.column_stack([factor, lo / hi]).ravel())[1::2]
+    bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo > 0) & (hi > 0))
+    offending = np.flatnonzero(bad | (weights < 0.0))
+    if len(offending):
+        k = int(offending[0])
+        if bad[k]:
             raise SymgameError(
                 f"population {spec.population_index}: nonpositive or non-finite rate at "
-                f"count {j} (numerator {lo!r}, denominator {hi!r})"
+                f"count {k + 1} (numerator {lo[k].item()!r}, denominator {hi[k].item()!r})"
             )
-        if spec.factor_variant == "paper":
-            factor = (N - j - 1) / j
-        else:
-            factor = (N - j + 1) / j
-        w = w * factor * (lo / hi)
-        if w == 0.0:
-            degenerate = True
-            w = 0.0  # normalize -0.0 away
-        elif w < 0.0:
-            raise SymgameError(
-                f"population {spec.population_index}: negative weight at count {j} "
-                f"(factor variant '{spec.factor_variant}' with N={N})"
-            )
-        weights[j] = w
-    return BirthDeathWeights(weights=weights, degenerate=degenerate)
+        raise SymgameError(
+            f"population {spec.population_index}: negative weight at count {k + 1} "
+            f"(factor variant '{spec.factor_variant}' with N={N})"
+        )
+    weights = np.concatenate(([1.0], weights + 0.0))  # + 0.0 turns -0.0 into 0.0
+    return BirthDeathWeights(weights=weights, degenerate=bool(np.any(weights == 0.0)))
 
 
 def specs_from_transform(

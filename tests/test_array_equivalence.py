@@ -14,7 +14,9 @@ factorization in :func:`symgame.exact_stationary` replaced,
 ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
 validated state and validated rates on every call, and
 ``_reference_birth_death_weights`` the product loop that called the up and
-down rates as functions of the fraction, one derived rate block per call.
+down rates as functions of the fraction, one derived rate block per call;
+its per-count loop, ``_reference_weight_loop``, is the one that
+:func:`symgame.birth_death_weights` replaced with one running product.
 ``_reference_grid_rates`` is the per-state payoff and rate loop that
 :func:`symgame.games.grid_rates` keeps for custom callables, and the three
 ``_reference_*_csv`` functions the per-row f-string CSV writers.  The
@@ -34,10 +36,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgame import (
+    BirthDeathSpec,
     PathResult,
     PopulationGame,
     ProtocolError,
@@ -90,6 +93,11 @@ def _reference_states(strategy_counts, sizes):
     return list(itertools.product(*per_pop))
 
 
+def _lattice_state(counts, resolutions):
+    # the state of per-population agent counts on the lattice of resolution N per population
+    return SocialState(parts=tuple(np.asarray(k, dtype=float) / n for k, n in zip(counts, resolutions, strict=True)))
+
+
 def _reference_generator(game, protocol, resolution):
     protocols = protocol_tuple(protocol, game)
     resolutions = (resolution,) * game.num_populations
@@ -98,7 +106,7 @@ def _reference_generator(game, protocol, resolution):
     index = {counts: i for i, counts in enumerate(states)}
     src, dst, rate, pop, s_from, s_to = [], [], [], [], [], []
     for ordinal, counts in enumerate(states):
-        state = SocialState.from_counts(counts, resolutions)
+        state = _lattice_state(counts, resolutions)
         payoffs = game.payoff_at(state)
         for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
             rho = proto.rates(pi, x)
@@ -238,29 +246,16 @@ def _reference_rhs_parts(game, protocols, parts):
     return out
 
 
-def _reference_birth_death_weights(transformed, index, N, factor_variant, orientation_variant):
-    mass = transformed.base_game.masses[transformed.populations[index].base_population]
-
-    def rate(fraction, entry):
-        part = np.array([fraction * mass, (1.0 - fraction) * mass])
-        return float(transformed.marginal_block(index, part)[entry])
-
-    def up_rate(fraction):
-        return rate(fraction, (1, 0))
-
-    def down_rate(fraction):
-        return rate(fraction, (0, 1))
-
+def _reference_weight_loop(index, N, up, down, factor_variant, orientation_variant):
+    # the per-count product over Python floats; up[k] and down[k] are the rates at count k
+    if orientation_variant == "paper":
+        up, down = down, up
     weights = np.empty(N + 1)
     weights[0] = 1.0
     degenerate = False
     w = 1.0
     for j in range(1, N + 1):
-        lo = up_rate((j - 1) / N)
-        hi = down_rate(j / N)
-        if orientation_variant == "paper":
-            lo = down_rate((j - 1) / N)
-            hi = up_rate(j / N)
+        lo, hi = up[j - 1], down[j]
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
             raise SymgameError(
                 f"population {index}: nonpositive or non-finite rate at "
@@ -281,6 +276,18 @@ def _reference_birth_death_weights(transformed, index, N, factor_variant, orient
             )
         weights[j] = w
     return weights, degenerate
+
+
+def _reference_birth_death_weights(transformed, index, N, factor_variant, orientation_variant):
+    mass = transformed.base_game.masses[transformed.populations[index].base_population]
+
+    def rate(fraction, entry):
+        part = np.array([fraction * mass, (1.0 - fraction) * mass])
+        return float(transformed.marginal_block(index, part)[entry])
+
+    up = [rate(k / N, (1, 0)) for k in range(N + 1)]
+    down = [rate(k / N, (0, 1)) for k in range(N + 1)]
+    return _reference_weight_loop(index, N, up, down, factor_variant, orientation_variant)
 
 
 def _reference_collapse_last_two(M, mode):
@@ -428,7 +435,7 @@ def _reference_fly_path(game, protocol, resolution, x0, horizon, seed, burn_in):
     times = [0.0]
     residence = {}
     while True:
-        state = SocialState.from_counts(parts, resolutions)
+        state = _lattice_state(parts, resolutions)
         rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
         weights = [parts[p][i] * float(rates[p][i, j]) for p, i, j in moves]
         t_next, pick = _reference_step(weights, t, horizon, streams)
@@ -477,30 +484,22 @@ def _masked_protocol(n_zero_mod):
     return custom_protocol(rate_fn)
 
 
-def _protocol(kind, n, rng):
+def _protocol(kind, n, rng, decomposable=False):
+    """A random protocol of ``kind``; ``decomposable`` makes the same draw symmetric and fully supported.
+
+    Payoffs of the drawn games lie in [-1, 1].
+    """
     if kind == "constant":
         return constant_protocol(float(rng.uniform(0.5, 2.0)))
     if kind == "sum_exponential":
-        return sum_exponential_protocol(float(rng.uniform(-1.5, 1.5)))
+        eta = float(rng.uniform(-1.5, 1.5))
+        return sum_exponential_protocol(eta, support_floor=0.5 * math.exp(-2.0 * abs(eta)) if decomposable else 0.0)
     if kind == "table":
-        return table_protocol(rng.uniform(0.0, 2.0, size=(n, n)))
-    return _masked_protocol(int(rng.integers(2, 4)))
-
-
-PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
-
-
-def _decomposable(proto):
-    # the same kind made symmetric and fully supported; payoffs of the drawn
-    # games lie in [-1, 1]
-    if proto.kind == "sum_exponential":
-        eta = proto.params["eta"]
-        return sum_exponential_protocol(eta, support_floor=0.5 * math.exp(-2.0 * abs(eta)))
-    if proto.kind == "table":
-        M = proto.params["matrix"]
-        return table_protocol(M + M.T + 0.1)
-    if proto.kind == "constant":
-        return proto
+        M = rng.uniform(0.0, 2.0, size=(n, n))
+        return table_protocol(M + M.T + 0.1 if decomposable else M)
+    n_zero_mod = int(rng.integers(2, 4))
+    if not decomposable:
+        return _masked_protocol(n_zero_mod)
 
     def rate_fn(pi, x):
         u = np.exp(pi)
@@ -509,9 +508,15 @@ def _decomposable(proto):
     return custom_protocol(rate_fn, support_floor=0.5, symmetric=True)
 
 
+PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
+
+
 @st.composite
-def models(draw, max_pops=3):
-    """A linear or separable game, one protocol per population, and a resolution."""
+def models(draw, max_pops=3, decomposable=False):
+    """A linear or separable game, one protocol per population, and a resolution.
+
+    ``decomposable`` draws symmetric, fully supported protocols (see :func:`_protocol`).
+    """
     n_pops = draw(st.integers(1, max_pops))
     counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -521,7 +526,7 @@ def models(draw, max_pops=3):
     else:
         game = make_separable_game(matrices)
     kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS), min_size=n_pops, max_size=n_pops))
-    protocols = tuple(_protocol(kind, n, rng) for kind, n in zip(kinds, counts))
+    protocols = tuple(_protocol(kind, n, rng, decomposable) for kind, n in zip(kinds, counts))
     resolution = draw(st.integers(1, _MAX_SIZE[n_pops]))
     return game, protocols, resolution
 
@@ -652,7 +657,7 @@ class TestExactStationary:
                 exact_stationary(chain)
             return
         before = [getattr(chain.generator, part).copy() for part in ("indptr", "indices", "data")]
-        exact = exact_stationary(chain, solver="lu")
+        exact = exact_stationary(chain)
         assert exact.metadata["solver"] == "lu"
         for part, old in zip(("indptr", "indices", "data"), before):
             assert np.array_equal(getattr(chain.generator, part), old), part
@@ -801,11 +806,11 @@ class TestSimulatePath:
 
 
 class TestBirthDeathRates:
-    @given(models())
+    @given(models(decomposable=True))
     @settings(max_examples=60, deadline=None)
     def test_rate_arrays_and_weights_match_the_per_fraction_closures(self, model):
         game, protocols, N = model
-        transformed = decompose(game, tuple(_decomposable(proto) for proto in protocols))
+        transformed = decompose(game, protocols)
         for variants in itertools.product(("standard", "paper"), repeat=2):
             for i, spec in enumerate(specs_from_transform(transformed, N, *variants)):
                 mass = game.masses[transformed.populations[i].base_population]
@@ -828,6 +833,45 @@ class TestBirthDeathRates:
 
 
 @st.composite
+def birth_death_specs(draw):
+    """Moderate rates and rates at the ends of the float range (the product may overflow or
+    underflow); half the specs carry one rate that the product must reject."""
+    N = draw(st.integers(1, 30))
+    rates = st.lists(st.floats(1e-3, 1e3) | st.floats(1e-300, 1e300), min_size=N + 1, max_size=N + 1)
+    up, down = draw(rates), draw(rates)
+    if draw(st.booleans()):
+        side = up if draw(st.booleans()) else down
+        side[draw(st.integers(0, N))] = draw(st.sampled_from([0.0, -0.0, -1.5, math.inf, -math.inf, math.nan]))
+    return BirthDeathSpec(
+        population_index=draw(st.integers(0, 3)), size=N, up=up, down=down,
+        factor_variant=draw(st.sampled_from(("standard", "paper"))),
+        orientation_variant=draw(st.sampled_from(("standard", "paper"))),
+    )
+
+
+class TestBirthDeathWeights:
+    @given(birth_death_specs())
+    # the paper factor at N = 1 makes the weight at count 1 negative; at count 2 of
+    # the last, a negative rate and the negative weight it makes come together
+    @example(BirthDeathSpec(0, 1, [1.0, 2.0], [3.0, 4.0], factor_variant="paper"))
+    @example(BirthDeathSpec(1, 1, [1.0, 2.0], [3.0, 4.0], factor_variant="paper", orientation_variant="paper"))
+    @example(BirthDeathSpec(2, 2, [1.0, -1.5, 1.0], [1.0, 1.0, 1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_running_product_matches_the_per_count_loop(self, spec):
+        args = (spec.population_index, spec.size, spec.up.tolist(), spec.down.tolist())
+        try:
+            weights, degenerate = _reference_weight_loop(*args, spec.factor_variant, spec.orientation_variant)
+        except SymgameError as err:
+            with pytest.raises(SymgameError) as got:
+                birth_death_weights(spec)
+            assert str(got.value) == str(err)
+            return
+        got = birth_death_weights(spec)
+        assert got.weights.tobytes() == weights.tobytes()
+        assert got.degenerate == degenerate
+
+
+@st.composite
 def derived_models(draw):
     """A decomposition of 1-2 populations, one of 3-5 strategies, and a stack of derived states per derived population.
 
@@ -844,7 +888,7 @@ def derived_models(draw):
     else:
         game = make_separable_game(matrices)
     kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS), min_size=n_pops, max_size=n_pops))
-    protocols = tuple(_decomposable(_protocol(kind, n, rng)) for kind, n in zip(kinds, counts))
+    protocols = tuple(_protocol(kind, n, rng, decomposable=True) for kind, n in zip(kinds, counts))
     tg = decompose(
         game, protocols, target=draw(st.sampled_from((2, 3))), fstar=draw(st.sampled_from(("zero", "weighted")))
     )
@@ -985,10 +1029,11 @@ class TestGridRates:
         assert calls == {"rate_fn": 2 * 2}  # two calls, two populations each
 
     def test_table_checks_the_last_axis_of_a_stack(self):
-        proto = table_protocol(np.arange(9.0).reshape(3, 3))
+        M = np.arange(9.0).reshape(3, 3)
+        proto = table_protocol(M)
         stack = proto.rate_fn(np.zeros((4, 3)), np.full((4, 3), 1.0 / 3))
         assert stack.shape == (4, 3, 3)
-        assert np.array_equal(stack, np.broadcast_to(proto.params["matrix"], (4, 3, 3)))
+        assert np.array_equal(stack, np.broadcast_to(M, (4, 3, 3)))
         with pytest.raises(ValueError, match="rate table is 3x3, state has 2 strategies"):
             proto.rate_fn(np.zeros((3, 2)), np.full((3, 2), 0.5))
 

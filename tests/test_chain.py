@@ -27,7 +27,7 @@ from symgame import (
     table_protocol,
 )
 from symgame import chain as chain_module
-from symgame.chain import _power_stationary, build_grid
+from symgame.chain import _lu_stationary, _power_stationary, build_grid
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
@@ -240,18 +240,26 @@ class TestExactStationary:
     def test_power_iteration_agrees_with_lu(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        lu = exact_stationary(chain, solver="lu")
-        power = exact_stationary(chain, solver="power")
-        assert np.max(np.abs(lu.probabilities - power.probabilities)) < 1e-10
+        power, _ = _power_stationary(chain)
+        assert np.max(np.abs(_lu_stationary(chain) - power)) < 1e-10
 
     def test_jacobi_scaled_power_agrees_with_lu_in_fewer_iterations(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 40))
-        lu = exact_stationary(chain, solver="lu")
-        power = exact_stationary(chain, solver="power")
+        lu = exact_stationary(chain)
+        assert lu.metadata["solver"] == "lu"
+        power, iterations = _power_stationary(chain)
+        assert 0.5 * np.abs(lu.probabilities - power).sum() <= 1e-9
+        assert iterations <= 0.75 * _uniformized_power_iterations(chain)
+
+    def test_state_count_picks_the_solve(self, monkeypatch):
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
+        assert exact_stationary(chain).metadata["solver"] == "lu"
+        monkeypatch.setattr(chain_module, "LU_STATE_LIMIT", chain.num_states - 1)
+        power = exact_stationary(chain)
         assert power.metadata["solver"] == "power"
-        assert 0.5 * np.abs(lu.probabilities - power.probabilities).sum() <= 1e-9
-        assert power.metadata["iterations"] <= 0.75 * _uniformized_power_iterations(chain)
+        assert power.metadata["iterations"] > 0
 
     def test_power_iteration_short_of_the_residual_raises_solver_error(self):
         game = make_linear_game(RPS)

@@ -135,6 +135,16 @@ class TestParseConfig:
             parse_config(MULTI_POPULATION.replace("populations = 2", "populations = two"))
         assert err.value.problems == ["game section (populations): expected a finite number, got 'two'"]
 
+    def test_a_large_population_count_gives_one_missing_matrix_problem(self):
+        # the problem list and message stay the size of the file, not of the declared count
+        text = (EXAMPLES / "two_populations.cfg").read_text().replace("populations = 2", "populations = 100000")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [p for p in err.value.problems if "missing" in p] == [
+            "game section: missing 'payoff_matrix_3' (99998 payoff matrices missing)"
+        ]
+        assert len(str(err.value)) < 1024
+
     def test_numbered_rate_tables_are_read_in_population_order(self):
         # matrix_10 is the tenth table, not the second
         lines = ["[game]", "type = table-payoff", "populations = 10"]
@@ -289,6 +299,21 @@ CORPUS = {
         (("populations = 2", "populations = 3"),),
         ["game section: missing 'payoff_matrix_3'", "game section: 2 masses for 3 populations"],
     ),
+    "populations far beyond the matrices": (
+        "two_populations",
+        (("populations = 2", "populations = 5"), ("masses = 1.0, 1.0\n", "")),
+        ["game section: missing 'payoff_matrix_3' (3 payoff matrices missing)"],
+    ),
+    "first missing payoff matrix before a given one": (
+        "two_populations",
+        (("payoff_matrix_1 =\n    0 0\n    0 0\n", ""), ("populations = 2", "populations = 3")),
+        ["game section: missing 'payoff_matrix_1' (2 payoff matrices missing)", "game section: 2 masses for 3 populations"],
+    ),
+    "payoff matrix past the population count": (
+        "two_populations",
+        (("masses = 1.0, 1.0\n", "masses = 1.0, 1.0\npayoff_matrix_3 =\n    0 0\n    0 0\n"),),
+        ["section 'game': unknown key 'payoff_matrix_3' (did you mean 'payoff_matrix'?)"],
+    ),
     "zero populations with masses": (
         "two_populations",
         (("populations = 2", "populations = 0"),),
@@ -379,6 +404,11 @@ CORPUS = {
         "coordination_table",
         (("    2 1 5\n", "    2 one 5\n"),),
         ["protocol section (matrix): cannot parse matrix row '2 one 5'"],
+    ),
+    "numbered rate table next to a single one": (
+        "coordination_table",
+        (("support_floor = 1.0\n", "support_floor = 1.0\nmatrix_1 =\n    1 1 1\n    1 1 1\n    1 1 1\n"),),
+        ["section 'protocol': unknown key 'matrix_1' (did you mean 'matrix'?)"],
     ),
     "two rate tables for one population": (
         "coordination_table",

@@ -76,19 +76,6 @@ class TestSocialState:
         with pytest.raises(ValueError, match="mass"):
             game.require_valid_state(SocialState.single([0.5, 0.5, 0.5]))
 
-    @given(st.integers(1, 10**6), st.integers(2, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_lattice_round_trip(self, denom, n, seed):
-        rng = np.random.default_rng(seed)
-        cuts = np.sort(rng.integers(0, denom + 1, size=n - 1))
-        counts = np.diff(np.concatenate(([0], cuts, [denom])))
-        state = SocialState.from_counts((counts,), (denom,))
-        assert state.counts() == (tuple(int(k) for k in counts),)
-
-    def test_counts_requires_denominator(self):
-        with pytest.raises(ValueError, match="denominator"):
-            SocialState.single([0.5, 0.5]).counts()
-
 
 class TestProtocolRates:
     def test_constant_protocol_all_ones(self):

@@ -1,6 +1,10 @@
 """The package's public surface: declared names exist, removed ones stay gone."""
 
+import ast
+import dataclasses
 import importlib
+import inspect
+import pathlib
 import pkgutil
 import types
 
@@ -62,4 +66,29 @@ def test_removed_methods_stay_gone():
     assert not hasattr(symgame.TransformedGame, "rate_pair")
     assert not hasattr(symgame.StateGrid, "index")
     assert not hasattr(symgame.StateGrid, "states")
-    assert not hasattr(symgame.SocialState, "flat")
+    for name in ("flat", "from_counts", "counts", "denominators"):
+        assert not hasattr(symgame.SocialState, name), name
+    assert "params" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}
+    assert not hasattr(symgame.Trajectory, "state_at")
+    assert "solver" not in inspect.signature(symgame.exact_stationary).parameters
+
+
+def _top_level_imports(tree: ast.Module) -> list[str]:
+    """The names the module's top-level import statements bind, ``from __future__`` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+# the package's own imports are its re-exports, pinned by PUBLIC_NAMES
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_import_is_used_or_exported(module_name):
+    module = importlib.import_module(module_name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _top_level_imports(tree) if name not in used | set(getattr(module, "__all__", ()))]
+    assert unused == []

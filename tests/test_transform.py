@@ -95,7 +95,7 @@ class TestSymmetrize3to2:
         for N in (2, 4, 8):
             for i in range(N + 1):
                 for j in range(N + 1 - i):
-                    state = SocialState.from_counts(((i, j, N - i - j),), (N,))
+                    state = SocialState.single(np.array([i, j, N - i - j], dtype=float) / N)
                     for part in tg.embed(state).parts:
                         assert part.sum() == 1.0
 
