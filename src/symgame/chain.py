@@ -10,7 +10,6 @@ expected velocity field of this process is exactly the mean dynamic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import splu
 
-from .dynamics import Trajectory, _format_rows
+from .dynamics import Trajectory, _format_rows, _spans
 from .errors import ProtocolError, ReducibleChainError, SolverError
 from .games import (
     DEFAULT_GRID_LIMIT,
@@ -405,8 +404,8 @@ def simulate_paths(
     negative diagonal rate, passes here; :func:`build_generator` and the mean
     dynamic reject both.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0 <= burn_in < horizon:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}")
     if isinstance(model, FiniteChain):
@@ -449,8 +448,7 @@ def simulate_paths(
 def _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds):
     """The event loop of :func:`simulate_paths`: the event times and count rows of each path."""
     width = len(k0)
-    offsets = (0, *itertools.accumulate(game.strategy_counts))
-    spans = list(zip(offsets, offsets[1:]))
+    spans = _spans(game)
     # fixed move layout: per population, its ordered off-diagonal pairs (i, j)
     # row-major; row m of `deltas` is the count change of move m
     off_diagonal = [np.flatnonzero(~np.eye(b - a, dtype=bool)) for a, b in spans]

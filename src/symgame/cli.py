@@ -38,17 +38,6 @@ from .transform import decompose
 
 __all__ = ["main", "run_command", "COMMANDS"]
 
-COMMANDS = (
-    "validate",
-    "mean-dynamic",
-    "simulate",
-    "exact-stationary",
-    "transform",
-    "predict",
-    "compare",
-    "experiment",
-)
-
 CHAIN_STATE_BUDGET = 20_000  # write path occupancy tables below this many states
 
 
@@ -386,6 +375,7 @@ _HANDLERS = {
     "compare": _cmd_compare,
     "experiment": _cmd_experiment,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(command: str, config: ExperimentConfig, out_dir: str | None = None) -> int:
@@ -424,12 +414,9 @@ def main(argv=None) -> int:
         config = parse_config(text)
         if args.seed_override is not None:
             config.seeds = [int(v.strip()) for v in args.seed_override.split(",") if v.strip()]
-        if args.variant_factor is not None:
-            config.variant_factor = args.variant_factor
-        if args.variant_orientation is not None:
-            config.variant_orientation = args.variant_orientation
-        if args.fstar is not None:
-            config.fstar = args.fstar
+        for key in ("variant_factor", "variant_orientation", "fstar"):
+            if getattr(args, key) is not None:
+                setattr(config, key, getattr(args, key))
         return run_command(args.command, config, out_dir=args.out)
     except (SymgameError, ConfigError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

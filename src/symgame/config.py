@@ -32,21 +32,21 @@ from .games import (
 
 __all__ = ["ExperimentConfig", "parse_config", "render_config"]
 
-# section -> key -> (kind, default text).  A tuple kind lists the allowed
-# texts; a None default leaves an absent key to a rule in parse_config.
+# section -> key -> (kind, default text[, the one game type or protocol kind that reads the key]).
+# A tuple kind lists the allowed texts; a None default leaves an absent key to a rule in parse_config.
 _KEYS = {
     "game": {
         "type": ("text", "linear"),
-        "payoff_matrix": ("matrix", None),
-        "mass": ("float", "1.0"),
-        "populations": ("int", "1"),
-        "masses": ("floats", None),
+        "payoff_matrix": ("matrix", None, "linear"),
+        "mass": ("float", "1.0", "linear"),
+        "populations": ("int", "1", "table-payoff"),
+        "masses": ("floats", None, "table-payoff"),
     },
     "protocol": {
         "kind": ("text", None),
-        "c": ("float", "1.0"),
-        "eta": ("float", None),
-        "matrix": ("matrix", None),
+        "c": ("float", "1.0", "constant"),
+        "eta": ("float", None, "sum_exponential"),
+        "matrix": ("matrix", None, "table"),
         "support_floor": ("float", "0.0"),
     },
     "run": {
@@ -214,7 +214,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def get(section: str, key: str, label: str | None = None, required: str | None = None):
         """The key's value read by its kind, or None if absent with no default (a problem if ``required``)."""
-        kind, default = _KEYS[section].get(key, ("matrix", None))
+        kind, default = _KEYS[section].get(key, ("matrix", None))[:2]
         raw = parser.get(section, key, fallback=default)
         if raw is None:
             if required:
@@ -229,16 +229,23 @@ def parse_config(text: str) -> ExperimentConfig:
     numbered = {section: _numbered_keys(parser, section) for section in _NUMBERED}
     if parser.has_option("protocol", "matrix"):  # one table for all populations: no numbered one is read
         numbered["protocol"] = []
+    unread = 0  # keys that the game type or protocol kind does not read: the values can still be checked
     for section in parser.sections():
         if section not in _KEYS:
             problems.append(f"unknown section '{section}'{_hint(section, _KEYS)}")
             continue
+        readers = {spec[2] for spec in _KEYS[section].values() if len(spec) > 2}
+        switch = _NUMBERED[section][1] if readers else None
+        value = parser.get(section, switch, fallback=_KEYS[section][switch][1]) if readers else None
         for key in parser.options(section):
             if key not in _KEYS[section] and key not in numbered.get(section, ()):
                 problems.append(f"section '{section}': unknown key '{key}'{_hint(key, _KEYS[section])}")
+            elif value in readers and _KEYS[section].get(key, ())[2:] not in ((), (value,)):
+                problems.append(f"section '{section}': unknown key '{key}' ({switch} '{value}' does not read it)")
+                unread += 1
     missing = [section for section in ("game", "protocol", "run") if not parser.has_section(section)]
     problems += [f"missing required section '{section}'" for section in missing]
-    if problems:
+    if len(problems) > unread:
         raise ConfigError(problems)
 
     # --- game section ---

@@ -8,6 +8,8 @@ Trajectories come from fixed-step RK4 so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,11 +69,25 @@ class Trajectory:
         return "t," + ",".join(names) + "\n" + _format_rows(line, self.times[:, None], self.states)
 
 
-def _rhs_parts(game, protocols, parts):
-    # RK4 stages can undershoot zero slightly; rates are taken at the clamped state
-    xs = tuple(np.maximum(p, 0.0) for p in parts)
-    _, rates = _checked_rates(game, protocols, xs)
-    return [rho.T @ x - x * rho.sum(axis=1) for rho, x in zip(rates, xs)]
+def _spans(game: PopulationGame) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` columns of each population in a flat state."""
+    return list(itertools.pairwise([0, *itertools.accumulate(game.strategy_counts)]))
+
+
+def _velocity(game, protocols, spans, x) -> np.ndarray:
+    """The mean-dynamic velocity at the flat state ``x`` clamped at zero (RK4 stages can undershoot it).
+
+    One checked evaluation gives the rates and their row sums, the outflow rate of each strategy.
+    """
+    x = np.maximum(x, 0.0)
+    parts = tuple([x[a:b] for a, b in spans])
+    _, rates, row_sums = _checked_rates(game, protocols, parts)
+    v = [rho.T @ xp - xp * r for rho, xp, r in zip(rates, parts, row_sums)]
+    return v[0] if len(v) == 1 else np.concatenate(v)
+
+
+def _stopped(what: str, step: int, p: int, detail: str) -> IntegrationDivergedError:
+    return IntegrationDivergedError(f"integration {what} at step {step} (population {p}: {detail})", step=step)
 
 
 def mean_dynamic_rhs(
@@ -81,8 +97,9 @@ def mean_dynamic_rhs(
 ) -> tuple[np.ndarray, ...]:
     """Per-population velocity vectors; each sums to zero (mass conservation)."""
     game.require_valid_state(state, tol=1e-9)
-    protocols = protocol_tuple(protocol, game)
-    return tuple(_rhs_parts(game, protocols, state.parts))
+    spans = _spans(game)
+    v = _velocity(game, protocol_tuple(protocol, game), spans, np.concatenate(state.parts))
+    return tuple(v[a:b] for a, b in spans)
 
 
 def integrate_mean_dynamic(
@@ -94,77 +111,67 @@ def integrate_mean_dynamic(
 ) -> Trajectory:
     """Classical RK4 on the mean dynamic with per-step mass renormalization.
 
-    The horizon must be an integer number of steps.  Each step subtracts the
-    (numerically zero) per-population mass drift; undershoots below -1e-9
-    raise, smaller ones are clamped to zero and logged.  Any coordinate
+    The horizon must be finite and an integer number of steps.  The state is one flat array,
+    populations laid out contiguously in order.  Each RK4 stage ``x + h * k`` is formed once and
+    costs one payoff call and one ``rate_fn`` call per population, screened by the fused fast
+    accept of :func:`symgame.games._checked_rates` (the sum of states, payoffs and rate row sums
+    is finite, no rate is negative) or, where that fails, by its element-wise screen.  Each step
+    then works on each population's view: it subtracts the (numerically zero) mass drift;
+    undershoots below -1e-9 raise, smaller ones are clamped to zero and logged.  Any coordinate
     exceeding 10x the population mass aborts with the offending step.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if dt <= 0 or dt > horizon:
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if not 0 < dt <= horizon:
         raise ValueError(f"need 0 < dt <= horizon, got dt={dt}, horizon={horizon}")
     steps = int(round(horizon / dt))
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
     game.require_valid_state(x0)
     protocols = protocol_tuple(protocol, game)
-
-    counts = game.strategy_counts
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    total = offsets[-1]
-    states = np.empty((steps + 1, total))
-    parts = [np.array(p, dtype=float) for p in x0.parts]
-    states[0] = np.concatenate(parts)
+    spans = _spans(game)
+    states = np.empty((steps + 1, spans[-1][1]))
+    x = np.concatenate(x0.parts, out=states[0])
+    half, sixth = 0.5 * dt, dt / 6.0
     clamp_events: list[int] = []
 
-    def rhs(ps):
+    def rhs(y):
         try:
-            return _rhs_parts(game, protocols, ps)
+            return _velocity(game, protocols, spans, y)
         except ValueError:
             # rates whose row sums overflow make an RK4 stage state non-finite
-            bad = [p for p, x in enumerate(ps) if not np.isfinite(x).all()]
+            bad = [p for p, (a, b) in enumerate(spans) if not np.isfinite(y[a:b]).all()]
             if not bad:
                 raise
-            raise IntegrationDivergedError(
-                f"integration diverged at step {step} (population {bad[0]}: non-finite RK4 stage)",
-                step=step,
-            ) from None
+            raise _stopped("diverged", step, bad[0], "non-finite RK4 stage") from None
 
     for step in range(1, steps + 1):
-        k1 = rhs(parts)
-        k2 = rhs([p + 0.5 * dt * k for p, k in zip(parts, k1)])
-        k3 = rhs([p + 0.5 * dt * k for p, k in zip(parts, k2)])
-        k4 = rhs([p + dt * k for p, k in zip(parts, k3)])
-        new_parts = []
-        for p, (x, a, b, c, d) in enumerate(zip(parts, k1, k2, k3, k4)):
-            nxt = x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            if not np.max(np.abs(nxt)) <= 10.0 * game.masses[p]:  # NaN fails too
-                raise IntegrationDivergedError(
-                    f"integration diverged at step {step} (population {p}: "
-                    f"max |x| = {np.max(np.abs(nxt)):.6g})",
-                    step=step,
-                )
-            # remove floating-point mass drift uniformly
-            nxt -= (nxt.sum() - game.masses[p]) / len(nxt)
-            if np.any(nxt < 0):
-                if np.min(nxt) < -1e-9:
-                    raise IntegrationDivergedError(
-                        f"integration left the simplex at step {step} "
-                        f"(population {p}: min x = {np.min(nxt):.6g})",
-                        step=step,
-                    )
-                nxt = np.maximum(nxt, 0.0)
-                nxt *= game.masses[p] / nxt.sum()
+        k1 = rhs(x)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
+        k4 = rhs(x + dt * k3)
+        x = np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=states[step])
+        for p, (a, b) in enumerate(spans):
+            part, mass = x[a:b], game.masses[p]
+            lo, hi = np.minimum.reduce(part), np.maximum.reduce(part)
+            if not (-10.0 * mass <= lo and hi <= 10.0 * mass):  # NaN fails too
+                raise _stopped("diverged", step, p, f"max |x| = {np.max(np.abs(part)):.6g}")
+            # remove floating-point mass drift uniformly; subtracting one number keeps
+            # the order, so the smallest entry becomes lo - drift
+            drift = (np.add.reduce(part) - mass) / (b - a)
+            part -= drift
+            if lo - drift < 0:
+                if lo - drift < -1e-9:
+                    raise _stopped("left the simplex", step, p, f"min x = {lo - drift:.6g}")
+                np.maximum(part, 0.0, out=part)
+                part *= mass / part.sum()
                 clamp_events.append(step)
-            new_parts.append(nxt)
-        parts = new_parts
-        states[step] = np.concatenate(parts)
 
     return Trajectory(
         times=np.arange(steps + 1) * dt,
         states=states,
         dt=dt,
-        strategy_counts=counts,
+        strategy_counts=game.strategy_counts,
         masses=game.masses,
         clamp_events=tuple(clamp_events),
     )
@@ -183,21 +190,23 @@ def rest_point(
     dynamic is relaxed from the barycenter until the velocity is below
     ``tol`` in sup norm.
     """
+    protocols, spans = protocol_tuple(protocol, game), _spans(game)
+
+    def residual(state: SocialState) -> float:
+        return float(np.max(np.abs(_velocity(game, protocols, spans, np.concatenate(state.parts)))))
+
     candidate = game.barycenter()
-    if _rhs_norm(game, protocol, candidate) <= tol:
+    if residual(candidate) <= tol:
         return candidate
     horizon = 10.0
     while horizon <= max_horizon:
         traj = integrate_mean_dynamic(game, protocol, candidate, horizon, dt=0.01)
         candidate = traj.final
-        if _rhs_norm(game, protocol, candidate) <= tol:
+        if residual(candidate) <= tol:
             return candidate
         horizon *= 4.0
     raise ValueError(
         f"no rest point found within horizon {max_horizon}: residual "
-        f"{_rhs_norm(game, protocol, candidate):.3g} > {tol}"
+        f"{residual(candidate):.3g} > {tol}"
     )
 
-
-def _rhs_norm(game, protocol, state) -> float:
-    return max(float(np.max(np.abs(v))) for v in mean_dynamic_rhs(game, protocol, state))

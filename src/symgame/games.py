@@ -510,35 +510,56 @@ def _unscreened_rates(game, protocols, parts):
     if isinstance(values, np.ndarray) and game.num_populations == 1:
         values = (values,)
     payoffs = [np.asarray(v, dtype=float) for v in values]
-    if [pi.shape for pi in payoffs] != [x.shape for x in parts]:
+    if len(payoffs) != len(parts):
         return None
-    rates = [np.asarray(proto.rate_fn(pi, x), dtype=float) for proto, pi, x in zip(protocols, payoffs, parts)]
-    if all(rho.shape == (*x.shape, x.shape[-1]) for rho, x in zip(rates, parts)):
-        return payoffs, rates
-    return None
+    for pi, x in zip(payoffs, parts):
+        if pi.shape != x.shape:
+            return None
+    rates = []
+    for proto, pi, x in zip(protocols, payoffs, parts):
+        rho = np.asarray(proto.rate_fn(pi, x), dtype=float)
+        if rho.shape != (*x.shape, x.shape[-1]):
+            return None
+        rates.append(rho)
+    return payoffs, rates
 
 
-def _checked_rates(game, protocols, parts) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """``(payoffs, rates)`` at one state or at each of a stack of states, evaluated by :func:`_unscreened_rates`.
+# One state's arrays hold a few entries each: a Python sum or min over them beats a numpy call.
+def _total(a: np.ndarray) -> float:
+    return sum(a.tolist()) if a.ndim == 1 else float(np.add.reduce(a, axis=None))
 
-    No ``protocols`` evaluates payoffs only.  ``parts`` are made read-only.  States, payoffs and
-    rates are screened once for shape, finiteness and sign; on a failure the states are
-    re-evaluated in order through :meth:`PopulationGame.payoff_at` and
+
+def _smallest(rho: np.ndarray) -> float:
+    return min(rho.ravel().tolist()) if rho.ndim == 2 else np.minimum.reduce(rho, axis=None)
+
+
+def _checked_rates(game, protocols, parts) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """``(payoffs, rates, row_sums)`` at one state or at each of a stack of states, from :func:`_unscreened_rates`.
+
+    No ``protocols`` evaluates payoffs only; ``parts`` are made read-only; ``row_sums[p]`` sums
+    ``rates[p]`` over its last axis.  A fused fast accept passes the output when the sum of the
+    states, payoffs and row sums is finite and no rate is negative: inf and NaN propagate
+    through a float sum, so each term is finite (a NaN that ``min`` skips is in its row sum).
+    Otherwise an element-wise screen decides, so finite values whose sum overflows pass.  On a
+    failure the states are re-evaluated in order through :meth:`PopulationGame.payoff_at` and
     :meth:`RevisionProtocol.rates`, which raise the precise error at the first offending state.
     """
     for x in parts:
         x.setflags(write=False)
     out = _unscreened_rates(game, protocols, parts)
-    if out is None or not (
-        np.isfinite(np.concatenate([*parts, *out[0], *out[1]], axis=None)).all()
-        and all(rho.min() >= 0 for rho in out[1])
-    ):
-        for row in [parts] if parts[0].ndim == 1 else zip(*parts):
-            state = SocialState(parts=row)
-            for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
-                proto.rates(pi, x)
-        raise ProtocolError("payoff or protocol changed its output on re-evaluation")
-    return out
+    if out is not None:
+        payoffs, rates = out
+        row_sums = [np.add.reduce(rho, axis=-1) for rho in rates]
+        if all(_smallest(rho) >= 0 for rho in rates) and (
+            math.isfinite(sum(map(_total, (*parts, *payoffs, *row_sums))))
+            or np.isfinite(np.concatenate([*parts, *payoffs, *rates], axis=None)).all()
+        ):
+            return payoffs, rates, row_sums
+    for row in [parts] if parts[0].ndim == 1 else zip(*parts):
+        state = SocialState(parts=row)
+        for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
+            proto.rates(pi, x)
+    raise ProtocolError("payoff or protocol changed its output on re-evaluation")
 
 
 def grid_rates(
@@ -556,7 +577,7 @@ def grid_rates(
     fractions = tuple(
         grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
     )
-    _, rates = _checked_rates(game, protocol_tuple(protocol, game), fractions)
+    rates = _checked_rates(game, protocol_tuple(protocol, game), fractions)[1]
     return tuple(np.ascontiguousarray(rho) for rho in rates)
 
 
@@ -580,7 +601,7 @@ def validate_hypotheses(
         rates = grid_rates(game, protocols, states)
     elif rates is None:
         parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
-        _, rates = _checked_rates(game, protocols, parts)
+        rates = _checked_rates(game, protocols, parts)[1]
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
     ]

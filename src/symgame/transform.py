@@ -228,7 +228,7 @@ class TransformedGame:
     def derived_payoff(self, derived_state: SocialState) -> tuple[np.ndarray, ...]:
         """Payoffs of the derived game: member payoffs, aggregates padded; one state or a stack."""
         base_state = self.reconstruct(derived_state.parts)
-        payoffs, _ = _checked_rates(self.base_game, (), base_state.parts)
+        payoffs = _checked_rates(self.base_game, (), base_state.parts)[0]
         return tuple(
             self._padded_payoff(pop, base_state.parts[pop.base_population], payoffs[pop.base_population])
             for pop in self.populations
@@ -252,7 +252,7 @@ class TransformedGame:
 
         def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
             base = self.fill_base_state(pop, state.parts[0])
-            payoffs, _ = _checked_rates(self.base_game, (), base.parts)
+            payoffs = _checked_rates(self.base_game, (), base.parts)[0]
             return (self._padded_payoff(pop, base.parts[bp], payoffs[bp]),)
 
         stacked = self.base_game.vectorized and all(proto.vectorized for proto in self.base_protocols)

@@ -12,7 +12,9 @@ protocol at each event and keeps occupancy in a dict.
 ``_reference_dense_stationary`` is the dense LU solve that the sparse
 factorization in :func:`symgame.exact_stationary` replaced,
 ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
-validated state and validated rates on every call, and
+validated state and validated rates on every call,
+``_reference_integrate_mean_dynamic`` the RK4 loop over per-population
+arrays that called it, and
 ``_reference_birth_death_weights`` the product loop that called the up and
 down rates as functions of the fraction, one derived rate block per call;
 its per-count loop, ``_reference_weight_loop``, is the one that
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 
 from symgame import (
     BirthDeathSpec,
+    IntegrationDivergedError,
     PathResult,
     PopulationGame,
     ProtocolError,
@@ -59,6 +62,7 @@ from symgame import (
     decompose,
     derived_block,
     exact_stationary,
+    integrate_mean_dynamic,
     make_linear_game,
     make_separable_game,
     marginal_from_exact,
@@ -72,7 +76,7 @@ from symgame import (
 )
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, build_grid
-from symgame.dynamics import _ROW_BLOCK, _rhs_parts
+from symgame.dynamics import _ROW_BLOCK, _spans, _velocity
 from symgame.games import count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -244,6 +248,54 @@ def _reference_rhs_parts(game, protocols, parts):
         outflow = x * rho.sum(axis=1)
         out.append(inflow - outflow)
     return out
+
+
+def _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt):
+    # RK4 with one array per population, each stage and step assembled population by population
+    steps = int(round(horizon / dt))
+    states = np.empty((steps + 1, sum(game.strategy_counts)))
+    parts = [np.array(p, dtype=float) for p in x0.parts]
+    states[0] = np.concatenate(parts)
+    clamp_events = []
+
+    def rhs(ps):
+        try:
+            return _reference_rhs_parts(game, protocols, ps)
+        except ValueError:
+            bad = [p for p, x in enumerate(ps) if not np.isfinite(x).all()]
+            if not bad:
+                raise
+            raise IntegrationDivergedError(
+                f"integration diverged at step {step} (population {bad[0]}: non-finite RK4 stage)", step=step
+            ) from None
+
+    for step in range(1, steps + 1):
+        k1 = rhs(parts)
+        k2 = rhs([p + 0.5 * dt * k for p, k in zip(parts, k1)])
+        k3 = rhs([p + 0.5 * dt * k for p, k in zip(parts, k2)])
+        k4 = rhs([p + dt * k for p, k in zip(parts, k3)])
+        new_parts = []
+        for p, (x, a, b, c, d) in enumerate(zip(parts, k1, k2, k3, k4)):
+            nxt = x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            if not np.max(np.abs(nxt)) <= 10.0 * game.masses[p]:
+                raise IntegrationDivergedError(
+                    f"integration diverged at step {step} (population {p}: max |x| = {np.max(np.abs(nxt)):.6g})",
+                    step=step,
+                )
+            nxt -= (nxt.sum() - game.masses[p]) / len(nxt)
+            if np.any(nxt < 0):
+                if np.min(nxt) < -1e-9:
+                    raise IntegrationDivergedError(
+                        f"integration left the simplex at step {step} (population {p}: min x = {np.min(nxt):.6g})",
+                        step=step,
+                    )
+                nxt = np.maximum(nxt, 0.0)
+                nxt *= game.masses[p] / nxt.sum()
+                clamp_events.append(step)
+            new_parts.append(nxt)
+        parts = new_parts
+        states[step] = np.concatenate(parts)
+    return states, tuple(clamp_events)
 
 
 def _reference_weight_loop(index, N, up, down, factor_variant, orientation_variant):
@@ -723,11 +775,141 @@ class TestMeanDynamicRhs:
                 np.where(rng.random(n) < 0.3, -1e-10, m * rng.dirichlet(np.ones(n)))
                 for m, n in zip(game.masses, game.strategy_counts)
             ]
-            got = _rhs_parts(game, protocols, parts)
-            want = _reference_rhs_parts(game, protocols, parts)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            got = _velocity(game, protocols, _spans(game), np.concatenate(parts))
+            want = np.concatenate(_reference_rhs_parts(game, protocols, parts))
+            assert got.tobytes() == want.tobytes()
+
+
+def _boundary_state(game, rng):
+    """A state on or near the simplex boundary: some strategies at zero or at 1e-13 of the mass.
+
+    ``_masked_protocol(3)`` sends no flow into strategy 0, so where that is at
+    zero the mass drift of a step can push it below zero, and RK4 clamps.
+    """
+    parts = []
+    for m, n in zip(game.masses, game.strategy_counts):
+        x = rng.dirichlet(np.ones(n))
+        x[rng.random(n) < 0.3] = 0.0
+        x[rng.random(n) < 0.2] = 1e-13
+        if rng.random() < 0.5:
+            x[0] = 0.0
+        x[rng.integers(n)] += 1.0  # at least one strategy keeps its mass
+        parts.append(m * x / x.sum())
+    return SocialState(parts=tuple(parts))
+
+
+def _integration_outcome(run):
+    """The trajectory's bytes and clamp events, or the type, message and step of the error raised."""
+    try:
+        states, clamp_events = run()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+    return states.tobytes(), clamp_events
+
+
+def _flat_run(game, protocols, x0, horizon, dt):
+    def run():
+        traj = integrate_mean_dynamic(game, protocols, x0, horizon, dt)
+        return traj.states, traj.clamp_events
+
+    return run
+
+
+RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+_OVERFLOWING = "ignore:overflow encountered:RuntimeWarning"
+
+
+class TestIntegrateMeanDynamic:
+    @given(models(), st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.01, 0.05, 0.2]))
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings(_OVERFLOWING)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_matches_the_per_population_loop(self, model, seed, steps, dt):
+        game, protocols, _ = model
+        x0 = _boundary_state(game, np.random.default_rng(seed))
+        horizon = steps * dt
+        got = _integration_outcome(_flat_run(game, protocols, x0, horizon, dt))
+        want = _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "x0", [([0.0, 0.6, 0.4],), ([0.0, 1.0, 0.0],), ([0.0, 1.0, 0.0], [0.0, 0.1, 0.9]), ([0.0, 1.0, 0.0],) * 3]
+    )
+    def test_clamped_steps_match_the_per_population_loop(self, x0):
+        # strategy 0, at zero with nothing flowing into it, undershoots by the mass drift
+        game = make_separable_game([RPS] * len(x0))
+        protocols = (_masked_protocol(3),) * len(x0)
+        x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
+        got = _integration_outcome(_flat_run(game, protocols, x0, 2.0, 0.05))
+        assert len(got[1]) > 0  # clamp events
+        assert got == _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 2.0, 0.05))
+
+    @pytest.mark.parametrize(
+        "game, protocols, x0, error, message",
+        [
+            # rates whose row sums overflow make the next RK4 stage non-finite
+            pytest.param(
+                make_separable_game([np.eye(2), RPS]),
+                (constant_protocol(1.0), custom_protocol(lambda pi, x: np.full((3, 3), 1e308))),
+                ([0.5, 0.5], [0.5, 0.3, 0.2]), IntegrationDivergedError,
+                "integration diverged at step 1 (population 1: non-finite RK4 stage)", id="nan-stage",
+            ),
+            # min() sees no negative rate in either, so only the row sums in the fused total find them
+            pytest.param(
+                make_linear_game(RPS), (custom_protocol(lambda pi, x: np.where(np.eye(3) > 0, 1.0, np.inf)),),
+                ([0.7, 0.2, 0.1],), ProtocolError, "protocol 'custom' produced non-finite rates", id="infinite-rate",
+            ),
+            pytest.param(
+                make_linear_game(RPS),
+                (custom_protocol(lambda pi, x: np.where(np.arange(9).reshape(3, 3) == 8, np.nan, 1.0)),),
+                ([0.7, 0.2, 0.1],), ProtocolError, "protocol 'custom' produced non-finite rates", id="nan-rate",
+            ),
+            pytest.param(
+                make_linear_game(RPS),
+                (custom_protocol(lambda pi, x: np.ones((3, 3)) if x[0] >= 0.5 else -np.ones((3, 3))),),
+                ([0.7, 0.2, 0.1],), ProtocolError, "protocol 'custom' produced negative rates (min -1.0)",
+                id="negative-rate",
+            ),
+            pytest.param(
+                PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=lambda s: (np.full(3, np.inf),)),
+                (constant_protocol(1.0),), ([0.7, 0.2, 0.1],), ValueError,
+                "population 0: payoff has non-finite entries", id="payoff-the-protocol-ignores",
+            ),
+            pytest.param(
+                make_linear_game(RPS), (custom_protocol(lambda pi, x: np.ones((2, 2))),), ([0.7, 0.2, 0.1],),
+                ValueError, "protocol 'custom' returned shape (2, 2), expected (3, 3)", id="wrong-shape",
+            ),
+            # every rate and every row sum is finite, their total is not: this integrates
+            pytest.param(
+                make_linear_game(np.eye(2)),
+                (custom_protocol(lambda pi, x: np.array([[1e308, 1.0], [1.0, 1e308]])),),
+                ([0.75, 0.25],), None, None, id="overflowing-total",
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings(_OVERFLOWING)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_errors_match_the_per_population_loop(self, game, protocols, x0, error, message):
+        x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
+        got = _integration_outcome(_flat_run(game, protocols, x0, 1.0, 0.1))
+        assert got == _integration_outcome(
+            lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 1.0, 0.1)
+        )
+        if error is None:
+            assert len(got) == 2  # the states' bytes and the clamp events
+        else:
+            assert got[:2] == (error, message)
+
+    def test_one_step_evaluates_each_callable_once_per_stage(self):
+        game = make_separable_game([[[0, 1], [1, 0]], RPS])
+        calls = collections.Counter()
+        counted_game = dataclasses.replace(game, payoff=_counted(game.payoff, calls, "payoff"))
+        counted_protocols = tuple(
+            dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, p))
+            for p, proto in enumerate((sum_exponential_protocol(0.7), table_protocol(np.ones((3, 3)))))
+        )
+        integrate_mean_dynamic(counted_game, counted_protocols, game.barycenter(), 0.1, 0.1)
+        assert calls == {"payoff": 4, 0: 4, 1: 4}  # one per RK4 stage
 
 
 class TestSimulatePath:

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -386,6 +389,16 @@ class TestSimulatePath:
         for path in (b, c):
             assert a.to_csv() == path.to_csv()
             assert a.occupancy.to_csv() == path.occupancy.to_csv()
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_raises_before_the_event_loop(self, horizon, monkeypatch):
+        # an infinite horizon once ran the event loop without end
+        loop = mock.Mock(side_effect=AssertionError("the event loop started"))
+        monkeypatch.setattr(chain_module, "_lockstep_paths", loop)
+        game = make_linear_game(RPS)
+        with pytest.raises(ValueError, match=f"^horizon must be positive and finite, got {horizon}$"):
+            simulate_paths((game, constant_protocol(1.0), 3), ((1, 1, 1),), horizon, [0, 1])
+        loop.assert_not_called()
 
     def test_grid_of_another_layout_is_rejected(self):
         game = make_linear_game(RPS)

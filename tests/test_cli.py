@@ -229,6 +229,24 @@ class TestCommands:
         assert key in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_trajectory_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the mean dynamic's velocity goes through BLAS gemv
+        config = ROOT / "docs" / "examples" / "rps_sum_exponential.cfg"
+        written = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+            }
+            out = tmp_path / f"threads_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "symgame.cli", "mean-dynamic", "--config", str(config), "--out", str(out)],
+                check=True, capture_output=True, env=env,
+            )
+            written.append((out / "trajectory.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

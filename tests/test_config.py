@@ -274,14 +274,53 @@ CORPUS = {
     "table-payoff from a linear file": (
         "rps_constant",
         (("type = linear", "type = table-payoff"),),
-        ["game section: missing 'payoff_matrix_1'"],
+        [
+            "section 'game': unknown key 'payoff_matrix' (type 'table-payoff' does not read it)",
+            "section 'game': unknown key 'mass' (type 'table-payoff' does not read it)",
+            "game section: missing 'payoff_matrix_1'",
+        ],
     ),
     "linear with numbered payoff matrices": (
         "two_populations",
         (("type = table-payoff", "type = linear"),),
         [
+            "section 'game': unknown key 'populations' (type 'linear' does not read it)",
+            "section 'game': unknown key 'masses' (type 'linear' does not read it)",
             "section 'game': unknown key 'payoff_matrix_1' (did you mean 'payoff_matrix'?)",
             "section 'game': unknown key 'payoff_matrix_2' (did you mean 'payoff_matrix'?)",
+        ],
+    ),
+    "populations and masses in a linear game": (
+        "rps_constant",
+        (("mass = 1.0", "mass = 1.0\npopulations = 7\nmasses = 3, 4"),),
+        [
+            "section 'game': unknown key 'populations' (type 'linear' does not read it)",
+            "section 'game': unknown key 'masses' (type 'linear' does not read it)",
+        ],
+    ),
+    "mass and an unnumbered payoff matrix in a table-payoff game": (
+        "two_populations",
+        (("masses = 1.0, 1.0", "masses = 1.0, 1.0\nmass = 2.0\npayoff_matrix =\n    0 1\n    1 0"),),
+        [
+            "section 'game': unknown key 'mass' (type 'table-payoff' does not read it)",
+            "section 'game': unknown key 'payoff_matrix' (type 'table-payoff' does not read it)",
+        ],
+    ),
+    "eta and a matrix under kind constant": (
+        "rps_constant",
+        (("c = 1.0", "c = 1.0\neta = 5\nmatrix =\n    0 1 1\n    1 0 1\n    1 1 0"),),
+        [
+            "section 'protocol': unknown key 'eta' (kind 'constant' does not read it)",
+            "section 'protocol': unknown key 'matrix' (kind 'constant' does not read it)",
+        ],
+    ),
+    "c under kind sum_exponential, reported with a bad value": (
+        "rps_sum_exponential",
+        (("eta = 1.0", "eta = 1.0\nc = 2.0"), ("horizon = 50.0", "horizon = -1")),
+        [
+            "section 'protocol': unknown key 'c' (kind 'sum_exponential' does not read it)",
+            "run section: horizon must be positive, got -1.0",
+            "run section: burn_in must lie in [0, horizon), got 5.0",
         ],
     ),
     "non-numeric populations": (

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestIntegrate:
     def test_nan_step_raises_divergence_with_step(self, monkeypatch):
         from symgame import dynamics
 
-        monkeypatch.setattr(dynamics, "_rhs_parts", lambda game, protocols, parts: [np.full(3, np.nan)])
+        monkeypatch.setattr(dynamics, "_velocity", lambda game, protocols, spans, x: np.full(3, np.nan))
         game = make_linear_game(RPS)
         with pytest.raises(IntegrationDivergedError, match=r"step 1 \(population 0: max \|x\| = nan\)"):
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), 1.0, 0.1)
@@ -173,6 +174,26 @@ class TestIntegrate:
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), 1.0, 2.0)
         with pytest.raises(ValueError, match="integer multiple"):
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), 1.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "horizon, dt, message",
+        [
+            (math.inf, 0.01, "horizon must be positive and finite, got inf"),
+            (math.nan, 0.01, "horizon must be positive and finite, got nan"),
+            (1.0, math.nan, "need 0 < dt <= horizon, got dt=nan, horizon=1.0"),
+            (1.0, math.inf, "need 0 < dt <= horizon, got dt=inf, horizon=1.0"),
+        ],
+    )
+    def test_non_finite_horizon_or_dt_raises_before_any_step(self, horizon, dt, message, monkeypatch):
+        # an infinite horizon once overflowed in the step count, and dt = nan
+        # failed to convert it; neither message named the argument
+        from symgame import dynamics
+
+        monkeypatch.setattr(dynamics, "_velocity", mock.Mock(side_effect=AssertionError("a step ran")))
+        game = make_linear_game(RPS)
+        with pytest.raises(ValueError) as err:
+            integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), horizon, dt)
+        assert str(err.value) == message
 
     def test_csv_row_count(self):
         game = make_linear_game(RPS)
