@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chain as chain_mod
-from .config import ExperimentConfig, parse_config, render_config
+from .config import ExperimentConfig, parse_config, parse_seeds, render_config
 from .dynamics import integrate_mean_dynamic
 from .errors import ConfigError, GridSizeError, SymgameError
 from .games import (
@@ -70,7 +70,6 @@ def _provenance(config: ExperimentConfig, command: str, seed: int | None = None)
         f"# config_hash: {config.config_hash}",
         f"# variant_factor: {config.variant_factor}",
         f"# variant_orientation: {config.variant_orientation}",
-        f"# fstar: {config.fstar}",
     ]
     if seed is not None:
         lines.append(f"# seed: {seed}")
@@ -96,17 +95,11 @@ class _Model:
             self.game, self.protocols = self.base_game, self.base_protocols
 
     @property
-    def base_resolutions(self) -> tuple[int, ...]:
-        res = self.config.resolutions
-        n_pop = self.base_game.num_populations
-        return tuple(res) if len(res) == n_pop else (res[0],) * n_pop
-
-    @property
     def resolutions(self) -> tuple[int, ...]:
+        base = tuple(self.config.resolutions)  # one N per base population
         if not self.transformed:
-            return self.base_resolutions
-        pops = self.decomposition.populations
-        return tuple(self.base_resolutions[pop.base_population] for pop in pops)
+            return base
+        return tuple(base[pop.base_population] for pop in self.decomposition.populations)
 
     def initial_state(self) -> SocialState:
         parts = self.config.initial_state_parts(self.base_game)
@@ -135,7 +128,7 @@ class _Model:
 
     @cached_property
     def decomposition(self):
-        return decompose(self.base_game, self.base_protocols, fstar=self.config.fstar)
+        return decompose(self.base_game, self.base_protocols)
 
     @cached_property
     def grid(self):
@@ -402,7 +395,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-override", default=None, help="comma list replacing the config seeds")
     parser.add_argument("--variant-factor", choices=["paper", "standard"], default=None)
     parser.add_argument("--variant-orientation", choices=["paper", "standard"], default=None)
-    parser.add_argument("--fstar", choices=["zero", "weighted"], default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -413,8 +405,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config(text)
         if args.seed_override is not None:
-            config.seeds = [int(v.strip()) for v in args.seed_override.split(",") if v.strip()]
-        for key in ("variant_factor", "variant_orientation", "fstar"):
+            config.seeds = parse_seeds(args.seed_override, "--seed-override (seeds)")
+        for key in ("variant_factor", "variant_orientation"):
             if getattr(args, key) is not None:
                 setattr(config, key, getattr(args, key))
         return run_command(args.command, config, out_dir=args.out)

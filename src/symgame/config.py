@@ -30,7 +30,7 @@ from .games import (
     table_protocol,
 )
 
-__all__ = ["ExperimentConfig", "parse_config", "render_config"]
+__all__ = ["ExperimentConfig", "parse_config", "parse_seeds", "render_config"]
 
 # section -> key -> (kind, default text[, the one game type or protocol kind that reads the key]).
 # A tuple kind lists the allowed texts; a None default leaves an absent key to a rule in parse_config.
@@ -54,14 +54,13 @@ _KEYS = {
         "horizon": ("float", "10.0"),
         "dt": ("float", "0.01"),
         "burn_in": ("float", None),
-        "seeds": ("ints", ""),
+        "seeds": ("seeds", ""),
         "x0": ("blocks", None),
         "variant_factor": (("standard", "paper"), "standard"),
         "variant_orientation": (("standard", "paper"), "standard"),
-        "fstar": (("zero", "weighted"), "zero"),
     },
-    "output": {"directory": ("text", "out"), "formats": ("texts", "csv, report")},
-    "transform": {"lineage": ("texts", ""), "fstar": (("zero", "weighted"), None)},
+    "output": {"directory": ("text", "out")},
+    "transform": {"lineage": ("texts", "")},
 }
 # per-population matrix keys <prefix><p>: section -> (prefix, key, the value of that key that reads them)
 _NUMBERED = {"game": ("payoff_matrix_", "type", "table-payoff"), "protocol": ("matrix_", "kind", "table")}
@@ -69,7 +68,7 @@ _NUMBERED = {"game": ("payoff_matrix_", "type", "table-payoff"), "protocol": ("m
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description plus the canonical source text."""
+    """Validated experiment description and the hash of its source text."""
 
     game_type: str
     payoff_matrices: list[np.ndarray]
@@ -85,17 +84,10 @@ class ExperimentConfig:
     x0: list[list[float]] | None
     variant_factor: str
     variant_orientation: str
-    fstar: str
     output_directory: str
-    output_formats: list[str]
     transform_lineage: tuple[str, ...] | None
-    source_text: str = ""
     config_hash: str = ""
     protocol_matrices: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def num_populations(self) -> int:
-        return len(self.payoff_matrices)
 
     def build_game(self) -> PopulationGame:
         if self.game_type == "linear":
@@ -175,8 +167,22 @@ def _parse(kind: str, text: str, label: str, problems: list[str]):
         return _parse_matrix(text, label, problems)
     if kind == "text":
         return text
+    if kind == "seeds":  # SeedSequence takes non-negative integers only
+        seeds = _parse_list(text, int, label, problems)
+        if seeds and min(seeds) < 0:
+            problems.append(f"{label}: expected non-negative integers, got {text!r}")
+        return seeds
     conv = {"float": float, "int": int, "text": str}[kind.removesuffix("s")]
     return (_parse_list if kind.endswith("s") else _parse_number)(text, conv, label, problems)
+
+
+def parse_seeds(text: str, label: str) -> list[int]:
+    """A comma list of seeds, checked as ``[run] seeds`` is; a bad one raises ConfigError under ``label``."""
+    problems: list[str] = []
+    seeds = _parse("seeds", text, label, problems)
+    if problems:
+        raise ConfigError(problems)
+    return seeds
 
 
 def _numbered_keys(parser, section: str) -> list[str]:
@@ -307,7 +313,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if run["burn_in"] is None:
         run["burn_in"] = run["horizon"] / 10.0
     horizon, dt, burn_in, x0 = (run[key] for key in ("horizon", "dt", "burn_in", "x0"))
-    run["fstar"] = get("transform", "fstar") or run["fstar"]
     if horizon <= 0:
         problems.append(f"run section: horizon must be positive, got {horizon}")
     if dt <= 0 or (horizon > 0 and dt > horizon):
@@ -355,9 +360,7 @@ def parse_config(text: str) -> ExperimentConfig:
         resolutions=resolutions,
         **run,
         output_directory=get("output", "directory"),
-        output_formats=get("output", "formats"),
         transform_lineage=tuple(get("transform", "lineage")) if parser.has_section("transform") else None,
-        source_text=text,
         config_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
         protocol_matrices=protocol_matrices,
     )
@@ -408,12 +411,9 @@ def render_config(config: ExperimentConfig, lineage: tuple[str, ...] | None = No
         )
     buf.write(f"variant_factor = {config.variant_factor}\n")
     buf.write(f"variant_orientation = {config.variant_orientation}\n")
-    buf.write(f"fstar = {config.fstar}\n")
     buf.write("\n[output]\n")
     buf.write(f"directory = {config.output_directory}\n")
-    buf.write("formats = " + ", ".join(config.output_formats) + "\n")
     if lineage:
         buf.write("\n[transform]\n")
         buf.write("lineage = " + ", ".join(lineage) + "\n")
-        buf.write(f"fstar = {config.fstar}\n")
     return buf.getvalue()

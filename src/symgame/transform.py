@@ -145,11 +145,6 @@ class TransformedGame:
     base_protocols: tuple[RevisionProtocol, ...]
     populations: tuple[DerivedPopulation, ...]
     lineage: tuple[str, ...]
-    fstar: str = "zero"
-
-    def __post_init__(self):
-        if self.fstar not in ("zero", "weighted"):
-            raise ValueError(f"unknown payoff padding variant '{self.fstar}'")
 
     @property
     def arities(self) -> tuple[int, ...]:
@@ -209,30 +204,20 @@ class TransformedGame:
 
     # -- payoffs and rates ----------------------------------------------
 
-    def _padded_payoff(self, population: DerivedPopulation, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # derived payoffs from base state x and base payoffs y of the population, one state or a stack
-        out = np.empty((*y.shape[:-1], population.arity))
+    @staticmethod
+    def _padded_payoff(population: DerivedPopulation, y: np.ndarray) -> np.ndarray:
+        # derived payoffs from the base payoffs y of the population, one state or a stack; aggregates get 0
+        out = np.zeros((*y.shape[:-1], population.arity))
         for t, mem in enumerate(population.members):
             if len(mem) == 1:
                 out[..., t] = y[..., mem[0]]
-            elif self.fstar == "zero":
-                out[..., t] = 0.0
-            else:
-                xs, ys = np.take(x, mem, axis=-1), np.take(y, mem, axis=-1)
-                mass = xs.sum(axis=-1)
-                # C-contiguous rows take one BLAS dot per state, as ``x[idx] @ y[idx]`` does
-                dot = np.matmul(xs[..., None, :], ys[..., :, None])[..., 0, 0]
-                out[..., t] = np.divide(dot, mass, out=np.zeros_like(mass), where=mass > 0)
         return out
 
     def derived_payoff(self, derived_state: SocialState) -> tuple[np.ndarray, ...]:
-        """Payoffs of the derived game: member payoffs, aggregates padded; one state or a stack."""
+        """Derived payoffs, one state or a stack: a singleton's base payoff, 0 for an aggregate (no rate reads them)."""
         base_state = self.reconstruct(derived_state.parts)
         payoffs = _checked_rates(self.base_game, (), base_state.parts)[0]
-        return tuple(
-            self._padded_payoff(pop, base_state.parts[pop.base_population], payoffs[pop.base_population])
-            for pop in self.populations
-        )
+        return tuple(self._padded_payoff(pop, payoffs[pop.base_population]) for pop in self.populations)
 
     def marginal_block(self, index: int, part: np.ndarray) -> np.ndarray:
         """Rate block of derived population ``index`` at its own state, or the blocks of an ``(S, arity)`` stack.
@@ -253,7 +238,7 @@ class TransformedGame:
         def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
             base = self.fill_base_state(pop, state.parts[0])
             payoffs = _checked_rates(self.base_game, (), base.parts)[0]
-            return (self._padded_payoff(pop, base.parts[bp], payoffs[bp]),)
+            return (self._padded_payoff(pop, payoffs[bp]),)
 
         stacked = self.base_game.vectorized and all(proto.vectorized for proto in self.base_protocols)
         game = PopulationGame((self.base_game.masses[bp],), (pop.arity,), payoff, vectorized=stacked)
@@ -321,7 +306,6 @@ def decompose(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
     target: int = 2,
-    fstar: str = "zero",
 ) -> TransformedGame:
     """Reduce every population to at most ``target`` strategies.
 
@@ -372,5 +356,4 @@ def decompose(
         base_protocols=protocols,
         populations=tuple(populations),
         lineage=tuple(lineage),
-        fstar=fstar,
     )

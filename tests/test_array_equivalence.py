@@ -379,17 +379,12 @@ def _reference_fill_base_state(tg, population, part):
 
 def _reference_padded_payoff(tg, population, base_state):
     y = tg.base_game.payoff_at(base_state)[population.base_population]
-    x = base_state.parts[population.base_population]
     out = np.empty(population.arity)
     for t, mem in enumerate(population.members):
         if len(mem) == 1:
             out[t] = y[mem[0]]
-        elif tg.fstar == "zero":
-            out[t] = 0.0
         else:
-            idx = list(mem)
-            mass = float(x[idx].sum())
-            out[t] = float(x[idx] @ y[idx]) / mass if mass > 0 else 0.0
+            out[t] = 0.0
     return out
 
 
@@ -1071,9 +1066,7 @@ def derived_models(draw):
         game = make_separable_game(matrices)
     kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS), min_size=n_pops, max_size=n_pops))
     protocols = tuple(_protocol(kind, n, rng, decomposable=True) for kind, n in zip(kinds, counts))
-    tg = decompose(
-        game, protocols, target=draw(st.sampled_from((2, 3))), fstar=draw(st.sampled_from(("zero", "weighted")))
-    )
+    tg = decompose(game, protocols, target=draw(st.sampled_from((2, 3))))
     rows = draw(st.integers(1, 4))
     stacks = []
     for pop in tg.populations:

@@ -247,6 +247,32 @@ class TestCommands:
             written.append((out / "trajectory.csv").read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize(
+        "text, extra, key",
+        [
+            (RPS_CONSTANT.replace("seeds = 1, 2", "seeds = 1, -2"), (), "run section (seeds)"),
+            (RPS_CONSTANT, ("--seed-override=-1",), "--seed-override (seeds)"),
+        ],
+    )
+    def test_a_negative_seed_is_a_config_error_before_any_work(self, text, extra, key, tmp_path, capsys, monkeypatch):
+        # numpy's SeedSequence refused it only after the whole experiment had run, naming no key
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr("symgame.cli.run_command", no_run)
+        config = tmp_path / "seeds.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run("experiment", config, out, *extra) == 1
+        assert f"{key}: expected non-negative integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_removed_padding_flag_is_an_argparse_error(self, rps_config, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("experiment", rps_config, tmp_path / "out", "--fstar", "zero")
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -62,7 +62,6 @@ class TestParseConfig:
         assert config.burn_in == pytest.approx(1.0)  # horizon / 10
         assert config.variant_factor == "standard"
         assert config.variant_orientation == "standard"
-        assert config.fstar == "zero"
         assert config.output_directory == "out"
         assert config.masses == [1.0]
         assert config.support_floor == 1.0  # constant protocols imply their own floor
@@ -228,8 +227,8 @@ CORPUS = {
     ),
     "unknown output key": (
         "rps_constant",
-        (("directory =", "format = csv\ndirectory ="),),
-        ["section 'output': unknown key 'format' (did you mean 'formats'?)"],
+        (("directory =", "directry = csv\ndirectory ="),),
+        ["section 'output': unknown key 'directry' (did you mean 'directory'?)"],
     ),
     "unknown game type": (
         "rps_constant",
@@ -575,27 +574,36 @@ CORPUS = {
         (("seeds =", "variant_orientation = paper\nseeds ="),),
         VALID,
     ),
-    "unknown fstar": (
+    "fstar is an unknown key": (
         "rps_constant",
-        (("seeds =", "fstar = bogus\nseeds ="),),
-        ["run section: fstar must be 'zero' or 'weighted', got 'bogus'"],
+        (("seeds =", "fstar = zero\nseeds ="),),
+        ["section 'run': unknown key 'fstar'"],
     ),
     "transform marker": (
         "rps_constant",
-        (("", "\n[transform]\nlineage = 3->2\nfstar = weighted\n"),),
+        (("", "\n[transform]\nlineage = 3->2\n"),),
         VALID,
     ),
-    "unknown transform fstar": (
+    "transform fstar is an unknown key": (
         "rps_constant",
-        (("", "\n[transform]\nlineage = 3->2\nfstar = bogus\n"),),
-        ["transform section: fstar must be 'zero' or 'weighted', got 'bogus'"],
+        (("", "\n[transform]\nlineage = 3->2\nfstar = zero\n"),),
+        ["section 'transform': unknown key 'fstar'"],
     ),
     "unknown transform key": (
         "rps_constant",
         (("", "\n[transform]\nlineag = 3->2\n"),),
         ["section 'transform': unknown key 'lineag' (did you mean 'lineage'?)"],
     ),
-    "output formats": ("rps_constant", (("", "formats = csv\n"),), VALID),
+    "output formats is an unknown key": (
+        "rps_constant",
+        (("", "formats = csv, report\n"),),
+        ["section 'output': unknown key 'formats'"],
+    ),
+    "negative seed": (
+        "rps_constant",
+        (("seeds = 1, 2, 3", "seeds = 1, -2"),),
+        ["run section (seeds): expected non-negative integers, got '1, -2'"],
+    ),
     "problems across sections": (
         "rps_constant",
         (
@@ -636,6 +644,52 @@ class TestProblemCorpus:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.problems == expected
+
+    def test_a_transformed_config_with_the_removed_padding_and_formats_keys_is_refused(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(OLD_TRANSFORMED_RPS)
+        assert err.value.problems == [
+            "section 'run': unknown key 'fstar'",
+            "section 'output': unknown key 'formats'",
+            "section 'transform': unknown key 'fstar'",
+        ]
+        kept = "".join(line for line in OLD_TRANSFORMED_RPS.splitlines(True) if not line.startswith(("fstar", "formats")))
+        assert parse_config(kept).transform_lineage == ("3->2",)
+
+
+# transformed_game.cfg of rps_constant as `transform` wrote it while the `fstar` and `formats` keys existed
+OLD_TRANSFORMED_RPS = """\
+[game]
+type = linear
+payoff_matrix =
+    0 -1 1
+    1 0 -1
+    -1 1 0
+mass = 1
+
+[protocol]
+kind = constant
+c = 1
+support_floor = 1
+
+[run]
+N = 2
+horizon = 20
+dt = 0.01
+burn_in = 2
+seeds = 1, 2, 3
+variant_factor = standard
+variant_orientation = standard
+fstar = zero
+
+[output]
+directory = out/rps_constant
+formats = csv, report
+
+[transform]
+lineage = 3->2
+fstar = zero
+"""
 
 
 def _matrix_lines(draw, n: int) -> str:
@@ -694,7 +748,6 @@ def config_texts(draw) -> str:
     for key, choices in (
         ("variant_factor", ["standard", "paper"]),
         ("variant_orientation", ["standard", "paper"]),
-        ("fstar", ["zero", "weighted"]),
     ):
         if draw(st.booleans()):
             lines.append(f"{key} = {draw(st.sampled_from(choices))}")
@@ -702,11 +755,9 @@ def config_texts(draw) -> str:
     if draw(st.booleans()):
         words = st.text("abcdefgh", min_size=1, max_size=6)
         lines += ["", "[output]", f"directory = out/{draw(words)}"]
-        lines.append("formats = " + ", ".join(draw(st.lists(words, max_size=3))))
     if draw(st.booleans()):
         steps = st.text("0123456789->", min_size=1, max_size=5)
         lines += ["", "[transform]", "lineage = " + ", ".join(draw(st.lists(steps, min_size=1, max_size=3)))]
-        lines.append(f"fstar = {draw(st.sampled_from(['zero', 'weighted']))}")
     return "\n".join(lines) + "\n"
 
 
@@ -717,7 +768,7 @@ class TestRoundTrip:
         config = parse_config(text)
         again = parse_config(render_config(config, config.transform_lineage))
         for field in dataclasses.fields(config):
-            if field.name in ("source_text", "config_hash"):
+            if field.name == "config_hash":
                 continue
             before, after = getattr(config, field.name), getattr(again, field.name)
             if field.name in ("payoff_matrices", "protocol_matrices"):

@@ -20,75 +20,75 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 GOLDEN = {
     "coordination_table": {
-        "exact_stationary.csv": "794226b6aeb887db3b49eb9b8c257188b30810cf66cec891e7127e7927f5bd7f",
-        "experiment_report.txt": "331f0914555687a66181598d94fba1c1787cbc2f07a8d3eef732ec4c7d72cbe1",
-        "occupancy_5.csv": "5a4cf09b9022eca5450d8875dd5df3b952e3efa1bc82e73346ad79c1ff17bf49",
-        "path_5.csv": "49d04606299901ccc9b89ef5b56967fc9a331e11dab8216a39571f69d6a0a350",
-        "predicted.csv": "ab8b0e98ced80b16eb824450529d3bf8620bb003c2ee97b62bff5757e5015df0",
-        "trajectory.csv": "43b6eed8c42eee6fa4fbb431ba914cb1a13e56ad8199506de5013975eb748fdf",
-        "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
+        "exact_stationary.csv": "f1757c1c1e5ca15d75d10a9060293dd1923669678e83a0f6845f2a2285001777",
+        "experiment_report.txt": "9926b9998cbdb934e7ef89b633fffb626ef9b394eb04a92b8fe9386b6525beca",
+        "occupancy_5.csv": "284f163ea1304087be1b3abb74b33cebc6fc11a48cdac23d09b0e343a103f7be",
+        "path_5.csv": "b4e7fc32aace9b244280bcb155b171d8fca2fe79b9c5662f50dd5f33561dec4b",
+        "predicted.csv": "321c85cf4677541e30ce2c62ed3361c1c59a0f33ad80bc58198302e7cea3b0d8",
+        "trajectory.csv": "cf25b6e4dbca01bbeb29adfb4079c06a058345bca03ea20832b23be38dd1c591",
+        "transformed_game.cfg": "7494d0ed35ab5bce1c34582eb9c74d507b0ae526279137f59c7762a9de05340f",
     },
     "rps_constant": {
-        "exact_stationary.csv": "19c223ca450e49031f432fdbe76b10e371cb0403a84401de3b3005599c835474",
-        "experiment_report.txt": "11f5137b82d442ba26bb84f8d04f5b1fd5ac063ecaa8e3a81bb8519a5d866a28",
-        "occupancy_1.csv": "8c959eabdb08488cb40dca973d362f952e9d31c5820e4b99900bc7245dbab270",
-        "occupancy_2.csv": "5b593e14314a467fec1c8b5ecce850c6442d687ae745e5a1fc8060e2d8dc82f0",
-        "occupancy_3.csv": "cf75c14d365b1b04d1c6ca4ead4df7ba2c1581e61cde18d7c32b03a7be998b92",
-        "path_1.csv": "cafbcbffc767a2fc4438fbc83e771862793d88148d67f05fba1f312e5ba7944e",
-        "path_2.csv": "050d39ab4d1b8bb48fc87ed74438188131335487054b2b88ab7ac26178a0447f",
-        "path_3.csv": "d919ba2e644afe7346bf5f5cf59f8e118e297e45635c38b2358665895c80cad8",
-        "predicted.csv": "30fe3d0cac7efbcb60f75968b1153657153c02078313f355597d85401f353b79",
-        "trajectory.csv": "5f9f12832ece50aff1736ad65c77d14f165d3ab42a4395a0cf64e6a5d6501b10",
-        "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
+        "exact_stationary.csv": "bc1a3314d4731655a3bfb94ef067eeb37a70f4af4e003cae4c238d928fb27c59",
+        "experiment_report.txt": "1188f9f34300678451b94f3a4fc1085d6fec96dd3ed3e3751898346683dcf510",
+        "occupancy_1.csv": "0ed53d68a6424d58c5adbe9d0e691ad62918a8bf3d46426b46f717c3b305934e",
+        "occupancy_2.csv": "63b43adf0bf8802fd74eec34641c04e004a985900831cbaa70c4f15ec0b33269",
+        "occupancy_3.csv": "8abea4d627ae562bfde0fca298ec675b449d9234ffd315e9aa0f0827b34fd090",
+        "path_1.csv": "9b2e310b5a02f5437f0a97c836343dd8dc63c96beff76f1c2b47373ff10ad41b",
+        "path_2.csv": "39c4543b60cc688a1b7870278a693caeff1547682262d18547f6acd5bf9930b6",
+        "path_3.csv": "7104ae121c973f738abd39dd1d6a60d992720f5fe92af9562e415437610cb566",
+        "predicted.csv": "f4ae487a7d81ab7afc0f7e3afb7674694226f3dbe2d3e3f05db6e67b049c3b3b",
+        "trajectory.csv": "5832d0e9cd907c5094d05242860c98aa972ac53be744a129e08770c1ac61ab39",
+        "transformed_game.cfg": "3fd0660e339972097ce6eccd997186da1d5a97fa610d22f5f10e9fcc91957c34",
     },
     "rps_sum_exponential": {
-        "exact_stationary.csv": "f9d584a8aebbe9650eac4d3ce5c858a9383ec21d89e07908c5222396d84c8984",
-        "experiment_report.txt": "3831430d043b7def878f4719db4769010b643df9e8baf0067ee58ff80c092418",
-        "occupancy_11.csv": "5d687c1381567b2fda4900305e6d72a116fe6d755e93372ee32926fe504bb6fc",
-        "occupancy_12.csv": "4228b11da1d2c75f8374c805166698210c9de795411f151c5c9fa403ca1288b8",
-        "path_11.csv": "b3c9899d2888e310112ee0c9e3e955842de95ecaf9f37467153aeed003a2013c",
-        "path_12.csv": "eebccbbfb4c003d3cc9b15455f719b2e91db8abb28809aae17b1b2b2adeeb50e",
-        "predicted.csv": "4110db1dbb123e7a7446c1053e3c3ceb122d3b3865802cad22de750707c6d6ec",
-        "trajectory.csv": "8454cf5fc977b37d32bd8ce0af2a22f0c172f47513285576beca4287ec14e8ac",
-        "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
+        "exact_stationary.csv": "b42560fb688fb65a149e9c0db7cff2b517e62d91e3756853babece34fad16982",
+        "experiment_report.txt": "b9ed705a5f5f1a3ac07c18a36d3e47e604cd4bebedda1bf0a0cbd7b6611642ce",
+        "occupancy_11.csv": "f6017a7d343a34967b9a054095956f5f0f91ddf4f6927e345fd36fbbfeaa99c9",
+        "occupancy_12.csv": "7442aae9daafe851a8d36cefa5036aaabee926c28a282cd5cd9ab561b6373029",
+        "path_11.csv": "f684d5a295836f302e7202de0e1b0f09461048861127098167757943c235b87f",
+        "path_12.csv": "e7959fc3df90b3e095a054a376830382c62dba28507e87cfa1ba2bb784c0a9f8",
+        "predicted.csv": "27252dd21e3a29312eb84583dee16f87036c62856046ad5db8ca683a78e4f271",
+        "trajectory.csv": "f6b48e5c4e955081c34ddc7469e5f2210eedbfb66dfb5518df338618321a770a",
+        "transformed_game.cfg": "f885b9feadb6f92af675d671a768ea0e6be6cbe1c03c5bc38366a2021ee5022d",
     },
     "two_populations": {
-        "exact_stationary.csv": "21f3f427414ac196d2d528b81ff6e62c7d3ee6e3214ed3053b82360d7ffd973e",
-        "experiment_report.txt": "d372f901305fd10675c24090c0203be5dde231a7e997c2c094b7aa7430093c74",
-        "occupancy_21.csv": "5dad830be8c97e86a51863a5ee87a1fc537151c0ec900fc16724782eb67b1f4b",
-        "occupancy_22.csv": "4785378ddd52455eebd1c3baa1754797b7f4b4d25f9878f3a230e84496bcda9c",
-        "path_21.csv": "a81675201da761707a26a447a2875042456ccad0cfc636136a49982cebcb6301",
-        "path_22.csv": "a021f00c3b81b0ee15263ef8328011b9f7009c00e1cbc9030463535578a5e975",
-        "predicted.csv": "d11c5f4d56a8d70d81192f18b4e60d6d48ea4e76c47ad770faffcba37dfaa542",
-        "trajectory.csv": "aec2e56ec1124cce521d5bdf9dfae269f1191b2042afb537e85ad957c2d6d1e0",
-        "transformed_game.cfg": "e2cee232bac605ae099a00ea21465c224c1cdbb28a668123cdf0bcc6014410f8",
+        "exact_stationary.csv": "6b2520a07cd375134b82c9d5ad8a6330b35e36cd8efc35abc416cd2b938fb702",
+        "experiment_report.txt": "1caef2d6846fb1a8efe25a5ecff10067a9e59ebb980bc4d3e0e440c497625e75",
+        "occupancy_21.csv": "b62f41ecc8ee3e71a50d67b6a8bd5ab2f618a0a7b17a7129d8282aedd6c7ef49",
+        "occupancy_22.csv": "8018ced599e770cbddd9295a7cb0853856ef451ba19912d3311a0706327fb845",
+        "path_21.csv": "8ce978b9fbec07272d8e666b872385749bca69cc8ab6b43a0dcecffeae1d46c9",
+        "path_22.csv": "66a7683982282bb7293190eb891b522a0df9ef29849fa4549d5a8b17f578f0ab",
+        "predicted.csv": "09f5fd4d890972c7b2b22eee78dede9f0cd444175908b59e7857afd4ed3ec0d1",
+        "trajectory.csv": "3cac3050db847a8f26d9b0ac06ee40af5e669920b7bea97231123f531cf9e483",
+        "transformed_game.cfg": "089bf8e168fc30dce098407036c44a9c3fd71eca879f557deffb0346e4da2310",
     },
 }
 
 GOLDEN_SIMULATE = {
     "coordination_table": {
-        "occupancy_5.csv": "1eac18e1ea650ed66d845ea0c76760a199468cd9ba810d13de2502d6814db0df",
-        "path_5.csv": "89b6f1633af011a1c36e4ea9dd9b8002d3f31afe7b1032ca36308bea3e0eaec0",
+        "occupancy_5.csv": "84b5cd880a9171fb17e0f33032d2671b96e7a8c22f587a801a9e9cab706217ca",
+        "path_5.csv": "b4647dbb641a6b35dc7ec97ac40fed420528aa6308543d4bf00cff4ca82c4063",
     },
     "rps_constant": {
-        "occupancy_1.csv": "1e7a5e483ee1f740937d2e37d148f254dc03682eefa7f8f74199616d05f10ac7",
-        "occupancy_2.csv": "614a5f5c677b600dc75e6477b2c7638067f2c148e0e1bedb65d824c08795a5d1",
-        "occupancy_3.csv": "7d5254552357efd3a0bfce2eefb28ddccdecc28922e0a724b1cecac7b908a561",
-        "path_1.csv": "53a1d7ec0dbd071f8fa70d1c7ea04b21a0cb604aeb6fe7b251a11a66852b0cd4",
-        "path_2.csv": "833c7b7010f79b7bf722f8b430f5d0860e8e94b16c40c4fe6fa5f369bb82efe3",
-        "path_3.csv": "99e44fbcf10b4d4a15fdb410a8ef07430570b770c2084232739c33be126a7ef0",
+        "occupancy_1.csv": "5c059321d790a0b36a647c9c0d10ccc1184677965fbe64a48bc6df9d54566ec4",
+        "occupancy_2.csv": "375e73240ac3ef223644e27b6f2b36884369f0c4ace3da69d83a3f9543749422",
+        "occupancy_3.csv": "ed9925a04d9c2d4f803ab1984ffbe36b2108c9dea9990e4d26dcaa08262a85ad",
+        "path_1.csv": "3c5aa2e1aadfb779b11932e33978fe087a23cccfa2e1f887b72c84e6522d038b",
+        "path_2.csv": "fdda4559c67f44b261fd2ae1dda3f80c4948bc4b042b5b31a0f9412c08b90544",
+        "path_3.csv": "622dc8bccc39c6d6808c897d0223cbdd898038814dffdf621796832ef3634f53",
     },
     "rps_sum_exponential": {
-        "occupancy_11.csv": "1492cc8fb13c6addb08c297de0708690e113030b2fcd8ac32fd9555f0cb5096a",
-        "occupancy_12.csv": "9b952bce42d964911bba58dcc6a76f3b28aac13be98f5c02c805fa813b6760c7",
-        "path_11.csv": "5a1e01584065d29e6edd13f5599e5da5016a1a78d6cd49d281b32fd8e531f635",
-        "path_12.csv": "e2100318d286876f3099e6339a4747f8ec3cbc25e3f91fa782af3d8bbaf823d0",
+        "occupancy_11.csv": "01cf4e7eae083f6931d770ecb654b6f45d909353842ac189fa8c3a1b0a6b4549",
+        "occupancy_12.csv": "b5987818b0f6dd9d6dd7eca55c7b9776ec31d86e290417f822c5df3da30b7bfd",
+        "path_11.csv": "31c9d26e66fb7089c81f5d3026c9a1a4ba22d2b05804b19082fac9d306a16d99",
+        "path_12.csv": "796c0facf03b808da5efcf7d8227f279ebb99ad70c85c03f4d6c81725eb764ee",
     },
     "two_populations": {
-        "occupancy_21.csv": "ad51b5abc8de55bb35394672db6ebaf56d32d91a2f47bc7c862c2373081a8d05",
-        "occupancy_22.csv": "86c77b8fa8dd059440108446cbf1c6ea17a50286f6ea5e9073eec8028c74e54b",
-        "path_21.csv": "a96a1efd9ddb0a990fe8273d570e258e5ea9f560ca91b036920c89d677ffcf73",
-        "path_22.csv": "3cc826f33662e98de6448664237a260a3bf967a1d09c062ff367fd8ff7078c02",
+        "occupancy_21.csv": "4a2d76facf4385fea7251d295ca1ed20160c36fa9195f24f9321a9596588c580",
+        "occupancy_22.csv": "802b3174bec946ab6e6637fa73f28e5a06708cbf635855dbb44dd863eb5a5811",
+        "path_21.csv": "3c2f3cb5bfe7f307438f0dc6e442b86984a51620a4576c82022b2f73ae3d100d",
+        "path_22.csv": "36b9522d52e127d085d078cc14715fe291fec86935717fd3ac6eb8d9296ea3b9",
     },
 }
 
@@ -96,103 +96,103 @@ GOLDEN_SIMULATE = {
 GOLDEN_COMMANDS = {
     "validate": {
         "coordination_table": {
-            "validate_report.txt": "7acc7de02a1d3ecf0596f2dcdca51b28149a67a397b362e7ec8dd391a9068a26",
+            "validate_report.txt": "94a64038e0dbac8e2af7b8477efd88bfe3ebffe2909928c34a9d73075e0d223d",
         },
         "rps_constant": {
-            "validate_report.txt": "2e91282b1db3ca91c38aff975bcb9c31469b95c6fe84f7e19e9f007bd2d427fb",
+            "validate_report.txt": "9516871e2352a17073d75b97b1c51b24d43e0bfa2e9bd3ffaad18dd597b0a1ad",
         },
         "rps_sum_exponential": {
-            "validate_report.txt": "011e1e4170ec58be744507cb0649303260b38972d78bec5f5fe57056cc35e68f",
+            "validate_report.txt": "782551a7afa142bd9f1165032436efcfd8b3216eba9f32716b47b0e115a1c07e",
         },
         "two_populations": {
-            "validate_report.txt": "d26bc625658952bd09a7850f78fe67b73d9bb04ad75e043d1368d699dcc62d7f",
+            "validate_report.txt": "1a91879b959d3d44cfce8def8453885faa8e53dd4e9ea3efb586aed4409ddf0a",
         },
     },
     "transform": {
         "coordination_table": {
-            "transform_report.txt": "e0e1a4a29a824a830a1b76e1a2770f9fdb433ed39f6b0c1a9f791e98d207e84d",
-            "transformed_game.cfg": "96067066bf5932077e39f698442ba701591c6d2967f4ea9584642be0232c0281",
+            "transform_report.txt": "d8c7a8dc2edc530bcc5c3a55c761b95afde519f7c33c6da2c2fe5657129731fc",
+            "transformed_game.cfg": "7494d0ed35ab5bce1c34582eb9c74d507b0ae526279137f59c7762a9de05340f",
         },
         "rps_constant": {
-            "transform_report.txt": "f64b1619da903f8497e6d37409c9c5f3e3b0a7c3e20f19c39d26ac0fb7736002",
-            "transformed_game.cfg": "beb68399ade717f503e0a122e27b6e7b87cb9b9956a0cfeffbd9a33852dc7340",
+            "transform_report.txt": "f63a28d345cce0273f0baffb8f1f6a238aee53cc12c78f240a75bd52424d5303",
+            "transformed_game.cfg": "3fd0660e339972097ce6eccd997186da1d5a97fa610d22f5f10e9fcc91957c34",
         },
         "rps_sum_exponential": {
-            "transform_report.txt": "15264bb8ccbd1e63a2bf6ea2388c956575fb6bcd94958405da1cb43356699817",
-            "transformed_game.cfg": "ff3766ee10fdcd718bd9dab65bc0523bed48e37d20662e92528fb52a1ec7545a",
+            "transform_report.txt": "87fb3a4f9aeb81f80e7c5343b12a77f4a98f644a06c83f7ab360abc001f77ffb",
+            "transformed_game.cfg": "f885b9feadb6f92af675d671a768ea0e6be6cbe1c03c5bc38366a2021ee5022d",
         },
         "two_populations": {
-            "transform_report.txt": "1205a9d69061f3f6ef04c3f618700e0ec69ddd287fab6a343847d29551996a70",
-            "transformed_game.cfg": "e2cee232bac605ae099a00ea21465c224c1cdbb28a668123cdf0bcc6014410f8",
+            "transform_report.txt": "1f818def5e4600ed706e8453aacdcf34dc57c4cdffb01a7302d460118a6eb661",
+            "transformed_game.cfg": "089bf8e168fc30dce098407036c44a9c3fd71eca879f557deffb0346e4da2310",
         },
     },
     "predict": {
         "coordination_table": {
-            "predicted.csv": "103aee7e3f2fc3b3977a069a80b850f334ff517ea5309482242d8fa0df563ac5",
-            "predicted_marginal_0.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
-            "predicted_marginal_1.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
-            "predicted_marginal_2.csv": "6a1b28d610eb15497d476204a7f212e8fabca1250fb5d3450da764827806362d",
+            "predicted.csv": "15c2af3307b0d074c6e0c10eb7e3ecbc515b24cfbb0d1e5022a5fa931f8f715c",
+            "predicted_marginal_0.csv": "b4f97bb2ee6dd8b7ef2d4f3350e0a1f42b40da68cda4ba722aecf901a6996565",
+            "predicted_marginal_1.csv": "b4f97bb2ee6dd8b7ef2d4f3350e0a1f42b40da68cda4ba722aecf901a6996565",
+            "predicted_marginal_2.csv": "b4f97bb2ee6dd8b7ef2d4f3350e0a1f42b40da68cda4ba722aecf901a6996565",
         },
         "rps_constant": {
-            "predicted.csv": "1eacc9eef48248346d1f453fb2023822c600b1ade872b8f314e963736e0030d2",
-            "predicted_marginal_0.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
-            "predicted_marginal_1.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
-            "predicted_marginal_2.csv": "b19c417767779d883cd0fd7d490f2255d1f8186953821087043fd0fb873c3f92",
+            "predicted.csv": "a110c19ce14850077120d1506b8d8eac25740db9b77498782dd71b4d7292304d",
+            "predicted_marginal_0.csv": "eca274f80dbbf377cdf43c65dccda1290e943612f6dff5dc346b58ee57bdd507",
+            "predicted_marginal_1.csv": "eca274f80dbbf377cdf43c65dccda1290e943612f6dff5dc346b58ee57bdd507",
+            "predicted_marginal_2.csv": "eca274f80dbbf377cdf43c65dccda1290e943612f6dff5dc346b58ee57bdd507",
         },
         "rps_sum_exponential": {
-            "predicted.csv": "bb142deb57ba1b2875b7f33cec217967744cb4766caa92c02627a3f64c62495d",
-            "predicted_marginal_0.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
-            "predicted_marginal_1.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
-            "predicted_marginal_2.csv": "cd57b24a5470bb8fe2b3e9426973f23400069266e1d992b7bd18fc28be30ed60",
+            "predicted.csv": "824d76846ca6929bab23113af9157db1f6e40ff7d4c5a86117df7d370f0152a9",
+            "predicted_marginal_0.csv": "dd9f67cab73fbb13f9b5239bcc7f2208043baaae70fe1ca0cfa9db5017a3caa2",
+            "predicted_marginal_1.csv": "dd9f67cab73fbb13f9b5239bcc7f2208043baaae70fe1ca0cfa9db5017a3caa2",
+            "predicted_marginal_2.csv": "dd9f67cab73fbb13f9b5239bcc7f2208043baaae70fe1ca0cfa9db5017a3caa2",
         },
         "two_populations": {
-            "predicted.csv": "38dcb7fa7c4f5f625ae1a2f1eb91041248783808cb458c80e9c5e7d94fcb85d2",
-            "predicted_marginal_0.csv": "7d20fb59e0e1ccf5bef4d1ce13343e39c5166deec481eb29e45a3d1069bdf815",
-            "predicted_marginal_1.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
-            "predicted_marginal_2.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
-            "predicted_marginal_3.csv": "c3c416401821bafcef8aa3b788fc0c46db73e2b81239be6ca414e9aac4623032",
+            "predicted.csv": "242f8be14c5ed2f0e6568266a2d26f4a18aa173f645a0a3776c96d01e747feef",
+            "predicted_marginal_0.csv": "be9573100ad607b08f0545a65e5072884acf8d2c30431b2fb081e1229ec11de7",
+            "predicted_marginal_1.csv": "b20b4f4b719d5229bd7b59093f3a4ebd470a11d4422425910ed6af98b0a1983d",
+            "predicted_marginal_2.csv": "b20b4f4b719d5229bd7b59093f3a4ebd470a11d4422425910ed6af98b0a1983d",
+            "predicted_marginal_3.csv": "b20b4f4b719d5229bd7b59093f3a4ebd470a11d4422425910ed6af98b0a1983d",
         },
     },
     "compare": {
         "coordination_table": {
-            "compare_report.txt": "890cc775037b8be485868a108a41c451b3d591902b46cb75db3943d855502561",
+            "compare_report.txt": "5912562a07d84d116e95c95301506a0111cd5b8c53fb32bdadd2d35e25547135",
         },
         "rps_constant": {
-            "compare_report.txt": "eda1296e4e5ac26b67e8d94b41a805347e06e69970a116c654fa47d0f8566bab",
+            "compare_report.txt": "83ff7b235550cd437fccbef7aa3a1da61801b2e8a28cfdbef0d797b2d95dfb0b",
         },
         "rps_sum_exponential": {
-            "compare_report.txt": "853cf16352130871c092ec685ce3512e6d25880afd3de9d13cc81ce17e70b7f3",
+            "compare_report.txt": "8ccb7fa68bd463ec09f8224514b85031746494de38fdcef94a322cf55fa04aec",
         },
         "two_populations": {
-            "compare_report.txt": "8351379149f90342e9c722f3a3df57486a65942b102fa9054c788ad6936dc750",
+            "compare_report.txt": "475120e0af678c6b7df2bdd8b87606358fd9ec3f33b67f9e4a3f7649fd0f7277",
         },
     },
     "mean-dynamic": {
         "coordination_table": {
-            "trajectory.csv": "2b1e15ccdb05fb00238d6a62f932ba33ad4b1043b172bd6aab565cdef578d88b",
+            "trajectory.csv": "c2f1743e4d13a8601d97c168330df2693ad39482c3ca5afb9b28ff222b0d5c50",
         },
         "rps_constant": {
-            "trajectory.csv": "ddea4a8e594cb626c5f8b5ece999ce4c474137be5ef7e9931f8d35278205582a",
+            "trajectory.csv": "da3765f63f0c3cb4a5aa0746893c609e54e91d18d2deff70c36ee5c9de0fd9cf",
         },
         "rps_sum_exponential": {
-            "trajectory.csv": "db6fcc1e0cef2b1a03a4c4b5535a4e293272e5a46170fad715002558957bf3dc",
+            "trajectory.csv": "026ebbc4c1cc559ec54d7ae1c986dbcfb9a518c209a2e247f5fc7b760940acee",
         },
         "two_populations": {
-            "trajectory.csv": "f6de043161f633d141d74d75e90a5a6516da47ee3c7692651291e506eca3ec89",
+            "trajectory.csv": "60e9699faab335855c0437092f1ab8e1f8f61bf2b72b5d80563b34f7cb398a1c",
         },
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "8f62615988c967207674eabb60f8b7d3a3e5dcfff685ef59683dcfb2156a0155",
+            "exact_stationary.csv": "08da6687610f4542304b61315e9535db4793c10976832c0b2f087406a9df710f",
         },
         "rps_constant": {
-            "exact_stationary.csv": "80246f6bf29e0ad702f24b91bbd7afc42bd2a764789e42eac1e43f64764fbb4c",
+            "exact_stationary.csv": "90d9b309f5df868543e5ca9451d603a1329b7db5c7e4489eea5688522e1b8b2f",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "51f8f93273125fdd80ee501415a39e48299f9d722c5efcf254df320cb12c323a",
+            "exact_stationary.csv": "5727cd55adeb38fa04fa01305a3e9965a4dc9cf6bb66eb89c7360f0795cb6c80",
         },
         "two_populations": {
-            "exact_stationary.csv": "fd05983bb662720bcd27ef034cd42a0a01f94053cad9c307447e482067de9db7",
+            "exact_stationary.csv": "82f860f74f5b87b215bd8177f99a6601f8e926fadcb95acc5600d5859a20e1ea",
         },
     },
 }
@@ -201,70 +201,70 @@ GOLDEN_COMMANDS = {
 GOLDEN_TRANSFORMED = {
     "validate": {
         "coordination_table": {
-            "validate_report.txt": "00b0bb4f0acb12fd48282ca2a324e0a3132493832dd9190fdb476b78fd3598c0",
+            "validate_report.txt": "ebe9e6f76706595744c4d4637b9167d33bc8f366dcef234cf9a125ee3d45e752",
         },
         "rps_constant": {
-            "validate_report.txt": "505e4651921e5f504abc4eb09174ab1d0ae0dab6b40e6224a3c2d7abf28c5fde",
+            "validate_report.txt": "8f17012a8ffe379196660e4b8f7982db15c5618f79202182c5541df063e90f00",
         },
         "rps_sum_exponential": {
-            "validate_report.txt": "deee2a1539168ec8be6722050760b7aabea308ca7254b8e5d7d6308d409f1e77",
+            "validate_report.txt": "72d3937107854291116d84119221823b1e96fa8f08a3e25a854bf6881077ecce",
         },
         "two_populations": {
-            "validate_report.txt": "1bc7ed3389210751144d8ab5dcc3d7c95ded2038cb3c068b1f9775f367ca4276",
+            "validate_report.txt": "96c5012683d84b1a6021df3c83d01d3e4949fb6e7d09db12b75a720fbce4fd08",
         },
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "4fc482931527d5bdfd34c1c42974176fd1e35d247782aa65b2ac6ca0971adb83",
+            "exact_stationary.csv": "0f81b3e43bd6bf129ae35d7633f953a8cf3bf9391edf9a95c1fb677aca8fe805",
         },
         "rps_constant": {
-            "exact_stationary.csv": "5fd29d73b5c3a7891512a195eef08ee0cd6fa20de4a6822aa2db11f8a75c38ac",
+            "exact_stationary.csv": "cd94291292a4abe356c0d9fe309ea7a9329ec25290fd82004446fa81032a30d3",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "e49a3af1ec772bd79379d94b9df2f2443e898c309db286f973ca39c31ad2ddf2",
+            "exact_stationary.csv": "1d7e1adb5badb956572d2e421ad1967c096c2fa56570bf3088580c3e9222ccb5",
         },
         "two_populations": {
-            "exact_stationary.csv": "04c67a6cee964164a8da80b444b9f01a8ab121837440cf948761f48f0b0a9034",
+            "exact_stationary.csv": "2e421075c6120b8dd57b1db40f5f64654a4626acf2fbfc7de7c30e30ef1955a0",
         },
     },
     "simulate": {
         "coordination_table": {
-            "occupancy_5.csv": "6b06b4f39e4782ec930fea1cfa364b669d6c54978140e134d4c749aeeda9f06b",
-            "path_5.csv": "725d7bad99087453abf6daffa9c0dbe021399a619b81ac23d8b0e82207721b6f",
+            "occupancy_5.csv": "6728b229084260a97619aaf67db11d3036e129ac4bc29f359e8e6f039e97dba5",
+            "path_5.csv": "7364e03645f9a29cfbb953730a06968a19fa4aafe049b55fb5f2ee42aaed6f3d",
         },
         "rps_constant": {
-            "occupancy_1.csv": "6c5d35cbd7b9ed6d6304f5dfd764a095f4b0fcf96943cebc54a78e2569138d27",
-            "occupancy_2.csv": "856e1faf719f67ca5311aac9a57f50d984a96bd419a4eca225c770812af2ae72",
-            "occupancy_3.csv": "2cb9153bf48698a2aefe378d8a6e021bda2f7d6d70a334f8b2787fcc3aa083ba",
-            "path_1.csv": "1824c8890c0b9877ac3db13abff34dc732f7ab1cee68b9a7d8652d11bb6f5107",
-            "path_2.csv": "e18e1b9a9cf81d601a3ea86a84c8254ebbede633513aebd2f1104e5cc285f558",
-            "path_3.csv": "3ad87ab36963c60f34664bb8d68fdb08b7f4575ea5d2eca9dd00d53fbacb493d",
+            "occupancy_1.csv": "d97d83157820539ea3c1f244f44954c01d41d9ea60621e81ef031587181ed43f",
+            "occupancy_2.csv": "9c53d2fa3fee1b0ff263731a73be71aba09d8c4bcc88671028c72deb88b9f9f7",
+            "occupancy_3.csv": "96ee94752a04f2001d5e5390085dc206f2429640c02e5edbd9fad8036dd5e308",
+            "path_1.csv": "3e20fd1f5d9bf392006204213ee1d510201239ceaff6b4d0cc14379fd5432ee8",
+            "path_2.csv": "4ce84b31af41650783ae4061106c5d687704df02862dd72e40a4eafd11ae36b8",
+            "path_3.csv": "11fd2ef0022827edaa64b8f44dc09aa890aef29a8d7a50e0d0461d9e4cd05a29",
         },
         "rps_sum_exponential": {
-            "occupancy_11.csv": "df23c5fb639fc1935e445736bbaddcce302615f9d544ce593ad0286b7e1dad9f",
-            "occupancy_12.csv": "f3ee2072485b99259fff257a124e20a507a7b5b97976e6fd0bd1cf69745fbef1",
-            "path_11.csv": "1e8ad8174b383a657fb654e43fb573277c330c5df23f3d267e5840e91ef38f42",
-            "path_12.csv": "a10c6632c4a3b25a86b881a9c3853ef344816dd83565f53ed668471b22a4fc34",
+            "occupancy_11.csv": "457e6a7a7205afc06ea676fea5fed0a89f47bee22f88449c3a9f4a294650782d",
+            "occupancy_12.csv": "2102bb50ed7b8f6ba05ef949cd7538b3c73ebc6bc2de7218bc2062496ca3261c",
+            "path_11.csv": "e20ea2d37e914eca336c9e936fddfe9310ae2f6d188dc1bb7ef95a209b947b00",
+            "path_12.csv": "279e2b5e7d7eb17c07c59abc2e4cd3dc27bcede08ac0bfd5ea89c77d4af383a0",
         },
         "two_populations": {
-            "occupancy_21.csv": "eee1a0e75d6f894594fa1765a910a0f4797511eaf40f193b2fbbefec54e468fc",
-            "occupancy_22.csv": "b39039c1401b19f14bba19798fb745a06c6e3e61ec151e71b053b6fb91611eca",
-            "path_21.csv": "188bd7c67d0e31b473adcc3be626146a9bb5df6a1ed7aa2cdfb1fbc1cd3cc67d",
-            "path_22.csv": "51e3918a764cb6adfaa42260b9cde814e8616866208d08c4a7cd9115d383f46b",
+            "occupancy_21.csv": "0db3f100ce25116e11338fd5d091d314e23152c73cb77fdbcd42ace8b844268a",
+            "occupancy_22.csv": "7ea7329814721bd075c619779a216a387b9d4f47a30d955439a89c9446be576a",
+            "path_21.csv": "16b385badb99e4b8c6f5378bc6017a015a34fa3afa7fcdd35a4a286b0cf36d9c",
+            "path_22.csv": "4ea75058a55a2660c37a01df76ddeee76f3b9ea54b4c96a2eedda24f22e3a084",
         },
     },
     "mean-dynamic": {
         "coordination_table": {
-            "trajectory.csv": "b6c0ebfd1c1bd5a92025374d20e148262b08d3096765f98c8824c95ba9891e96",
+            "trajectory.csv": "b289852830eeb218bd490da34a27b6d2b4656281afcd209058510ccefab9e32a",
         },
         "rps_constant": {
-            "trajectory.csv": "0252b6b9f866de527a09184983f06a4b1ac249c4d7d18001e947648b1b0ddd9f",
+            "trajectory.csv": "5a15092c39c01aab1d37e1b212ada8a9bcd3d400d1bfbd2a3d95b68c2f1b11e9",
         },
         "rps_sum_exponential": {
-            "trajectory.csv": "cac1978f32358b100c93e6c7c0f0aa81bb1af02d14294f48f45b6c6767e60c70",
+            "trajectory.csv": "8b008556a418b9622e2075e479a59288c0bd007d75e7a263e353062290d99ca9",
         },
         "two_populations": {
-            "trajectory.csv": "c75c8351d5da01114f817eafbccd8cf9bde519a9921ab07aa6002ea722721305",
+            "trajectory.csv": "9b383e5b543cd3ad284f83a55e00727ca7c07f31314d7bf5668dcb1f2db0e870",
         },
     },
 }

@@ -92,3 +92,22 @@ def test_every_import_is_used_or_exported(module_name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _top_level_imports(tree) if name not in used | set(getattr(module, "__all__", ()))]
     assert unused == []
+
+
+def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[str]:
+    """The attribute names loaded anywhere in ``tree`` outside the functions named in ``skip``."""
+    if isinstance(tree, ast.FunctionDef) and tree.name in skip:
+        return set()
+    names = {tree.attr} if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load) else set()
+    return names.union(*(_attribute_reads(child, skip) for child in ast.iter_child_nodes(tree)))
+
+
+def test_every_config_field_is_read():
+    # parse_config fills the fields and render_config writes them back; some other code must use each one
+    reads = set()
+    for module_name in MODULES:
+        tree = ast.parse(pathlib.Path(importlib.import_module(module_name).__file__).read_text())
+        reads |= _attribute_reads(tree, {"parse_config", "render_config"})
+    config_class = importlib.import_module("symgame.config").ExperimentConfig
+    assert [f.name for f in dataclasses.fields(config_class) if f.name not in reads] == []
+    assert not hasattr(config_class, "num_populations")

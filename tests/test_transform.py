@@ -74,15 +74,6 @@ class TestSymmetrize3to2:
         padded = tg.derived_payoff(tg.embed(x))
         assert [v.tolist() for v in padded] == [[alpha, 0.0], [beta, 0.0], [gamma, 0.0]]
 
-    def test_payoff_weighted_padding(self):
-        game = make_linear_game(RPS)
-        tg = decompose(game, constant_protocol(1.0), fstar="weighted")
-        x = np.array([0.6, 0.3, 0.1])
-        (y,) = game.payoff_at(SocialState.single(x))
-        padded = tg.derived_payoff(tg.embed(SocialState.single(x)))
-        expected = (x[1] * y[1] + x[2] * y[2]) / (x[1] + x[2])
-        assert padded[0][1] == pytest.approx(expected, rel=1e-15)
-
     def test_rejects_asymmetric_protocol(self):
         game = make_linear_game(RPS)
         skew = table_protocol([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
