@@ -10,6 +10,7 @@ expected velocity field of this process is exactly the mean dynamic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .dynamics import Trajectory, _format_rows, _spans
 from .errors import ProtocolError, ReducibleChainError, SolverError
 from .games import (
     DEFAULT_GRID_LIMIT,
+    SYMMETRY_TOL,
     PopulationGame,
     RevisionProtocol,
     StateGrid,
@@ -48,7 +50,9 @@ __all__ = [
     "deviation_vs_ode",
 ]
 
-# above this, LU fill-in costs more memory than Jacobi-scaled power iteration (+33% peak RSS at 45,451 states)
+# above this many states of the full chain, LU fill-in costs more memory than Jacobi-scaled power
+# iteration (+33% peak RSS at 45,451 states); LU on that chain's 15,151 symmetry orbits still added
+# 15-27 MB over repeated experiment runs, so the full count, not the orbit count, picks the solve
 LU_STATE_LIMIT = 20_000
 
 # random draws per refill of each path's two streams, and event rows per recorded block
@@ -227,18 +231,76 @@ def _communicating_classes(chain: FiniteChain):
     return csgraph.connected_components(chain.generator, directed=True, connection="strong")
 
 
+def _relabellings(n: int) -> list[list[int]]:
+    """Candidate strategy permutations of one population: every one for n <= 4, else shifts and swaps."""
+    if n <= 4:
+        return [list(perm) for perm in itertools.permutations(range(n))][1:]  # the identity comes first
+    shifts = [[(i + s) % n for i in range(n)] for s in range(1, n)]
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        swaps.append(perm)
+    return shifts + swaps
+
+
+def _symmetry_orbits(chain: FiniteChain) -> tuple[np.ndarray | None, float]:
+    """Orbit labels of the states under the strategy relabellings that leave Q unchanged, and the largest defect.
+
+    A relabelling of one population's strategies maps each state to the one with its counts
+    permuted.  It is accepted when it moves no entry of Q, the diagonal first, by more than
+    ``SYMMETRY_TOL`` times the largest rate.  The orbits are the connected components of the
+    graph x -> sigma(x) over the accepted relabellings.  Labels are None when every orbit is
+    one state.
+    """
+    grid, q, n = chain.grid, chain.generator, chain.num_states
+    tol = SYMMETRY_TOL * chain.max_rate()
+    diag = q.diagonal()
+    images, defect = [], 0.0
+    for a, n_p in zip(grid.offsets, grid.strategy_counts):
+        for perm in _relabellings(n_p):
+            columns = np.arange(grid.counts.shape[1])
+            columns[a:a + n_p] = a + np.asarray(perm)
+            image = grid.ranks(grid.counts[:, columns])
+            worst = float(np.max(np.abs(diag[image] - diag)))  # cheap, and rejects most candidates
+            if worst <= tol and len(chain.src):  # a grid of zero agents is one state, with no edges
+                moved = np.asarray(q[image[chain.src], image[chain.dst]]).ravel()
+                worst = max(worst, float(np.max(np.abs(moved - chain.rate))))
+            if worst <= tol:
+                images.append(image)
+                defect = max(defect, worst)
+    if not images:
+        return None, 0.0
+    edges = (np.tile(np.arange(n), len(images)), np.concatenate(images))
+    graph = sp.csr_matrix((np.ones(len(edges[0])), edges), shape=(n, n))
+    n_orbits, labels = csgraph.connected_components(graph, directed=False)
+    return (labels if n_orbits < n else None), defect
+
+
 def exact_stationary(chain: FiniteChain) -> StationaryTable:
     """Solve mu Q = 0, sum(mu) = 1 for the unique stationary distribution.
 
-    Requires irreducibility (single strongly connected class).  The state count alone picks
-    the solve.  Grids up to ``LU_STATE_LIMIT`` (20,000) states use sparse LU on Q^T with its
-    last equation replaced by the normalization row, plus one step of iterative refinement.
-    Above, power iteration runs on the Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q``
-    (D the exit rates), mapped back by ``mu ~ nu / D``, with its ``iterations`` in the metadata.
-    The residual ``max |mu Q|`` is checked against 1e-12 times the largest rate and stored in
-    the metadata; ``SolverError`` is raised above it, or when power iteration does not converge.
-    Probabilities below about 1e-16 are correct only to within a small factor (up to 7.6x at
-    8e-20 against a GTH state-reduction solve); the total-variation distance is unaffected.
+    Requires irreducibility (single strongly connected class), checked on the full chain
+    first, since a symmetry can merge two classes.  The solve then runs on the orbits of the
+    game's strategy symmetries (:func:`_symmetry_orbits`): the unique law of a chain that a
+    relabelling leaves unchanged is constant on each orbit, so the orbit chain
+    ``Q_hat = R Q L`` (R picks the first state of each orbit, L sums columns by orbit) carries
+    all of it (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 6), and
+    ``mu(x) = pi(orbit(x)) / |orbit(x)|``.  States of one orbit get bitwise equal
+    probabilities.  Without a symmetry the solve runs on Q itself.  ``orbits`` (the states
+    when there is no symmetry) and ``symmetry_defect`` (the largest accepted
+    ``max |Q[sigma x, sigma y] - Q[x, y]|``) go in the metadata.
+
+    The full chain's state count, not the orbit count, picks the solve (see
+    ``LU_STATE_LIMIT``).  Up to ``LU_STATE_LIMIT`` (20,000) states it is sparse LU on the
+    transposed generator with its last equation replaced by the normalization row, plus one
+    step of iterative refinement.  Above, power iteration runs on the Jacobi-scaled lazy jump
+    chain ``K = I + 0.99 D^-1 Q`` (D the exit rates), mapped back by ``mu ~ nu / D``, with its
+    ``iterations`` in the metadata.  The residual ``max |mu Q|`` on the full chain is checked
+    against 1e-12 times its largest rate and stored in the metadata; ``SolverError`` is raised
+    above it, or when power iteration does not converge.  Probabilities below about 1e-16 are
+    correct only to within a small factor (up to 7.6x at 8e-20 against a GTH state-reduction
+    solve); the total-variation distance is unaffected.
     """
     n_comp, labels = _communicating_classes(chain)
     if n_comp > 1:
@@ -248,27 +310,37 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
             f"{sorted(sizes.tolist(), reverse=True)}",
             classes=[np.flatnonzero(labels == c).tolist() for c in range(n_comp)],
         )
+    bound = 1e-12 * chain.max_rate()
+    q = chain.generator
+    orbit, defect = _symmetry_orbits(chain)
+    if orbit is not None:
+        sizes = np.bincount(orbit)
+        rows = q[np.unique(orbit, return_index=True)[1]]  # R Q: the first state of each orbit
+        q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(sizes),) * 2)
+        q.sum_duplicates()  # (R Q) L: columns summed by orbit
     if chain.num_states <= LU_STATE_LIMIT:
         metadata = {"solver": "lu"}
-        mu = _lu_stationary(chain)
+        mu = _lu_stationary(q)
     else:
         metadata = {"solver": "power"}
-        mu, metadata["iterations"] = _power_stationary(chain)
+        mu, metadata["iterations"] = _power_stationary(q, bound)
+    metadata["orbits"] = q.shape[0]
+    metadata["symmetry_defect"] = defect
+    if orbit is not None:
+        mu = (mu / sizes)[orbit]
 
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
     residual = float(np.max(np.abs(mu @ chain.generator)))
-    bound = 1e-12 * chain.max_rate()
     if residual > bound:
         raise SolverError(f"stationary residual {residual:.3g} exceeds bound {bound:.3g}")
     metadata["residual"] = residual
     return StationaryTable(grid=chain.grid, probabilities=mu, provenance="exact", metadata=metadata)
 
 
-def _lu_stationary(chain: FiniteChain) -> np.ndarray:
+def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
     # Row j of Q in CSR is column j of A = Q^T in CSC.  Drop A's last row and
     # append a 1 to every column in its place: the equation sum(mu) = 1.
-    q = chain.generator
     n = q.shape[0]
     keep = q.indices != n - 1
     kept_before = np.concatenate(([0], np.cumsum(keep)))[q.indptr]
@@ -287,21 +359,21 @@ def _lu_stationary(chain: FiniteChain) -> np.ndarray:
     return mu
 
 
-def _power_stationary(chain: FiniteChain, max_iters: int = 2_000_000) -> tuple[np.ndarray, int]:
+def _power_stationary(q: sp.csr_matrix, target: float, max_iters: int = 2_000_000) -> tuple[np.ndarray, int]:
     # Jacobi scaling (Stewart 1994, ch. 3): nu K = nu for K = I + 0.99 D^-1 Q
     # gives mu = nu D^-1 with mu Q = 0.  Factors above 1 diverge (at 1.3).
-    n = chain.num_states
-    exit_rates = -chain.generator.diagonal()
-    kernel_t = (sp.eye(n, format="csr") + (sp.diags(0.99 / exit_rates) @ chain.generator).T).tocsr()
+    # ``target`` is the full chain's bound: an orbit chain sums rates, so its own is larger.
+    n = q.shape[0]
+    exit_rates = -q.diagonal()
+    kernel_t = (sp.eye(n, format="csr") + (sp.diags(0.99 / exit_rates) @ q).T).tocsr()
     nu = np.full(n, 1.0 / n)
-    target = 1e-12 * chain.max_rate()
     for it in range(1, max_iters + 1):
         nu = kernel_t @ nu
         nu /= nu.sum()
         if it % 64 == 0 or it == max_iters:
             mu = nu / exit_rates
             mu /= mu.sum()
-            residual = float(np.max(np.abs(mu @ chain.generator)))
+            residual = float(np.max(np.abs(mu @ q)))
             if residual <= target:
                 return mu, it
     raise SolverError(f"power iteration on {n} states did not reach residual {target:.3g} "

@@ -236,7 +236,11 @@ def _degenerate_line(model: _Model) -> str:
 
 def _solver_lines(model: _Model) -> list[str]:
     metadata = model.exact.metadata
-    return [f"solver: {metadata['solver']}", f"residual: {metadata['residual']:.17g}"]
+    return [
+        f"solver: {metadata['solver']}",
+        f"orbits: {metadata['orbits']}",
+        f"residual: {metadata['residual']:.17g}",
+    ]
 
 
 def _compare_section(model: _Model) -> list[str]:

@@ -10,7 +10,8 @@ floats that read a path's two draw streams one draw at a time: one reads
 the rates from a prebuilt chain's edges, the other evaluates the validated
 protocol at each event and keeps occupancy in a dict.
 ``_reference_dense_stationary`` is the dense LU solve that the sparse
-factorization in :func:`symgame.exact_stationary` replaced,
+factorization in :func:`symgame.exact_stationary` replaced, and sparse LU
+on the full generator the solve that it runs on symmetry orbits,
 ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
 validated state and validated rates on every call,
 ``_reference_integrate_mean_dynamic`` the RK4 loop over per-population
@@ -75,7 +76,7 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame import chain as chain_module
-from symgame.chain import _communicating_classes, build_grid
+from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.dynamics import _ROW_BLOCK, _spans, _velocity
 from symgame.games import count_states, grid_rates, protocol_tuple
 
@@ -578,6 +579,37 @@ def models(draw, max_pops=3, decomposable=False):
     return game, protocols, resolution
 
 
+def _circulant(first_row):
+    n = len(first_row)
+    return np.array([[first_row[(j - i) % n] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def symmetric_models(draw):
+    """A game whose strategy shift (for two strategies, the swap) leaves the chain unchanged.
+
+    Payoffs are circulant, and each population's protocol is ``sum_exponential``,
+    ``constant`` or a circulant ``table``, so relabelling i -> i + 1 permutes every
+    payoff and rate.  One or two populations of 2-5 strategies.
+    """
+    n_pops = draw(st.integers(1, 2))
+    counts = draw(st.lists(st.integers(2, 5), min_size=n_pops, max_size=n_pops))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [_circulant(rng.uniform(-1.0, 1.0, size=n)) for n in counts]
+    game = make_linear_game(matrices[0]) if n_pops == 1 and draw(st.booleans()) else make_separable_game(matrices)
+    protocols = []
+    for n in counts:
+        kind = draw(st.sampled_from(("sum_exponential", "constant", "table")))
+        if kind == "sum_exponential":
+            protocols.append(sum_exponential_protocol(float(rng.uniform(-1.5, 1.5))))
+        elif kind == "constant":
+            protocols.append(constant_protocol(float(rng.uniform(0.5, 2.0))))
+        else:
+            protocols.append(table_protocol(_circulant(rng.uniform(0.1, 2.0, size=n))))
+    largest = {1: {2: 12, 3: 8, 4: 6, 5: 4}, 2: {2: 4, 3: 3, 4: 2, 5: 2}}[n_pops][max(counts)]
+    return game, tuple(protocols), draw(st.integers(1, largest))
+
+
 # -- tests ------------------------------------------------------------------
 
 
@@ -710,6 +742,22 @@ class TestExactStationary:
             assert np.array_equal(getattr(chain.generator, part), old), part
         expected = _reference_dense_stationary(chain)
         assert np.max(np.abs(exact.probabilities - expected)) <= 1e-13
+
+    @given(symmetric_models())
+    @settings(max_examples=80, deadline=None)
+    def test_orbit_solve_matches_the_full_lu_solve(self, model):
+        game, protocols, resolution = model
+        chain = build_generator(game, protocols, build_grid(game, resolution))
+        exact = exact_stationary(chain)
+        labels, defect = _symmetry_orbits(chain)
+        assert labels is not None and exact.metadata["orbits"] == labels.max() + 1 < chain.num_states
+        assert exact.metadata["symmetry_defect"] == defect <= 1e-14 * chain.max_rate()
+        full = np.maximum(_lu_stationary(chain.generator), 0.0)
+        full /= full.sum()
+        assert 0.5 * np.abs(exact.probabilities - full).sum() <= 1e-13
+        first = np.unique(labels, return_index=True)[1]
+        assert np.array_equal(exact.probabilities, exact.probabilities[first][labels])
+        assert exact.metadata["residual"] <= 1e-12 * chain.max_rate()
 
 
 class TestValidateHypotheses:

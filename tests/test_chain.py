@@ -243,15 +243,15 @@ class TestExactStationary:
     def test_power_iteration_agrees_with_lu(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        power, _ = _power_stationary(chain)
-        assert np.max(np.abs(_lu_stationary(chain) - power)) < 1e-10
+        power, _ = _power_stationary(chain.generator, 1e-12 * chain.max_rate())
+        assert np.max(np.abs(_lu_stationary(chain.generator) - power)) < 1e-10
 
     def test_jacobi_scaled_power_agrees_with_lu_in_fewer_iterations(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 40))
         lu = exact_stationary(chain)
         assert lu.metadata["solver"] == "lu"
-        power, iterations = _power_stationary(chain)
+        power, iterations = _power_stationary(chain.generator, 1e-12 * chain.max_rate())
         assert 0.5 * np.abs(lu.probabilities - power).sum() <= 1e-9
         assert iterations <= 0.75 * _uniformized_power_iterations(chain)
 
@@ -263,17 +263,49 @@ class TestExactStationary:
         power = exact_stationary(chain)
         assert power.metadata["solver"] == "power"
         assert power.metadata["iterations"] > 0
+        # the full state count picks power; it runs on the cyclic orbits, checked on the full chain
+        assert power.metadata["orbits"] == (chain.num_states - 1) // 3 + 1 < chain.num_states
+        assert power.metadata["residual"] <= 1e-12 * chain.max_rate()
+
+    def test_an_asymmetric_game_solves_the_full_chain(self):
+        game = make_linear_game(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3)))
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 8))
+        exact = exact_stationary(chain)
+        assert exact.metadata["orbits"] == chain.num_states
+        assert exact.metadata["symmetry_defect"] == 0.0
+        full = np.maximum(_lu_stationary(chain.generator), 0.0)
+        full /= full.sum()
+        assert np.array_equal(exact.probabilities, StationaryTable(chain.grid, full, "exact").probabilities)
+
+    def test_a_payoff_perturbed_by_1e_9_breaks_the_symmetry(self):
+        perturbed = np.array(RPS, dtype=float)
+        perturbed[0, 1] += 1e-9
+        for matrix, symmetric in ((RPS, True), (perturbed, False)):
+            game = make_linear_game(matrix)
+            chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 12))
+            exact = exact_stationary(chain)
+            assert (exact.metadata["orbits"] < chain.num_states) == symmetric
+            assert exact.metadata["symmetry_defect"] <= 1e-14 * chain.max_rate()
+        assert exact.metadata["symmetry_defect"] == 0.0  # no relabelling accepted
+
+    def test_orbit_mates_get_bitwise_equal_probabilities(self):
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 9))
+        probs = exact_stationary(chain).probabilities
+        shifted = chain.grid.ranks(chain.grid.counts[:, [1, 2, 0]])
+        assert np.array_equal(probs[shifted], probs)
+        assert not np.array_equal(probs[chain.grid.ranks(chain.grid.counts[:, [1, 0, 2]])], probs)
 
     def test_power_iteration_short_of_the_residual_raises_solver_error(self):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 40))
         with pytest.raises(SolverError, match=r"power iteration on 861 states did not reach .* in 64 iterations"):
-            _power_stationary(chain, max_iters=64)
+            _power_stationary(chain.generator, 1e-12 * chain.max_rate(), max_iters=64)
 
     def test_residual_above_the_bound_raises_solver_error(self, monkeypatch):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        monkeypatch.setattr(chain_module, "_lu_stationary", lambda chain: np.ones(chain.num_states))
+        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: np.ones(q.shape[0]))
         with pytest.raises(SolverError, match=r"stationary residual .* exceeds bound"):
             exact_stationary(chain)
 

@@ -21,7 +21,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 GOLDEN = {
     "coordination_table": {
         "exact_stationary.csv": "f1757c1c1e5ca15d75d10a9060293dd1923669678e83a0f6845f2a2285001777",
-        "experiment_report.txt": "9926b9998cbdb934e7ef89b633fffb626ef9b394eb04a92b8fe9386b6525beca",
+        "experiment_report.txt": "ecd5792ffa8cab1483589be0feced8933ba5d498c33cc173c49d25aef25715ee",
         "occupancy_5.csv": "284f163ea1304087be1b3abb74b33cebc6fc11a48cdac23d09b0e343a103f7be",
         "path_5.csv": "b4e7fc32aace9b244280bcb155b171d8fca2fe79b9c5662f50dd5f33561dec4b",
         "predicted.csv": "321c85cf4677541e30ce2c62ed3361c1c59a0f33ad80bc58198302e7cea3b0d8",
@@ -30,7 +30,7 @@ GOLDEN = {
     },
     "rps_constant": {
         "exact_stationary.csv": "bc1a3314d4731655a3bfb94ef067eeb37a70f4af4e003cae4c238d928fb27c59",
-        "experiment_report.txt": "1188f9f34300678451b94f3a4fc1085d6fec96dd3ed3e3751898346683dcf510",
+        "experiment_report.txt": "7b06ddf12d300a5eb88ecd02c58722d7a58c2a6c8a7f680502f3cedb16838d22",
         "occupancy_1.csv": "0ed53d68a6424d58c5adbe9d0e691ad62918a8bf3d46426b46f717c3b305934e",
         "occupancy_2.csv": "63b43adf0bf8802fd74eec34641c04e004a985900831cbaa70c4f15ec0b33269",
         "occupancy_3.csv": "8abea4d627ae562bfde0fca298ec675b449d9234ffd315e9aa0f0827b34fd090",
@@ -42,8 +42,8 @@ GOLDEN = {
         "transformed_game.cfg": "3fd0660e339972097ce6eccd997186da1d5a97fa610d22f5f10e9fcc91957c34",
     },
     "rps_sum_exponential": {
-        "exact_stationary.csv": "b42560fb688fb65a149e9c0db7cff2b517e62d91e3756853babece34fad16982",
-        "experiment_report.txt": "b9ed705a5f5f1a3ac07c18a36d3e47e604cd4bebedda1bf0a0cbd7b6611642ce",
+        "exact_stationary.csv": "17b403dc674372a094c57019aa6afd57c54270268e2471ac3a6391e332cbe99c",
+        "experiment_report.txt": "d78fcdd637463c31677a3efe726e564adb82db8cd90f74211bcaa631cf8eefea",
         "occupancy_11.csv": "f6017a7d343a34967b9a054095956f5f0f91ddf4f6927e345fd36fbbfeaa99c9",
         "occupancy_12.csv": "7442aae9daafe851a8d36cefa5036aaabee926c28a282cd5cd9ab561b6373029",
         "path_11.csv": "f684d5a295836f302e7202de0e1b0f09461048861127098167757943c235b87f",
@@ -53,8 +53,8 @@ GOLDEN = {
         "transformed_game.cfg": "f885b9feadb6f92af675d671a768ea0e6be6cbe1c03c5bc38366a2021ee5022d",
     },
     "two_populations": {
-        "exact_stationary.csv": "6b2520a07cd375134b82c9d5ad8a6330b35e36cd8efc35abc416cd2b938fb702",
-        "experiment_report.txt": "1caef2d6846fb1a8efe25a5ecff10067a9e59ebb980bc4d3e0e440c497625e75",
+        "exact_stationary.csv": "6dfc03c1c25f04f55663e327bae212e7b2217faaf7e90e4a13c838943ad1e094",
+        "experiment_report.txt": "bc1b72ba195fec17c058e271f3c9e20698880d297bfb78616543afe4deb878d1",
         "occupancy_21.csv": "b62f41ecc8ee3e71a50d67b6a8bd5ab2f618a0a7b17a7129d8282aedd6c7ef49",
         "occupancy_22.csv": "8018ced599e770cbddd9295a7cb0853856ef451ba19912d3311a0706327fb845",
         "path_21.csv": "8ce978b9fbec07272d8e666b872385749bca69cc8ab6b43a0dcecffeae1d46c9",
@@ -161,10 +161,10 @@ GOLDEN_COMMANDS = {
             "compare_report.txt": "83ff7b235550cd437fccbef7aa3a1da61801b2e8a28cfdbef0d797b2d95dfb0b",
         },
         "rps_sum_exponential": {
-            "compare_report.txt": "8ccb7fa68bd463ec09f8224514b85031746494de38fdcef94a322cf55fa04aec",
+            "compare_report.txt": "36f493095832db75adafb1f5dcbec3771ef3441ee57ca0bf57cc2a66fff6dc52",
         },
         "two_populations": {
-            "compare_report.txt": "475120e0af678c6b7df2bdd8b87606358fd9ec3f33b67f9e4a3f7649fd0f7277",
+            "compare_report.txt": "0ce367d830a62d2c192e5f6d549bf3f8f947e31c60c1260de2470b4536bf4a86",
         },
     },
     "mean-dynamic": {
@@ -183,16 +183,16 @@ GOLDEN_COMMANDS = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "08da6687610f4542304b61315e9535db4793c10976832c0b2f087406a9df710f",
+            "exact_stationary.csv": "ba26eee00955213fa712ce6d010f31dc032abbe1b8606f0c2769730bca0b654f",
         },
         "rps_constant": {
-            "exact_stationary.csv": "90d9b309f5df868543e5ca9451d603a1329b7db5c7e4489eea5688522e1b8b2f",
+            "exact_stationary.csv": "b7a460f68273405dec702c827625ac8a3b16c343c6fe27a9cf75559088f76b95",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "5727cd55adeb38fa04fa01305a3e9965a4dc9cf6bb66eb89c7360f0795cb6c80",
+            "exact_stationary.csv": "9d34747e23abbfe3bdab90c99692a9cd5ec1cbc5d44ef8173dac53656e897bd1",
         },
         "two_populations": {
-            "exact_stationary.csv": "82f860f74f5b87b215bd8177f99a6601f8e926fadcb95acc5600d5859a20e1ea",
+            "exact_stationary.csv": "0c25ec828163e69c9d58f0f8bd17562a79ccce2229af8edd3fe5ee2949611ffe",
         },
     },
 }
@@ -215,16 +215,16 @@ GOLDEN_TRANSFORMED = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "0f81b3e43bd6bf129ae35d7633f953a8cf3bf9391edf9a95c1fb677aca8fe805",
+            "exact_stationary.csv": "578acc5397e083df41f299d2a557a47653bf9a38ce949071aa2f5359ee4d5d73",
         },
         "rps_constant": {
-            "exact_stationary.csv": "cd94291292a4abe356c0d9fe309ea7a9329ec25290fd82004446fa81032a30d3",
+            "exact_stationary.csv": "73a676575cc8f96a08d41d07ebd7f0315b37f64b0a24745712fb06ca43354bf2",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "1d7e1adb5badb956572d2e421ad1967c096c2fa56570bf3088580c3e9222ccb5",
+            "exact_stationary.csv": "b0a31a938fa8ca422aee19d57a73c7d97752fae4b3da36017730fabbf929333c",
         },
         "two_populations": {
-            "exact_stationary.csv": "2e421075c6120b8dd57b1db40f5f64654a4626acf2fbfc7de7c30e30ef1955a0",
+            "exact_stationary.csv": "3dad3b030220b8dff48a91f883cbd4927eede9508aecfe658bc45bc584976511",
         },
     },
     "simulate": {
