@@ -10,7 +10,6 @@ expected velocity field of this process is exactly the mean dynamic.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -232,15 +231,15 @@ def _communicating_classes(chain: FiniteChain):
 
 
 def _relabellings(n: int) -> list[list[int]]:
-    """Candidate strategy permutations of one population: every one for n <= 4, else shifts and swaps."""
-    if n <= 4:
-        return [list(perm) for perm in itertools.permutations(range(n))][1:]  # the identity comes first
+    """Candidate strategy permutations of one population: the cyclic shifts and the transpositions."""
     shifts = [[(i + s) % n for i in range(n)] for s in range(1, n)]
     swaps = []
-    for i, j in itertools.combinations(range(n), 2):
-        perm = list(range(n))
-        perm[i], perm[j] = j, i
-        swaps.append(perm)
+    for i in range(n):
+        for j in range(i + 1, n):
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            if perm not in shifts:  # for n = 2 the one swap is the one shift
+                swaps.append(perm)
     return shifts + swaps
 
 

@@ -239,6 +239,7 @@ def _solver_lines(model: _Model) -> list[str]:
     return [
         f"solver: {metadata['solver']}",
         f"orbits: {metadata['orbits']}",
+        f"symmetry_defect: {metadata['symmetry_defect']:.17g}",
         f"residual: {metadata['residual']:.17g}",
     ]
 

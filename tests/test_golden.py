@@ -21,7 +21,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 GOLDEN = {
     "coordination_table": {
         "exact_stationary.csv": "f1757c1c1e5ca15d75d10a9060293dd1923669678e83a0f6845f2a2285001777",
-        "experiment_report.txt": "ecd5792ffa8cab1483589be0feced8933ba5d498c33cc173c49d25aef25715ee",
+        "experiment_report.txt": "27a3f92b718af58a09c773faa800115763f2b60986fd8c026843623ecb8935b1",
         "occupancy_5.csv": "284f163ea1304087be1b3abb74b33cebc6fc11a48cdac23d09b0e343a103f7be",
         "path_5.csv": "b4e7fc32aace9b244280bcb155b171d8fca2fe79b9c5662f50dd5f33561dec4b",
         "predicted.csv": "321c85cf4677541e30ce2c62ed3361c1c59a0f33ad80bc58198302e7cea3b0d8",
@@ -30,7 +30,7 @@ GOLDEN = {
     },
     "rps_constant": {
         "exact_stationary.csv": "bc1a3314d4731655a3bfb94ef067eeb37a70f4af4e003cae4c238d928fb27c59",
-        "experiment_report.txt": "7b06ddf12d300a5eb88ecd02c58722d7a58c2a6c8a7f680502f3cedb16838d22",
+        "experiment_report.txt": "ee0fff9f6a72e089a38550f17c3d985179bb127c388110aadd6aab107cb2eb63",
         "occupancy_1.csv": "0ed53d68a6424d58c5adbe9d0e691ad62918a8bf3d46426b46f717c3b305934e",
         "occupancy_2.csv": "63b43adf0bf8802fd74eec34641c04e004a985900831cbaa70c4f15ec0b33269",
         "occupancy_3.csv": "8abea4d627ae562bfde0fca298ec675b449d9234ffd315e9aa0f0827b34fd090",
@@ -43,7 +43,7 @@ GOLDEN = {
     },
     "rps_sum_exponential": {
         "exact_stationary.csv": "17b403dc674372a094c57019aa6afd57c54270268e2471ac3a6391e332cbe99c",
-        "experiment_report.txt": "d78fcdd637463c31677a3efe726e564adb82db8cd90f74211bcaa631cf8eefea",
+        "experiment_report.txt": "13f38797c6e9937570f6f5427a7d51c2bfb3963220668cedcb2795c28d40af97",
         "occupancy_11.csv": "f6017a7d343a34967b9a054095956f5f0f91ddf4f6927e345fd36fbbfeaa99c9",
         "occupancy_12.csv": "7442aae9daafe851a8d36cefa5036aaabee926c28a282cd5cd9ab561b6373029",
         "path_11.csv": "f684d5a295836f302e7202de0e1b0f09461048861127098167757943c235b87f",
@@ -54,7 +54,7 @@ GOLDEN = {
     },
     "two_populations": {
         "exact_stationary.csv": "6dfc03c1c25f04f55663e327bae212e7b2217faaf7e90e4a13c838943ad1e094",
-        "experiment_report.txt": "bc1b72ba195fec17c058e271f3c9e20698880d297bfb78616543afe4deb878d1",
+        "experiment_report.txt": "56ec0901f8251cb2fcc8698ba72c3344c9bfc5c1dc04aa795cd93c4e0ee72962",
         "occupancy_21.csv": "b62f41ecc8ee3e71a50d67b6a8bd5ab2f618a0a7b17a7129d8282aedd6c7ef49",
         "occupancy_22.csv": "8018ced599e770cbddd9295a7cb0853856ef451ba19912d3311a0706327fb845",
         "path_21.csv": "8ce978b9fbec07272d8e666b872385749bca69cc8ab6b43a0dcecffeae1d46c9",
@@ -183,16 +183,16 @@ GOLDEN_COMMANDS = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "ba26eee00955213fa712ce6d010f31dc032abbe1b8606f0c2769730bca0b654f",
+            "exact_stationary.csv": "f00d74c3f0ec3e4136f7c6bfc26e98413138242e686bd0f7ffc585903726fe0f",
         },
         "rps_constant": {
-            "exact_stationary.csv": "b7a460f68273405dec702c827625ac8a3b16c343c6fe27a9cf75559088f76b95",
+            "exact_stationary.csv": "41e503c4ecc3528c282a27cda929da0b49fb90d88fa39d631c36aa799b75af88",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "9d34747e23abbfe3bdab90c99692a9cd5ec1cbc5d44ef8173dac53656e897bd1",
+            "exact_stationary.csv": "2ecf1370c3a25c67197160887757651d0317d75cfcc93350d9b1aa6e494fc2ed",
         },
         "two_populations": {
-            "exact_stationary.csv": "0c25ec828163e69c9d58f0f8bd17562a79ccce2229af8edd3fe5ee2949611ffe",
+            "exact_stationary.csv": "02e1a8d4081b53c17d800aa4a95b09ba95c0da7dd11210d95a37166c80abab2c",
         },
     },
 }
@@ -215,16 +215,16 @@ GOLDEN_TRANSFORMED = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "578acc5397e083df41f299d2a557a47653bf9a38ce949071aa2f5359ee4d5d73",
+            "exact_stationary.csv": "1b054446e753fa8ec55a20dbb7d3c68057ab1ed6e78cd222c40d188407602fa7",
         },
         "rps_constant": {
-            "exact_stationary.csv": "73a676575cc8f96a08d41d07ebd7f0315b37f64b0a24745712fb06ca43354bf2",
+            "exact_stationary.csv": "701b012c99a63b37f772758776178aa100bf844bae8b75b49e7bb3e4c5f45cc5",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "b0a31a938fa8ca422aee19d57a73c7d97752fae4b3da36017730fabbf929333c",
+            "exact_stationary.csv": "1d75334b3d5739ea708165259c6b734d96dcccfd02278aa8e0af3fe9b0841170",
         },
         "two_populations": {
-            "exact_stationary.csv": "3dad3b030220b8dff48a91f883cbd4927eede9508aecfe658bc45bc584976511",
+            "exact_stationary.csv": "96dd0edd0b68c1e9786a4970250d81ad1ace8e5ab4e33e8edb875adb03acb3ff",
         },
     },
     "simulate": {
