@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,7 +56,7 @@ __all__ = [
 # 15-27 MB over repeated experiment runs, so the full count, not the orbit count, picks the solve
 LU_STATE_LIMIT = 20_000
 
-# random draws per refill of each path's two streams, and event rows per recorded block
+# random draws per refill of each path's two streams
 DRAW_BLOCK = 1024
 
 
@@ -451,29 +453,30 @@ def simulate_paths(
     sequence per population, and must hold the ``N * mass`` agents of each
     population, else ``KeyError``.
 
-    All paths advance in lockstep over one ``(S, width)`` count array: each
-    step evaluates the payoffs and rates of every unfinished path in one
-    stacked call (one call per path for a game or protocol that is not
-    ``vectorized``), forms the move weights ``k_i * rho_ij`` in a fixed move
-    order, their running sums and the total exit rate (the last running
-    sum), and applies one move per path.  A path leaves the batch at the
-    step whose holding time passes ``horizon``.  Path ``s`` owns two streams,
+    The seeds run one after another, each as one event loop on Python floats.
+    At a state a path has not yet visited in this call, the payoffs and rates
+    are evaluated once (one call of the payoff map and of each ``rate_fn``),
+    and the running sums of the move weights ``k_i * rho_ij``, in a fixed
+    move order, are kept for every later visit by any seed of the call; the
+    total exit rate is the last running sum.  Each path owns two streams,
     ``default_rng`` of each child of ``SeedSequence(seed).spawn(2)``: the
-    first gives the standard exponential ``E`` of each step (holding time
+    first gives the standard exponential ``E`` of each event (holding time
     ``E / total``), the second the uniform ``V`` (the move is the first
     whose running sum exceeds ``V * total``).  Both are drawn in blocks of
     ``DRAW_BLOCK``, so a path's bytes depend neither on the block size nor on
-    the other seeds of the batch.  Occupancy, collected by default for a
-    chain only, is computed from each finished path: the time-weighted state
+    the other seeds of the batch.  A path ends at the event whose holding
+    time passes ``horizon``.  Occupancy, collected by default for a chain
+    only, is computed from each finished path: the time-weighted state
     distribution over ``(burn_in, horizon]``, normalized to one.
 
-    Invalid output raises the error of the validating path at the first
-    offending state, and weights that overflow although every rate is finite
-    raise ``ProtocolError`` naming the state.  To keep the event throughput,
-    each step screens only the weights it draws from (a finite total, no
-    negative weight), so an invalid payoff that the protocol ignores, or a
-    negative diagonal rate, passes here; :func:`build_generator` and the mean
-    dynamic reject both.
+    Invalid output raises the error of the validating path at the offending
+    state, and weights that overflow although every rate is finite raise
+    ``ProtocolError`` naming the state; in a batch, the error is the one of
+    the first seed, in seed order, whose path reaches an invalid state.  To
+    keep the event throughput, each state screens only the weights it draws
+    from (a finite total, no negative weight), so an invalid payoff that the
+    protocol ignores, or a negative diagonal rate, passes here;
+    :func:`build_generator` and the mean dynamic reject both.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -493,7 +496,7 @@ def simulate_paths(
         resolutions, sizes = _lattice_sizes(game, grid)
         grid = build_grid(game, resolutions) if collect_occupancy else None
     k0 = np.concatenate(_normalize_x0(x0, game.strategy_counts, sizes))
-    recorded = _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds)
+    recorded = _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds)
     paths = []
     for seed, (path_times, path_counts) in zip(seeds, recorded):
         occupancy = None
@@ -516,79 +519,72 @@ def simulate_paths(
     return paths
 
 
-def _lockstep_paths(game, protocols, resolutions, k0, horizon, seeds):
+def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
     """The event loop of :func:`simulate_paths`: the event times and count rows of each path."""
-    width = len(k0)
     spans = _spans(game)
     # fixed move layout: per population, its ordered off-diagonal pairs (i, j)
     # row-major; row m of `deltas` is the count change of move m
     off_diagonal = [np.flatnonzero(~np.eye(b - a, dtype=bool)) for a, b in spans]
-    unit = np.eye(width)
+    unit = np.eye(len(k0), dtype=np.int64)
     deltas = np.array([
         unit[a + j] - unit[a + i]
         for (a, b), idx in zip(spans, off_diagonal) for i, j in zip(*np.divmod(idx, b - a))
     ])
-    streams = [[np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)] for seed in seeds]
+    # a state's key is its counts in mixed radix: a column of population p has N^p * mass + 1 digits
+    bases = [size + 1 for (a, b), size in zip(spans, sizes) for _ in range(a, b)]
+    strides = [math.prod(bases[:c]) for c in range(len(bases))]
+    key_steps = [sum(d * s for d, s in zip(row, strides)) for row in deltas.tolist()]
+    cumulative_at = {}  # key -> running sums of the move weights, shared by this call's seeds
 
-    live = np.arange(len(seeds))  # the path of each row
-    k = np.tile(k0.astype(float), (len(seeds), 1))  # exact: counts stay far below 2**53
-    t = np.zeros(len(seeds))
-    recorded = [[(np.zeros(1), k0[None, :])] for _ in seeds]  # (times, counts) blocks per path
-    step = 0
-    while len(live):
-        col = step % DRAW_BLOCK
-        if col == 0:
-            exp_block = np.array([streams[s][0].standard_exponential(DRAW_BLOCK) for s in live])
-            unif_block = np.array([streams[s][1].random(DRAW_BLOCK) for s in live])
-            t_block = np.empty((len(live), DRAW_BLOCK))
-            k_block = np.empty((len(live), DRAW_BLOCK, width), dtype=np.int64)
+    def running_sums(key):
+        # one evaluation per visited state, as a one-row stack
+        counts = [key // s % base for s, base in zip(strides, bases)]
+        k = np.array([counts], dtype=float)  # exact: counts stay far below 2**53
         x_parts = tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)])
         out = _unscreened_rates(game, protocols, x_parts)
         if out is None:
-            _raise_invalid(game, protocols, x_parts, k, None)
-        weights = [
-            (k[:, a:b, None] * rho).reshape(len(k), -1)[:, idx]
-            for (a, b), rho, idx in zip(spans, out[1], off_diagonal)
-        ]
-        weights = weights[0] if len(weights) == 1 else np.concatenate(weights, axis=1)
-        cumulative = np.add.accumulate(weights, axis=1)
-        total = cumulative[:, -1]
-        if not (np.minimum.reduce(weights, axis=None) >= 0.0 and math.isfinite(np.maximum.reduce(total))):
-            _raise_invalid(game, protocols, x_parts, k, weights)
-        if np.minimum.reduce(total) > 0.0:
-            t_next = t + exp_block[:, col] / total
-        else:  # a path with no possible move holds its state to the horizon
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_next = np.where(total > 0.0, t + exp_block[:, col] / total, np.inf)
-        if np.maximum.reduce(t_next) >= horizon:
-            done = t_next >= horizon
-            for r in np.flatnonzero(done):
-                recorded[live[r]].append((t_block[r, :col].copy(), k_block[r, :col].copy()))
-            keep = ~done
-            live, k, t_next, cumulative, total, exp_block, unif_block, t_block, k_block = (
-                a[keep] for a in (live, k, t_next, cumulative, total, exp_block, unif_block, t_block, k_block))
-        pick = np.add.reduce(cumulative <= (unif_block[:, col] * total)[:, None], axis=1)
-        k += deltas[pick]
-        t = t_next
-        t_block[:, col] = t
-        k_block[:, col] = k
-        step += 1
-        if col == DRAW_BLOCK - 1:
-            for r, s in enumerate(live):
-                recorded[s].append((t_block[r], k_block[r]))
-    return [[np.concatenate(side) for side in zip(*path)] for path in recorded]
+            _raise_invalid(game, protocols, x_parts, counts)
+        weights = np.concatenate([(k[:, a:b, None] * rho).reshape(1, -1)[:, idx]
+                                  for (a, b), rho, idx in zip(spans, out[1], off_diagonal)], axis=1)
+        cumulative = np.add.accumulate(weights, axis=1)[0].tolist()
+        if not (np.minimum.reduce(weights, axis=None) >= 0.0 and math.isfinite(cumulative[-1])):
+            _raise_invalid(game, protocols, x_parts, counts)
+        cumulative_at[key] = cumulative = tuple(cumulative)
+        return cumulative
+
+    recorded = []
+    for seed in seeds:
+        key, t = sum(int(c) * s for c, s in zip(k0, strides)), 0.0
+        times, picks = array("d", [t]), array("i")
+        for e, v in _draws(seed):
+            cumulative = cumulative_at.get(key) or running_sums(key)
+            total = cumulative[-1]
+            t = t + e / total if total > 0.0 else math.inf  # no possible move: hold to the horizon
+            if t >= horizon:
+                break
+            # the weights are non-negative, so this counts the running sums <= V * total
+            pick = bisect_right(cumulative, v * total)
+            key += key_steps[pick]
+            times.append(t)
+            picks.append(pick)
+        steps = np.concatenate([k0[None, :], deltas[np.frombuffer(picks, dtype=np.intc)]])
+        recorded.append((np.array(times), np.cumsum(steps, axis=0)))
+    return recorded
 
 
-def _raise_invalid(game, protocols, x_parts, k, weights) -> None:
-    """Raise the error of the first state whose move weights failed the event loop's screen."""
-    if weights is None:  # an output of the wrong count or shape: every state
-        rows = np.arange(len(k))
-    else:
-        total = np.add.accumulate(weights, axis=1)[:, -1]
-        rows = np.flatnonzero(~np.isfinite(total) | (weights < 0).any(axis=1))
-    # the checked evaluation raises the precise error at the first offending state, if there is one
-    _checked_rates(game, protocols, tuple(x[rows] for x in x_parts))
-    state = _counts_format(game.strategy_counts) % tuple(k[rows[0]].tolist())
+def _draws(seed):
+    """The ``(E, V)`` pairs of one path, from its two streams in blocks of ``DRAW_BLOCK``."""
+    exponentials, uniforms = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    while True:
+        yield from zip(exponentials.standard_exponential(DRAW_BLOCK).tolist(),
+                       uniforms.random(DRAW_BLOCK).tolist())
+
+
+def _raise_invalid(game, protocols, x_parts, counts) -> None:
+    """Raise the error of the state whose move weights failed the event loop's screen."""
+    # the checked evaluation raises the precise error, if the rates have one
+    _checked_rates(game, protocols, x_parts)
+    state = _counts_format(game.strategy_counts) % tuple(counts)
     raise ProtocolError(f"jump rates k_i * rho_ij overflow at state {state}; every rate is finite")
 
 

@@ -167,10 +167,12 @@ def _parse(kind: str, text: str, label: str, problems: list[str]):
         return _parse_matrix(text, label, problems)
     if kind == "text":
         return text
-    if kind == "seeds":  # SeedSequence takes non-negative integers only
+    if kind == "seeds":  # SeedSequence takes non-negative integers only; a seed names its path files
         seeds = _parse_list(text, int, label, problems)
         if seeds and min(seeds) < 0:
             problems.append(f"{label}: expected non-negative integers, got {text!r}")
+        if seeds and len(set(seeds)) < len(seeds):
+            problems.append(f"{label}: expected distinct seeds, got {text!r}")
         return seeds
     conv = {"float": float, "int": int, "text": str}[kind.removesuffix("s")]
     return (_parse_list if kind.endswith("s") else _parse_number)(text, conv, label, problems)

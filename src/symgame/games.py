@@ -210,13 +210,13 @@ def make_separable_game(payoff_matrices, masses=None) -> PopulationGame:
 class RevisionProtocol:
     """Conditional switch rates between strategies.
 
-    ``rate_fn(payoffs, state_part)`` returns the n x n rate matrix for one
-    population.  ``support_floor`` is the declared lower rate bound (> 0 for a
-    fully supported protocol).  Diagonal entries are carried but never drive
-    transitions.  A ``vectorized`` protocol declares that the same
-    ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per state,
-    and returns the ``(S, n, n)`` stack of their rate matrices; the built-in
-    protocols are vectorized.
+    ``rate_fn(payoffs, state_part)`` returns the n x n rate matrix for one population.
+    ``support_floor`` is the declared lower rate bound (> 0 for a fully supported protocol).
+    Diagonal entries are carried but never drive transitions.  A ``vectorized`` protocol
+    declares that the same ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per
+    state, and returns the ``(S, n, n)`` stack of their rate matrices; the built-in protocols
+    are vectorized.  The payoffs and ``rate_fn`` must be deterministic functions of the
+    state: a simulated path evaluates each state it visits once per call and reuses its rates.
     """
 
     kind: str
@@ -310,6 +310,7 @@ def custom_protocol(
     symmetric: bool | None = None,
     name: str = "custom",
 ) -> RevisionProtocol:
+    """A non-vectorized protocol; ``rate_fn`` must be deterministic, as a path evaluates each visited state once."""
     return RevisionProtocol(
         kind=name, rate_fn=rate_fn, support_floor=float(support_floor), symmetric=symmetric
     )

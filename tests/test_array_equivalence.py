@@ -1029,6 +1029,27 @@ class TestSimulatePath:
         assert min(len(text.splitlines()) for text in runs[0]) > chain_module.DRAW_BLOCK
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("uniform, first", [(0.0, [1, 1, 2]), (0.25, [0, 1, 3])])
+    def test_a_draw_on_a_running_sum_picks_the_next_move(self, uniform, first, monkeypatch):
+        # at (0, 2, 2) the constant weights are 0, 0, 2, 2, 2, 2 with running sums 0, 0, 2, 4, 6, 8:
+        # V * total = 0 equals the two leading sums, and 2.0 the third.  Random draws hit such
+        # ties with probability about 2**-53, so both streams are replaced by constants
+        class Stream:
+            def standard_exponential(self, size=None):
+                return 0.1 if size is None else np.full(size, 0.1)
+
+            def random(self, size=None):
+                return uniform if size is None else np.full(size, uniform)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Stream())
+        game, proto = make_linear_game(RPS), constant_protocol(1.0)
+        path = simulate_path((game, proto, 4), ((0, 2, 2),), 1.0, seed=0)
+        times, counts, _ = _reference_fly_path(game, proto, 4, ((0, 2, 2),), 1.0, 0, 0.0)
+        assert path.counts[1].tolist() == first
+        assert len(times) > 10
+        assert path.times.tobytes() == times.tobytes()
+        assert path.counts.tobytes() == counts.tobytes()
+
 
 class TestBirthDeathRates:
     @given(models(decomposable=True))

@@ -426,7 +426,7 @@ class TestSimulatePath:
     def test_non_finite_horizon_raises_before_the_event_loop(self, horizon, monkeypatch):
         # an infinite horizon once ran the event loop without end
         loop = mock.Mock(side_effect=AssertionError("the event loop started"))
-        monkeypatch.setattr(chain_module, "_lockstep_paths", loop)
+        monkeypatch.setattr(chain_module, "_event_paths", loop)
         game = make_linear_game(RPS)
         with pytest.raises(ValueError, match=f"^horizon must be positive and finite, got {horizon}$"):
             simulate_paths((game, constant_protocol(1.0), 3), ((1, 1, 1),), horizon, [0, 1])
@@ -454,6 +454,47 @@ class TestSimulatePath:
         proto = custom_protocol(lambda pi, x: np.ones((3, 3)) if x[0] >= 0.6 else -np.ones((3, 3)))
         with pytest.raises(ProtocolError, match="protocol 'custom' produced negative rates"):
             simulate_paths((game, proto, 5), ((4, 1, 0),), 50.0, [1, 2, 3])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in accumulate:RuntimeWarning")
+    def test_a_batch_raises_the_error_of_its_first_failing_seed(self):
+        # the weights overflow once strategy 0 drops below 30 of 100 agents.  Seed 2 never
+        # gets there by t = 1; seed 1 does after 67 events and seed 0 after 55, so the
+        # batch raises seed 1's error, not the one of the earliest failing event
+        from symgame import ProtocolError
+
+        game = make_linear_game(RPS)
+        proto = custom_protocol(lambda pi, x: np.full((3, 3), 1e306 if x[0] < 0.3 else 1.0))
+        model, x0 = (game, proto, 100), ((34, 33, 33),)
+        simulate_path(model, x0, 1.0, seed=2)
+        alone = []
+        for seed in (1, 0):
+            with pytest.raises(ProtocolError, match="^jump rates k_i \\* rho_ij overflow at state 29 ") as err:
+                simulate_path(model, x0, 1.0, seed=seed)
+            alone.append(str(err.value))
+        assert alone[0] != alone[1]
+        with pytest.raises(ProtocolError) as err:
+            simulate_paths(model, x0, 1.0, [2, 1, 0])
+        assert str(err.value) == alone[0]
+
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+    def test_each_visited_state_is_evaluated_once_per_call(self, seeds):
+        # 15 states at N = 4 and hundreds of events, so the paths return to each state many times
+        calls = []
+
+        def rate_fn(pi, x):
+            calls.append(tuple(x.tolist()))
+            return np.exp(np.add.outer(-pi, pi))
+
+        game = make_linear_game(RPS)
+        proto = custom_protocol(rate_fn, support_floor=0.1)
+        paths = simulate_paths((game, proto, 4), ((2, 1, 1),), 50.0, seeds)
+        visited = {tuple(row) for path in paths for row in path.counts.tolist()}
+        assert sum(len(path.times) for path in paths) > 10 * len(visited)
+        assert len(calls) == len(set(calls)) == len(visited)
+        assert set(calls) == {tuple(c / 4 for c in state) for state in visited}
+        calls.clear()
+        simulate_paths((game, proto, 4), ((2, 1, 1),), 50.0, seeds)
+        assert len(calls) == len(visited)  # the states of one call are not kept for the next
 
 
 class TestStationaryTable:

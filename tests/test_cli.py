@@ -267,6 +267,26 @@ class TestCommands:
         assert f"{key}: expected non-negative integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, extra, key",
+        [
+            (RPS_CONSTANT.replace("seeds = 1, 2", "seeds = 3, 3"), (), "run section (seeds)"),
+            (RPS_CONSTANT, ("--seed-override", "3,3"), "--seed-override (seeds)"),
+        ],
+    )
+    def test_a_repeated_seed_is_a_config_error_before_any_work(self, text, extra, key, tmp_path, capsys, monkeypatch):
+        # it once simulated the same path twice and wrote path_3.csv twice
+        def no_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr("symgame.cli.run_command", no_run)
+        config = tmp_path / "seeds.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run("simulate", config, out, *extra) == 1
+        assert f"{key}: expected distinct seeds, got '3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_the_removed_padding_flag_is_an_argparse_error(self, rps_config, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("experiment", rps_config, tmp_path / "out", "--fstar", "zero")
@@ -283,8 +303,8 @@ class TestRateEvaluations:
         # the hypothesis check and the generator share one evaluation per main-grid
         # state.  The stages that evaluate off the lattice or along a path
         # (decomposition samples, RK4, birth-death rates, simulated paths) are
-        # not counted here; the batch of paths evaluates once per visited state
-        # of each, events + 1 times, and the birth-death rates of each derived
+        # not counted here; the batch of paths evaluates once per distinct state
+        # that any of its paths visits, and the birth-death rates of each derived
         # population take one stacked block call over the counts 0..N.
         import numpy as np
 
@@ -336,7 +356,8 @@ class TestRateEvaluations:
         def counted_paths(*args, **kwargs):
             start = calls["all"]
             paths = simulate_paths(*args, **kwargs)
-            batches.append((calls["all"] - start, [len(path.times) - 1 for path in paths]))
+            visited = {tuple(row) for path in paths for row in path.counts.tolist()}
+            batches.append((calls["all"] - start, [len(path.times) - 1 for path in paths], len(visited)))
             return paths
 
         monkeypatch.setattr(cli.chain_mod, "simulate_paths", counted_paths)
@@ -346,9 +367,9 @@ class TestRateEvaluations:
         # C(6 + 2, 2) = 28 main-grid states
         assert calls["count"] == 28
         assert blocks == [(i, 6 + 1) for i in range(3)]  # one stack of the counts 0..N per population
-        [(evaluations, events)] = batches  # seeds 1, 2 in one batch
+        [(evaluations, events, visited)] = batches  # seeds 1, 2 in one batch
         assert len(events) == 2 and min(events) > 0
-        assert evaluations == sum(n + 1 for n in events)
+        assert evaluations == visited
 
 
 class TestStageBuilds:

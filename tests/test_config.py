@@ -604,6 +604,11 @@ CORPUS = {
         (("seeds = 1, 2, 3", "seeds = 1, -2"),),
         ["run section (seeds): expected non-negative integers, got '1, -2'"],
     ),
+    "repeated seed": (
+        "rps_constant",
+        (("seeds = 1, 2, 3", "seeds = 3, 1, 3"),),
+        ["run section (seeds): expected distinct seeds, got '3, 1, 3'"],
+    ),
     "problems across sections": (
         "rps_constant",
         (
@@ -741,7 +746,7 @@ def config_texts(draw) -> str:
     if draw(st.booleans()):
         lines.append(f"burn_in = {horizon * draw(st.floats(0, 0.99))!r}")
     if draw(st.booleans()):
-        lines.append(f"seeds = {_list(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)))}")
+        lines.append(f"seeds = {_list(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True)))}")
     if draw(st.booleans()):
         blocks = [[draw(st.floats(0, 1)) for _ in range(n)] for n in sizes]
         lines.append("x0 = " + " | ".join(_list(block) for block in blocks))
