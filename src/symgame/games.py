@@ -53,6 +53,16 @@ def _readonly(vec) -> np.ndarray:
     return arr
 
 
+def _check_masses(p: int, vec: np.ndarray) -> None:
+    """Raise at the first state of ``vec`` (``(n,)`` or ``(S, n)``) whose masses are not all finite and above ``-MASS_TOL``."""
+    bad = ~np.isfinite(vec) | (vec < -MASS_TOL)
+    if bad.any():
+        row = vec.reshape(-1, vec.shape[-1])[bad.reshape(-1, vec.shape[-1]).any(axis=1).argmax()]
+        if not np.isfinite(row).all():
+            raise ValueError(f"population {p}: state has non-finite entries")
+        raise ValueError(f"population {p}: negative mass {float(row.min())}")
+
+
 @dataclass(frozen=True, eq=False)
 class SocialState:
     """Per-population strategy masses: ``parts[p]`` is the nonnegative mass vector of population ``p``."""
@@ -65,10 +75,7 @@ class SocialState:
         for p, vec in enumerate(parts):
             if vec.ndim != 1 or vec.size == 0:
                 raise ValueError(f"population {p}: state must be a nonempty vector")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"population {p}: state has non-finite entries")
-            if np.any(vec < -MASS_TOL):
-                raise ValueError(f"population {p}: negative mass {float(vec.min())}")
+            _check_masses(p, vec)
 
     @classmethod
     def single(cls, vec) -> "SocialState":

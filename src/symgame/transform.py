@@ -21,12 +21,13 @@ strategies always uses the half-weighted 3-to-2 rules above.
 reduces every population of a game to at most ``target`` strategies (two by
 default); :func:`invert_3to2` undoes the 3-to-2 split.
 
-Derived rate blocks are functions of the base (payoff, state) pair.  When a
-derived population must be evaluated standalone (its siblings' states
-unknown), the base state is filled in from its own coordinates, splitting
-any aggregate mass across members proportionally to the mean-dynamic rest
-point; this keeps the derived populations mutually independent and only
-matters for payoff- or state-dependent protocols.
+Derived rate blocks are functions of the base (payoff, state) pair, so the
+derived game's own payoff enters no rate and is zero.  Each derived
+population is evaluated standalone (its siblings' states unknown): the base
+state is filled in from its own coordinates, splitting any aggregate mass
+across members proportionally to the mean-dynamic rest point.  This keeps the
+derived populations mutually independent and only matters for payoff- or
+state-dependent protocols.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .games import (
     PopulationGame,
     RevisionProtocol,
     SocialState,
+    _check_masses,
     _checked_rates,
     protocol_tuple,
     sample_states,
@@ -80,10 +82,6 @@ class DerivedPopulation:
     @property
     def arity(self) -> int:
         return len(self.members)
-
-    @property
-    def is_passthrough(self) -> bool:
-        return not self.stages
 
 
 def _collapse_last_two(M: np.ndarray, mode: str) -> np.ndarray:
@@ -131,6 +129,11 @@ def _reduced_population(base_population: int, leading: int, n: int, target: int)
     )
 
 
+def _zero_payoff(state: SocialState) -> tuple[np.ndarray, ...]:
+    # the derived payoff, of one state or a stack: no derived rate reads it
+    return tuple(np.zeros(np.shape(x)) for x in state.parts)
+
+
 @dataclass(frozen=True)
 class TransformedGame:
     """A base game together with its derived 2-strategy (or reduced) populations.
@@ -154,6 +157,21 @@ class TransformedGame:
     def _rest_parts(self) -> tuple[np.ndarray, ...]:
         return rest_point(self.base_game, self.base_protocols).parts
 
+    @cached_property
+    def _gathers(self) -> dict[DerivedPopulation, tuple[np.ndarray, np.ndarray]]:
+        # per derived population: the derived coordinate that owns each base strategy, and its rest-point share
+        gathers = {}
+        for pop in self.populations:
+            rest = self._rest_parts[pop.base_population]
+            owner, share = np.empty(rest.size, dtype=np.intp), np.empty(rest.size)
+            for t, mem in enumerate(pop.members):
+                idx = list(mem)
+                total = float(rest[idx].sum())
+                owner[idx] = t
+                share[idx] = rest[idx] / total if total > 0 else 1.0 / len(idx)  # 1.0 for a singleton
+            gathers[pop] = owner, share
+        return gathers
+
     # -- state maps ------------------------------------------------------
 
     def embed(self, state: SocialState) -> SocialState:
@@ -165,59 +183,30 @@ class TransformedGame:
             parts.append(np.array([x[list(mem)].sum() for mem in pop.members]))
         return SocialState(parts=tuple(parts))
 
-    def reconstruct(self, derived_parts: Sequence[np.ndarray]) -> SocialState:
-        """Base state read off the derived leading coordinates, of one state or of an ``(S, arity)`` stack."""
-        stack = np.shape(derived_parts[0])[:-1]
-        base_parts = [np.zeros((*stack, n)) for n in self.base_game.strategy_counts]
-        for pop, part in zip(self.populations, derived_parts, strict=True):
-            if pop.is_passthrough:
-                base_parts[pop.base_population] = np.array(part, dtype=float)
-            else:
-                base_parts[pop.base_population][..., pop.leading] = np.asarray(part)[..., 0]
-        # a stack is not validated here; the checked evaluation screens its values
-        return SocialState._unchecked(tuple(base_parts)) if stack else SocialState(parts=tuple(base_parts))
-
-    def fill_base_state(self, population: DerivedPopulation, part: np.ndarray) -> SocialState:
-        """Base state inferred from one derived population's coordinates alone.
+    def fill_base_state(self, population: DerivedPopulation, part: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Base state parts inferred from one derived population's coordinates alone.
 
         Singleton members take their coordinate directly; aggregate mass is
         split across members in rest-point proportions.  Other base
         populations sit at the rest point.  A stack of derived states, one
-        per row, gives the stack of their base states.
+        per row, gives the stack of their base states.  A state of the wrong
+        length raises ValueError, and so does a filled-in state with a
+        non-finite or negative mass, at the first such row of a stack.
         """
         part = np.asarray(part, dtype=float)
-        stack = part.shape[:-1]
-        parts = [np.tile(r, (*stack, 1)) for r in self._rest_parts]
+        if part.shape[-1:] != (population.arity,):
+            index, length = self.populations.index(population), part.shape[-1] if part.ndim else 1
+            raise ValueError(
+                f"derived population {index} has {population.arity} strategies, got a state of length {length}"
+            )
+        owner, share = self._gathers[population]
         bp = population.base_population
-        vec = np.zeros((*stack, self.base_game.strategy_counts[bp]))
-        for t, mem in enumerate(population.members):
-            if len(mem) == 1:
-                vec[..., mem[0]] = part[..., t]
-            else:
-                idx = list(mem)
-                ref = self._rest_parts[bp][idx]
-                total = float(ref.sum())
-                share = ref / total if total > 0 else np.full(len(idx), 1.0 / len(idx))
-                vec[..., idx] = part[..., t, None] * share
-        parts[bp] = vec
-        return SocialState._unchecked(tuple(parts)) if stack else SocialState(parts=tuple(parts))
+        vec = part[..., owner] * share
+        _check_masses(bp, vec)
+        stack = part.shape[:-1]
+        return tuple(vec if p == bp else np.broadcast_to(r, (*stack, r.size)) for p, r in enumerate(self._rest_parts))
 
-    # -- payoffs and rates ----------------------------------------------
-
-    @staticmethod
-    def _padded_payoff(population: DerivedPopulation, y: np.ndarray) -> np.ndarray:
-        # derived payoffs from the base payoffs y of the population, one state or a stack; aggregates get 0
-        out = np.zeros((*y.shape[:-1], population.arity))
-        for t, mem in enumerate(population.members):
-            if len(mem) == 1:
-                out[..., t] = y[..., mem[0]]
-        return out
-
-    def derived_payoff(self, derived_state: SocialState) -> tuple[np.ndarray, ...]:
-        """Derived payoffs, one state or a stack: a singleton's base payoff, 0 for an aggregate (no rate reads them)."""
-        base_state = self.reconstruct(derived_state.parts)
-        payoffs = _checked_rates(self.base_game, (), base_state.parts)[0]
-        return tuple(self._padded_payoff(pop, payoffs[pop.base_population]) for pop in self.populations)
+    # -- rates -----------------------------------------------------------
 
     def marginal_block(self, index: int, part: np.ndarray) -> np.ndarray:
         """Rate block of derived population ``index`` at its own state, or the blocks of an ``(S, arity)`` stack.
@@ -226,41 +215,33 @@ class TransformedGame:
         else one per state; invalid values raise the validating path's error at the first offending state.
         """
         pop = self.populations[index]
-        base_state = self.fill_base_state(pop, part)
-        rates = _checked_rates(self.base_game, self.base_protocols, base_state.parts)[1]
+        rates = _checked_rates(self.base_game, self.base_protocols, self.fill_base_state(pop, part))[1]
         return derived_block(pop, rates[pop.base_population])
 
-    def marginal_game(self, index: int) -> tuple[PopulationGame, RevisionProtocol]:
-        """Standalone single-population game for one derived population."""
-        pop = self.populations[index]
-        bp = pop.base_population
-
-        def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
-            base = self.fill_base_state(pop, state.parts[0])
-            payoffs = _checked_rates(self.base_game, (), base.parts)[0]
-            return (self._padded_payoff(pop, payoffs[bp]),)
-
-        stacked = self.base_game.vectorized and all(proto.vectorized for proto in self.base_protocols)
-        game = PopulationGame((self.base_game.masses[bp],), (pop.arity,), payoff, vectorized=stacked)
-        protocol = RevisionProtocol(
+    def _derived_protocol(self, index: int) -> RevisionProtocol:
+        return RevisionProtocol(
             kind="derived",
             rate_fn=lambda pi, x: self.marginal_block(index, x),
-            support_floor=self.base_protocols[bp].support_floor,
-            symmetric=None,
-            vectorized=stacked,
+            support_floor=self.base_protocols[self.populations[index].base_population].support_floor,
+            vectorized=self.base_game.vectorized and all(proto.vectorized for proto in self.base_protocols),
         )
-        return game, protocol
+
+    def marginal_game(self, index: int) -> tuple[PopulationGame, RevisionProtocol]:
+        """Standalone single-population game for one derived population, with a zero payoff."""
+        pop, protocol = self.populations[index], self._derived_protocol(index)
+        mass = self.base_game.masses[pop.base_population]
+        return PopulationGame((mass,), (pop.arity,), _zero_payoff, vectorized=protocol.vectorized), protocol
 
     def as_population_game(self) -> tuple[PopulationGame, tuple[RevisionProtocol, ...]]:
-        """The derived game as a plain multi-population game.
+        """The derived game as a plain multi-population game, with a zero payoff.
 
         Each derived population's protocol reads only its own coordinates
         (via the fill-in rule), so the populations evolve independently.
         Both are ``vectorized`` exactly when the base game and every base protocol are.
         """
         masses = tuple(self.base_game.masses[pop.base_population] for pop in self.populations)
-        protocols = tuple(self.marginal_game(i)[1] for i in range(len(self.populations)))
-        game = PopulationGame(masses, self.arities, self.derived_payoff, vectorized=protocols[0].vectorized)
+        protocols = tuple(self._derived_protocol(i) for i in range(len(self.populations)))
+        game = PopulationGame(masses, self.arities, _zero_payoff, vectorized=protocols[0].vectorized)
         return game, protocols
 
 

@@ -23,11 +23,10 @@ its per-count loop, ``_reference_weight_loop``, is the one that
 ``_reference_grid_rates`` is the per-state payoff and rate loop that
 :func:`symgame.games.grid_rates` keeps for custom callables, and the three
 ``_reference_*_csv`` functions the per-row f-string CSV writers.  The
-``_reference_derived_*``, ``_reference_fill_base_state``,
-``_reference_padded_payoff``, ``_reference_marginal_block`` and
-``_reference_collapse_last_two`` functions are the one-state derived-game
-evaluations that the stacked :class:`symgame.TransformedGame` methods
-replaced.
+``_reference_derived_block``, ``_reference_fill_base_state``,
+``_reference_marginal_block`` and ``_reference_collapse_last_two``
+functions are the one-state derived-game evaluations that the stacked
+:class:`symgame.TransformedGame` methods replaced.
 """
 
 import collections
@@ -78,7 +77,7 @@ from symgame import (
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.dynamics import _ROW_BLOCK, _spans, _velocity
-from symgame.games import count_states, grid_rates, protocol_tuple
+from symgame.games import _checked_rates, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
 
@@ -376,28 +375,6 @@ def _reference_fill_base_state(tg, population, part):
             vec[idx] = float(part[t]) * share
     parts[bp] = vec
     return SocialState(parts=tuple(parts))
-
-
-def _reference_padded_payoff(tg, population, base_state):
-    y = tg.base_game.payoff_at(base_state)[population.base_population]
-    out = np.empty(population.arity)
-    for t, mem in enumerate(population.members):
-        if len(mem) == 1:
-            out[t] = y[mem[0]]
-        else:
-            out[t] = 0.0
-    return out
-
-
-def _reference_derived_payoff(tg, derived_parts):
-    base_parts = [np.zeros(n) for n in tg.base_game.strategy_counts]
-    for pop, part in zip(tg.populations, derived_parts, strict=True):
-        if pop.is_passthrough:
-            base_parts[pop.base_population] = np.asarray(part, dtype=float).copy()
-        else:
-            base_parts[pop.base_population][pop.leading] = float(part[0])
-    base_state = SocialState(parts=tuple(base_parts))
-    return tuple(_reference_padded_payoff(tg, pop, base_state) for pop in tg.populations)
 
 
 def _reference_marginal_block(tg, index, part):
@@ -1152,25 +1129,14 @@ class TestDerivedStacks:
         for i, (pop, stack) in enumerate(zip(tg.populations, stacks)):
             filled = tg.fill_base_state(pop, stack)
             blocks = tg.marginal_block(i, stack)
-            mg, _ = tg.marginal_game(i)
-            payoffs = mg.payoff(SocialState._unchecked((stack,)))[0]
             assert blocks.shape == (len(stack), pop.arity, pop.arity)
             for s, part in enumerate(stack):
                 want_state = _reference_fill_base_state(tg, pop, part)
                 want_block = _reference_marginal_block(tg, i, part)
-                want_payoff = _reference_padded_payoff(tg, pop, want_state)
                 one_state = tg.fill_base_state(pop, part)
-                for got, one, want in zip(filled.parts, one_state.parts, want_state.parts):
+                for got, one, want in zip(filled, one_state, want_state.parts, strict=True):
                     assert got[s].tobytes() == one.tobytes() == want.tobytes()
                 assert blocks[s].tobytes() == tg.marginal_block(i, part).tobytes() == want_block.tobytes()
-                one_payoff = mg.payoff(SocialState.single(part))[0]
-                assert payoffs[s].tobytes() == one_payoff.tobytes() == want_payoff.tobytes()
-        derived = tg.derived_payoff(SocialState._unchecked(tuple(stacks)))
-        for s in range(len(stacks[0])):
-            want = _reference_derived_payoff(tg, [stack[s] for stack in stacks])
-            one = tg.derived_payoff(SocialState(parts=tuple(stack[s] for stack in stacks)))
-            for got, got_one, w in zip(derived, one, want):
-                assert got[s].tobytes() == got_one.tobytes() == w.tobytes()
         # rates spread over 16 decades, so every summation order shows
         for pop in tg.populations:
             n = tg.base_game.strategy_counts[pop.base_population]
@@ -1197,11 +1163,50 @@ class TestDerivedStacks:
         game, protocols = counted.as_population_game()
         assert game.vectorized == stacked and all(proto.vectorized == stacked for proto in protocols)
         counted._rest_parts  # the rest point's own evaluations are not counted
+        per_callable = 1 if stacked else len(stacks[0])
         for i, stack in enumerate(stacks):
             calls.clear()
             counted.marginal_block(i, stack)
-            per_callable = 1 if stacked else len(stack)
             assert calls == {"payoff": per_callable, **{p: per_callable for p in range(len(tg.base_protocols))}}
+        # the derived game's own payoff costs no base call: one per derived population in all
+        calls.clear()
+        _checked_rates(game, protocols, tuple(stacks))
+        per_game = per_callable * len(stacks)
+        assert calls == {"payoff": per_game, **{p: per_game for p in range(len(tg.base_protocols))}}
+
+    @pytest.mark.parametrize("part", [[0.5, 0.5, 0.7], [[0.4, 0.6, 0.0], [0.5, 0.5, 9.0]], [0.5], [[0.5], [1.0]]])
+    def test_a_state_of_the_wrong_length_raises_before_any_base_call(self, part):
+        calls = collections.Counter()
+        tg = decompose(make_linear_game(RPS), constant_protocol(1.0))
+        counted = dataclasses.replace(
+            tg, base_game=dataclasses.replace(tg.base_game, payoff=_counted(tg.base_game.payoff, calls, "payoff"))
+        )
+        counted._rest_parts  # the rest point's own evaluations are not counted
+        calls.clear()
+        message = f"derived population 1 has 2 strategies, got a state of length {np.shape(part)[-1]}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            counted.marginal_block(1, np.array(part))
+        assert calls == {}
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([-0.1, 1.1], "population 1: negative mass -0.1"),
+            ([1.1, -0.1], "population 1: negative mass -0.05"),  # the aggregate's mass, split in halves
+            ([np.nan, 1.0], "population 1: state has non-finite entries"),
+            ([0.0, np.inf], "population 1: state has non-finite entries"),
+        ],
+        ids=["negative-singleton", "negative-aggregate", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_an_invalid_state_raises_the_one_state_error_on_a_stack_too(self, bad, message, stacked):
+        # derived population 4 leads with strategy 2 of base population 1; a stack raises at its first bad row
+        tg = decompose(make_separable_game([RPS, RPS]), constant_protocol(1.0))
+        part = np.array([[0.5, 0.5], bad, [-0.3, 1.3]]) if stacked else np.array(bad)
+        for call in (lambda: tg.fill_base_state(tg.populations[4], part), lambda: tg.marginal_block(4, part)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == message
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_an_invalid_rate_at_one_count_raises_the_per_state_error(self, vectorized):

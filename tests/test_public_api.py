@@ -63,7 +63,9 @@ def test_public_names_are_pinned():
 
 
 def test_removed_methods_stay_gone():
-    assert not hasattr(symgame.TransformedGame, "rate_pair")
+    for name in ("rate_pair", "reconstruct", "derived_payoff", "_padded_payoff"):
+        assert not hasattr(symgame.TransformedGame, name), name
+    assert not hasattr(symgame.DerivedPopulation, "is_passthrough")
     assert not hasattr(symgame.StateGrid, "index")
     assert not hasattr(symgame.StateGrid, "states")
     for name in ("flat", "from_counts", "counts", "denominators"):

@@ -66,13 +66,18 @@ class TestSymmetrize3to2:
         assert down == [5.0, 7.0, 8.0]
         assert up == [2.5, 3.5, 4.0]
 
-    def test_payoff_zero_padding(self):
-        game = make_linear_game(RPS)
-        tg = decompose(game, constant_protocol(1.0))
-        x = SocialState.single([0.6, 0.3, 0.1])
-        (alpha, beta, gamma) = game.payoff_at(x)[0]
-        padded = tg.derived_payoff(tg.embed(x))
-        assert [v.tolist() for v in padded] == [[alpha, 0.0], [beta, 0.0], [gamma, 0.0]]
+    def test_derived_payoffs_are_zero(self):
+        # no derived rate reads a derived payoff, so both derived games return zeros of the derived shapes
+        tg = decompose(make_linear_game(RPS), constant_protocol(1.0))
+        one = tg.embed(SocialState.single([0.6, 0.3, 0.1]))
+        stack = SocialState._unchecked(tuple(np.tile(part, (4, 1)) for part in one.parts))
+        dg, _ = tg.as_population_game()
+        games = [(dg, range(3))] + [(tg.marginal_game(i)[0], [i]) for i in range(3)]
+        for game, members in games:
+            for state, shape in ((one, (2,)), (stack, (4, 2))):
+                payoffs = game.payoff(SocialState._unchecked(tuple(state.parts[i] for i in members)))
+                assert [p.shape for p in payoffs] == [shape] * len(members)
+                assert all(not p.any() for p in payoffs)
 
     def test_rejects_asymmetric_protocol(self):
         game = make_linear_game(RPS)
@@ -249,7 +254,7 @@ class TestDecompose:
         game = make_linear_game(np.eye(2))
         tg = decompose(game, table_protocol([[0.5, 1.0], [2.0, 0.5]]))
         assert len(tg.populations) == 1
-        assert tg.populations[0].is_passthrough
+        assert tg.populations[0].stages == ()
         block = tg.marginal_block(0, np.array([0.25, 0.75]))
         assert np.array_equal(block, [[0.5, 1.0], [2.0, 0.5]])
 
@@ -271,12 +276,12 @@ class TestDecompose:
             assert tg.arities == (2, 3, 4)
             assert tg.lineage == ("p1:id", "p2:id", "p3:id")
             for pop, n in zip(tg.populations, (2, 3, 4)):
-                assert pop.is_passthrough
+                assert pop.stages == ()
                 assert pop.members == tuple((i,) for i in range(n))
                 assert pop.rotation == tuple(range(n))
         single = decompose(make_linear_game(RPS), constant_protocol(1.0), 3)
         assert single.lineage == ()
-        assert single.populations[0].is_passthrough
+        assert single.populations[0].stages == ()
 
     def test_mixed_population_game_partial_target(self):
         game = make_separable_game([np.zeros((2, 2)), np.zeros((4, 4))])
@@ -289,7 +294,7 @@ class TestDecompose:
         game = make_linear_game(RPS)
         skew = table_protocol([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         tg = decompose(game, skew, 3)
-        assert tg.populations[0].is_passthrough
+        assert tg.populations[0].stages == ()
         with pytest.raises(SymgameError, match="asymmetry"):
             decompose(game, skew, 2)
 
