@@ -51,9 +51,9 @@ __all__ = [
     "deviation_vs_ode",
 ]
 
-# above this many states of the full chain, LU fill-in costs more memory than Jacobi-scaled power
-# iteration (+33% peak RSS at 45,451 states); LU on that chain's 15,151 symmetry orbits still added
-# 15-27 MB over repeated experiment runs, so the full count, not the orbit count, picks the solve
+# above this many states of the solved chain (the orbits when a symmetry lumps it), LU fill-in costs
+# more memory than Jacobi-scaled power iteration (+33% peak RSS on 45,451 states); on the 15,151
+# orbits of RPS at N = 300 the factors hold 1,277,775 entries and keep peak RSS below power's
 LU_STATE_LIMIT = 20_000
 
 # random draws per refill of each path's two streams
@@ -183,32 +183,36 @@ def build_generator(
         raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
     if rates is None:
         rates = grid_rates(game, protocols, grid)
-    n_states = len(grid)
-    q_blocks, pops, froms, tos = [], [], [], []
+    n_states, width = len(grid), sum(n * n for n in grid.strategy_counts)
+    q_all = np.empty((n_states, width))
+    moves = np.empty((3, width), dtype=np.int32)  # population, from- and to-strategy of each column
+    c = 0
     for p, (rho, n, a) in enumerate(zip(rates, grid.strategy_counts, grid.offsets)):
         if rho.shape != (n_states, n, n):
             raise ValueError(f"population {p}: rates shape {rho.shape} != ({n_states}, {n}, {n})")
         q = grid.counts[:, a:a + n, None] * rho
         q[:, np.arange(n), np.arange(n)] = 0.0  # self-switches are unobservable
-        q_blocks.append(q.reshape(n_states, n * n))
-        pops.append(np.full(n * n, p))
-        i, j = np.divmod(np.arange(n * n), n)
-        froms.append(i)
-        tos.append(j)
-    q_all = np.hstack(q_blocks)
+        q_all[:, c:c + n * n] = q.reshape(n_states, n * n)
+        moves[0, c:c + n * n] = p
+        moves[1:, c:c + n * n] = np.divmod(np.arange(n * n), n)
+        c += n * n
     hit = np.flatnonzero(q_all)
-    src_arr, col = np.divmod(hit, q_all.shape[1])
     rate_arr = q_all.ravel()[hit]
-    pop, s_from, s_to = (np.concatenate(v)[col] for v in (pops, froms, tos))
-    offsets = np.asarray(grid.offsets)
-    moved = grid.counts[src_arr]
-    rows = np.arange(len(hit))
-    moved[rows, offsets[pop] + s_from] -= 1
-    moved[rows, offsets[pop] + s_to] += 1
-    dst_arr = grid.ranks(moved)
+    del q_all, q
+    src_arr, col = np.divmod(hit, width)
+    del hit
+    pop, s_from, s_to = moves[:, col]
+    # one move type at a time, so no (edges x strategies) array is ever held
+    unit = np.eye(grid.counts.shape[1], dtype=np.int64)
+    at = np.asarray(grid.offsets)[moves[0]]
+    dst_arr = np.empty_like(src_arr)
+    for c, delta in enumerate(unit[at + moves[2]] - unit[at + moves[1]]):
+        edges = np.flatnonzero(col == c)
+        dst_arr[edges] = grid.ranks(grid.counts[src_arr[edges]] + delta)
+    del col
 
     off_diag = sp.coo_matrix((rate_arr, (src_arr, dst_arr)), shape=(n_states, n_states))
-    row_sums = np.asarray(off_diag.sum(axis=1)).ravel()
+    row_sums = np.bincount(src_arr, weights=rate_arr, minlength=n_states)
     diag = sp.coo_matrix((-row_sums, (np.arange(n_states), np.arange(n_states))),
                          shape=(n_states, n_states))
     generator = (off_diag + diag).tocsr()
@@ -219,9 +223,9 @@ def build_generator(
         src=src_arr,
         dst=dst_arr,
         rate=rate_arr,
-        pop=pop.astype(np.int32),
-        from_strategy=s_from.astype(np.int32),
-        to_strategy=s_to.astype(np.int32),
+        pop=pop,
+        from_strategy=s_from,
+        to_strategy=s_to,
         game=game,
         protocols=protocols,
     )
@@ -292,16 +296,16 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     when there is no symmetry) and ``symmetry_defect`` (the largest accepted
     ``max |Q[sigma x, sigma y] - Q[x, y]|``) go in the metadata.
 
-    The full chain's state count, not the orbit count, picks the solve (see
-    ``LU_STATE_LIMIT``).  Up to ``LU_STATE_LIMIT`` (20,000) states it is sparse LU on the
-    transposed generator with its last equation replaced by the normalization row, plus one
-    step of iterative refinement.  Above, power iteration runs on the Jacobi-scaled lazy jump
-    chain ``K = I + 0.99 D^-1 Q`` (D the exit rates), mapped back by ``mu ~ nu / D``, with its
-    ``iterations`` in the metadata.  The residual ``max |mu Q|`` on the full chain is checked
-    against 1e-12 times its largest rate and stored in the metadata; ``SolverError`` is raised
-    above it, or when power iteration does not converge.  Probabilities below about 1e-16 are
-    correct only to within a small factor (up to 7.6x at 8e-20 against a GTH state-reduction
-    solve); the total-variation distance is unaffected.
+    The size of the system solved, the orbit count when lumped, picks the solve.  Up to
+    ``LU_STATE_LIMIT`` (20,000) states or orbits it is sparse LU on the transposed generator
+    with its last equation replaced by the normalization row, threshold pivoting and one step of
+    iterative refinement (:func:`_lu_stationary`).  Above, power iteration runs on the
+    Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q`` (D the exit rates), mapped back by
+    ``mu ~ nu / D``, with its ``iterations`` in the metadata.  The residual ``max |mu Q|`` on
+    the full chain is checked against 1e-12 times its largest rate and stored in the metadata;
+    ``SolverError`` is raised above it, or when power iteration does not converge.
+    Probabilities below about 1e-16 are correct only to within a small factor (up to 7.6x at
+    8e-20 against a GTH state-reduction solve); the total-variation distance is unaffected.
     """
     n_comp, labels = _communicating_classes(chain)
     if n_comp > 1:
@@ -319,7 +323,7 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
         rows = q[np.unique(orbit, return_index=True)[1]]  # R Q: the first state of each orbit
         q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(sizes),) * 2)
         q.sum_duplicates()  # (R Q) L: columns summed by orbit
-    if chain.num_states <= LU_STATE_LIMIT:
+    if q.shape[0] <= LU_STATE_LIMIT:
         metadata = {"solver": "lu"}
         mu = _lu_stationary(q)
     else:
@@ -342,6 +346,10 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
 def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
     # Row j of Q in CSR is column j of A = Q^T in CSC.  Drop A's last row and
     # append a 1 to every column in its place: the equation sum(mu) = 1.
+    # A's columns are diagonally dominant, so with a 0.1 threshold and an A + A^T ordering
+    # SuperLU pivots on the diagonal except where the normalization row's 1 dominates
+    # (Stewart 1994, ch. 2).  On the 15,151 orbits of RPS at N = 300 the factors hold
+    # 1,277,775 entries, against 1,492,528 with partial pivoting.
     n = q.shape[0]
     keep = q.indices != n - 1
     kept_before = np.concatenate(([0], np.cumsum(keep)))[q.indptr]
@@ -354,7 +362,8 @@ def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
     )
     b = np.zeros(n)
     b[-1] = 1.0
-    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, relax=2, panel_size=4,
+              options={"SymmetricMode": True})
     mu = lu.solve(b)
     mu += lu.solve(b - A @ mu)
     return mu

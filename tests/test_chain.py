@@ -1,9 +1,17 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, multinomial
 
 from symgame import (
@@ -22,6 +30,7 @@ from symgame import (
     exact_stationary,
     integrate_mean_dynamic,
     make_linear_game,
+    make_separable_game,
     mean_dynamic_rhs,
     simulate_path,
     simulate_paths,
@@ -31,7 +40,9 @@ from symgame import (
 )
 from symgame import chain as chain_module
 from symgame.chain import _lu_stationary, _power_stationary, build_grid
+from symgame.games import grid_rates
 
+ROOT = Path(__file__).resolve().parent.parent
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
 
@@ -96,6 +107,28 @@ def _uniformized_power_iterations(chain):
         if it % 64 == 0 and np.max(np.abs(mu @ chain.generator)) <= target:
             return it
     raise AssertionError("uniformized power iteration did not converge")
+
+
+@st.composite
+def sum_exponential_chains(draw):
+    """A ``sum_exponential`` chain (eta 0.5, 2 or 4) of a linear game of 2-4 strategies, or of a
+    separable game of two such populations; its payoffs are circulant, so that the strategy
+    shift leaves the chain unchanged, when the second value is True."""
+    n_pops = draw(st.integers(1, 2))
+    counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circulant = draw(st.booleans())
+    matrices = []
+    for n in counts:
+        matrix = rng.uniform(-1.0, 1.0, size=(n, n))
+        if circulant:
+            matrix = matrix[0][(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+        matrices.append(matrix)
+    game = make_linear_game(matrices[0]) if n_pops == 1 else make_separable_game(matrices)
+    eta = draw(st.sampled_from([0.5, 2.0, 4.0]))
+    largest = {1: {2: 30, 3: 10, 4: 6}, 2: {2: 6, 3: 3, 4: 2}}[n_pops][max(counts)]
+    grid = build_grid(game, draw(st.integers(1, largest)))
+    return build_generator(game, sum_exponential_protocol(eta), grid), circulant
 
 
 def lattice(n, size, **kwargs):
@@ -188,6 +221,20 @@ class TestBuildGenerator:
         rows = np.asarray(chain.generator.sum(axis=1)).ravel()
         assert np.max(np.abs(rows)) < 1e-12
 
+    def test_assembly_peak_memory_is_at_most_twice_what_it_keeps(self):
+        game, proto = make_linear_game(RPS), sum_exponential_protocol(1.0)
+        grid = build_grid(game, 120)
+        rates = grid_rates(game, (proto,), grid)
+        tracemalloc.start()
+        try:
+            chain = build_generator(game, proto, grid, rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edges = (chain.src, chain.dst, chain.rate, chain.pop, chain.from_strategy, chain.to_strategy)
+        csr = (chain.generator.indptr, chain.generator.indices, chain.generator.data)
+        assert peak <= 2 * sum(a.nbytes for a in edges + csr)
+
     def test_negative_rate_aborts_construction(self):
         from symgame import ProtocolError, custom_protocol
 
@@ -255,17 +302,69 @@ class TestExactStationary:
         assert 0.5 * np.abs(lu.probabilities - power).sum() <= 1e-9
         assert iterations <= 0.75 * _uniformized_power_iterations(chain)
 
-    def test_state_count_picks_the_solve(self, monkeypatch):
+    def test_orbit_count_picks_the_solve(self, monkeypatch):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        assert exact_stationary(chain).metadata["solver"] == "lu"
+        orbits = (chain.num_states - 1) // 3 + 1  # the cyclic shift fixes only the centre
+        monkeypatch.setattr(chain_module, "LU_STATE_LIMIT", orbits)
+        lu = exact_stationary(chain)
+        assert (lu.metadata["solver"], lu.metadata["orbits"]) == ("lu", orbits)
+        assert orbits < chain.num_states
+        monkeypatch.setattr(chain_module, "LU_STATE_LIMIT", orbits - 1)
+        power = exact_stationary(chain)
+        assert (power.metadata["solver"], power.metadata["orbits"]) == ("power", orbits)
+        assert power.metadata["iterations"] > 0
+        assert power.metadata["residual"] <= 1e-12 * chain.max_rate()
+        # a game without symmetry solves all of its states, above the limit by power
+        asymmetric = make_linear_game(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3)))
+        chain = build_generator(asymmetric, sum_exponential_protocol(1.0), build_grid(asymmetric, 6))
         monkeypatch.setattr(chain_module, "LU_STATE_LIMIT", chain.num_states - 1)
         power = exact_stationary(chain)
-        assert power.metadata["solver"] == "power"
-        assert power.metadata["iterations"] > 0
-        # the full state count picks power; it runs on the cyclic orbits, checked on the full chain
-        assert power.metadata["orbits"] == (chain.num_states - 1) // 3 + 1 < chain.num_states
+        assert (power.metadata["solver"], power.metadata["orbits"]) == ("power", chain.num_states)
         assert power.metadata["residual"] <= 1e-12 * chain.max_rate()
+
+    @given(sum_exponential_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_lu_agrees_with_gth_at_every_rate_scale(self, model):
+        # scaling Q moves its rates far from the normalization row's 1, the pivot that the
+        # threshold lets SuperLU take off the diagonal.  Two independent populations whose
+        # rates differ widely make a nearly decomposable chain, which elimination with any
+        # pivoting solves only to about eps times the rate spread (at most 0.33 of it wherever
+        # the error passed 3e-14, over 4,800 such chains and scales), so that is their bound.
+        chain, circulant = model
+        bound = 1e-13
+        if len(chain.grid.sizes) == 2:
+            bound += np.finfo(float).eps * chain.rate.max() / chain.rate.min()
+        for scale in (1e-8, 1.0, 1e8):
+            scaled = dataclasses.replace(chain, generator=chain.generator * scale, rate=chain.rate * scale)
+            oracle = gth_stationary(scaled)
+            full = np.maximum(_lu_stationary(scaled.generator), 0.0)
+            assert 0.5 * np.abs(full / full.sum() - oracle).sum() <= bound
+            exact = exact_stationary(scaled)
+            assert exact.metadata["solver"] == "lu"
+            assert exact.metadata["orbits"] < chain.num_states or not circulant
+            assert 0.5 * np.abs(exact.probabilities - oracle).sum() <= bound
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = (
+            "from symgame import build_generator, exact_stationary, make_linear_game, sum_exponential_protocol\n"
+            "from symgame.chain import build_grid\n"
+            f"game = make_linear_game({RPS})\n"
+            "table = exact_stationary(build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 120)))\n"
+            "print(table.metadata['solver'], table.metadata['orbits'])\n"
+            "print(table.to_csv(), end='')\n"
+        )
+        pythonpath = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, check=True, timeout=300,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0].startswith(b"lu 2461\nstate_counts,probability,provenance\n")
+        assert outputs[0] == outputs[1]
 
     def test_an_asymmetric_game_solves_the_full_chain(self):
         game = make_linear_game(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3)))

@@ -20,8 +20,8 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 GOLDEN = {
     "coordination_table": {
-        "exact_stationary.csv": "f1757c1c1e5ca15d75d10a9060293dd1923669678e83a0f6845f2a2285001777",
-        "experiment_report.txt": "27a3f92b718af58a09c773faa800115763f2b60986fd8c026843623ecb8935b1",
+        "exact_stationary.csv": "e4d563e3c8a269c711ffec28f86b7dd9b98f2c33445b3c9fe6020fe80755f8ca",
+        "experiment_report.txt": "b61bcdf46ddf29ec7b42a8eb16b36c9d6b4292041dba359aa947bbade2a69af3",
         "occupancy_5.csv": "284f163ea1304087be1b3abb74b33cebc6fc11a48cdac23d09b0e343a103f7be",
         "path_5.csv": "b4e7fc32aace9b244280bcb155b171d8fca2fe79b9c5662f50dd5f33561dec4b",
         "predicted.csv": "321c85cf4677541e30ce2c62ed3361c1c59a0f33ad80bc58198302e7cea3b0d8",
@@ -29,8 +29,8 @@ GOLDEN = {
         "transformed_game.cfg": "7494d0ed35ab5bce1c34582eb9c74d507b0ae526279137f59c7762a9de05340f",
     },
     "rps_constant": {
-        "exact_stationary.csv": "bc1a3314d4731655a3bfb94ef067eeb37a70f4af4e003cae4c238d928fb27c59",
-        "experiment_report.txt": "ee0fff9f6a72e089a38550f17c3d985179bb127c388110aadd6aab107cb2eb63",
+        "exact_stationary.csv": "a5daab0c33119dff2a38686331b1d7bc11241235fa06a38c884c12cd55a7975d",
+        "experiment_report.txt": "d73fa7d3ac16539684cc78940b0fbc712549245c96a2d4740de698669c1715f4",
         "occupancy_1.csv": "0ed53d68a6424d58c5adbe9d0e691ad62918a8bf3d46426b46f717c3b305934e",
         "occupancy_2.csv": "63b43adf0bf8802fd74eec34641c04e004a985900831cbaa70c4f15ec0b33269",
         "occupancy_3.csv": "8abea4d627ae562bfde0fca298ec675b449d9234ffd315e9aa0f0827b34fd090",
@@ -42,8 +42,8 @@ GOLDEN = {
         "transformed_game.cfg": "3fd0660e339972097ce6eccd997186da1d5a97fa610d22f5f10e9fcc91957c34",
     },
     "rps_sum_exponential": {
-        "exact_stationary.csv": "17b403dc674372a094c57019aa6afd57c54270268e2471ac3a6391e332cbe99c",
-        "experiment_report.txt": "13f38797c6e9937570f6f5427a7d51c2bfb3963220668cedcb2795c28d40af97",
+        "exact_stationary.csv": "e6aef2da482e052acdd8a299dc60358abe120c5846836234dee8224c2d82170b",
+        "experiment_report.txt": "5544597fe374cd0872614ceeaa3426b83bdf5e90f2b44c5883e9b473e2508e74",
         "occupancy_11.csv": "f6017a7d343a34967b9a054095956f5f0f91ddf4f6927e345fd36fbbfeaa99c9",
         "occupancy_12.csv": "7442aae9daafe851a8d36cefa5036aaabee926c28a282cd5cd9ab561b6373029",
         "path_11.csv": "f684d5a295836f302e7202de0e1b0f09461048861127098167757943c235b87f",
@@ -155,13 +155,13 @@ GOLDEN_COMMANDS = {
     },
     "compare": {
         "coordination_table": {
-            "compare_report.txt": "5912562a07d84d116e95c95301506a0111cd5b8c53fb32bdadd2d35e25547135",
+            "compare_report.txt": "d0c19e72cfac1073dbf940b49831a96f604cb024031185eeba8cbf47dea60fdc",
         },
         "rps_constant": {
-            "compare_report.txt": "83ff7b235550cd437fccbef7aa3a1da61801b2e8a28cfdbef0d797b2d95dfb0b",
+            "compare_report.txt": "f7215a03d5822b95b1d9ff973dbdcf245b501820459acfb91ae3c1f86d7ebbc4",
         },
         "rps_sum_exponential": {
-            "compare_report.txt": "36f493095832db75adafb1f5dcbec3771ef3441ee57ca0bf57cc2a66fff6dc52",
+            "compare_report.txt": "d825ec95c12bbb562f100a3d29445773e08f79ae0b3bf520bd02205263ee1ec2",
         },
         "two_populations": {
             "compare_report.txt": "0ce367d830a62d2c192e5f6d549bf3f8f947e31c60c1260de2470b4536bf4a86",
@@ -183,13 +183,13 @@ GOLDEN_COMMANDS = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "f00d74c3f0ec3e4136f7c6bfc26e98413138242e686bd0f7ffc585903726fe0f",
+            "exact_stationary.csv": "f1cde7a8a30291bcabe524a8445cb1bc44c1a29dd8be4c20fe6f4abe2f454387",
         },
         "rps_constant": {
-            "exact_stationary.csv": "41e503c4ecc3528c282a27cda929da0b49fb90d88fa39d631c36aa799b75af88",
+            "exact_stationary.csv": "62bb4a1dbdfefe89405785f1c52e9b4d7f4688b7f3e59128e0e7240ecfd19073",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "2ecf1370c3a25c67197160887757651d0317d75cfcc93350d9b1aa6e494fc2ed",
+            "exact_stationary.csv": "c0883a3d06ca4959e3e4cc6afdc96d7a1ab314856c8de4209d0ca672428f243f",
         },
         "two_populations": {
             "exact_stationary.csv": "02e1a8d4081b53c17d800aa4a95b09ba95c0da7dd11210d95a37166c80abab2c",
@@ -215,16 +215,16 @@ GOLDEN_TRANSFORMED = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "1b054446e753fa8ec55a20dbb7d3c68057ab1ed6e78cd222c40d188407602fa7",
+            "exact_stationary.csv": "751ea2c926b76a2da8b76778263e2f7d80baabcbe269dc3c3cc0f03b631dacb0",
         },
         "rps_constant": {
-            "exact_stationary.csv": "701b012c99a63b37f772758776178aa100bf844bae8b75b49e7bb3e4c5f45cc5",
+            "exact_stationary.csv": "3f103184cc77f4ffe96fa09512f5a9c6dae75124441377854f332d8152b17be2",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "1d75334b3d5739ea708165259c6b734d96dcccfd02278aa8e0af3fe9b0841170",
+            "exact_stationary.csv": "0c2e15d4792efc12fd71e66f458d10cf5b1e6fa291093c2e19ac16d8260d4d9e",
         },
         "two_populations": {
-            "exact_stationary.csv": "96dd0edd0b68c1e9786a4970250d81ad1ace8e5ab4e33e8edb875adb03acb3ff",
+            "exact_stationary.csv": "53da791e9f918c1be3dd2dc0bdf95b78f6000caab7acc74f777bcb04cd5f817d",
         },
     },
     "simulate": {
