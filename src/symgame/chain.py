@@ -6,6 +6,7 @@ the per-pair normalization caps cancel against the acceptance probabilities,
 so the generator is written directly in the conditional rates.  Diagonal
 rates never produce transitions (a self-switch is unobservable), and the
 expected velocity field of this process is exactly the mean dynamic.
+scipy's sparse stack loads on the first generator build, not on import.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ import numbers
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-from scipy.sparse.linalg import splu
 
 from .dynamics import Trajectory, _format_rows, _spans
 from .errors import ProtocolError, ReducibleChainError, SolverError
@@ -35,6 +33,9 @@ from .games import (
     grid_rates,
     protocol_tuple,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "StateGrid",
@@ -115,6 +116,9 @@ class StationaryTable:
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.shape != (len(self.grid),):
             raise ValueError(f"got probabilities of shape {probs.shape} for {len(self.grid)} states")
+        bad = np.flatnonzero(~np.isfinite(probs))
+        if bad.size:
+            raise ValueError(f"non-finite probability {float(probs[bad[0]])} at state {bad[0]}")
         if np.any(probs < -1e-12):
             raise ValueError(f"negative probability {float(probs.min())}")
         probs = np.maximum(probs, 0.0)
@@ -178,6 +182,7 @@ def build_generator(
     then assembled with array operations, ordered by source state,
     population, from- and to-strategy.
     """
+    import scipy.sparse as sp
     protocols = protocol_tuple(protocol, game)
     if grid.strategy_counts != game.strategy_counts:
         raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
@@ -232,6 +237,7 @@ def build_generator(
 
 
 def _communicating_classes(chain: FiniteChain):
+    import scipy.sparse.csgraph as csgraph
     # strong connectivity ignores the diagonal, so the generator is the adjacency
     return csgraph.connected_components(chain.generator, directed=True, connection="strong")
 
@@ -258,6 +264,8 @@ def _symmetry_orbits(chain: FiniteChain) -> tuple[np.ndarray | None, float]:
     graph x -> sigma(x) over the accepted relabellings.  Labels are None when every orbit is
     one state.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.csgraph as csgraph
     grid, q, n = chain.grid, chain.generator, chain.num_states
     tol = SYMMETRY_TOL * chain.max_rate()
     diag = q.diagonal()
@@ -307,6 +315,7 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     Probabilities below about 1e-16 are correct only to within a small factor (up to 7.6x at
     8e-20 against a GTH state-reduction solve); the total-variation distance is unaffected.
     """
+    import scipy.sparse as sp
     n_comp, labels = _communicating_classes(chain)
     if n_comp > 1:
         sizes = np.bincount(labels)
@@ -337,13 +346,15 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
     residual = float(np.max(np.abs(mu @ chain.generator)))
-    if residual > bound:
+    if not residual <= bound:  # NaN included
         raise SolverError(f"stationary residual {residual:.3g} exceeds bound {bound:.3g}")
     metadata["residual"] = residual
     return StationaryTable(grid=chain.grid, probabilities=mu, provenance="exact", metadata=metadata)
 
 
 def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
     # Row j of Q in CSR is column j of A = Q^T in CSC.  Drop A's last row and
     # append a 1 to every column in its place: the equation sum(mu) = 1.
     # A's columns are diagonally dominant, so with a 0.1 threshold and an A + A^T ordering
@@ -370,6 +381,7 @@ def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
 
 
 def _power_stationary(q: sp.csr_matrix, target: float, max_iters: int = 2_000_000) -> tuple[np.ndarray, int]:
+    import scipy.sparse as sp
     # Jacobi scaling (Stewart 1994, ch. 3): nu K = nu for K = I + 0.99 D^-1 Q
     # gives mu = nu D^-1 with mu Q = 0.  Factors above 1 diverge (at 1.3).
     # ``target`` is the full chain's bound: an orbit chain sums rates, so its own is larger.

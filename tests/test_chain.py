@@ -408,6 +408,14 @@ class TestExactStationary:
         with pytest.raises(SolverError, match=r"stationary residual .* exceeds bound"):
             exact_stationary(chain)
 
+    def test_nan_residual_raises_solver_error(self, monkeypatch):
+        # NaN compares False with any bound, so the check must fail it explicitly
+        game = make_linear_game(RPS)
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
+        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: np.full(q.shape[0], np.nan))
+        with pytest.raises(SolverError, match=r"stationary residual nan exceeds bound"):
+            exact_stationary(chain)
+
     def test_reducible_chain_reports_classes(self):
         game = make_linear_game(np.zeros((2, 2)))
         one_way = table_protocol([[0.0, 1.0], [0.0, 0.0]])
@@ -602,6 +610,13 @@ class TestStationaryTable:
         with pytest.raises(ValueError) as err:
             StationaryTable(lattice(2, 3), probs, "exact")
         assert str(err.value) == f"got probabilities of shape {shape} for 4 states"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_is_reported(self, value):
+        # both the sign and the sum checks compare False on NaN
+        with pytest.raises(ValueError) as err:
+            StationaryTable(lattice(2, 3), [0.5, value, np.nan, 0.5], "exact")
+        assert str(err.value) == f"non-finite probability {value} at state 1"
 
 
 class TestDetailedBalance:

@@ -402,3 +402,35 @@ class TestStageBuilds:
         calls = self._counted(monkeypatch)
         assert run("compare", rps6, tmp_path / "out") == 0
         assert calls == {"build_grid": 1, "decompose": 1}
+
+
+# One fresh interpreter: pytest's own process already holds scipy through scipy.stats.
+SCIPY_FREE_PROBE = """\
+import sys, typing
+import symgame, symgame.cli
+from symgame.config import parse_config
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+config = parse_config(open(sys.argv[1]).read())
+for command in ("simulate", "mean-dynamic", "validate", "transform", "predict"):
+    assert symgame.cli.run_command(command, config, sys.argv[2]) == 0
+assert scipy_modules() == [], scipy_modules()
+assert symgame.cli.run_command("exact-stationary", config, sys.argv[2]) == 0
+assert "scipy.sparse.linalg" in scipy_modules()
+import scipy.sparse
+# ``sp`` is bound for type checkers only; given it, every annotation resolves
+hints = typing.get_type_hints(symgame.FiniteChain, localns={"sp": scipy.sparse})
+assert hints["generator"] is scipy.sparse.csr_matrix, hints
+"""
+
+
+def test_commands_without_a_generator_never_import_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    config = ROOT / "docs" / "examples" / "rps_sum_exponential.cfg"
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_PROBE, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr

@@ -75,24 +75,29 @@ def test_removed_methods_stay_gone():
     assert "solver" not in inspect.signature(symgame.exact_stationary).parameters
 
 
-def _top_level_imports(tree: ast.Module) -> list[str]:
-    """The names the module's top-level import statements bind, ``from __future__`` aside."""
-    names = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names += [alias.asname or alias.name for alias in node.names]
-    return names
+def _imported_names(node: ast.AST) -> list[str]:
+    """The names an import statement binds, ``from __future__`` aside; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
 
 
-# the package's own imports are its re-exports, pinned by PUBLIC_NAMES
+# the package's own imports are its re-exports, pinned by PUBLIC_NAMES;
+# an import inside a function must be read in that function
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_import_is_used_or_exported(module_name):
     module = importlib.import_module(module_name)
     tree = ast.parse(pathlib.Path(module.__file__).read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [name for name in _top_level_imports(tree) if name not in used | set(getattr(module, "__all__", ()))]
+    top_level = [name for node in tree.body for name in _imported_names(node)]
+    unused = [name for name in top_level if name not in used | set(getattr(module, "__all__", ()))]
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{func.name}: {name}" for node in ast.walk(func) for name in _imported_names(node)
+                       if name not in read]
     assert unused == []
 
 
