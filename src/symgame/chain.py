@@ -11,6 +11,7 @@ scipy's sparse stack loads on the first generator build, not on import.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from array import array
@@ -59,6 +60,9 @@ LU_STATE_LIMIT = 20_000
 
 # random draws per refill of each path's two streams
 DRAW_BLOCK = 1024
+
+# lattice states per evaluation of the move weights, for a vectorized model, in the event loop
+TILE_STATES = 64
 
 
 def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -475,11 +479,13 @@ def simulate_paths(
     population, else ``KeyError``.
 
     The seeds run one after another, each as one event loop on Python floats.
-    At a state a path has not yet visited in this call, the payoffs and rates
-    are evaluated once (one call of the payoff map and of each ``rate_fn``),
-    and the running sums of the move weights ``k_i * rho_ij``, in a fixed
-    move order, are kept for every later visit by any seed of the call; the
-    total exit rate is the last running sum.  Each path owns two streams,
+    The running sums of the move weights ``k_i * rho_ij`` at a state, in a
+    fixed move order, are computed at its first visit in this call and kept
+    for every later visit by any seed; the total exit rate is the last
+    running sum.  A ``vectorized`` model (game and protocols) is evaluated
+    one tile at a time, one call of the payoff map and of each ``rate_fn``
+    over a box of about ``TILE_STATES`` lattice states, visited or not; any
+    other model once per visited state.  Each path owns two streams,
     ``default_rng`` of each child of ``SeedSequence(seed).spawn(2)``: the
     first gives the standard exponential ``E`` of each event (holding time
     ``E / total``), the second the uniform ``V`` (the move is the first
@@ -497,7 +503,9 @@ def simulate_paths(
     keep the event throughput, each state screens only the weights it draws
     from (a finite total, no negative weight), so an invalid payoff that the
     protocol ignores, or a negative diagonal rate, passes here;
-    :func:`build_generator` and the mean dynamic reject both.
+    :func:`build_generator` and the mean dynamic reject both.  A tile runs
+    with numpy's warnings off, and a visited state whose row fails or whose
+    tile raises is evaluated alone: unvisited states never warn or raise.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -556,21 +564,44 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
     strides = [math.prod(bases[:c]) for c in range(len(bases))]
     key_steps = [sum(d * s for d, s in zip(row, strides)) for row in deltas.tolist()]
     cumulative_at = {}  # key -> running sums of the move weights, shared by this call's seeds
+    # a tile is a box of `edge` counts in each free column (all but each population's last): a
+    # vectorized model evaluates its lattice states in one call, any other model one state per call
+    free = [c for a, b in spans for c in range(a, b - 1)]
+    # row i of `lift` moves one agent from its population's last strategy to free column i
+    lift = unit[free] - unit[[b - 1 for a, b in spans for _ in range(a, b - 1)]]
+    edge = int(TILE_STATES ** (1 / len(free)) + 1e-9) if all(m.vectorized for m in (game, *protocols)) else 1
+    box = np.indices([edge] * len(free)).reshape(len(free), -1).T
+    tiles = {}  # tile origin -> the running sums of each state of its box
+
+    def evaluate(k):
+        # running sums of the move weights at each row of counts `k`; NaN ends a row that fails the
+        # screen (no negative weight, a finite total), and every row if an output has a wrong shape
+        out = _unscreened_rates(game, protocols, tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)]))
+        if out is None:
+            return np.full((len(k), len(deltas)), math.nan)
+        weights = np.concatenate([(k[:, a:b, None] * rho).reshape(len(k), -1)[:, idx]
+                                  for (a, b), rho, idx in zip(spans, out[1], off_diagonal)], axis=1)
+        weights[np.minimum.reduce(weights, axis=1) < 0.0, -1] = math.nan
+        return np.add.accumulate(weights, axis=1)
 
     def running_sums(key):
-        # one evaluation per visited state, as a one-row stack
+        # a state's first visit in this call reads its row of its tile's evaluation; a failed row
+        # is evaluated alone, as a one-state tile, which raises the error of an invalid state
         counts = [key // s % base for s, base in zip(strides, bases)]
-        k = np.array([counts], dtype=float)  # exact: counts stay far below 2**53
-        x_parts = tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)])
-        out = _unscreened_rates(game, protocols, x_parts)
-        if out is None:
-            _raise_invalid(game, protocols, x_parts, counts)
-        weights = np.concatenate([(k[:, a:b, None] * rho).reshape(1, -1)[:, idx]
-                                  for (a, b), rho, idx in zip(spans, out[1], off_diagonal)], axis=1)
-        cumulative = np.add.accumulate(weights, axis=1)[0].tolist()
-        if not (np.minimum.reduce(weights, axis=None) >= 0.0 and math.isfinite(cumulative[-1])):
-            _raise_invalid(game, protocols, x_parts, counts)
-        cumulative_at[key] = cumulative = tuple(cumulative)
+        offsets = [counts[c] % edge for c in free]
+        origin = tuple([counts[c] - o for c, o in zip(free, offsets)])
+        if len(box) > 1 and origin not in tiles:
+            k = (counts + (box - offsets) @ lift).astype(float)  # exact: counts stay far below 2**53
+            on_lattice = np.all(k >= 0.0, axis=1)
+            tiles[origin] = np.full((len(box), len(deltas)), math.nan)  # a NaN row is evaluated alone
+            with contextlib.suppress(Exception), np.errstate(all="ignore"):  # unvisited states may be invalid
+                tiles[origin][on_lattice] = evaluate(k[on_lattice])
+        rows, row = tiles.get(origin), np.ravel_multi_index(offsets, [edge] * len(free))
+        if rows is None or not math.isfinite(rows[row, -1]):
+            rows, row = evaluate(np.array([counts], dtype=float)), 0
+            if not math.isfinite(rows[0, -1]):
+                _raise_invalid(game, protocols, resolutions, counts)
+        cumulative_at[key] = cumulative = tuple(rows[row].tolist())
         return cumulative
 
     recorded = []
@@ -601,10 +632,11 @@ def _draws(seed):
                        uniforms.random(DRAW_BLOCK).tolist())
 
 
-def _raise_invalid(game, protocols, x_parts, counts) -> None:
+def _raise_invalid(game, protocols, resolutions, counts) -> None:
     """Raise the error of the state whose move weights failed the event loop's screen."""
     # the checked evaluation raises the precise error, if the rates have one
-    _checked_rates(game, protocols, x_parts)
+    parts = tuple([np.array([counts[a:b]]) / r for (a, b), r in zip(_spans(game), resolutions)])
+    _checked_rates(game, protocols, parts)
     state = _counts_format(game.strategy_counts) % tuple(counts)
     raise ProtocolError(f"jump rates k_i * rho_ij overflow at state {state}; every rate is finite")
 

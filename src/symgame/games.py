@@ -103,7 +103,8 @@ class PopulationGame:
     whose parts carry a leading axis of states, ``(S, n_p)`` each, and
     returns one ``(S, n_p)`` payoff array per population, row ``s`` equal to
     the payoff at state ``s``.  With vectorized protocols too,
-    :func:`grid_rates` evaluates a whole lattice in one call each.
+    :func:`grid_rates` evaluates a whole lattice in one call each, and a
+    simulated path a tile of nearby lattice states, visited or not.
     """
 
     masses: tuple[float, ...]
@@ -223,7 +224,9 @@ class RevisionProtocol:
     declares that the same ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per
     state, and returns the ``(S, n, n)`` stack of their rate matrices; the built-in protocols
     are vectorized.  The payoffs and ``rate_fn`` must be deterministic functions of the
-    state: a simulated path evaluates each state it visits once per call and reuses its rates.
+    state: a simulated path reuses a state's rates for the rest of its call.  It evaluates a
+    vectorized model one tile of nearby lattice states per call, visited or not, and any other
+    model once per visited state.
     """
 
     kind: str
@@ -317,7 +320,7 @@ def custom_protocol(
     symmetric: bool | None = None,
     name: str = "custom",
 ) -> RevisionProtocol:
-    """A non-vectorized protocol; ``rate_fn`` must be deterministic, as a path evaluates each visited state once."""
+    """A non-vectorized protocol: a path evaluates it once per visited state, so ``rate_fn`` must be deterministic."""
     return RevisionProtocol(
         kind=name, rate_fn=rate_fn, support_floor=float(support_floor), symmetric=symmetric
     )

@@ -26,7 +26,10 @@ its per-count loop, ``_reference_weight_loop``, is the one that
 ``_reference_derived_block``, ``_reference_fill_base_state``,
 ``_reference_marginal_block`` and ``_reference_collapse_last_two``
 functions are the one-state derived-game evaluations that the stacked
-:class:`symgame.TransformedGame` methods replaced.
+:class:`symgame.TransformedGame` methods replaced.  The event loop's tiles
+(one stacked evaluation per box of lattice states) are held to one-state
+tiles, ``symgame.chain.TILE_STATES = 1``, and each stacked row to the
+one-row evaluation of its state.
 """
 
 import collections
@@ -77,7 +80,7 @@ from symgame import (
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.dynamics import _ROW_BLOCK, _spans, _velocity
-from symgame.games import _checked_rates, count_states, grid_rates, protocol_tuple
+from symgame.games import _checked_rates, _unscreened_rates, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
 
@@ -587,6 +590,27 @@ def symmetric_models(draw):
     return game, tuple(protocols), draw(st.integers(1, largest))
 
 
+@st.composite
+def tiled_path_models(draw):
+    """A vectorized model of one or two populations (2-4 strategies, ``constant``,
+    ``sum_exponential`` or ``table``) at N = 2-40, a random lattice state and 1-3 seeds.
+
+    Two populations stay below N = 40 where their product lattice, which occupancy
+    enumerates, would pass 10,000 states."""
+    n_pops = draw(st.integers(1, 2))
+    counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in counts]
+    game = make_linear_game(matrices[0]) if n_pops == 1 else make_separable_game(matrices)
+    kinds = draw(st.lists(st.sampled_from(PROTOCOL_KINDS[:3]), min_size=n_pops, max_size=n_pops))
+    protocols = tuple(_protocol(kind, n, rng) for kind, n in zip(kinds, counts))
+    largest = 40 if n_pops == 1 else {2: 40, 3: 12, 4: 6}[max(counts)]
+    resolution = draw(st.integers(2, largest))
+    x0 = tuple(tuple(rng.multinomial(resolution, np.full(n, 1.0 / n)).tolist()) for n in counts)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True))
+    return (game, protocols, resolution), x0, seeds
+
+
 # -- tests ------------------------------------------------------------------
 
 
@@ -992,6 +1016,37 @@ class TestSimulatePath:
         for a, b in zip(batch, alone):
             assert a.to_csv() == b.to_csv()
             assert a.occupancy.to_csv() == b.occupancy.to_csv()
+
+    @given(tiled_path_models(), st.floats(0.0, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_tiles_give_the_bytes_of_one_state_tiles(self, drawn, burn_in_share):
+        # every stacked call is one tile: each of its rows must equal the one-row evaluation of its
+        # lattice state, the states that no path visits included, and the paths must not move a byte
+        (game, protocols, resolution), x0, seeds = drawn
+        horizon = 2.0  # tens to hundreds of events
+        calls = []
+
+        def spy(*args):
+            calls.append((args[2], _unscreened_rates(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(chain_module, "_unscreened_rates", spy):
+            tiled = simulate_paths((game, protocols, resolution), x0, horizon, seeds,
+                                   burn_in=burn_in_share * horizon, collect_occupancy=True)
+        with mock.patch.object(chain_module, "TILE_STATES", 1):
+            alone = simulate_paths((game, protocols, resolution), x0, horizon, seeds,
+                                   burn_in=burn_in_share * horizon, collect_occupancy=True)
+        for a, b in zip(tiled, alone):
+            assert a.to_csv() == b.to_csv()
+            assert a.occupancy.to_csv() == b.occupancy.to_csv()
+        assert calls
+        for parts, (payoffs, rates) in calls:
+            for s in range(len(parts[0])):
+                row = tuple((np.rint(part[s] * resolution) / resolution)[None, :] for part in parts)
+                assert all(x.tobytes() == part[s].tobytes() for x, part in zip(row, parts))
+                one_payoffs, one_rates = _unscreened_rates(game, protocols, row)
+                for one, stacked in zip([*one_payoffs, *one_rates], [*payoffs, *rates]):
+                    assert one.tobytes() == stacked[s:s + 1].tobytes()
 
     def test_block_size_does_not_change_the_bytes(self, monkeypatch):
         # about 2,000 events per path: the default block refills once, a block of 7 every 7 events

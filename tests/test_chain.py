@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,10 @@ from scipy.stats import binom, multinomial
 from symgame import (
     GridSizeError,
     PathResult,
+    PopulationGame,
+    ProtocolError,
     ReducibleChainError,
+    RevisionProtocol,
     SocialState,
     SolverError,
     StationaryTable,
@@ -602,6 +606,108 @@ class TestSimulatePath:
         calls.clear()
         simulate_paths((game, proto, 4), ((2, 1, 1),), 50.0, seeds)
         assert len(calls) == len(visited)  # the states of one call are not kept for the next
+
+
+def vectorized_protocol(rate_fn):
+    return RevisionProtocol(kind="tiled", rate_fn=rate_fn, vectorized=True)
+
+
+class TestTiles:
+    """A vectorized model's move weights come from one call per lattice tile; an invalid or
+    raising state that no path visits must act as with one-state tiles, where it is never evaluated."""
+
+    # N = 100 from (34, 33, 33) to t = 0.05: the paths stay below 37 agents on strategy 0, yet
+    # their 8 x 8 tiles hold states with 37-39
+    N, X0, HORIZON, SEEDS = 100, ((34, 33, 33),), 0.05, [1, 2, 3]
+
+    @pytest.mark.parametrize("bad_rates", [
+        lambda x: -np.ones(x.shape[:-1]),  # negative
+        lambda x: np.sqrt(0.365 - x[..., 0]),  # NaN, with a RuntimeWarning
+    ])
+    def test_invalid_rates_at_unvisited_states_neither_raise_nor_warn(self, bad_rates, monkeypatch):
+        seen = []
+
+        def rate_fn(pi, x):
+            seen.append(round(x[:, 0].max() * self.N))
+            ok = np.where(x[:, 0] < 0.365, 1.0, bad_rates(x))
+            return np.exp(pi[:, :, None] + pi[:, None, :]) * ok[:, None, None]
+
+        game = make_linear_game(RPS)
+        model = (game, vectorized_protocol(rate_fn), self.N)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tiled = simulate_paths(model, self.X0, self.HORIZON, self.SEEDS)
+        assert caught == []
+        assert max(seen) >= 37  # a tile held an invalid state
+        assert max(int(path.counts[:, 0].max()) for path in tiled) < 37  # that no path visited
+        monkeypatch.setattr(chain_module, "TILE_STATES", 1)
+        alone = simulate_paths(model, self.X0, self.HORIZON, self.SEEDS)
+        assert [path.to_csv() for path in tiled] == [path.to_csv() for path in alone]
+
+    def test_a_payoff_that_raises_at_an_unvisited_state_does_not_fail_the_path(self, monkeypatch):
+        matrix = np.array(RPS, dtype=float)
+        raised = []
+
+        def payoff(state):
+            x = state.parts[0]
+            if np.any(x[..., 0] >= 0.365):
+                raised.append(len(x))
+                raise ValueError("payoff undefined above 36 agents on strategy 0")
+            return (np.matmul(matrix, x[..., None])[..., 0],)
+
+        game = PopulationGame((1.0,), (3,), payoff, vectorized=True)
+        model = (game, sum_exponential_protocol(1.0), self.N)
+        tiled = simulate_paths(model, self.X0, self.HORIZON, self.SEEDS)
+        assert raised and max(int(path.counts[:, 0].max()) for path in tiled) < 37
+        monkeypatch.setattr(chain_module, "TILE_STATES", 1)
+        alone = simulate_paths(model, self.X0, self.HORIZON, self.SEEDS)
+        assert [path.to_csv() for path in tiled] == [path.to_csv() for path in alone]
+
+    @pytest.mark.parametrize("rates, message", [
+        (lambda x: np.where(x[..., 0] < 0.3, 1e306, 1.0), "^jump rates k_i \\* rho_ij overflow at state 29 "),
+        (lambda x: np.where(x[..., 0] < 0.3, -x[..., 1], 1.0), "^protocol 'tiled' produced negative rates "),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in accumulate:RuntimeWarning")
+    def test_an_invalid_visited_state_raises_the_one_state_error(self, rates, message, monkeypatch):
+        # as in the custom-protocol test above: seeds 1 and 0 drop below 30 of 100 agents on
+        # strategy 0 by t = 1, seed 1 first in seed order, and seed 2 does not
+        def rate_fn(pi, x):
+            return np.broadcast_to(rates(x)[..., None, None], (*x.shape, x.shape[-1]))
+
+        model, x0 = (make_linear_game(RPS), vectorized_protocol(rate_fn), 100), ((34, 33, 33),)
+        errors = {}
+        for tiles in ("tiled", "alone"):
+            if tiles == "alone":
+                monkeypatch.setattr(chain_module, "TILE_STATES", 1)
+            simulate_path(model, x0, 1.0, seed=2)
+            for seeds in ([1], [0], [2, 1, 0]):
+                with pytest.raises(ProtocolError, match=message) as err:
+                    simulate_paths(model, x0, 1.0, seeds)
+                errors[tiles, tuple(seeds)] = str(err.value)
+        assert errors["tiled", (1,)] != errors["tiled", (0,)]
+        for seeds in ((1,), (0,), (2, 1, 0)):
+            assert errors["tiled", seeds] == errors["alone", seeds]
+        assert errors["tiled", (2, 1, 0)] == errors["tiled", (1,)]
+
+    def test_each_tile_is_evaluated_once_per_call(self):
+        # the benchmark's path workload: RPS with sum_exponential at N = 1000, four seeds to t = 10
+        base = sum_exponential_protocol(1.0)
+        tiles_of_calls = []
+
+        def rate_fn(pi, x):
+            tiles_of_calls.append({tuple(row) for row in np.rint(x[:, :2] * 1000).astype(int) // edge})
+            return base.rate_fn(pi, x)
+
+        edge = int(chain_module.TILE_STATES ** 0.5 + 1e-9)
+        game = make_linear_game(RPS)
+        paths = simulate_paths((game, vectorized_protocol(rate_fn), 1000), ((500, 300, 200),), 10.0, [1, 2, 3, 4])
+        visited = {tuple(row) for path in paths for row in path.counts[:, :2].tolist()}
+        touched = {(a // edge, b // edge) for a, b in visited}
+        assert all(len(tiles) == 1 for tiles in tiles_of_calls)  # each call is one tile
+        called = [tiles.pop() for tiles in tiles_of_calls]
+        assert len(called) == len(set(called))  # never twice for one tile
+        assert set(called) == touched  # and only for the tiles that a path touches
+        assert len(called) * 20 < len(visited)
 
 
 class TestStationaryTable:
