@@ -29,7 +29,9 @@ from .games import (
     PopulationGame,
     RevisionProtocol,
     StateGrid,
+    _check_rate_shapes,
     _checked_rates,
+    _per_population,
     _unscreened_rates,
     grid_rates,
     protocol_tuple,
@@ -69,9 +71,9 @@ def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], t
     """Per-population resolutions N and agent counts N * mass, which must be integers."""
     if isinstance(resolution, numbers.Integral):
         resolution = (resolution,) * game.num_populations
-    resolutions = tuple(int(r) for r in resolution)
+    resolutions = tuple(int(r) for r in _per_population(resolution, game.num_populations, "resolutions"))
     sizes = []
-    for p, (res, m) in enumerate(zip(resolutions, game.masses, strict=True)):
+    for p, (res, m) in enumerate(zip(resolutions, game.masses)):
         if res < 1:
             raise ValueError(f"population {p}: resolution must be >= 1, got {res}")
         size = res * m
@@ -144,11 +146,9 @@ class StationaryTable:
 class FiniteChain:
     """Sparse generator of the revision process on an enumerated grid.
 
-    Edge arrays run over the off-diagonal transitions; entry k encodes the
-    jump ``src[k] -> dst[k]`` moving one agent of population ``pop[k]`` from
-    strategy ``from_strategy[k]`` to ``to_strategy[k]`` at ``rate[k]``.
-    Edges are ordered by source state, then population, from- and
-    to-strategy.
+    Edge arrays run over the off-diagonal transitions with a nonzero rate;
+    entry k is the jump ``src[k] -> dst[k]`` at ``rate[k]``.  Edges are
+    ordered by source state, then by the move order of :func:`_moves`.
     """
 
     grid: StateGrid
@@ -156,9 +156,6 @@ class FiniteChain:
     src: np.ndarray
     dst: np.ndarray
     rate: np.ndarray
-    pop: np.ndarray
-    from_strategy: np.ndarray
-    to_strategy: np.ndarray
     game: PopulationGame
     protocols: tuple[RevisionProtocol, ...]
 
@@ -168,6 +165,28 @@ class FiniteChain:
 
     def max_rate(self) -> float:
         return float(np.max(np.abs(self.generator.data))) if self.generator.nnz else 0.0
+
+
+def _moves(spans) -> tuple[list[np.ndarray], np.ndarray]:
+    """The move layout of the jump process: one agent of a population switches from i to j != i.
+
+    Moves run by population, then row-major over the ordered pairs ``(i, j)``.
+    Returns each population's ``i * n + j`` indices into its flattened ``n x n``
+    rate matrix, and the count change of every move, one row per move.
+    """
+    unit = np.eye(spans[-1][1], dtype=np.int64)
+    off_diagonal = [np.flatnonzero(~np.eye(b - a, dtype=bool)) for a, b in spans]
+    deltas = np.array([
+        unit[a + j] - unit[a + i]
+        for (a, b), idx in zip(spans, off_diagonal) for i, j in zip(*np.divmod(idx, b - a))
+    ])
+    return off_diagonal, deltas
+
+
+def _move_weights(counts, rates, spans, off_diagonal) -> np.ndarray:
+    """The weight ``k_i * rho_ij`` of every move of :func:`_moves` at each row of the count stack ``counts``."""
+    return np.concatenate([(counts[:, a:b, None] * rho).reshape(len(counts), -1)[:, idx]
+                           for (a, b), rho, idx in zip(spans, rates, off_diagonal)], axis=1)
 
 
 def build_generator(
@@ -183,61 +202,37 @@ def build_generator(
     entries are the negative row sums.  The rate matrices come from
     :func:`symgame.games.grid_rates`, evaluated once per grid, or from
     ``rates`` when the caller already holds them for this grid; edges are
-    then assembled with array operations, ordered by source state,
-    population, from- and to-strategy.
+    then assembled with array operations, ordered by source state, then by
+    the move order of :func:`_moves`.
     """
     import scipy.sparse as sp
     protocols = protocol_tuple(protocol, game)
     if grid.strategy_counts != game.strategy_counts:
         raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
+    n_states, spans = len(grid), _spans(game)
     if rates is None:
         rates = grid_rates(game, protocols, grid)
-    n_states, width = len(grid), sum(n * n for n in grid.strategy_counts)
-    q_all = np.empty((n_states, width))
-    moves = np.empty((3, width), dtype=np.int32)  # population, from- and to-strategy of each column
-    c = 0
-    for p, (rho, n, a) in enumerate(zip(rates, grid.strategy_counts, grid.offsets)):
-        if rho.shape != (n_states, n, n):
-            raise ValueError(f"population {p}: rates shape {rho.shape} != ({n_states}, {n}, {n})")
-        q = grid.counts[:, a:a + n, None] * rho
-        q[:, np.arange(n), np.arange(n)] = 0.0  # self-switches are unobservable
-        q_all[:, c:c + n * n] = q.reshape(n_states, n * n)
-        moves[0, c:c + n * n] = p
-        moves[1:, c:c + n * n] = np.divmod(np.arange(n * n), n)
-        c += n * n
-    hit = np.flatnonzero(q_all)
-    rate_arr = q_all.ravel()[hit]
-    del q_all, q
-    src_arr, col = np.divmod(hit, width)
+    _check_rate_shapes(rates, grid.strategy_counts, n_states)
+    off_diagonal, deltas = _moves(spans)
+    weights = _move_weights(grid.counts, rates, spans, off_diagonal)
+    hit = np.flatnonzero(weights)
+    rate_arr = weights.ravel()[hit]
+    del weights
+    src_arr, move = np.divmod(hit, len(deltas))
     del hit
-    pop, s_from, s_to = moves[:, col]
-    # one move type at a time, so no (edges x strategies) array is ever held
-    unit = np.eye(grid.counts.shape[1], dtype=np.int64)
-    at = np.asarray(grid.offsets)[moves[0]]
+    # one move at a time, so no (edges x strategies) array is ever held
     dst_arr = np.empty_like(src_arr)
-    for c, delta in enumerate(unit[at + moves[2]] - unit[at + moves[1]]):
-        edges = np.flatnonzero(col == c)
+    for m, delta in enumerate(deltas):
+        edges = np.flatnonzero(move == m)
         dst_arr[edges] = grid.ranks(grid.counts[src_arr[edges]] + delta)
-    del col
+    del move
 
     off_diag = sp.coo_matrix((rate_arr, (src_arr, dst_arr)), shape=(n_states, n_states))
     row_sums = np.bincount(src_arr, weights=rate_arr, minlength=n_states)
     diag = sp.coo_matrix((-row_sums, (np.arange(n_states), np.arange(n_states))),
                          shape=(n_states, n_states))
     generator = (off_diag + diag).tocsr()
-
-    return FiniteChain(
-        grid=grid,
-        generator=generator,
-        src=src_arr,
-        dst=dst_arr,
-        rate=rate_arr,
-        pop=pop,
-        from_strategy=s_from,
-        to_strategy=s_to,
-        game=game,
-        protocols=protocols,
-    )
+    return FiniteChain(grid, generator, src_arr, dst_arr, rate_arr, game, protocols)
 
 
 def _communicating_classes(chain: FiniteChain):
@@ -435,8 +430,9 @@ class PathResult:
 
 
 def _normalize_x0(x0, strategy_counts, sizes) -> list[np.ndarray]:
-    parts = [np.asarray([int(v) for v in part], dtype=np.int64) for part in x0]
-    for p, (part, n) in enumerate(zip(parts, strategy_counts, strict=True)):
+    parts = [np.asarray([int(v) for v in part], dtype=np.int64)
+             for part in _per_population(x0, len(strategy_counts), "initial count blocks")]
+    for p, (part, n) in enumerate(zip(parts, strategy_counts)):
         if part.shape != (n,):
             raise ValueError(f"population {p}: initial counts shape {part.shape} != ({n},)")
         if np.any(part < 0):
@@ -479,10 +475,10 @@ def simulate_paths(
     population, else ``KeyError``.
 
     The seeds run one after another, each as one event loop on Python floats.
-    The running sums of the move weights ``k_i * rho_ij`` at a state, in a
-    fixed move order, are computed at its first visit in this call and kept
-    for every later visit by any seed; the total exit rate is the last
-    running sum.  A ``vectorized`` model (game and protocols) is evaluated
+    The running sums of the move weights ``k_i * rho_ij`` at a state, in the
+    move order of :func:`_moves` (the edge order of :class:`FiniteChain`), are
+    computed at its first visit in this call and kept for every later visit
+    by any seed; the total exit rate is the last running sum.  A ``vectorized`` model (game and protocols) is evaluated
     one tile at a time, one call of the payoff map and of each ``rate_fn``
     over a box of about ``TILE_STATES`` lattice states, visited or not; any
     other model once per visited state.  Each path owns two streams,
@@ -551,14 +547,8 @@ def simulate_paths(
 def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
     """The event loop of :func:`simulate_paths`: the event times and count rows of each path."""
     spans = _spans(game)
-    # fixed move layout: per population, its ordered off-diagonal pairs (i, j)
-    # row-major; row m of `deltas` is the count change of move m
-    off_diagonal = [np.flatnonzero(~np.eye(b - a, dtype=bool)) for a, b in spans]
+    off_diagonal, deltas = _moves(spans)
     unit = np.eye(len(k0), dtype=np.int64)
-    deltas = np.array([
-        unit[a + j] - unit[a + i]
-        for (a, b), idx in zip(spans, off_diagonal) for i, j in zip(*np.divmod(idx, b - a))
-    ])
     # a state's key is its counts in mixed radix: a column of population p has N^p * mass + 1 digits
     bases = [size + 1 for (a, b), size in zip(spans, sizes) for _ in range(a, b)]
     strides = [math.prod(bases[:c]) for c in range(len(bases))]
@@ -579,8 +569,7 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
         out = _unscreened_rates(game, protocols, tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)]))
         if out is None:
             return np.full((len(k), len(deltas)), math.nan)
-        weights = np.concatenate([(k[:, a:b, None] * rho).reshape(len(k), -1)[:, idx]
-                                  for (a, b), rho, idx in zip(spans, out[1], off_diagonal)], axis=1)
+        weights = _move_weights(k, out[1], spans, off_diagonal)
         weights[np.minimum.reduce(weights, axis=1) < 0.0, -1] = math.nan
         return np.add.accumulate(weights, axis=1)
 

@@ -63,6 +63,14 @@ def _check_masses(p: int, vec: np.ndarray) -> None:
         raise ValueError(f"population {p}: negative mass {float(row.min())}")
 
 
+def _per_population(items, num_populations: int, what: str) -> tuple:
+    """``items`` as a tuple, which must hold one entry per population, else ``ValueError``."""
+    items = tuple(items)
+    if len(items) != num_populations:
+        raise ValueError(f"got {len(items)} {what} for {num_populations} populations")
+    return items
+
+
 @dataclass(frozen=True, eq=False)
 class SocialState:
     """Per-population strategy masses: ``parts[p]`` is the nonnegative mass vector of population ``p``."""
@@ -87,10 +95,6 @@ class SocialState:
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", parts)
         return obj
-
-    @property
-    def num_populations(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +136,8 @@ class PopulationGame:
         values = self.payoff(state)
         if isinstance(values, np.ndarray) and self.num_populations == 1:
             values = (values,)
+        values = _per_population(values, self.num_populations, "payoff vectors")
         values = tuple(np.asarray(v, dtype=float) for v in values)
-        if len(values) != self.num_populations:
-            raise ValueError(
-                f"payoff returned {len(values)} vectors for {self.num_populations} populations"
-            )
         for p, (vec, n) in enumerate(zip(values, self.strategy_counts)):
             if vec.shape != (n,):
                 raise ValueError(f"population {p}: payoff shape {vec.shape} != ({n},)")
@@ -145,11 +146,8 @@ class PopulationGame:
         return values
 
     def require_valid_state(self, state: SocialState, tol: float = MASS_TOL) -> None:
-        if state.num_populations != self.num_populations:
-            raise ValueError(
-                f"state has {state.num_populations} populations, game has {self.num_populations}"
-            )
-        for p, (vec, m, n) in enumerate(zip(state.parts, self.masses, self.strategy_counts)):
+        parts = _per_population(state.parts, self.num_populations, "state parts")
+        for p, (vec, m, n) in enumerate(zip(parts, self.masses, self.strategy_counts)):
             if vec.shape != (n,):
                 raise ValueError(f"population {p}: state shape {vec.shape} != ({n},)")
             if abs(float(vec.sum()) - m) > max(tol, tol * m):
@@ -332,12 +330,7 @@ def protocol_tuple(
     """Normalize a protocol argument to one protocol per population."""
     if isinstance(protocol, RevisionProtocol):
         return (protocol,) * game.num_populations
-    protocols = tuple(protocol)
-    if len(protocols) != game.num_populations:
-        raise ValueError(
-            f"got {len(protocols)} protocols for {game.num_populations} populations"
-        )
-    return protocols
+    return _per_population(protocol, game.num_populations, "protocols")
 
 
 def count_states(strategy_counts: Sequence[int], sizes: Sequence[int]) -> int:
@@ -374,8 +367,8 @@ class StateGrid:
 
     def __init__(self, strategy_counts, sizes, resolutions, limit: int = DEFAULT_GRID_LIMIT):
         self.strategy_counts = tuple(int(n) for n in strategy_counts)
-        self.sizes = tuple(int(s) for s in sizes)
-        self.resolutions = tuple(int(r) for r in resolutions)
+        self.sizes = tuple(int(s) for s in _per_population(sizes, len(self.strategy_counts), "sizes"))
+        self.resolutions = tuple(int(r) for r in _per_population(resolutions, len(self.sizes), "resolutions"))
         self._radix = tuple(count_states((n,), (s,)) for n, s in zip(self.strategy_counts, self.sizes))
         for per_pop in self._radix:
             if per_pop > limit:
@@ -445,10 +438,6 @@ class StateGrid:
 
     def state(self, ordinal: int) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(part) for part in self._parts(ordinal))
-
-    def social_state(self, ordinal: int) -> SocialState:
-        parts = zip(self._parts(ordinal), self.resolutions)
-        return SocialState(parts=tuple(np.asarray(part, dtype=float) / res for part, res in parts))
 
     def format_state(self, ordinal: int) -> str:
         return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
@@ -573,6 +562,13 @@ def _checked_rates(game, protocols, parts) -> tuple[list[np.ndarray], list[np.nd
     raise ProtocolError("payoff or protocol changed its output on re-evaluation")
 
 
+def _check_rate_shapes(rates, strategy_counts, n_states: int) -> None:
+    """Raise ``ValueError`` unless ``rates`` holds one ``(n_states, n_p, n_p)`` array per population."""
+    for p, (rho, n) in enumerate(zip(_per_population(rates, len(strategy_counts), "rate arrays"), strategy_counts)):
+        if np.shape(rho) != (n_states, n, n):
+            raise ValueError(f"population {p}: rates shape {np.shape(rho)} != ({n_states}, {n}, {n})")
+
+
 def grid_rates(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
@@ -602,15 +598,18 @@ def validate_hypotheses(
 
     A :class:`StateGrid` makes the check exhaustive.  Its rates come from
     :func:`grid_rates`, evaluated once per grid; pass its result as
-    ``rates`` to share it with :func:`symgame.chain.build_generator`.
+    ``rates`` to share it with :func:`symgame.chain.build_generator`; it must
+    hold one ``(len(states), n_p, n_p)`` array per population.
     """
     if not len(states):
         raise ValueError("need at least one sample state")
     protocols = protocol_tuple(protocol, game)
     exhaustive = isinstance(states, StateGrid)
-    if rates is None and exhaustive:
+    if rates is not None:
+        _check_rate_shapes(rates, game.strategy_counts, len(states))
+    elif exhaustive:
         rates = grid_rates(game, protocols, states)
-    elif rates is None:
+    else:
         parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
         rates = _checked_rates(game, protocols, parts)[1]
     per_pop = [

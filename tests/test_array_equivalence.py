@@ -111,7 +111,7 @@ def _reference_generator(game, protocol, resolution):
     sizes = [round(resolution * m) for m in game.masses]
     states = _reference_states(game.strategy_counts, sizes)
     index = {counts: i for i, counts in enumerate(states)}
-    src, dst, rate, pop, s_from, s_to = [], [], [], [], [], []
+    src, dst, rate = [], [], []
     for ordinal, counts in enumerate(states):
         state = _lattice_state(counts, resolutions)
         payoffs = game.payoff_at(state)
@@ -135,9 +135,6 @@ def _reference_generator(game, protocol, resolution):
                     src.append(ordinal)
                     dst.append(index[tuple(target)])
                     rate.append(q)
-                    pop.append(p)
-                    s_from.append(i)
-                    s_to.append(j)
     n = len(states)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -150,9 +147,6 @@ def _reference_generator(game, protocol, resolution):
         "src": src,
         "dst": dst,
         "rate": rate,
-        "pop": np.asarray(pop, dtype=np.int32),
-        "from_strategy": np.asarray(s_from, dtype=np.int32),
-        "to_strategy": np.asarray(s_to, dtype=np.int32),
     }
 
 
@@ -160,7 +154,7 @@ def _reference_grid_rates(game, protocols, grid):
     # one payoff and one rate_fn call per state, stacked afterwards
     per_state = []
     for ordinal in range(len(grid)):
-        state = grid.social_state(ordinal)
+        state = _lattice_state(grid.state(ordinal), grid.resolutions)
         payoffs = game.payoff(state)
         per_state.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, state.parts)])
     return [np.array(stack, dtype=float) for stack in zip(*per_state)]
@@ -635,7 +629,7 @@ class TestBuildGenerator:
         game, protocols, resolution = model
         chain = build_generator(game, protocols, build_grid(game, resolution))
         expected = _reference_generator(game, protocols, resolution)
-        for name in ("src", "dst", "rate", "pop", "from_strategy", "to_strategy"):
+        for name in ("src", "dst", "rate"):
             got = getattr(chain, name)
             assert got.dtype == expected[name].dtype, name
             assert np.array_equal(got, expected[name]), name
@@ -768,7 +762,7 @@ class TestValidateHypotheses:
         # the grid's one-pass rates against the validating per-state path
         game, protocols, resolution = model
         grid = build_grid(game, resolution)
-        states = [grid.social_state(ordinal) for ordinal in range(len(grid))]
+        states = [_lattice_state(grid.state(ordinal), grid.resolutions) for ordinal in range(len(grid))]
         on_grid = validate_hypotheses(game, protocols, grid)
         on_states = validate_hypotheses(game, protocols, states)
         assert on_grid.exhaustive and not on_states.exhaustive

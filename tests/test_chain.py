@@ -24,6 +24,7 @@ from symgame import (
     RevisionProtocol,
     SocialState,
     SolverError,
+    StateGrid,
     StationaryTable,
     build_generator,
     check_detailed_balance,
@@ -41,6 +42,7 @@ from symgame import (
     specs_from_transform,
     sum_exponential_protocol,
     table_protocol,
+    validate_hypotheses,
 )
 from symgame import chain as chain_module
 from symgame.chain import _lu_stationary, _power_stationary, build_grid
@@ -176,6 +178,40 @@ def test_numpy_integer_resolution_acts_as_int(stage, integer):
     assert np.array_equal(run(integer(4)), run(4))
 
 
+_TWO_POPULATIONS = make_separable_game([np.eye(2), np.array(RPS, dtype=float)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda game: build_grid(game, (3,)), "got 1 resolutions for 2 populations"),
+    (lambda game: simulate_paths((game, constant_protocol(1.0), (3,)), ((3, 0), (3, 0, 0)), 1.0, [0]),
+     "got 1 resolutions for 2 populations"),
+    (lambda game: simulate_paths((game, constant_protocol(1.0), 3), ((3, 0),), 1.0, [0]),
+     "got 1 initial count blocks for 2 populations"),
+    (lambda game: StateGrid(game.strategy_counts, (3,), (3,)), "got 1 sizes for 2 populations"),
+    (lambda game: StateGrid(game.strategy_counts, (3, 3), (3, 3, 3)), "got 3 resolutions for 2 populations"),
+    (lambda game: game.require_valid_state(SocialState.single([0.5, 0.5])), "got 1 state parts for 2 populations"),
+    (lambda game: dataclasses.replace(game, payoff=lambda s: (s.parts[0],)).payoff_at(game.barycenter()),
+     "got 1 payoff vectors for 2 populations"),
+], ids=["build_grid", "simulate_paths_resolution", "simulate_paths_x0", "grid_sizes", "grid_resolutions",
+        "state_parts", "payoff_vectors"])
+def test_a_value_per_population_must_match_the_population_count(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_TWO_POPULATIONS)
+
+
+@pytest.mark.parametrize("entry", [build_generator, validate_hypotheses], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("pick, message", [
+    (lambda r: r[:1], "got 1 rate arrays for 2 populations"),
+    (lambda r: r + r, "got 4 rate arrays for 2 populations"),
+    (lambda r: (r[0], r[1][1:]), r"population 1: rates shape \(39, 3, 3\) != \(40, 3, 3\)"),
+], ids=["too_few", "too_many", "short_stack"])
+def test_rates_must_hold_one_grid_stack_per_population(entry, pick, message):
+    grid = build_grid(_TWO_POPULATIONS, 3)
+    rates = grid_rates(_TWO_POPULATIONS, constant_protocol(1.0), grid)
+    with pytest.raises(ValueError, match=message):
+        entry(_TWO_POPULATIONS, constant_protocol(1.0), grid, rates=pick(rates))
+
+
 class TestBuildGenerator:
     def test_grid_of_another_layout_is_rejected(self):
         game = make_linear_game(RPS)
@@ -212,7 +248,7 @@ class TestBuildGenerator:
             delta = (np.array(chain.grid.state(d)[0]) - np.array(chain.grid.state(s)[0])) / N
             velocity[s] += r * delta
         for ordinal in range(len(chain.grid)):
-            state = chain.grid.social_state(ordinal)
+            state = SocialState(parts=(chain.grid.counts[ordinal] / N,))
             (v,) = mean_dynamic_rhs(game, proto, state)
             assert np.max(np.abs(velocity[ordinal] - v)) < 1e-12
 
@@ -235,7 +271,7 @@ class TestBuildGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        edges = (chain.src, chain.dst, chain.rate, chain.pop, chain.from_strategy, chain.to_strategy)
+        edges = (chain.src, chain.dst, chain.rate)
         csr = (chain.generator.indptr, chain.generator.indices, chain.generator.data)
         assert peak <= 2 * sum(a.nbytes for a in edges + csr)
 

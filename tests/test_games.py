@@ -142,7 +142,7 @@ class TestValidateHypotheses:
         assert report.fully_supported
         floor = min(
             float(np.min(np.add.outer(pi, pi)))
-            for pi in (game.payoff_at(grid.social_state(o))[0] for o in range(len(grid)))
+            for pi in (game.payoff_at(SocialState(parts=(k / 40,)))[0] for k in grid.counts)
         )
         assert math.exp(floor) >= math.exp(-2.0)
         assert report.min_rate >= math.exp(-2.0)

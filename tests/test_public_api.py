@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pathlib
@@ -66,11 +67,13 @@ def test_removed_methods_stay_gone():
     for name in ("rate_pair", "reconstruct", "derived_payoff", "_padded_payoff"):
         assert not hasattr(symgame.TransformedGame, name), name
     assert not hasattr(symgame.DerivedPopulation, "is_passthrough")
-    assert not hasattr(symgame.StateGrid, "index")
-    assert not hasattr(symgame.StateGrid, "states")
-    for name in ("flat", "from_counts", "counts", "denominators"):
+    for name in ("index", "states", "social_state"):
+        assert not hasattr(symgame.StateGrid, name), name
+    for name in ("flat", "from_counts", "counts", "denominators", "num_populations"):
         assert not hasattr(symgame.SocialState, name), name
     assert "params" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}
+    assert {f.name for f in dataclasses.fields(symgame.FiniteChain)}.isdisjoint({"pop", "from_strategy", "to_strategy"})
+    assert not hasattr(importlib.import_module("symgame.config").ExperimentConfig, "num_populations")
     assert not hasattr(symgame.Trajectory, "state_at")
     assert "solver" not in inspect.signature(symgame.exact_stationary).parameters
 
@@ -109,12 +112,25 @@ def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[str]:
     return names.union(*(_attribute_reads(child, skip) for child in ast.iter_child_nodes(tree)))
 
 
-def test_every_config_field_is_read():
-    # parse_config fills the fields and render_config writes them back; some other code must use each one
-    reads = set()
-    for module_name in MODULES:
-        tree = ast.parse(pathlib.Path(importlib.import_module(module_name).__file__).read_text())
-        reads |= _attribute_reads(tree, {"parse_config", "render_config"})
-    config_class = importlib.import_module("symgame.config").ExperimentConfig
-    assert [f.name for f in dataclasses.fields(config_class) if f.name not in reads] == []
-    assert not hasattr(config_class, "num_populations")
+# the dataclasses `import symgame` offers, and the config that the CLI reads
+DATACLASSES = [
+    value for value in vars(symgame).values() if isinstance(value, type) and dataclasses.is_dataclass(value)
+] + [importlib.import_module("symgame.config").ExperimentConfig]
+
+
+@functools.cache
+def _package_reads() -> frozenset[str]:
+    """Attribute names loaded in the package and in perfbench, outside parse_config and render_config."""
+    files = [pathlib.Path(importlib.import_module(name).__file__) for name in MODULES]
+    files += sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    return frozenset().union(*(_attribute_reads(ast.parse(f.read_text()), {"parse_config", "render_config"})
+                               for f in files))
+
+
+@pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: cls.__name__)
+def test_every_dataclass_field_is_read(cls):
+    # some code of the package or of perfbench must load each field as an attribute, apart from
+    # parse_config, which fills the config, and render_config, which writes it back.  Any
+    # attribute of that name counts, so a field named like a method read elsewhere passes unread:
+    # a field ``pop`` would, since ``run.pop("N")`` in ``symgame.config`` loads a dict's ``pop``.
+    assert [f.name for f in dataclasses.fields(cls) if f.name not in _package_reads()] == []
