@@ -74,16 +74,43 @@ def _spans(game: PopulationGame) -> list[tuple[int, int]]:
     return list(itertools.pairwise([0, *itertools.accumulate(game.strategy_counts)]))
 
 
-def _velocity(game, protocols, spans, x) -> np.ndarray:
-    """The mean-dynamic velocity at the flat state ``x`` clamped at zero (RK4 stages can undershoot it).
+def _velocity_fn(game, protocols, spans):
+    """The mean-dynamic velocity at flat states ``y``, clamped at zero first (RK4 stages can undershoot it).
 
-    One checked evaluation gives the rates and their row sums, the outflow rate of each strategy.
+    Each call is screened as :func:`integrate_mean_dynamic` says; one that fails is evaluated again
+    by :func:`symgame.games._checked_rates`, which raises the precise error or passes finite values
+    whose sum overflowed.  A callable's own exception propagates, as it would from there.
     """
-    x = np.maximum(x, 0.0)
-    parts = tuple([x[a:b] for a, b in spans])
-    _, rates, row_sums = _checked_rates(game, protocols, parts)
-    v = [rho.T @ xp - xp * r for rho, xp, r in zip(rates, parts, row_sums)]
-    return v[0] if len(v) == 1 else np.concatenate(v)
+    payoff, one = game.payoff, len(spans) == 1
+    slices, shapes = [slice(a, b) for a, b in spans], [(b - a,) for a, b in spans]
+    squares = [(proto.rate_fn, (b - a, b - a)) for proto, (a, b) in zip(protocols, spans)]
+
+    def velocity(y):
+        x = np.maximum(y, 0.0)
+        x.setflags(write=False)
+        parts = (x,) if one else tuple(map(x.__getitem__, slices))
+        values = payoff(SocialState._unchecked(parts))
+        if one and isinstance(values, np.ndarray):
+            values = (values,)
+        payoffs = [np.asarray(pi, dtype=float) for pi in values]
+        if [pi.shape for pi in payoffs] == shapes:
+            v = []
+            for (rate_fn, square), pi, xp in zip(squares, payoffs, parts):
+                rho = np.asarray(rate_fn(pi, xp), dtype=float)
+                if rho.shape != square:
+                    break
+                # inf and NaN propagate through a float sum; finite values whose sum overflows go the checked way
+                flat = rho.ravel().tolist()
+                if min(flat) < 0 or not math.isfinite(sum(flat) + sum(pi.tolist()) + sum(xp.tolist())):
+                    break
+                v.append(rho.T @ xp - xp * np.add.reduce(rho, axis=-1))
+            else:
+                return v[0] if one else np.concatenate(v)
+        _, rates, row_sums = _checked_rates(game, protocols, parts)
+        v = [rho.T @ xp - xp * r for rho, xp, r in zip(rates, parts, row_sums)]
+        return v[0] if one else np.concatenate(v)
+
+    return velocity
 
 
 def _stopped(what: str, step: int, p: int, detail: str) -> IntegrationDivergedError:
@@ -98,7 +125,7 @@ def mean_dynamic_rhs(
     """Per-population velocity vectors; each sums to zero (mass conservation)."""
     game.require_valid_state(state, tol=1e-9)
     spans = _spans(game)
-    v = _velocity(game, protocol_tuple(protocol, game), spans, np.concatenate(state.parts))
+    v = _velocity_fn(game, protocol_tuple(protocol, game), spans)(np.concatenate(state.parts))
     return tuple(v[a:b] for a, b in spans)
 
 
@@ -113,12 +140,13 @@ def integrate_mean_dynamic(
 
     The horizon must be finite and an integer number of steps.  The state is one flat array,
     populations laid out contiguously in order.  Each RK4 stage ``x + h * k`` is formed once and
-    costs one payoff call and one ``rate_fn`` call per population, screened by the fused fast
-    accept of :func:`symgame.games._checked_rates` (the sum of states, payoffs and rate row sums
-    is finite, no rate is negative) or, where that fails, by its element-wise screen.  Each step
-    then works on each population's view: it subtracts the (numerically zero) mass drift;
-    undershoots below -1e-9 raise, smaller ones are clamped to zero and logged.  Any coordinate
-    exceeding 10x the population mass aborts with the offending step.
+    costs one payoff call and one ``rate_fn`` call per population, on the stage clamped at zero
+    and made read-only.  Its velocity is computed once no rate is negative and, per population,
+    the sum of the state, payoffs and rates is finite: the element-wise screen of
+    :func:`symgame.games._checked_rates`, by one Python sum.  Each step then works on each
+    population's view: it subtracts the (numerically zero) mass drift; undershoots below -1e-9
+    raise, smaller ones are clamped to zero and logged.  Any coordinate exceeding 10x the
+    population mass aborts with the offending step.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -134,10 +162,11 @@ def integrate_mean_dynamic(
     x = np.concatenate(x0.parts, out=states[0])
     half, sixth = 0.5 * dt, dt / 6.0
     clamp_events: list[int] = []
+    velocity = _velocity_fn(game, protocols, spans)
 
     def rhs(y):
         try:
-            return _velocity(game, protocols, spans, y)
+            return velocity(y)
         except ValueError:
             # rates whose row sums overflow make an RK4 stage state non-finite
             bad = [p for p, (a, b) in enumerate(spans) if not np.isfinite(y[a:b]).all()]
@@ -190,10 +219,10 @@ def rest_point(
     dynamic is relaxed from the barycenter until the velocity is below
     ``tol`` in sup norm.
     """
-    protocols, spans = protocol_tuple(protocol, game), _spans(game)
+    velocity = _velocity_fn(game, protocol_tuple(protocol, game), _spans(game))
 
     def residual(state: SocialState) -> float:
-        return float(np.max(np.abs(_velocity(game, protocols, spans, np.concatenate(state.parts)))))
+        return float(np.max(np.abs(velocity(np.concatenate(state.parts)))))
 
     candidate = game.barycenter()
     if residual(candidate) <= tol:

@@ -15,7 +15,8 @@ on the full generator the solve that it runs on symmetry orbits,
 ``_reference_rhs_parts`` the mean-dynamic right-hand side that built a
 validated state and validated rates on every call,
 ``_reference_integrate_mean_dynamic`` the RK4 loop over per-population
-arrays that called it, and
+arrays that called it, ``_reference_rest_point`` the relaxation that
+called both, and
 ``_reference_birth_death_weights`` the product loop that called the up and
 down rates as functions of the fraction, one derived rate block per call;
 its per-count loop, ``_reference_weight_loop``, is the one that
@@ -69,7 +70,9 @@ from symgame import (
     make_linear_game,
     make_separable_game,
     marginal_from_exact,
+    mean_dynamic_rhs,
     product_form_joint,
+    rest_point,
     simulate_path,
     simulate_paths,
     specs_from_transform,
@@ -79,7 +82,7 @@ from symgame import (
 )
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
-from symgame.dynamics import _ROW_BLOCK, _spans, _velocity
+from symgame.dynamics import _ROW_BLOCK, _spans, _velocity_fn
 from symgame.games import _checked_rates, _unscreened_rates, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -293,6 +296,25 @@ def _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt):
         parts = new_parts
         states[step] = np.concatenate(parts)
     return states, tuple(clamp_events)
+
+
+def _reference_rest_point(game, protocols, tol, max_horizon):
+    # the barycenter, else RK4 relaxation over growing horizons; returns the flat rest point
+    def residual(flat):
+        parts = np.split(flat, np.cumsum(game.strategy_counts))[:-1]
+        return float(np.max(np.abs(np.concatenate(_reference_rhs_parts(game, protocols, parts)))))
+
+    flat = np.concatenate(game.barycenter().parts)
+    if residual(flat) <= tol:
+        return flat
+    horizon = 10.0
+    while horizon <= max_horizon:
+        x0 = SocialState(parts=tuple(np.split(flat, np.cumsum(game.strategy_counts))[:-1]))
+        flat = _reference_integrate_mean_dynamic(game, protocols, x0, horizon, 0.01)[0][-1]
+        if residual(flat) <= tol:
+            return flat
+        horizon *= 4.0
+    raise ValueError(f"no rest point found within horizon {max_horizon}: residual {residual(flat):.3g} > {tol}")
 
 
 def _reference_weight_loop(index, N, up, down, factor_variant, orientation_variant):
@@ -534,13 +556,14 @@ PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
 
 
 @st.composite
-def models(draw, max_pops=3, decomposable=False):
+def models(draw, max_pops=3, decomposable=False, strategies=(2, 4)):
     """A linear or separable game, one protocol per population, and a resolution.
 
     ``decomposable`` draws symmetric, fully supported protocols (see :func:`_protocol`).
+    Each population has ``strategies[0]`` to ``strategies[1]`` strategies.
     """
     n_pops = draw(st.integers(1, max_pops))
-    counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
+    counts = draw(st.lists(st.integers(*strategies), min_size=n_pops, max_size=n_pops))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrices = [rng.uniform(-1.0, 1.0, size=(n, n)) for n in counts]
     if n_pops == 1 and draw(st.booleans()):
@@ -801,11 +824,18 @@ class TestProjections:
                 assert np.array_equal(marginal_from_exact(table, strategy, p), expected)
 
 
+# numpy reduces 8 or more entries in another order (eight partial sums, then pairwise)
+def any_models():
+    """:func:`models`, or one or two populations of 8-10 strategies."""
+    return st.one_of(models(), models(max_pops=2, strategies=(8, 10)))
+
+
 class TestMeanDynamicRhs:
-    @given(models(), st.integers(0, 2**32 - 1))
+    @given(any_models(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_validating_rhs(self, model, seed):
         game, protocols, _ = model
+        velocity = _velocity_fn(game, protocols, _spans(game))
         rng = np.random.default_rng(seed)
         for _ in range(5):
             # RK4 stages can undershoot zero slightly; both versions clamp
@@ -813,9 +843,30 @@ class TestMeanDynamicRhs:
                 np.where(rng.random(n) < 0.3, -1e-10, m * rng.dirichlet(np.ones(n)))
                 for m, n in zip(game.masses, game.strategy_counts)
             ]
-            got = _velocity(game, protocols, _spans(game), np.concatenate(parts))
+            got = velocity(np.concatenate(parts))
             want = np.concatenate(_reference_rhs_parts(game, protocols, parts))
             assert got.tobytes() == want.tobytes()
+            # the public one takes a valid state
+            state = SocialState(
+                parts=tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
+            )
+            want = _reference_rhs_parts(game, protocols, state.parts)
+            got = mean_dynamic_rhs(game, protocols, state)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @given(models(max_pops=2), st.sampled_from([1e-10, 1e-3]))
+    @settings(max_examples=8, deadline=None)
+    def test_rest_point_matches_the_reference_relaxation(self, model, tol):
+        game, protocols, _ = model
+
+        def found(run):
+            try:
+                return run().tobytes()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        got = found(lambda: np.concatenate(rest_point(game, protocols, tol, max_horizon=10.0).parts))
+        assert got == found(lambda: _reference_rest_point(game, protocols, tol, 10.0))
 
 
 def _boundary_state(game, rng):
@@ -836,11 +887,27 @@ def _boundary_state(game, rng):
     return SocialState(parts=tuple(parts))
 
 
+class _Refusal(Exception):
+    """A callable's own error."""
+
+
+def _refusing_rates(pi, x):
+    # step 1 from (0.7, 0.2, 0.1) at dt = 0.1 under rates of one evaluates x_0 = 0.7, 0.645, 0.65325, 0.604025
+    if x[0] < 0.62:
+        raise _Refusal(f"refused at {x.tolist()}")
+    return np.ones((3, 3))
+
+
+def _writing_payoff(state):
+    state.parts[0][0] = 0.5
+    return (np.zeros(3),)
+
+
 def _integration_outcome(run):
     """The trajectory's bytes and clamp events, or the type, message and step of the error raised."""
     try:
         states, clamp_events = run()
-    except ValueError as exc:
+    except (ValueError, _Refusal) as exc:
         return type(exc), str(exc), getattr(exc, "step", None)
     return states.tobytes(), clamp_events
 
@@ -858,7 +925,7 @@ _OVERFLOWING = "ignore:overflow encountered:RuntimeWarning"
 
 
 class TestIntegrateMeanDynamic:
-    @given(models(), st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.01, 0.05, 0.2]))
+    @given(any_models(), st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.01, 0.05, 0.2]))
     @settings(max_examples=80, deadline=None)
     @pytest.mark.filterwarnings(_OVERFLOWING)
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -916,6 +983,38 @@ class TestIntegrateMeanDynamic:
             pytest.param(
                 make_linear_game(RPS), (custom_protocol(lambda pi, x: np.ones((2, 2))),), ([0.7, 0.2, 0.1],),
                 ValueError, "protocol 'custom' returned shape (2, 2), expected (3, 3)", id="wrong-shape",
+            ),
+            # payoffs and rates that ignore the state: only the state's own check finds the stage non-finite
+            pytest.param(
+                PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=lambda s: (np.zeros(3),)),
+                (constant_protocol(1e300),), ([0.7, 0.2, 0.1],), IntegrationDivergedError,
+                "integration diverged at step 1 (population 0: non-finite RK4 stage)", id="stage-nothing-reads",
+            ),
+            # sum_exponential maps a payoff of -inf to a rate of zero: the rates and the velocity are finite
+            pytest.param(
+                PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=lambda s: (np.array([-np.inf, 0.0, 0.0]),)),
+                (sum_exponential_protocol(1.0),), ([0.7, 0.2, 0.1],), ValueError,
+                "population 0: payoff has non-finite entries", id="payoff-mapped-to-a-zero-rate",
+            ),
+            # the first invalid evaluation is stage 2, 3 or 4 of step 1 (see _refusing_rates)
+            pytest.param(
+                make_linear_game(RPS),
+                (custom_protocol(lambda pi, x: np.ones((3, 3)) if x[0] > 0.65 else -np.ones((3, 3))),),
+                ([0.7, 0.2, 0.1],), ProtocolError, "protocol 'custom' produced negative rates (min -1.0)",
+                id="negative-at-stage-2",
+            ),
+            pytest.param(
+                make_linear_game(RPS),
+                (custom_protocol(lambda pi, x: np.full((3, 3), np.nan) if 0.65 < x[0] < 0.66 else np.ones((3, 3))),),
+                ([0.7, 0.2, 0.1],), ProtocolError, "protocol 'custom' produced non-finite rates", id="nan-at-stage-3",
+            ),
+            pytest.param(
+                make_linear_game(RPS), (custom_protocol(_refusing_rates),), ([0.7, 0.2, 0.1],), _Refusal,
+                "refused at [0.6040249999999999, 0.2349, 0.16107500000000002]", id="callable-raises-at-stage-4",
+            ),
+            pytest.param(
+                PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=_writing_payoff), (constant_protocol(1.0),),
+                ([0.7, 0.2, 0.1],), ValueError, "assignment destination is read-only", id="payoff-writes-its-state",
             ),
             # every rate and every row sum is finite, their total is not: this integrates
             pytest.param(

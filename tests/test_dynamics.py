@@ -136,7 +136,7 @@ class TestIntegrate:
     def test_nan_step_raises_divergence_with_step(self, monkeypatch):
         from symgame import dynamics
 
-        monkeypatch.setattr(dynamics, "_velocity", lambda game, protocols, spans, x: np.full(3, np.nan))
+        monkeypatch.setattr(dynamics, "_velocity_fn", lambda game, protocols, spans: lambda y: np.full(3, np.nan))
         game = make_linear_game(RPS)
         with pytest.raises(IntegrationDivergedError, match=r"step 1 \(population 0: max \|x\| = nan\)"):
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), 1.0, 0.1)
@@ -189,7 +189,8 @@ class TestIntegrate:
         # failed to convert it; neither message named the argument
         from symgame import dynamics
 
-        monkeypatch.setattr(dynamics, "_velocity", mock.Mock(side_effect=AssertionError("a step ran")))
+        velocity = mock.Mock(side_effect=AssertionError("a step ran"))
+        monkeypatch.setattr(dynamics, "_velocity_fn", lambda game, protocols, spans: velocity)
         game = make_linear_game(RPS)
         with pytest.raises(ValueError) as err:
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), horizon, dt)

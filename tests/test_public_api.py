@@ -104,12 +104,52 @@ def test_every_import_is_used_or_exported(module_name):
     assert unused == []
 
 
-def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[str]:
-    """The attribute names loaded anywhere in ``tree`` outside the functions named in ``skip``."""
-    if isinstance(tree, ast.FunctionDef) and tree.name in skip:
-        return set()
-    names = {tree.attr} if isinstance(tree, ast.Attribute) and isinstance(tree.ctx, ast.Load) else set()
-    return names.union(*(_attribute_reads(child, skip) for child in ast.iter_child_nodes(tree)))
+# receivers named so hold these classes, as a bare name or as an attribute (``model.grid``)
+_RECEIVERS = {"chain": "FiniteChain", "grid": "StateGrid"}
+
+
+def _annotated_classes(node: ast.AST) -> frozenset[str] | None:
+    """The classes an annotation names (``A``, ``m.A``, ``"A"``, ``A | B``), or None if any part is none."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _annotated_classes(ast.parse(node.value, mode="eval").body)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        left, right = _annotated_classes(node.left), _annotated_classes(node.right)
+        return None if left is None or right is None else left | right
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return frozenset({node.id if isinstance(node, ast.Name) else node.attr})
+    return None
+
+
+def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[tuple[str | None, str]]:
+    """``(receiver class, attribute)`` for each attribute loaded in ``tree`` outside the functions named in ``skip``.
+
+    The receiver's class is the enclosing class for ``self``, a parameter's annotation, or
+    :data:`_RECEIVERS`; it is None where none of these names one.
+    """
+    reads = set()
+
+    def walk(node, cls, env):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            if node.name in skip:
+                return
+            args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            env = {**env, **{a.arg: a.annotation and _annotated_classes(a.annotation) for a in args}}
+            if cls is not None and args and args[0].arg == "self":
+                env["self"] = frozenset({cls})
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            receiver = node.value
+            classes = env.get(receiver.id) if isinstance(receiver, ast.Name) else None
+            name = getattr(receiver, "id", getattr(receiver, "attr", None))
+            if classes is None and name in _RECEIVERS:
+                classes = {_RECEIVERS[name]}
+            reads.update((c, node.attr) for c in classes or [None])
+        for child in ast.iter_child_nodes(node):
+            walk(child, cls, env)
+
+    walk(tree, None, {})
+    return reads
 
 
 # the dataclasses `import symgame` offers, and the config that the CLI reads
@@ -119,8 +159,8 @@ DATACLASSES = [
 
 
 @functools.cache
-def _package_reads() -> frozenset[str]:
-    """Attribute names loaded in the package and in perfbench, outside parse_config and render_config."""
+def _package_reads() -> frozenset[tuple[str | None, str]]:
+    """Attribute reads in the package and in perfbench, outside parse_config and render_config."""
     files = [pathlib.Path(importlib.import_module(name).__file__) for name in MODULES]
     files += sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
     return frozenset().union(*(_attribute_reads(ast.parse(f.read_text()), {"parse_config", "render_config"})
@@ -130,7 +170,9 @@ def _package_reads() -> frozenset[str]:
 @pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: cls.__name__)
 def test_every_dataclass_field_is_read(cls):
     # some code of the package or of perfbench must load each field as an attribute, apart from
-    # parse_config, which fills the config, and render_config, which writes it back.  Any
-    # attribute of that name counts, so a field named like a method read elsewhere passes unread:
-    # a field ``pop`` would, since ``run.pop("N")`` in ``symgame.config`` loads a dict's ``pop``.
-    assert [f.name for f in dataclasses.fields(cls) if f.name not in _package_reads()] == []
+    # parse_config, which fills the config, and render_config, which writes it back.  A load
+    # counts when its receiver is of this class or of no class _attribute_reads can name, so a
+    # field named like an attribute read off an unannotated local still passes unread: a field
+    # ``data`` would, since ``q.data`` in ``symgame.chain`` loads a sparse matrix's ``data``.
+    reads = _package_reads()
+    assert [f.name for f in dataclasses.fields(cls) if not {(cls.__name__, f.name), (None, f.name)} & reads] == []
