@@ -328,7 +328,7 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     orbit, defect = _symmetry_orbits(chain)
     if orbit is not None:
         sizes = np.bincount(orbit)
-        rows = q[np.unique(orbit, return_index=True)[1]]  # R Q: the first state of each orbit
+        rows: sp.csr_matrix = q[np.unique(orbit, return_index=True)[1]]  # R Q: the first state of each orbit
         q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(sizes),) * 2)
         q.sum_duplicates()  # (R Q) L: columns summed by orbit
     if q.shape[0] <= LU_STATE_LIMIT:
@@ -561,6 +561,7 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
     lift = unit[free] - unit[[b - 1 for a, b in spans for _ in range(a, b - 1)]]
     edge = int(TILE_STATES ** (1 / len(free)) + 1e-9) if all(m.vectorized for m in (game, *protocols)) else 1
     box = np.indices([edge] * len(free)).reshape(len(free), -1).T
+    box_strides = [edge**i for i in reversed(range(len(free)))]  # row of offsets o in `box`: sum(o * box_strides)
     tiles = {}  # tile origin -> the running sums of each state of its box
 
     def evaluate(k):
@@ -585,7 +586,7 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
             tiles[origin] = np.full((len(box), len(deltas)), math.nan)  # a NaN row is evaluated alone
             with contextlib.suppress(Exception), np.errstate(all="ignore"):  # unvisited states may be invalid
                 tiles[origin][on_lattice] = evaluate(k[on_lattice])
-        rows, row = tiles.get(origin), np.ravel_multi_index(offsets, [edge] * len(free))
+        rows, row = tiles.get(origin), sum([o * s for o, s in zip(offsets, box_strides)])
         if rows is None or not math.isfinite(rows[row, -1]):
             rows, row = evaluate(np.array([counts], dtype=float)), 0
             if not math.isfinite(rows[0, -1]):

@@ -146,7 +146,10 @@ def integrate_mean_dynamic(
     :func:`symgame.games._checked_rates`, by one Python sum.  Each step then works on each
     population's view: it subtracts the (numerically zero) mass drift; undershoots below -1e-9
     raise, smaller ones are clamped to zero and logged.  Any coordinate exceeding 10x the
-    population mass aborts with the offending step.
+    population mass aborts with the offending step.  A step that logs no clamp and returns its
+    state's bytes unchanged (bytes, not values: ``-0.0`` prints apart from ``0.0``) is a fixed
+    point, since payoffs and rates are deterministic functions of the state: its state fills the
+    remaining rows and no further step runs.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -174,6 +177,7 @@ def integrate_mean_dynamic(
                 raise
             raise _stopped("diverged", step, bad[0], "non-finite RK4 stage") from None
 
+    last = x.tobytes()
     for step in range(1, steps + 1):
         k1 = rhs(x)
         k2 = rhs(x + half * k1)
@@ -195,6 +199,9 @@ def integrate_mean_dynamic(
                 np.maximum(part, 0.0, out=part)
                 part *= mass / part.sum()
                 clamp_events.append(step)
+        if last == (last := x.tobytes()) and clamp_events[-1:] != [step]:
+            states[step + 1 :] = x  # a fixed point: every later step returns these bits
+            break
 
     return Trajectory(
         times=np.arange(steps + 1) * dt,

@@ -222,7 +222,8 @@ class RevisionProtocol:
     declares that the same ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per
     state, and returns the ``(S, n, n)`` stack of their rate matrices; the built-in protocols
     are vectorized.  The payoffs and ``rate_fn`` must be deterministic functions of the
-    state: a simulated path reuses a state's rates for the rest of its call.  It evaluates a
+    state: a simulated path reuses a state's rates for the rest of its call, and RK4 stops at
+    the first step that returns its state's bytes unchanged.  A path evaluates a
     vectorized model one tile of nearby lattice states per call, visited or not, and any other
     model once per visited state.
     """

@@ -37,6 +37,7 @@ import collections
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,7 @@ from symgame import (
 )
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
+from symgame.config import parse_config
 from symgame.dynamics import _ROW_BLOCK, _spans, _velocity_fn
 from symgame.games import _checked_rates, _unscreened_rates, count_states, grid_rates, protocol_tuple
 
@@ -921,6 +923,8 @@ def _flat_run(game, protocols, x0, horizon, dt):
 
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+RPSL = _circulant([0, -1, 0, 1])
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 _OVERFLOWING = "ignore:overflow encountered:RuntimeWarning"
 
 
@@ -938,16 +942,69 @@ class TestIntegrateMeanDynamic:
         assert got == want
 
     @pytest.mark.parametrize(
-        "x0", [([0.0, 0.6, 0.4],), ([0.0, 1.0, 0.0],), ([0.0, 1.0, 0.0], [0.0, 0.1, 0.9]), ([0.0, 1.0, 0.0],) * 3]
+        "x0, clamped_repeats_from",
+        [
+            (([0.0, 0.6, 0.4],), None),
+            (([0.0, 1.0, 0.0],), None),  # a fixed point from step 244 on, which logs no clamp
+            (([0.0, 1.0, 0.0], [0.0, 0.1, 0.9]), None),
+            (([0.0, 1.0, 0.0],) * 3, None),
+            (([0.0, 1.0, 0.0, 0.0],), 244),
+            (([0.0, 1.0, 0.0, 0.0], [0.0, 0.1, 0.9]), None),
+        ],
     )
-    def test_clamped_steps_match_the_per_population_loop(self, x0):
-        # strategy 0, at zero with nothing flowing into it, undershoots by the mass drift
-        game = make_separable_game([RPS] * len(x0))
+    def test_clamped_steps_match_the_per_population_loop(self, x0, clamped_repeats_from):
+        # strategy 0 (and 3 of four), at zero with nothing flowing into it, undershoots by the mass drift
+        game = make_separable_game([RPS if len(part) == 3 else RPSL for part in x0])
         protocols = (_masked_protocol(3),) * len(x0)
         x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
-        got = _integration_outcome(_flat_run(game, protocols, x0, 2.0, 0.05))
-        assert len(got[1]) > 0  # clamp events
-        assert got == _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 2.0, 0.05))
+        traj = integrate_mean_dynamic(game, protocols, x0, 20.0, 0.05)
+        assert len(traj.clamp_events) > 0
+        got = (traj.states.tobytes(), traj.clamp_events)
+        assert got == _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 20.0, 0.05))
+        if clamped_repeats_from is not None:
+            # from that step on each step returns its state's bytes unchanged, but clamps to do so:
+            # no fixed point, so every step up to the horizon runs and logs a clamp event
+            rows = traj.states
+            later = list(range(clamped_repeats_from, 401))
+            assert [k for k in range(1, 401) if rows[k].tobytes() == rows[k - 1].tobytes()] == later
+            assert set(later) <= set(traj.clamp_events)
+
+    @given(
+        st.one_of(symmetric_models(), models(max_pops=2, decomposable=True), any_models()),
+        st.integers(100, 400),
+        st.sampled_from([0.02, 0.05, 0.1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings(_OVERFLOWING)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_fixed_point_fills_the_rows_the_per_population_loop_computes(self, model, steps, dt):
+        # from the barycenter: a rest point under symmetric rates, and often one after a few hundred steps otherwise
+        game, protocols, _ = model
+        x0, horizon = game.barycenter(), steps * dt
+        calls = collections.Counter()
+        got = _integration_outcome(_flat_run(*_counted_model(game, protocols, calls), x0, horizon, dt))
+        want = _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt))
+        assert got == want
+        if len(got) == 2:
+            # a fixed point is found by the bytes of the state, not its values: -0.0 == 0.0 but prints apart
+            states = np.frombuffer(got[0]).reshape(steps + 1, -1)
+            fixed = next(
+                (k for k in range(1, steps + 1) if states[k].tobytes() == states[k - 1].tobytes() and k not in got[1]),
+                steps,
+            )
+            assert calls == {"payoff": 4 * fixed} | {p: 4 * fixed for p in range(len(protocols))}
+
+    def test_a_negative_zero_start_keeps_its_sign_in_row_0(self):
+        # no flow into or out of strategy 0: step 1 turns -0.0 into 0.0, so step 2 is the first fixed point
+        game = make_linear_game(RPS)
+        protocols = (table_protocol([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),)
+        x0 = SocialState(parts=(np.array([-0.0, 0.5, 0.5]),))
+        calls = collections.Counter()
+        traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, 1.0, 0.1)
+        states, clamp_events = _reference_integrate_mean_dynamic(game, protocols, x0, 1.0, 0.1)
+        assert (traj.states.tobytes(), traj.clamp_events) == (states.tobytes(), clamp_events)
+        assert traj.to_csv().splitlines()[1:3] == ["0,-0,0.5,0.5", "0.10000000000000001,0,0.5,0.5"]
+        assert calls == {"payoff": 8, 0: 8}
 
     @pytest.mark.parametrize(
         "game, protocols, x0, error, message",
@@ -1040,13 +1097,22 @@ class TestIntegrateMeanDynamic:
     def test_one_step_evaluates_each_callable_once_per_stage(self):
         game = make_separable_game([[[0, 1], [1, 0]], RPS])
         calls = collections.Counter()
-        counted_game = dataclasses.replace(game, payoff=_counted(game.payoff, calls, "payoff"))
-        counted_protocols = tuple(
-            dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, p))
-            for p, proto in enumerate((sum_exponential_protocol(0.7), table_protocol(np.ones((3, 3)))))
-        )
-        integrate_mean_dynamic(counted_game, counted_protocols, game.barycenter(), 0.1, 0.1)
+        protocols = (sum_exponential_protocol(0.7), table_protocol(np.ones((3, 3))))
+        integrate_mean_dynamic(*_counted_model(game, protocols, calls), game.barycenter(), 0.1, 0.1)
         assert calls == {"payoff": 4, 0: 4, 1: 4}  # one per RK4 stage
+
+    @pytest.mark.parametrize("name", ["coordination_table", "rps_constant", "two_populations"])
+    def test_an_example_at_its_barycenter_runs_one_step(self, name):
+        # symmetric rates make the barycenter start of these examples a rest point to the last bit,
+        # so RK4 stops after its first step, whatever the horizon
+        config = parse_config((EXAMPLES / f"{name}.cfg").read_text())
+        game = config.build_game()
+        x0 = SocialState(parts=tuple(config.initial_state_parts(game)))
+        calls = collections.Counter()
+        counted = _counted_model(game, config.build_protocols(game), calls)
+        traj = integrate_mean_dynamic(*counted, x0, config.horizon, config.dt)
+        assert calls == {"payoff": 4} | {p: 4 for p in range(game.num_populations)}
+        assert traj.states.tobytes() == np.tile(np.concatenate(x0.parts), (len(traj.times), 1)).tobytes()
 
 
 class TestSimulatePath:
@@ -1386,6 +1452,13 @@ def _counted(fn, calls, key):
         return fn(*args)
 
     return counted
+
+
+def _counted_model(game, protocols, calls):
+    """``game`` and ``protocols`` whose calls count into ``calls``: ``"payoff"``, and each protocol's index."""
+    return dataclasses.replace(game, payoff=_counted(game.payoff, calls, "payoff")), tuple(
+        dataclasses.replace(proto, rate_fn=_counted(proto.rate_fn, calls, p)) for p, proto in enumerate(protocols)
+    )
 
 
 class TestGridRates:

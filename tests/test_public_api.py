@@ -1,6 +1,7 @@
 """The package's public surface: declared names exist, removed ones stay gone."""
 
 import ast
+import collections
 import dataclasses
 import functools
 import importlib
@@ -120,11 +121,61 @@ def _annotated_classes(node: ast.AST) -> frozenset[str] | None:
     return None
 
 
-def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[tuple[str | None, str]]:
+def _field_classes(trees) -> dict[tuple[str, str], frozenset[str] | None]:
+    """``(class, attribute)`` -> the classes its annotation in the class body names."""
+    return {
+        (cls.name, item.target.id): _annotated_classes(item.annotation)
+        for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def _receiver_classes(node: ast.AST, env: dict, fields: dict) -> frozenset[str] | None:
+    """The classes of what ``node`` evaluates to, or None where they cannot be named.
+
+    A name takes them from ``env``, an attribute from its field's annotation on the classes of its
+    own receiver; either falls back to :data:`_RECEIVERS`.  Any other expression has none.
+    """
+    if isinstance(node, ast.Name):
+        classes, name = env.get(node.id), node.id
+    elif isinstance(node, ast.Attribute):
+        owners = [fields.get((c, node.attr)) for c in _receiver_classes(node.value, env, fields) or ()]
+        classes, name = (frozenset().union(*owners) if owners and None not in owners else None), node.attr
+    else:
+        return None
+    return classes if classes is not None or name not in _RECEIVERS else frozenset({_RECEIVERS[name]})
+
+
+def _local_classes(func: ast.FunctionDef, env: dict, fields: dict) -> dict:
+    """``env`` with each name that ``func`` binds given the classes of all its bindings, or None.
+
+    A binding names classes when it is the single name target of an assignment whose value
+    :func:`_receiver_classes` resolves in ``env`` (``q = chain.generator``) or of an annotated
+    assignment; a name bound any other way (a loop, unpacking, ``+=``) has none.  A parameter's
+    annotation counts as one more binding.
+    """
+    stores = collections.Counter(
+        node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    )
+    bound = collections.defaultdict(list)
+    for node in ast.walk(func):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound[node.target.id].append(_annotated_classes(node.annotation))
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            bound[node.targets[0].id].append(_receiver_classes(node.value, env, fields))
+    env = dict(env)
+    for name, count in stores.items():
+        classes = bound[name] + ([env[name]] if name in env else [])
+        env[name] = frozenset().union(*classes) if len(bound[name]) == count and None not in classes else None
+    return env
+
+
+def _attribute_reads(tree: ast.AST, skip: set[str], fields: dict) -> set[tuple[str | None, str]]:
     """``(receiver class, attribute)`` for each attribute loaded in ``tree`` outside the functions named in ``skip``.
 
-    The receiver's class is the enclosing class for ``self``, a parameter's annotation, or
-    :data:`_RECEIVERS`; it is None where none of these names one.
+    The receiver's class is the enclosing class for ``self``, a parameter's annotation, the
+    classes of a local's bindings (:func:`_local_classes`), a field's annotation on a resolved
+    receiver, or :data:`_RECEIVERS`; it is None where none of these names one.
     """
     reads = set()
 
@@ -138,13 +189,9 @@ def _attribute_reads(tree: ast.AST, skip: set[str]) -> set[tuple[str | None, str
             env = {**env, **{a.arg: a.annotation and _annotated_classes(a.annotation) for a in args}}
             if cls is not None and args and args[0].arg == "self":
                 env["self"] = frozenset({cls})
+            env = _local_classes(node, env, fields)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            receiver = node.value
-            classes = env.get(receiver.id) if isinstance(receiver, ast.Name) else None
-            name = getattr(receiver, "id", getattr(receiver, "attr", None))
-            if classes is None and name in _RECEIVERS:
-                classes = {_RECEIVERS[name]}
-            reads.update((c, node.attr) for c in classes or [None])
+            reads.update((c, node.attr) for c in _receiver_classes(node.value, env, fields) or [None])
         for child in ast.iter_child_nodes(node):
             walk(child, cls, env)
 
@@ -163,8 +210,9 @@ def _package_reads() -> frozenset[tuple[str | None, str]]:
     """Attribute reads in the package and in perfbench, outside parse_config and render_config."""
     files = [pathlib.Path(importlib.import_module(name).__file__) for name in MODULES]
     files += sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
-    return frozenset().union(*(_attribute_reads(ast.parse(f.read_text()), {"parse_config", "render_config"})
-                               for f in files))
+    trees = [ast.parse(f.read_text()) for f in files]
+    fields = _field_classes(trees)
+    return frozenset().union(*(_attribute_reads(tree, {"parse_config", "render_config"}, fields) for tree in trees))
 
 
 @pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: cls.__name__)
@@ -172,7 +220,7 @@ def test_every_dataclass_field_is_read(cls):
     # some code of the package or of perfbench must load each field as an attribute, apart from
     # parse_config, which fills the config, and render_config, which writes it back.  A load
     # counts when its receiver is of this class or of no class _attribute_reads can name, so a
-    # field named like an attribute read off an unannotated local still passes unread: a field
-    # ``data`` would, since ``q.data`` in ``symgame.chain`` loads a sparse matrix's ``data``.
+    # field named like an attribute read off a receiver of no class still passes unread.  A
+    # field ``data`` fails: each ``.data`` in ``symgame.chain`` reads a ``csr_matrix``.
     reads = _package_reads()
     assert [f.name for f in dataclasses.fields(cls) if not {(cls.__name__, f.name), (None, f.name)} & reads] == []
