@@ -8,6 +8,7 @@ Trajectories come from fixed-step RK4 so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_poi
 
 
 _ROW_BLOCK = 1024
+# RK4 looks for each new row among this many previous ones; surveyed bit cycles had periods 1-17
+_CYCLE_WINDOW = 32
 
 
 def _format_rows(line: str, left: np.ndarray, right: np.ndarray) -> str:
@@ -146,10 +149,12 @@ def integrate_mean_dynamic(
     :func:`symgame.games._checked_rates`, by one Python sum.  Each step then works on each
     population's view: it subtracts the (numerically zero) mass drift; undershoots below -1e-9
     raise, smaller ones are clamped to zero and logged.  Any coordinate exceeding 10x the
-    population mass aborts with the offending step.  A step that logs no clamp and returns its
-    state's bytes unchanged (bytes, not values: ``-0.0`` prints apart from ``0.0``) is a fixed
-    point, since payoffs and rates are deterministic functions of the state: its state fills the
-    remaining rows and no further step runs.
+    population mass aborts with the offending step.  Payoffs and rates are deterministic functions
+    of the state, so a step that returns the bytes of one of the last ``_CYCLE_WINDOW`` rows
+    (bytes, not values: ``-0.0`` prints apart from ``0.0``), with no clamp logged since that row,
+    closes a cycle that every later step repeats: the cycle fills the remaining rows and no
+    further step runs.  A fixed point is a cycle of period 1; ``rps_sum_exponential`` in
+    ``docs/examples`` enters a 2-cycle and stops after 1,104 of its 5,000 steps.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -177,7 +182,7 @@ def integrate_mean_dynamic(
                 raise
             raise _stopped("diverged", step, bad[0], "non-finite RK4 stage") from None
 
-    last = x.tobytes()
+    recent = collections.deque([x.tobytes()], maxlen=_CYCLE_WINDOW)  # rows step - len(recent) .. step - 1
     for step in range(1, steps + 1):
         k1 = rhs(x)
         k2 = rhs(x + half * k1)
@@ -199,9 +204,12 @@ def integrate_mean_dynamic(
                 np.maximum(part, 0.0, out=part)
                 part *= mass / part.sum()
                 clamp_events.append(step)
-        if last == (last := x.tobytes()) and clamp_events[-1:] != [step]:
-            states[step + 1 :] = x  # a fixed point: every later step returns these bits
+        row = x.tobytes()
+        if row in recent and clamp_events[-1:] <= [j := step - len(recent) + recent.index(row)]:
+            rest = states[step + 1 :]  # rows j + 1 .. step repeat: every later step returns their bits in turn
+            rest[:] = states[j + 1 : step + 1][np.arange(len(rest)) % (step - j)]
             break
+        recent.append(row)
 
     return Trajectory(
         times=np.arange(steps + 1) * dt,

@@ -84,7 +84,7 @@ from symgame import (
 from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.config import parse_config
-from symgame.dynamics import _ROW_BLOCK, _spans, _velocity_fn
+from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _spans, _velocity_fn
 from symgame.games import _checked_rates, _unscreened_rates, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -922,8 +922,43 @@ def _flat_run(game, protocols, x0, horizon, dt):
     return run
 
 
+def _stop_step(states, clamp_events):
+    """The step after which RK4 runs no more: the first ``k`` whose row has the bytes of one of the
+    ``_CYCLE_WINDOW`` rows before it, with no clamp event after that row; the last step if none has."""
+    rows = [row.tobytes() for row in states]
+    steps = len(rows) - 1
+    repeats = (
+        k
+        for k in range(1, steps + 1)
+        for j in range(max(0, k - _CYCLE_WINDOW), k)
+        if rows[j] == rows[k] and not any(j < c <= k for c in clamp_events)
+    )
+    return next(repeats, steps)
+
+
+def _assert_stops_at_the_first_repeat(game, protocols, x0, steps, dt):
+    """RK4 returns the reference loop's bytes and clamp events (or its error), and calls each callable
+    4 x ``_stop_step`` times."""
+    calls = collections.Counter()
+    got = _integration_outcome(_flat_run(*_counted_model(game, protocols, calls), x0, steps * dt, dt))
+    assert got == _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, steps * dt, dt))
+    if len(got) == 2:
+        # a repeat is found by the bytes of the state, not its values: -0.0 == 0.0 but prints apart
+        stop = _stop_step(np.frombuffer(got[0]).reshape(steps + 1, -1), got[1])
+        assert calls == {"payoff": 4 * stop} | {p: 4 * stop for p in range(len(protocols))}
+
+
+def _example_model(name):
+    """The game, protocols and start built from ``docs/examples/<name>.cfg``, and the config."""
+    config = parse_config((EXAMPLES / f"{name}.cfg").read_text())
+    game = config.build_game()
+    x0 = SocialState(parts=tuple(config.initial_state_parts(game)))
+    return game, config.build_protocols(game), x0, config
+
+
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 RPSL = _circulant([0, -1, 0, 1])
+RPS5 = _circulant([0, -1, -1, -1, 1])
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 _OVERFLOWING = "ignore:overflow encountered:RuntimeWarning"
 
@@ -942,32 +977,37 @@ class TestIntegrateMeanDynamic:
         assert got == want
 
     @pytest.mark.parametrize(
-        "x0, clamped_repeats_from",
+        "x0, clamped_cycle",
         [
             (([0.0, 0.6, 0.4],), None),
             (([0.0, 1.0, 0.0],), None),  # a fixed point from step 244 on, which logs no clamp
             (([0.0, 1.0, 0.0], [0.0, 0.1, 0.9]), None),
             (([0.0, 1.0, 0.0],) * 3, None),
-            (([0.0, 1.0, 0.0, 0.0],), 244),
+            (([0.0, 1.0, 0.0, 0.0],), (244, 1)),
             (([0.0, 1.0, 0.0, 0.0], [0.0, 0.1, 0.9]), None),
+            (([0.0, 0.5, 0.0, 0.0, 0.5],), (256, 2)),
         ],
     )
-    def test_clamped_steps_match_the_per_population_loop(self, x0, clamped_repeats_from):
-        # strategy 0 (and 3 of four), at zero with nothing flowing into it, undershoots by the mass drift
-        game = make_separable_game([RPS if len(part) == 3 else RPSL for part in x0])
+    def test_clamped_steps_match_the_per_population_loop(self, x0, clamped_cycle):
+        # strategy 0 (and 3 of four or five), at zero with nothing flowing into it, undershoots by the mass drift
+        game = make_separable_game([{3: RPS, 4: RPSL, 5: RPS5}[len(part)] for part in x0])
         protocols = (_masked_protocol(3),) * len(x0)
         x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
-        traj = integrate_mean_dynamic(game, protocols, x0, 20.0, 0.05)
+        calls = collections.Counter()
+        traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, 20.0, 0.05)
         assert len(traj.clamp_events) > 0
         got = (traj.states.tobytes(), traj.clamp_events)
         assert got == _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 20.0, 0.05))
-        if clamped_repeats_from is not None:
-            # from that step on each step returns its state's bytes unchanged, but clamps to do so:
-            # no fixed point, so every step up to the horizon runs and logs a clamp event
-            rows = traj.states
-            later = list(range(clamped_repeats_from, 401))
-            assert [k for k in range(1, 401) if rows[k].tobytes() == rows[k - 1].tobytes()] == later
+        if clamped_cycle is not None:
+            # from that step on each step returns the bytes of the state one period back, but clamps
+            # to do so: no cycle is taken, so every step up to the horizon runs and logs a clamp event
+            start, period = clamped_cycle
+            rows, later = traj.states, list(range(start, 401))
+            for p in range(1, period + 1):
+                repeats = [k for k in range(p, 401) if rows[k].tobytes() == rows[k - p].tobytes()]
+                assert repeats == (later if p == period else [])
             assert set(later) <= set(traj.clamp_events)
+            assert calls == {"payoff": 4 * 400, 0: 4 * 400}
 
     @given(
         st.one_of(symmetric_models(), models(max_pops=2, decomposable=True), any_models()),
@@ -980,19 +1020,21 @@ class TestIntegrateMeanDynamic:
     def test_a_fixed_point_fills_the_rows_the_per_population_loop_computes(self, model, steps, dt):
         # from the barycenter: a rest point under symmetric rates, and often one after a few hundred steps otherwise
         game, protocols, _ = model
-        x0, horizon = game.barycenter(), steps * dt
-        calls = collections.Counter()
-        got = _integration_outcome(_flat_run(*_counted_model(game, protocols, calls), x0, horizon, dt))
-        want = _integration_outcome(lambda: _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt))
-        assert got == want
-        if len(got) == 2:
-            # a fixed point is found by the bytes of the state, not its values: -0.0 == 0.0 but prints apart
-            states = np.frombuffer(got[0]).reshape(steps + 1, -1)
-            fixed = next(
-                (k for k in range(1, steps + 1) if states[k].tobytes() == states[k - 1].tobytes() and k not in got[1]),
-                steps,
-            )
-            assert calls == {"payoff": 4 * fixed} | {p: 4 * fixed for p in range(len(protocols))}
+        _assert_stops_at_the_first_repeat(game, protocols, game.barycenter(), steps, dt)
+
+    @given(st.one_of(symmetric_models(), any_models()), st.integers(0, 2**32 - 1), st.integers(400, 2000))
+    @settings(max_examples=20, deadline=None)
+    @example(
+        (make_separable_game([RPS, RPS]), (sum_exponential_protocol(1.0), sum_exponential_protocol(0.5)), 1), 0, 400
+    )
+    @pytest.mark.filterwarnings(_OVERFLOWING)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_an_interior_start_stops_at_the_first_repeat_of_the_per_population_loop(self, model, seed, steps):
+        # from a Dirichlet start, at dt 0.05 or 0.1: most runs reach a bit cycle within a few hundred steps
+        game, protocols, _ = model
+        rng = np.random.default_rng(seed)
+        x0 = SocialState(parts=tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts)))
+        _assert_stops_at_the_first_repeat(game, protocols, x0, steps, (0.05, 0.1)[seed % 2])
 
     def test_a_negative_zero_start_keeps_its_sign_in_row_0(self):
         # no flow into or out of strategy 0: step 1 turns -0.0 into 0.0, so step 2 is the first fixed point
@@ -1105,14 +1147,24 @@ class TestIntegrateMeanDynamic:
     def test_an_example_at_its_barycenter_runs_one_step(self, name):
         # symmetric rates make the barycenter start of these examples a rest point to the last bit,
         # so RK4 stops after its first step, whatever the horizon
-        config = parse_config((EXAMPLES / f"{name}.cfg").read_text())
-        game = config.build_game()
-        x0 = SocialState(parts=tuple(config.initial_state_parts(game)))
+        game, protocols, x0, config = _example_model(name)
         calls = collections.Counter()
-        counted = _counted_model(game, config.build_protocols(game), calls)
-        traj = integrate_mean_dynamic(*counted, x0, config.horizon, config.dt)
+        traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, config.horizon, config.dt)
         assert calls == {"payoff": 4} | {p: 4 for p in range(game.num_populations)}
         assert traj.states.tobytes() == np.tile(np.concatenate(x0.parts), (len(traj.times), 1)).tobytes()
+
+    def test_rps_sum_exponential_stops_in_a_2_cycle(self):
+        # from (0.5, 0.3, 0.2) RK4 spirals into the barycenter, then alternates between two rows of bits:
+        # row 1,104 repeats row 1,102, so step 1,104 is the last of 5,000 to run
+        game, protocols, x0, config = _example_model("rps_sum_exponential")
+        calls = collections.Counter()
+        traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, config.horizon, config.dt)
+        assert calls == {"payoff": 4 * 1104, 0: 4 * 1104}
+        rows = traj.states
+        assert rows[1102].tobytes() == rows[1104].tobytes() != rows[1103].tobytes()
+        states, clamp_events = _reference_integrate_mean_dynamic(game, protocols, x0, config.horizon, config.dt)
+        assert states.shape == (5001, 3)
+        assert (rows.tobytes(), traj.clamp_events) == (states.tobytes(), clamp_events)
 
 
 class TestSimulatePath:
