@@ -31,8 +31,8 @@ from .games import (
     StateGrid,
     _check_rate_shapes,
     _checked_rates,
+    _evaluator,
     _per_population,
-    _unscreened_rates,
     grid_rates,
     protocol_tuple,
 )
@@ -492,16 +492,14 @@ def simulate_paths(
     only, is computed from each finished path: the time-weighted state
     distribution over ``(burn_in, horizon]``, normalized to one.
 
-    Invalid output raises the error of the validating path at the offending
-    state, and weights that overflow although every rate is finite raise
-    ``ProtocolError`` naming the state; in a batch, the error is the one of
-    the first seed, in seed order, whose path reaches an invalid state.  To
-    keep the event throughput, each state screens only the weights it draws
-    from (a finite total, no negative weight), so an invalid payoff that the
-    protocol ignores, or a negative diagonal rate, passes here;
-    :func:`build_generator` and the mean dynamic reject both.  A tile runs
-    with numpy's warnings off, and a visited state whose row fails or whose
-    tile raises is evaluated alone: unvisited states never warn or raise.
+    Each state a path visits is screened as the lattice and the mean dynamic
+    are, by :func:`symgame.games._evaluator`, so invalid output raises the
+    error of the validating path at the offending state, and weights that
+    overflow although every rate is finite raise ``ProtocolError`` naming the
+    state; in a batch, the error is the one of the first seed, in seed order,
+    whose path reaches an invalid state.  A tile runs with numpy's warnings
+    off, and a visited state whose row fails or whose tile raises is
+    evaluated alone: unvisited states never warn or raise.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -564,19 +562,25 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
     box_strides = [edge**i for i in reversed(range(len(free)))]  # row of offsets o in `box`: sum(o * box_strides)
     tiles = {}  # tile origin -> the running sums of each state of its box
 
+    evaluate_rates = _evaluator(game, protocols)
+
+    def fractions(k):
+        return tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)])
+
     def evaluate(k):
-        # running sums of the move weights at each row of counts `k`; NaN ends a row that fails the
-        # screen (no negative weight, a finite total), and every row if an output has a wrong shape
-        out = _unscreened_rates(game, protocols, tuple([k[:, a:b] / r for (a, b), r in zip(spans, resolutions)]))
-        if out is None:
-            return np.full((len(k), len(deltas)), math.nan)
-        weights = _move_weights(k, out[1], spans, off_diagonal)
-        weights[np.minimum.reduce(weights, axis=1) < 0.0, -1] = math.nan
-        return np.add.accumulate(weights, axis=1)
+        # running sums of the move weights at each row of counts `k`; a row that fails the screen,
+        # and every row if an output has a wrong shape, is NaN and never multiplied
+        rates, ok = evaluate_rates(fractions(k)) or (None, False)
+        cumulative = np.full((len(k), len(deltas)), math.nan)
+        if np.any(ok):
+            weights = _move_weights(k[ok], [rho[ok] for rho in rates], spans, off_diagonal)
+            cumulative[ok] = np.add.accumulate(weights, axis=1)
+        return cumulative
 
     def running_sums(key):
         # a state's first visit in this call reads its row of its tile's evaluation; a failed row
-        # is evaluated alone, as a one-state tile, which raises the error of an invalid state
+        # is evaluated alone, as a one-state tile, and then by the checked path, which raises the
+        # error of an invalid state
         counts = [key // s % base for s, base in zip(strides, bases)]
         offsets = [counts[c] % edge for c in free]
         origin = tuple([counts[c] - o for c, o in zip(free, offsets)])
@@ -588,9 +592,12 @@ def _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds):
                 tiles[origin][on_lattice] = evaluate(k[on_lattice])
         rows, row = tiles.get(origin), sum([o * s for o, s in zip(offsets, box_strides)])
         if rows is None or not math.isfinite(rows[row, -1]):
-            rows, row = evaluate(np.array([counts], dtype=float)), 0
+            k = np.array([counts], dtype=float)
+            rows, row = evaluate(k), 0
             if not math.isfinite(rows[0, -1]):
-                _raise_invalid(game, protocols, resolutions, counts)
+                _checked_rates(game, protocols, fractions(k))
+                state = _counts_format(game.strategy_counts) % tuple(counts)
+                raise ProtocolError(f"jump rates k_i * rho_ij overflow at state {state}; every rate is finite")
         cumulative_at[key] = cumulative = tuple(rows[row].tolist())
         return cumulative
 
@@ -620,15 +627,6 @@ def _draws(seed):
     while True:
         yield from zip(exponentials.standard_exponential(DRAW_BLOCK).tolist(),
                        uniforms.random(DRAW_BLOCK).tolist())
-
-
-def _raise_invalid(game, protocols, resolutions, counts) -> None:
-    """Raise the error of the state whose move weights failed the event loop's screen."""
-    # the checked evaluation raises the precise error, if the rates have one
-    parts = tuple([np.array([counts[a:b]]) / r for (a, b), r in zip(_spans(game), resolutions)])
-    _checked_rates(game, protocols, parts)
-    state = _counts_format(game.strategy_counts) % tuple(counts)
-    raise ProtocolError(f"jump rates k_i * rho_ij overflow at state {state}; every rate is finite")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .games import PopulationGame, RevisionProtocol, SocialState, _checked_rates, protocol_tuple
+from .games import PopulationGame, RevisionProtocol, SocialState, _checked_rates, _evaluator, protocol_tuple
 
 __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_point"]
 
@@ -80,38 +80,22 @@ def _spans(game: PopulationGame) -> list[tuple[int, int]]:
 def _velocity_fn(game, protocols, spans):
     """The mean-dynamic velocity at flat states ``y``, clamped at zero first (RK4 stages can undershoot it).
 
-    Each call is screened as :func:`integrate_mean_dynamic` says; one that fails is evaluated again
-    by :func:`symgame.games._checked_rates`, which raises the precise error or passes finite values
-    whose sum overflowed.  A callable's own exception propagates, as it would from there.
+    A state that fails the screen of :func:`symgame.games._evaluator` is evaluated again by
+    :func:`symgame.games._checked_rates`, which raises the precise error.
     """
-    payoff, one = game.payoff, len(spans) == 1
-    slices, shapes = [slice(a, b) for a, b in spans], [(b - a,) for a, b in spans]
-    squares = [(proto.rate_fn, (b - a, b - a)) for proto, (a, b) in zip(protocols, spans)]
+    evaluate, one = _evaluator(game, protocols), len(spans) == 1
+    slices = [slice(a, b) for a, b in spans]
 
     def velocity(y):
         x = np.maximum(y, 0.0)
         x.setflags(write=False)
         parts = (x,) if one else tuple(map(x.__getitem__, slices))
-        values = payoff(SocialState._unchecked(parts))
-        if one and isinstance(values, np.ndarray):
-            values = (values,)
-        payoffs = [np.asarray(pi, dtype=float) for pi in values]
-        if [pi.shape for pi in payoffs] == shapes:
-            v = []
-            for (rate_fn, square), pi, xp in zip(squares, payoffs, parts):
-                rho = np.asarray(rate_fn(pi, xp), dtype=float)
-                if rho.shape != square:
-                    break
-                # inf and NaN propagate through a float sum; finite values whose sum overflows go the checked way
-                flat = rho.ravel().tolist()
-                if min(flat) < 0 or not math.isfinite(sum(flat) + sum(pi.tolist()) + sum(xp.tolist())):
-                    break
-                v.append(rho.T @ xp - xp * np.add.reduce(rho, axis=-1))
-            else:
-                return v[0] if one else np.concatenate(v)
-        _, rates, row_sums = _checked_rates(game, protocols, parts)
-        v = [rho.T @ xp - xp * r for rho, xp, r in zip(rates, parts, row_sums)]
-        return v[0] if one else np.concatenate(v)
+        rates, ok = evaluate(parts) or (None, False)
+        if not ok:
+            rates = _checked_rates(game, protocols, parts)
+        if one:
+            return rates[0].T @ x - x * np.add.reduce(rates[0], axis=-1)
+        return np.concatenate([rho.T @ xp - xp * np.add.reduce(rho, axis=-1) for rho, xp in zip(rates, parts)])
 
     return velocity
 
@@ -144,9 +128,9 @@ def integrate_mean_dynamic(
     The horizon must be finite and an integer number of steps.  The state is one flat array,
     populations laid out contiguously in order.  Each RK4 stage ``x + h * k`` is formed once and
     costs one payoff call and one ``rate_fn`` call per population, on the stage clamped at zero
-    and made read-only.  Its velocity is computed once no rate is negative and, per population,
-    the sum of the state, payoffs and rates is finite: the element-wise screen of
-    :func:`symgame.games._checked_rates`, by one Python sum.  Each step then works on each
+    and made read-only.  Its velocity is computed once the stage passes the screen of
+    :func:`symgame.games._evaluator`, the one that the lattice and the paths use, so a model that
+    fails it raises the error of the validating path.  Each step then works on each
     population's view: it subtracts the (numerically zero) mass drift; undershoots below -1e-9
     raise, smaller ones are clamped to zero and logged.  Any coordinate exceeding 10x the
     population mass aborts with the offending step.  Payoffs and rates are deterministic functions

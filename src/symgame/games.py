@@ -496,66 +496,81 @@ class ValidationReport:
 SYMMETRY_TOL = 1e-14
 
 
-def _unscreened_rates(game, protocols, parts):
-    """Payoffs and rates at one state (1-D ``parts``) or at each of a stack of states (``(S, n_p)`` parts).
+def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
+    """``evaluate(parts) -> (rates, ok) | None``: the one evaluation and screen of payoffs and rates.
 
-    A stack takes one call of the payoff map and of each ``rate_fn`` when the
-    game and every protocol are ``vectorized``, else one per state.  Returns
-    ``(payoffs, rates)``, one array per population, or None when an output
-    has the wrong count or shape; values are not screened.
+    ``parts`` is one state, ``(n_p,)`` each, or a stack of states, ``(S, n_p)`` each, of the game's
+    strategy counts.  A stack takes one call of the payoff map and of each ``rate_fn`` when the game
+    and every protocol are ``vectorized``, else one per state.  None means an output of the wrong
+    count or shape.  ``ok``, one bool or one per row of a stack, holds when the state, the payoffs
+    and every rate (the diagonal too) are finite and no rate is negative.  A stack is screened
+    element-wise; one state by a Python ``min`` and sum over its few entries, faster than numpy
+    calls.  inf and NaN propagate through a float sum (a NaN that ``min`` skips too), and only a
+    sum that is not finite is checked element-wise, so finite values whose sum overflows pass.
     """
-    if parts[0].ndim > 1 and not (game.vectorized and all(proto.vectorized for proto in protocols)):
-        rows = [_unscreened_rates(game, protocols, row) for row in zip(*parts)]
-        return None if None in rows else [[np.stack(col) for col in zip(*side)] for side in zip(*rows)]
-    values = game.payoff(SocialState._unchecked(parts))
-    if isinstance(values, np.ndarray) and game.num_populations == 1:
-        values = (values,)
-    payoffs = [np.asarray(v, dtype=float) for v in values]
-    if len(payoffs) != len(parts):
-        return None
-    for pi, x in zip(payoffs, parts):
-        if pi.shape != x.shape:
+    payoff, one = game.payoff, game.num_populations == 1
+    rate_fns = [proto.rate_fn for proto in protocols]
+    stacked = all(model.vectorized for model in (game, *protocols))
+    shapes, squares = [(n,) for n in game.strategy_counts], [(n, n) for n in game.strategy_counts]
+
+    def evaluate(parts):
+        if parts[0].ndim > 1:
+            return evaluate_stack(parts)
+        values = payoff(SocialState._unchecked(parts))
+        if one and isinstance(values, np.ndarray):
+            values = (values,)
+        payoffs = [np.asarray(pi, dtype=float) for pi in values]
+        if [pi.shape for pi in payoffs] != shapes:
             return None
-    rates = []
-    for proto, pi, x in zip(protocols, payoffs, parts):
-        rho = np.asarray(proto.rate_fn(pi, x), dtype=float)
-        if rho.shape != (*x.shape, x.shape[-1]):
+        rates, ok, total = [], True, 0.0
+        for rate_fn, square, pi, x in zip(rate_fns, squares, payoffs, parts):
+            rho = np.asarray(rate_fn(pi, x), dtype=float)
+            if rho.shape != square:
+                return None
+            flat = rho.ravel().tolist()
+            ok = ok and min(flat) >= 0
+            total += sum(flat) + sum(pi.tolist()) + sum(x.tolist())
+            rates.append(rho)
+        if ok and not math.isfinite(total):
+            ok = bool(np.isfinite(np.concatenate([*parts, *payoffs, *rates], axis=None)).all())
+        return rates, ok
+
+    def evaluate_stack(parts):
+        if [x.shape[1:] for x in parts] != shapes:
             return None
-        rates.append(rho)
-    return payoffs, rates
+        if not stacked:
+            rows = [evaluate(row) for row in zip(*parts)]
+            if None in rows:
+                return None
+            return [np.stack(col) for col in zip(*(rates for rates, _ in rows))], np.array([ok for _, ok in rows])
+        values = payoff(SocialState._unchecked(parts))
+        if one and isinstance(values, np.ndarray):
+            values = (values,)
+        payoffs = [np.asarray(pi, dtype=float) for pi in values]
+        if [pi.shape for pi in payoffs] != [x.shape for x in parts]:
+            return None
+        rates = [np.asarray(rate_fn(pi, x), dtype=float) for rate_fn, pi, x in zip(rate_fns, payoffs, parts)]
+        if any(rho.shape != (*x.shape, x.shape[-1]) for rho, x in zip(rates, parts)):
+            return None
+        finite = [np.isfinite(a).all(axis=1) for a in (*parts, *payoffs)]
+        signs = [((rho >= 0.0) & (rho < math.inf)).all(axis=(1, 2)) for rho in rates]  # NaN fails both
+        return rates, np.logical_and.reduce(finite + signs)
+
+    return evaluate
 
 
-# One state's arrays hold a few entries each: a Python sum or min over them beats a numpy call.
-def _total(a: np.ndarray) -> float:
-    return sum(a.tolist()) if a.ndim == 1 else float(np.add.reduce(a, axis=None))
+def _checked_rates(game, protocols, parts) -> list[np.ndarray]:
+    """The rates at one state or at each of a stack of states, from :func:`_evaluator`.
 
-
-def _smallest(rho: np.ndarray) -> float:
-    return min(rho.ravel().tolist()) if rho.ndim == 2 else np.minimum.reduce(rho, axis=None)
-
-
-def _checked_rates(game, protocols, parts) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """``(payoffs, rates, row_sums)`` at one state or at each of a stack of states, from :func:`_unscreened_rates`.
-
-    No ``protocols`` evaluates payoffs only; ``parts`` are made read-only; ``row_sums[p]`` sums
-    ``rates[p]`` over its last axis.  A fused fast accept passes the output when the sum of the
-    states, payoffs and row sums is finite and no rate is negative: inf and NaN propagate
-    through a float sum, so each term is finite (a NaN that ``min`` skips is in its row sum).
-    Otherwise an element-wise screen decides, so finite values whose sum overflows pass.  On a
-    failure the states are re-evaluated in order through :meth:`PopulationGame.payoff_at` and
-    :meth:`RevisionProtocol.rates`, which raise the precise error at the first offending state.
+    ``parts`` are made read-only.  When the screen fails, the states are re-evaluated in order
+    through :meth:`PopulationGame.payoff_at` and :meth:`RevisionProtocol.rates`, which raise the
+    precise error at the first offending state.
     """
     for x in parts:
         x.setflags(write=False)
-    out = _unscreened_rates(game, protocols, parts)
-    if out is not None:
-        payoffs, rates = out
-        row_sums = [np.add.reduce(rho, axis=-1) for rho in rates]
-        if all(_smallest(rho) >= 0 for rho in rates) and (
-            math.isfinite(sum(map(_total, (*parts, *payoffs, *row_sums))))
-            or np.isfinite(np.concatenate([*parts, *payoffs, *rates], axis=None)).all()
-        ):
-            return payoffs, rates, row_sums
+    rates, ok = _evaluator(game, protocols)(parts) or (None, False)
+    if np.all(ok):
+        return rates
     for row in [parts] if parts[0].ndim == 1 else zip(*parts):
         state = SocialState(parts=row)
         for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
@@ -585,7 +600,7 @@ def grid_rates(
     fractions = tuple(
         grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
     )
-    rates = _checked_rates(game, protocol_tuple(protocol, game), fractions)[1]
+    rates = _checked_rates(game, protocol_tuple(protocol, game), fractions)
     return tuple(np.ascontiguousarray(rho) for rho in rates)
 
 
@@ -612,7 +627,7 @@ def validate_hypotheses(
         rates = grid_rates(game, protocols, states)
     else:
         parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
-        rates = _checked_rates(game, protocols, parts)[1]
+        rates = _checked_rates(game, protocols, parts)
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
     ]

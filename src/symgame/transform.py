@@ -215,7 +215,7 @@ class TransformedGame:
         else one per state; invalid values raise the validating path's error at the first offending state.
         """
         pop = self.populations[index]
-        rates = _checked_rates(self.base_game, self.base_protocols, self.fill_base_state(pop, part))[1]
+        rates = _checked_rates(self.base_game, self.base_protocols, self.fill_base_state(pop, part))
         return derived_block(pop, rates[pop.base_population])
 
     def _derived_protocol(self, index: int) -> RevisionProtocol:

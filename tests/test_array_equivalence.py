@@ -85,7 +85,7 @@ from symgame import chain as chain_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.config import parse_config
 from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _spans, _velocity_fn
-from symgame.games import _checked_rates, _unscreened_rates, count_states, grid_rates, protocol_tuple
+from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
 
@@ -1238,10 +1238,15 @@ class TestSimulatePath:
         calls = []
 
         def spy(*args):
-            calls.append((args[2], _unscreened_rates(*args)))
-            return calls[-1][1]
+            evaluate = _evaluator(*args)
 
-        with mock.patch.object(chain_module, "_unscreened_rates", spy):
+            def recorded(parts):
+                calls.append((parts, evaluate(parts)))
+                return calls[-1][1]
+
+            return recorded
+
+        with mock.patch.object(chain_module, "_evaluator", spy):
             tiled = simulate_paths((game, protocols, resolution), x0, horizon, seeds,
                                    burn_in=burn_in_share * horizon, collect_occupancy=True)
         with mock.patch.object(chain_module, "TILE_STATES", 1):
@@ -1251,12 +1256,13 @@ class TestSimulatePath:
             assert a.to_csv() == b.to_csv()
             assert a.occupancy.to_csv() == b.occupancy.to_csv()
         assert calls
-        for parts, (payoffs, rates) in calls:
+        for parts, (rates, ok) in calls:
             for s in range(len(parts[0])):
                 row = tuple((np.rint(part[s] * resolution) / resolution)[None, :] for part in parts)
                 assert all(x.tobytes() == part[s].tobytes() for x, part in zip(row, parts))
-                one_payoffs, one_rates = _unscreened_rates(game, protocols, row)
-                for one, stacked in zip([*one_payoffs, *one_rates], [*payoffs, *rates]):
+                one_rates, one_ok = _evaluator(game, protocols)(row)
+                assert one_ok.tolist() == [ok[s]]
+                for one, stacked in zip(one_rates, rates):
                     assert one.tobytes() == stacked[s:s + 1].tobytes()
 
     def test_block_size_does_not_change_the_bytes(self, monkeypatch):

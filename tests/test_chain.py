@@ -656,19 +656,28 @@ class TestTiles:
     # their 8 x 8 tiles hold states with 37-39
     N, X0, HORIZON, SEEDS = 100, ((34, 33, 33),), 0.05, [1, 2, 3]
 
-    @pytest.mark.parametrize("bad_rates", [
-        lambda x: -np.ones(x.shape[:-1]),  # negative
-        lambda x: np.sqrt(0.365 - x[..., 0]),  # NaN, with a RuntimeWarning
-    ])
-    def test_invalid_rates_at_unvisited_states_neither_raise_nor_warn(self, bad_rates, monkeypatch):
+    # each case replaces the rates `rho`, and with `nan_payoff` the payoffs, at states with 37-39 agents on strategy 0
+    @pytest.mark.parametrize("nan_payoff, bad_rates", [
+        (False, lambda x, rho: -rho),
+        (False, lambda x, rho: rho * np.sqrt(0.365 - x[:, :1, None])),  # NaN, with a RuntimeWarning
+        (False, lambda x, rho: rho - 2.0 * rho * np.eye(3)),
+        (True, lambda x, rho: np.ones_like(rho)),  # rates that ignore the payoffs
+    ], ids=["negative", "nan", "negative_diagonal", "ignored_nan_payoff"])
+    def test_invalid_rates_at_unvisited_states_neither_raise_nor_warn(self, nan_payoff, bad_rates, monkeypatch):
         seen = []
+        matrix = np.array(RPS, dtype=float)
+
+        def payoff(state):
+            x = state.parts[0]
+            pi = np.matmul(matrix, x[..., None])[..., 0]
+            return (np.where(x[:, :1] < 0.365, pi, math.nan) if nan_payoff else pi,)
 
         def rate_fn(pi, x):
             seen.append(round(x[:, 0].max() * self.N))
-            ok = np.where(x[:, 0] < 0.365, 1.0, bad_rates(x))
-            return np.exp(pi[:, :, None] + pi[:, None, :]) * ok[:, None, None]
+            rho = np.exp(pi[:, :, None] + pi[:, None, :])
+            return np.where(x[:, :1, None] < 0.365, rho, bad_rates(x, rho))
 
-        game = make_linear_game(RPS)
+        game = PopulationGame((1.0,), (3,), payoff, vectorized=True)
         model = (game, vectorized_protocol(rate_fn), self.N)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

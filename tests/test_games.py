@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgame import (
+    IntegrationDivergedError,
     PopulationGame,
     ProtocolError,
     RevisionProtocol,
@@ -17,13 +18,15 @@ from symgame import (
     make_linear_game,
     make_separable_game,
     mean_dynamic_rhs,
+    rest_point,
     sample_states,
+    simulate_paths,
     sum_exponential_protocol,
     table_protocol,
     validate_hypotheses,
 )
 from symgame.chain import build_grid
-from symgame.games import protocol_tuple
+from symgame.games import grid_rates, protocol_tuple
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
 
@@ -185,6 +188,8 @@ def _rates_like(x, value):
 
 # 1e200 out of strategy 2, which x0 leaves empty: finite, and no flow moves it
 _HUGE = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1e200, 1.0, 1.0]])
+# -1 out of strategy 2: its weight k_2 * rho_2j at x0 is -0.0, which is not below zero
+_FROM_EMPTY = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 # (payoff of the state part, or None for RPS; rates of the state part), 1-D or stacked;
 # each output is the same at every state, and all but the last are invalid
@@ -196,6 +201,8 @@ _FAULTS = {
     "rate_nan": (None, lambda x: _rates_like(x, np.nan)),
     "rate_inf": (None, lambda x: _rates_like(x, np.inf)),
     "rate_negative": (None, lambda x: _rates_like(x, -1.0)),
+    "rate_negative_diagonal": (None, lambda x: _rates_like(x, 1.0) - 2.0 * np.eye(3)),
+    "rate_negative_from_empty": (None, lambda x: np.broadcast_to(_FROM_EMPTY, (*x.shape, 3))),
     "rate_huge": (None, lambda x: np.broadcast_to(_HUGE, (*x.shape, 3))),
 }
 
@@ -213,6 +220,9 @@ _ENTRY_POINTS = {
     "validate_hypotheses": lambda game, proto, x0: validate_hypotheses(game, proto, sample_states(game, 16)),
     "mean_dynamic_rhs": lambda game, proto, x0: mean_dynamic_rhs(game, proto, x0),
     "integrate_mean_dynamic": lambda game, proto, x0: integrate_mean_dynamic(game, proto, x0, 1.0, 0.1),
+    "simulate_paths": lambda game, proto, x0: simulate_paths((game, proto, 2), ((1, 1, 0),), 1.0, [0]),
+    "grid_rates": lambda game, proto, x0: grid_rates(game, proto, build_grid(game, 3)),
+    "rest_point": lambda game, proto, x0: rest_point(game, proto),
 }
 
 
@@ -236,4 +246,8 @@ class TestErrorContract:
     def test_a_huge_finite_rate_is_no_false_alarm(self, vectorized, entry):
         game, proto = _model("rate_huge", vectorized)
         x0 = SocialState.single([0.5, 0.5, 0.0])
-        _ENTRY_POINTS[entry](game, proto, x0)
+        if entry == "rest_point":  # it starts at the barycenter, where 1e200 moves strategy 2's mass at once
+            with pytest.raises(IntegrationDivergedError, match="^integration diverged at step 1 "):
+                _ENTRY_POINTS[entry](game, proto, x0)
+        else:
+            _ENTRY_POINTS[entry](game, proto, x0)

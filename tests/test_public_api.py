@@ -224,3 +224,34 @@ def test_every_dataclass_field_is_read(cls):
     # field ``data`` fails: each ``.data`` in ``symgame.chain`` reads a ``csr_matrix``.
     reads = _package_reads()
     assert [f.name for f in dataclasses.fields(cls) if not {(cls.__name__, f.name), (None, f.name)} & reads] == []
+
+
+
+def _readers(tree: ast.AST, attributes: set[str]) -> set[str]:
+    """The outermost function around each load of one of ``attributes``, as ``Class.method`` in a class body."""
+    reads = set()
+
+    def walk(node, owner, cls):
+        if isinstance(node, ast.ClassDef) and owner is None:
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef) and owner is None:
+            owner = f"{cls}.{node.name}" if cls else node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in attributes:
+            reads.add(owner or cls or "<module>")
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner, cls)
+
+    walk(tree, None, None)
+    return reads
+
+
+def test_payoffs_and_rates_are_evaluated_in_one_place():
+    # every payoff and rate evaluation goes through one screen; a second reader of the callables
+    # would be a second screen, which may accept models that the first rejects
+    readers = set()
+    for name in MODULES:
+        tree = ast.parse(pathlib.Path(importlib.import_module(name).__file__).read_text())
+        readers |= {f"{name}.{owner}" for owner in _readers(tree, {"payoff", "rate_fn"})}
+    assert readers == {
+        "symgame.games.PopulationGame.payoff_at", "symgame.games.RevisionProtocol.rates", "symgame.games._evaluator",
+    }
