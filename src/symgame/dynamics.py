@@ -31,8 +31,12 @@ def _format_rows(line: str, left: np.ndarray, right: np.ndarray) -> str:
     """``line % (*left[k], *right[k])`` for every row ``k`` of two 2-D arrays, joined.
 
     ``"%.17g" % v`` prints the same as ``f"{v:.17g}"``.  Each block of rows
-    becomes one flat tuple of Python numbers, formatted by ``line`` repeated
+    becomes one flat tuple of Python objects, formatted by ``line`` repeated
     once per row, so the objects alive at once stay small next to the text.
+    ``StationaryTable.to_csv`` passes texts it formatted once per distinct
+    value, under ``%s``, because stationary laws repeat values across
+    symmetric states.  The path and trajectory writers pass floats; path times
+    strictly increase, so no path value repeats.
     """
     blocks = []
     for a in range(0, len(left), _ROW_BLOCK):

@@ -82,7 +82,7 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame import chain as chain_module
-from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
+from symgame.chain import _communicating_classes, _format_distinct, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.config import parse_config
 from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _spans, _velocity_fn
 from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple
@@ -1583,8 +1583,15 @@ class TestCsvWriters:
         grid = StateGrid(strategy_counts, sizes, [max(s, 1) for s in sizes])
         rng = np.random.default_rng(seed)
         n = len(grid)
-        # a spread law, or a point mass; the awkward values ride along in both
-        probs = rng.dirichlet(np.ones(n)) if rng.random() < 0.5 else np.eye(n)[rng.integers(n)]
+        # a spread law, a point mass, or a law drawn from a pool of 1-3 values, so that
+        # many rows share bits; the awkward values ride along in all three
+        kind = rng.integers(3)
+        if kind == 0:
+            probs = rng.dirichlet(np.ones(n))
+        elif kind == 1:
+            probs = np.eye(n)[rng.integers(n)]
+        else:
+            probs = rng.choice(rng.exponential(size=rng.integers(1, 4)), size=n)
         awkward = (rng.random(n) < 0.4) & (probs < 1.0)
         awkward[rng.integers(n)] = False
         probs[awkward] = rng.choice(_AWKWARD[:-1], size=int(awkward.sum()))
@@ -1612,3 +1619,24 @@ class TestCsvWriters:
             masses=(1.0,) * len(strategy_counts),
         )
         assert traj.to_csv() == _reference_trajectory_csv(traj)
+
+    def test_distinct_value_formatter_keys_on_bits(self):
+        values = np.array([0.0, -0.0, 0.0, 5e-324, np.nan])
+        assert _format_distinct(values).tolist() == ["0", "-0", "0", "4.9406564584124654e-324", "nan"]
+
+    def test_tables_that_repeat_match_per_row_f_strings(self):
+        # the exact law is constant on relabelling orbits, the product form repeats
+        # too, and a short path leaves most states at zero
+        game, proto = make_linear_game(RPS), sum_exponential_protocol(1.0, math.exp(-2.0))
+        grid = build_grid(game, 30)
+        chain = build_generator(game, (proto,), grid)
+        transformed = decompose(game, proto)
+        specs = specs_from_transform(transformed, [30] * len(transformed.populations))
+        tables = [
+            exact_stationary(chain),
+            product_form_joint([birth_death_weights(spec).normalized() for spec in specs], grid),
+            simulate_paths(chain, [(10, 10, 10)], 5.0, [3], collect_occupancy=True)[0].occupancy,
+        ]
+        for table in tables:
+            assert len(np.unique(table.probabilities)) < len(grid) // 2
+            assert table.to_csv() == _reference_table_csv(table)
