@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, _format_rows, _spans
+from .dynamics import Trajectory, _format_distinct, _format_rows, _spans
 from .errors import ProtocolError, ReducibleChainError, SolverError
 from .games import (
     DEFAULT_GRID_LIMIT,
@@ -103,17 +103,6 @@ def _counts_format(strategy_counts: Sequence[int]) -> str:
     return "|".join(" ".join(["%d"] * n) for n in strategy_counts)
 
 
-def _format_distinct(values: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` for every entry of a 1-D float64 array, as an object array of str.
-
-    Each distinct bit pattern is formatted once and its text reused: stationary
-    laws repeat values (the exact law is constant on symmetry orbits).  Keying
-    on bits, not values, keeps ``-0.0`` apart from ``0.0``.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)[inverse]
-
-
 @dataclass(frozen=True, eq=False)
 class StationaryTable:
     """A probability distribution over a state grid with provenance.
@@ -151,7 +140,7 @@ class StationaryTable:
 
         Each distinct probability is formatted once (``_format_distinct``),
         because a law over a symmetric game repeats its values across states;
-        the path and trajectory writers format every value.
+        the path writer formats every value.
         """
         provenance = self.provenance.replace("%", "%%")
         line = f"{_counts_format(self.grid.strategy_counts)},%s,{provenance}\n"

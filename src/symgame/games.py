@@ -494,6 +494,7 @@ class ValidationReport:
 
 
 SYMMETRY_TOL = 1e-14
+F64 = np.dtype(float)
 
 
 def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
@@ -519,12 +520,14 @@ def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
         values = payoff(SocialState._unchecked(parts))
         if one and isinstance(values, np.ndarray):
             values = (values,)
-        payoffs = [np.asarray(pi, dtype=float) for pi in values]
+        payoffs = [pi if type(pi) is np.ndarray and pi.dtype is F64 else np.asarray(pi, dtype=float) for pi in values]
         if [pi.shape for pi in payoffs] != shapes:
             return None
         rates, ok, total = [], True, 0.0
         for rate_fn, square, pi, x in zip(rate_fns, squares, payoffs, parts):
-            rho = np.asarray(rate_fn(pi, x), dtype=float)
+            rho = rate_fn(pi, x)
+            if type(rho) is not np.ndarray or rho.dtype is not F64:
+                rho = np.asarray(rho, dtype=float)
             if rho.shape != square:
                 return None
             flat = rho.ravel().tolist()

@@ -82,9 +82,9 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame import chain as chain_module
-from symgame.chain import _communicating_classes, _format_distinct, _lu_stationary, _symmetry_orbits, build_grid
+from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.config import parse_config
-from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _spans, _velocity_fn
+from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _format_distinct, _spans, _velocity_fn
 from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple
 
 # -- per-state reference implementations ------------------------------------
@@ -832,9 +832,18 @@ def any_models():
     return st.one_of(models(), models(max_pops=2, strategies=(8, 10)))
 
 
+# a population of 9 strategies, whose rate rows and drift totals numpy sums pairwise, beside one of 3
+NINE_AND_THREE = (
+    make_separable_game([_circulant(np.linspace(-1.0, 1.0, 9)), _circulant([0, -1, 1])]),
+    (_masked_protocol(2), sum_exponential_protocol(0.8)),
+    1,
+)
+
+
 class TestMeanDynamicRhs:
     @given(any_models(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
+    @example(NINE_AND_THREE, 0)
     def test_matches_the_validating_rhs(self, model, seed):
         game, protocols, _ = model
         velocity = _velocity_fn(game, protocols, _spans(game))
@@ -845,9 +854,11 @@ class TestMeanDynamicRhs:
                 np.where(rng.random(n) < 0.3, -1e-10, m * rng.dirichlet(np.ones(n)))
                 for m, n in zip(game.masses, game.strategy_counts)
             ]
-            got = velocity(np.concatenate(parts))
+            # the velocity takes and returns the flat state as a list of Python floats
+            got = velocity(np.concatenate(parts).tolist())
             want = np.concatenate(_reference_rhs_parts(game, protocols, parts))
-            assert got.tobytes() == want.tobytes()
+            assert {type(v) for v in got} == {float}
+            assert np.array(got).tobytes() == want.tobytes()
             # the public one takes a valid state
             state = SocialState(
                 parts=tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
@@ -966,6 +977,7 @@ _OVERFLOWING = "ignore:overflow encountered:RuntimeWarning"
 class TestIntegrateMeanDynamic:
     @given(any_models(), st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from([0.01, 0.05, 0.2]))
     @settings(max_examples=80, deadline=None)
+    @example(NINE_AND_THREE, 0, 30, 0.05)
     @pytest.mark.filterwarnings(_OVERFLOWING)
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_matches_the_per_population_loop(self, model, seed, steps, dt):
@@ -1047,6 +1059,26 @@ class TestIntegrateMeanDynamic:
         assert (traj.states.tobytes(), traj.clamp_events) == (states.tobytes(), clamp_events)
         assert traj.to_csv().splitlines()[1:3] == ["0,-0,0.5,0.5", "0.10000000000000001,0,0.5,0.5"]
         assert calls == {"payoff": 8, 0: 8}
+
+    def test_each_stage_reaches_the_payoff_clamped_as_np_maximum_clamps_it(self):
+        # np.maximum(y, 0.0) turns -0.0 into 0.0, where max(v, 0.0) would keep it: a payoff that
+        # keeps the bytes of each state it is given sees the stages of the per-population loop
+        def recording_game(seen):
+            def payoff(state):
+                seen.append(b"".join(part.tobytes() for part in state.parts))
+                return tuple(np.asarray(RPS, dtype=float) @ part for part in state.parts)
+
+            return PopulationGame(masses=(1.0, 1.0), strategy_counts=(3, 3), payoff=payoff)
+
+        protocols = (table_protocol([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), constant_protocol(1.0))
+        x0 = SocialState(parts=(np.array([-0.0, 0.5, 0.5]), np.array([0.2, -0.0, 0.8])))
+        got, want = [], []
+        traj = integrate_mean_dynamic(recording_game(got), protocols, x0, 0.3, 0.1)
+        states, clamp_events = _reference_integrate_mean_dynamic(recording_game(want), protocols, x0, 0.3, 0.1)
+        assert (traj.states.tobytes(), traj.clamp_events) == (states.tobytes(), clamp_events)
+        assert traj.states[0].tobytes() == np.concatenate(x0.parts).tobytes()  # row 0 keeps both -0.0
+        assert got[0] == np.array([0.0, 0.5, 0.5, 0.2, 0.0, 0.8]).tobytes()
+        assert got == want and len(got) == 12
 
     @pytest.mark.parametrize(
         "game, protocols, x0, error, message",
