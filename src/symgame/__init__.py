@@ -34,7 +34,6 @@ from .errors import (
 from .games import (
     PopulationGame,
     RevisionProtocol,
-    SocialState,
     ValidationReport,
     constant_protocol,
     custom_protocol,

@@ -22,7 +22,6 @@ from .dynamics import integrate_mean_dynamic
 from .errors import ConfigError, GridSizeError, SymgameError
 from .games import (
     ENUMERATION_LIMIT,
-    SocialState,
     count_states,
     grid_rates,
     sample_states,
@@ -101,18 +100,13 @@ class _Model:
             return base
         return tuple(base[pop.base_population] for pop in self.decomposition.populations)
 
-    def initial_state(self) -> SocialState:
-        parts = self.config.initial_state_parts(self.base_game)
-        state = SocialState(parts=tuple(parts))
-        self.base_game.require_valid_state(state, tol=1e-9)
-        if self.transformed:
-            return self.decomposition.embed(state)
-        return state
+    def initial_state(self) -> tuple[np.ndarray, ...]:
+        state = self.base_game.require_valid_state(self.config.initial_state_parts(self.base_game), tol=1e-9)
+        return self.decomposition.embed(state) if self.transformed else state
 
     def lattice_counts(self) -> tuple[tuple[int, ...], ...]:
-        state = self.initial_state()
         counts = []
-        for part, res, m in zip(state.parts, self.resolutions, self.game.masses):
+        for part, res, m in zip(self.initial_state(), self.resolutions, self.game.masses):
             scaled = part * res
             k = np.floor(scaled).astype(int)
             target = int(round(res * m))

@@ -111,7 +111,7 @@ class ExperimentConfig:
 
     def initial_state_parts(self, game: PopulationGame) -> list[np.ndarray]:
         if self.x0 is None:
-            return [np.asarray(p, dtype=float) for p in game.barycenter().parts]
+            return [np.asarray(p, dtype=float) for p in game.barycenter()]
         return [np.asarray(p, dtype=float) for p in self.x0]
 
 

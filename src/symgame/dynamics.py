@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationDivergedError
-from .games import PopulationGame, RevisionProtocol, SocialState, _checked_rates, _evaluator, protocol_tuple
+from .games import PopulationGame, RevisionProtocol, _checked_rates, _evaluator, _frozen, protocol_tuple
 
 __all__ = ["Trajectory", "mean_dynamic_rhs", "integrate_mean_dynamic", "rest_point"]
 
@@ -77,8 +77,9 @@ class Trajectory:
     clamp_events: tuple[int, ...] = ()
 
     @property
-    def final(self) -> SocialState:
-        return SocialState(parts=tuple(np.split(self.states[-1], np.cumsum(self.strategy_counts))[:-1]))
+    def final(self) -> tuple[np.ndarray, ...]:
+        """The last state, as read-only parts of a copy of the last row."""
+        return _frozen(np.split(self.states[-1].copy(), np.cumsum(self.strategy_counts))[:-1])
 
     def to_csv(self) -> str:
         """Tabular text: header ``t,x_1,...,x_n`` (population blocks in order)."""
@@ -136,33 +137,35 @@ def _stopped(what: str, step: int, p: int, detail: str) -> IntegrationDivergedEr
 def mean_dynamic_rhs(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    state: SocialState,
+    state: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, ...]:
-    """Per-population velocity vectors; each sums to zero (mass conservation)."""
-    game.require_valid_state(state, tol=1e-9)
+    """Per-population velocity vectors at a state (one mass vector per population); each sums to zero."""
+    parts = game.require_valid_state(state, tol=1e-9)
     spans = _spans(game)
-    v = _velocity_fn(game, protocol_tuple(protocol, game), spans)(np.concatenate(state.parts).tolist())
+    v = _velocity_fn(game, protocol_tuple(protocol, game), spans)(np.concatenate(parts).tolist())
     return tuple(np.array(v[a:b]) for a, b in spans)
 
 
 def integrate_mean_dynamic(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    x0: SocialState,
+    x0: Sequence[np.ndarray],
     horizon: float,
     dt: float = 0.01,
 ) -> Trajectory:
     """Classical RK4 on the mean dynamic with per-step mass renormalization.
 
-    The horizon must be finite and an integer number of steps.  The state and the four stages are
-    lists of Python floats, populations laid out contiguously in order; each stage makes one numpy
-    round trip in :func:`_velocity_fn`.  Each RK4 stage ``x + h * k`` costs one payoff call and one
-    ``rate_fn`` call per population, on the stage clamped at zero and made read-only.  Its
-    velocity is computed once the stage passes the screen of :func:`symgame.games._evaluator`, the
-    one that the lattice and the paths use, so a model that fails it raises the error of the
-    validating path.  Each step then subtracts each population's (numerically zero) mass drift;
-    undershoots below -1e-9 raise, smaller ones are clamped to zero and logged.  Any coordinate
-    exceeding 10x the population mass aborts with the offending step.
+    ``x0`` is a state, one mass vector per population, checked by
+    :meth:`~symgame.games.PopulationGame.require_valid_state`.  The horizon must be finite and an
+    integer number of steps.  The state and the four stages are lists of Python floats, populations
+    laid out contiguously in order; each stage makes one numpy round trip in :func:`_velocity_fn`.
+    Each RK4 stage ``x + h * k`` costs one payoff call and one ``rate_fn`` call per population, on
+    the stage clamped at zero and made read-only.  Its velocity is computed once the stage passes
+    the screen of :func:`symgame.games._evaluator`, the one that the lattice and the paths use, so
+    a model that fails it raises the error of the validating path.  Each step then subtracts each
+    population's (numerically zero) mass drift; undershoots below -1e-9 raise, smaller ones are
+    clamped to zero and logged.  Any coordinate exceeding 10x the population mass aborts with the
+    offending step.
 
     Rows keep the bits of the same steps on numpy arrays.  Python's ``+ - *`` on floats are the
     IEEE operations of numpy's ufuncs, in the same order (``x + dt/6 * (((k1 + 2 k2) + 2 k3) +
@@ -186,11 +189,12 @@ def integrate_mean_dynamic(
     steps = int(round(horizon / dt))
     if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
-    game.require_valid_state(x0)
+    parts = game.require_valid_state(x0)
     protocols = protocol_tuple(protocol, game)
     spans = _spans(game)
+    times = np.arange(steps + 1) * dt  # before ``states``: its int64 temporary is gone when ``states`` is made
     states = np.empty((steps + 1, spans[-1][1]))
-    x = np.concatenate(x0.parts, out=states[0]).tolist()
+    x = np.concatenate(parts, out=states[0]).tolist()
     pack = struct.Struct(f"{len(x)}d").pack  # a row's bytes, as ndarray.tobytes() gives them
     recent = collections.deque([pack(*x)], maxlen=_CYCLE_WINDOW)  # rows step - len(recent) .. step - 1
     half, sixth = 0.5 * dt, dt / 6.0
@@ -229,13 +233,16 @@ def integrate_mean_dynamic(
         states[step] = x
         row = pack(*x)
         if row in recent and clamp_events[-1:] <= [j := step - len(recent) + recent.index(row)]:
-            rest = states[step + 1 :]  # rows j + 1 .. step repeat: every later step returns their bits in turn
-            rest[:] = states[j + 1 : step + 1][np.arange(len(rest)) % (step - j)]
+            # rows j + 1 .. step repeat in every later step: broadcast whole periods, then the tail
+            rest, period = states[step + 1 :], states[j + 1 : step + 1]
+            whole = len(rest) - len(rest) % len(period)
+            rest[:whole].reshape(-1, *period.shape)[:] = period
+            rest[whole:] = period[: len(rest) - whole]
             break
         recent.append(row)
 
     return Trajectory(
-        times=np.arange(steps + 1) * dt,
+        times=times,
         states=states,
         dt=dt,
         strategy_counts=game.strategy_counts,
@@ -249,8 +256,8 @@ def rest_point(
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
     tol: float = 1e-10,
     max_horizon: float = 1000.0,
-) -> SocialState:
-    """A certified rest point of the mean dynamic.
+) -> tuple[np.ndarray, ...]:
+    """A certified rest point of the mean dynamic, as read-only parts.
 
     The barycenter is a rest point whenever the switch rates are symmetric
     (inflow and outflow cancel pairwise), so it is tried first; otherwise the
@@ -259,8 +266,8 @@ def rest_point(
     """
     velocity = _velocity_fn(game, protocol_tuple(protocol, game), _spans(game))
 
-    def residual(state: SocialState) -> float:
-        return float(np.max(np.abs(velocity(np.concatenate(state.parts).tolist()))))
+    def residual(parts: tuple[np.ndarray, ...]) -> float:
+        return float(np.max(np.abs(velocity(np.concatenate(parts).tolist()))))
 
     candidate = game.barycenter()
     if residual(candidate) <= tol:

@@ -1,11 +1,12 @@
 """Domain types for population games, social states, and revision protocols.
 
 A game couples one or more populations of continuous mass with a payoff map
-over social states.  A revision protocol assigns every (payoff, state) pair a
-matrix of conditional switch rates between strategies.  This module also
-provides the lattice of social states as an array (:class:`StateGrid`) and
-the hypothesis checks (rate symmetry, full support) that the two-strategy
-decomposition machinery relies on.
+over social states.  A social state is a tuple of float mass vectors, one per
+population; :meth:`PopulationGame.require_valid_state` checks one from outside.
+A revision protocol assigns every (payoff, state) pair a matrix of conditional
+switch rates between strategies.  This module also provides the lattice of
+social states as an array (:class:`StateGrid`) and the hypothesis checks (rate
+symmetry, full support) that the two-strategy decomposition machinery relies on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import GridSizeError, ProtocolError
 
 __all__ = [
-    "SocialState",
     "StateGrid",
     "PopulationGame",
     "RevisionProtocol",
@@ -40,17 +40,11 @@ __all__ = [
 
 # Rate functions map (payoff vector, population state) -> n x n switch-rate matrix.
 RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-PayoffFn = Callable[["SocialState"], tuple[np.ndarray, ...]]
+PayoffFn = Callable[[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]]
 
 MASS_TOL = 1e-12
 DEFAULT_GRID_LIMIT = 2_000_000
 ENUMERATION_LIMIT = 1_000_000
-
-
-def _readonly(vec) -> np.ndarray:
-    arr = np.array(vec, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_masses(p: int, vec: np.ndarray) -> None:
@@ -71,43 +65,24 @@ def _per_population(items, num_populations: int, what: str) -> tuple:
     return items
 
 
-@dataclass(frozen=True, eq=False)
-class SocialState:
-    """Per-population strategy masses: ``parts[p]`` is the nonnegative mass vector of population ``p``."""
-
-    parts: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        parts = tuple(_readonly(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        for p, vec in enumerate(parts):
-            if vec.ndim != 1 or vec.size == 0:
-                raise ValueError(f"population {p}: state must be a nonempty vector")
-            _check_masses(p, vec)
-
-    @classmethod
-    def single(cls, vec) -> "SocialState":
-        return cls(parts=(np.asarray(vec, dtype=float),))
-
-    @classmethod
-    def _unchecked(cls, parts: tuple[np.ndarray, ...]) -> "SocialState":
-        # fast constructor for hot loops; callers guarantee validity
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "parts", parts)
-        return obj
+def _frozen(parts) -> tuple[np.ndarray, ...]:
+    """``parts`` as a tuple, each array made read-only in place."""
+    for x in parts:
+        x.setflags(write=False)
+    return tuple(parts)
 
 
 @dataclass(frozen=True, eq=False)
 class PopulationGame:
     """A population game: masses, strategy counts, and a total payoff map.
 
-    ``payoff(state)`` must return one payoff vector per population for every
-    valid :class:`SocialState` (it never raises on valid input).  A
-    ``vectorized`` game declares that the same callable also takes a state
-    whose parts carry a leading axis of states, ``(S, n_p)`` each, and
-    returns one ``(S, n_p)`` payoff array per population, row ``s`` equal to
-    the payoff at state ``s``.  With vectorized protocols too,
-    :func:`grid_rates` evaluates a whole lattice in one call each, and a
+    ``payoff(parts)`` takes a state, a tuple of read-only ``(n_p,)`` float
+    arrays, and must return one payoff vector per population for every valid
+    state (it never raises on valid input).  A ``vectorized`` game declares
+    that the same callable also takes a tuple of ``(S, n_p)`` arrays, one
+    state per row, and returns one ``(S, n_p)`` payoff array per population,
+    row ``s`` equal to the payoff at state ``s``.  With vectorized protocols
+    too, :func:`grid_rates` evaluates a whole lattice in one call each, and a
     simulated path a tile of nearby lattice states, visited or not.
     """
 
@@ -131,9 +106,9 @@ class PopulationGame:
     def num_populations(self) -> int:
         return len(self.masses)
 
-    def payoff_at(self, state: SocialState) -> tuple[np.ndarray, ...]:
-        """Evaluate the payoff map and validate its shape and finiteness."""
-        values = self.payoff(state)
+    def payoff_at(self, parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Evaluate the payoff map at one state and validate its shape and finiteness."""
+        values = self.payoff(parts)
         if isinstance(values, np.ndarray) and self.num_populations == 1:
             values = (values,)
         values = _per_population(values, self.num_populations, "payoff vectors")
@@ -145,8 +120,15 @@ class PopulationGame:
                 raise ValueError(f"population {p}: payoff has non-finite entries")
         return values
 
-    def require_valid_state(self, state: SocialState, tol: float = MASS_TOL) -> None:
-        parts = _per_population(state.parts, self.num_populations, "state parts")
+    def require_valid_state(self, parts: Sequence[np.ndarray], tol: float = MASS_TOL) -> tuple[np.ndarray, ...]:
+        """``parts`` as read-only float64 copies, else ``ValueError``: nonempty vectors of finite masses,
+        none below ``-MASS_TOL``, one per population, of its length and mass (``tol``, relative above 1)."""
+        parts = tuple(np.array(x, dtype=float) for x in parts)
+        for p, vec in enumerate(parts):
+            if vec.ndim != 1 or vec.size == 0:
+                raise ValueError(f"population {p}: state must be a nonempty vector")
+            _check_masses(p, vec)
+        parts = _per_population(parts, self.num_populations, "state parts")
         for p, (vec, m, n) in enumerate(zip(parts, self.masses, self.strategy_counts)):
             if vec.shape != (n,):
                 raise ValueError(f"population {p}: state shape {vec.shape} != ({n},)")
@@ -154,11 +136,10 @@ class PopulationGame:
                 raise ValueError(
                     f"population {p}: mass {float(vec.sum())} != {m} beyond tolerance {tol}"
                 )
+        return _frozen(parts)
 
-    def barycenter(self) -> SocialState:
-        return SocialState(
-            parts=tuple(np.full(n, m / n) for m, n in zip(self.masses, self.strategy_counts))
-        )
+    def barycenter(self) -> tuple[np.ndarray, ...]:
+        return _frozen([np.full(n, m / n) for m, n in zip(self.masses, self.strategy_counts)])
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -181,8 +162,8 @@ def make_linear_game(payoff_matrix, mass: float = 1.0) -> PopulationGame:
         raise ValueError("payoff matrix has non-finite entries")
     A.setflags(write=False)
 
-    def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
-        return (_matvec(A, state.parts[0]),)
+    def payoff(parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        return (_matvec(A, parts[0]),)
 
     return PopulationGame(
         masses=(float(mass),), strategy_counts=(A.shape[0],), payoff=payoff, vectorized=True
@@ -201,8 +182,8 @@ def make_separable_game(payoff_matrices, masses=None) -> PopulationGame:
     if masses is None:
         masses = [1.0] * len(mats)
 
-    def payoff(state: SocialState) -> tuple[np.ndarray, ...]:
-        return tuple(_matvec(A, x) for A, x in zip(mats, state.parts, strict=True))
+    def payoff(parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        return tuple(_matvec(A, x) for A, x in zip(mats, parts, strict=True))
 
     return PopulationGame(
         masses=tuple(masses),
@@ -444,21 +425,17 @@ class StateGrid:
         return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
 
 
-def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> list[SocialState]:
-    """At least ``n_random`` seeded Dirichlet-uniform simplex states, to probe protocol hypotheses.
+def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
+    """At least ``n_random`` seeded Dirichlet-uniform simplex states of read-only parts, to probe protocol hypotheses.
 
     The whole lattice is checked by passing its :class:`StateGrid` to
     :func:`validate_hypotheses` instead.
     """
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(max(n_random, 1)):
-        parts = tuple(
-            m * rng.dirichlet(np.ones(n))
-            for m, n in zip(game.masses, game.strategy_counts)
-        )
-        states.append(SocialState(parts=parts))
-    return states
+    return [
+        _frozen([m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts)])
+        for _ in range(max(n_random, 1))
+    ]
 
 
 @dataclass(frozen=True)
@@ -517,7 +494,7 @@ def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
     def evaluate(parts):
         if parts[0].ndim > 1:
             return evaluate_stack(parts)
-        values = payoff(SocialState._unchecked(parts))
+        values = payoff(parts)
         if one and isinstance(values, np.ndarray):
             values = (values,)
         payoffs = [pi if type(pi) is np.ndarray and pi.dtype is F64 else np.asarray(pi, dtype=float) for pi in values]
@@ -546,7 +523,7 @@ def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
             if None in rows:
                 return None
             return [np.stack(col) for col in zip(*(rates for rates, _ in rows))], np.array([ok for _, ok in rows])
-        values = payoff(SocialState._unchecked(parts))
+        values = payoff(parts)
         if one and isinstance(values, np.ndarray):
             values = (values,)
         payoffs = [np.asarray(pi, dtype=float) for pi in values]
@@ -565,18 +542,18 @@ def _evaluator(game: PopulationGame, protocols: Sequence[RevisionProtocol]):
 def _checked_rates(game, protocols, parts) -> list[np.ndarray]:
     """The rates at one state or at each of a stack of states, from :func:`_evaluator`.
 
-    ``parts`` are made read-only.  When the screen fails, the states are re-evaluated in order
-    through :meth:`PopulationGame.payoff_at` and :meth:`RevisionProtocol.rates`, which raise the
-    precise error at the first offending state.
+    ``parts`` are made read-only.  When the screen fails, the states are re-evaluated in order:
+    :func:`_check_masses`, then :meth:`PopulationGame.payoff_at` and :meth:`RevisionProtocol.rates`
+    raise the precise error at the first offending state.
     """
-    for x in parts:
-        x.setflags(write=False)
+    parts = _frozen(parts)
     rates, ok = _evaluator(game, protocols)(parts) or (None, False)
     if np.all(ok):
         return rates
     for row in [parts] if parts[0].ndim == 1 else zip(*parts):
-        state = SocialState(parts=row)
-        for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts):
+        for p, x in enumerate(row):
+            _check_masses(p, x)
+        for proto, pi, x in zip(protocols, game.payoff_at(row), row):
             proto.rates(pi, x)
     raise ProtocolError("payoff or protocol changed its output on re-evaluation")
 
@@ -610,15 +587,16 @@ def grid_rates(
 def validate_hypotheses(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    states: Sequence[SocialState] | StateGrid,
+    states: Sequence[tuple[np.ndarray, ...]] | StateGrid,
     rates: Sequence[np.ndarray] | None = None,
 ) -> ValidationReport:
     """Check rate symmetry and full support over sample states or a whole grid.
 
-    A :class:`StateGrid` makes the check exhaustive.  Its rates come from
-    :func:`grid_rates`, evaluated once per grid; pass its result as
-    ``rates`` to share it with :func:`symgame.chain.build_generator`; it must
-    hold one ``(len(states), n_p, n_p)`` array per population.
+    Sample states are tuples of parts, as :func:`sample_states` returns them, whose masses are
+    finite and none below ``-MASS_TOL``.  A :class:`StateGrid` makes the check exhaustive.  Its
+    rates come from :func:`grid_rates`, evaluated once per grid; pass its result as ``rates`` to
+    share it with :func:`symgame.chain.build_generator`; it must hold one ``(len(states), n_p,
+    n_p)`` array per population.
     """
     if not len(states):
         raise ValueError("need at least one sample state")
@@ -629,7 +607,9 @@ def validate_hypotheses(
     elif exhaustive:
         rates = grid_rates(game, protocols, states)
     else:
-        parts = tuple(np.stack(col) for col in zip(*(state.parts for state in states)))
+        parts = tuple(np.stack(col) for col in zip(*states))
+        for p, x in enumerate(parts):
+            _check_masses(p, x)
         rates = _checked_rates(game, protocols, parts)
     per_pop = [
         (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates

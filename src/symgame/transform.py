@@ -44,9 +44,9 @@ from .games import (
     SYMMETRY_TOL,
     PopulationGame,
     RevisionProtocol,
-    SocialState,
     _check_masses,
     _checked_rates,
+    _frozen,
     protocol_tuple,
     sample_states,
     validate_hypotheses,
@@ -129,9 +129,9 @@ def _reduced_population(base_population: int, leading: int, n: int, target: int)
     )
 
 
-def _zero_payoff(state: SocialState) -> tuple[np.ndarray, ...]:
+def _zero_payoff(parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     # the derived payoff, of one state or a stack: no derived rate reads it
-    return tuple(np.zeros(np.shape(x)) for x in state.parts)
+    return tuple(np.zeros(np.shape(x)) for x in parts)
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class TransformedGame:
 
     @cached_property
     def _rest_parts(self) -> tuple[np.ndarray, ...]:
-        return rest_point(self.base_game, self.base_protocols).parts
+        return rest_point(self.base_game, self.base_protocols)
 
     @cached_property
     def _gathers(self) -> dict[DerivedPopulation, tuple[np.ndarray, np.ndarray]]:
@@ -174,14 +174,12 @@ class TransformedGame:
 
     # -- state maps ------------------------------------------------------
 
-    def embed(self, state: SocialState) -> SocialState:
-        """Image of a base state: derived coordinates are member mass sums."""
-        self.base_game.require_valid_state(state, tol=1e-9)
-        parts = []
-        for pop in self.populations:
-            x = state.parts[pop.base_population]
-            parts.append(np.array([x[list(mem)].sum() for mem in pop.members]))
-        return SocialState(parts=tuple(parts))
+    def embed(self, state: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Image of a base state, as read-only parts: derived coordinates are member mass sums."""
+        base = self.base_game.require_valid_state(state, tol=1e-9)
+        return _frozen(
+            [np.array([base[pop.base_population][list(mem)].sum() for mem in pop.members]) for pop in self.populations]
+        )
 
     def fill_base_state(self, population: DerivedPopulation, part: np.ndarray) -> tuple[np.ndarray, ...]:
         """Base state parts inferred from one derived population's coordinates alone.
@@ -262,8 +260,9 @@ def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
     protocols = transformed.base_protocols
 
     def rate_fn(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
-        state = SocialState(parts=(np.asarray(x, dtype=float),))
-        rho = protocols[0].rates(np.asarray(pi, dtype=float), state.parts[0])
+        x = np.asarray(x, dtype=float)
+        _check_masses(0, x)
+        rho = protocols[0].rates(np.asarray(pi, dtype=float), x)
         blocks = {lead: derived_block(pop, rho) for lead, pop in by_lead.items()}
         out = np.empty((3, 3))
         for i in range(3):

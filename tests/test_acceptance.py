@@ -33,7 +33,6 @@ from symgame import (
     table_protocol,
 )
 from symgame.cli import main as cli_main
-from symgame.games import SocialState
 from symgame.stationary import compare
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
@@ -238,7 +237,7 @@ def test_07_deterministic_approximation():
     start = time.perf_counter()
     game = make_linear_game(RPS)
     proto = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
-    x0 = SocialState.single([0.5, 0.3, 0.2])
+    x0 = (np.array([0.5, 0.3, 0.2]),)
     trajectory = integrate_mean_dynamic(game, proto, x0, 10.0, 0.01)
     hits = 0
     worst = 0.0
@@ -270,7 +269,7 @@ def test_08_ode_mass_conservation():
     ):
         game = make_linear_game(matrix)
         traj = integrate_mean_dynamic(
-            game, proto, SocialState.single([0.7, 0.2, 0.1]), 100.0, 0.01
+            game, proto, (np.array([0.7, 0.2, 0.1]),), 100.0, 0.01
         )
         assert traj.states.shape[0] == 10_001
         worst = max(worst, float(np.max(np.abs(traj.states.sum(axis=1) - 1.0))))

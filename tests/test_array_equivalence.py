@@ -54,7 +54,6 @@ from symgame import (
     ProtocolError,
     ReducibleChainError,
     RevisionProtocol,
-    SocialState,
     SymgameError,
     StateGrid,
     StationaryTable,
@@ -107,7 +106,7 @@ def _reference_states(strategy_counts, sizes):
 
 def _lattice_state(counts, resolutions):
     # the state of per-population agent counts on the lattice of resolution N per population
-    return SocialState(parts=tuple(np.asarray(k, dtype=float) / n for k, n in zip(counts, resolutions, strict=True)))
+    return tuple(np.asarray(k, dtype=float) / n for k, n in zip(counts, resolutions, strict=True))
 
 
 def _reference_generator(game, protocol, resolution):
@@ -120,7 +119,7 @@ def _reference_generator(game, protocol, resolution):
     for ordinal, counts in enumerate(states):
         state = _lattice_state(counts, resolutions)
         payoffs = game.payoff_at(state)
-        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state.parts)):
+        for p, (proto, pi, x) in enumerate(zip(protocols, payoffs, state)):
             rho = proto.rates(pi, x)
             part = counts[p]
             for i, k_i in enumerate(part):
@@ -161,7 +160,7 @@ def _reference_grid_rates(game, protocols, grid):
     for ordinal in range(len(grid)):
         state = _lattice_state(grid.state(ordinal), grid.resolutions)
         payoffs = game.payoff(state)
-        per_state.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, state.parts)])
+        per_state.append([proto.rate_fn(pi, x) for proto, pi, x in zip(protocols, payoffs, state)])
     return [np.array(stack, dtype=float) for stack in zip(*per_state)]
 
 
@@ -222,7 +221,7 @@ def _reference_validation(game, protocol, states):
     protocols = protocol_tuple(protocol, game)
     per_pop = [[0.0, math.inf] for _ in range(game.num_populations)]
     for state in states:
-        for p, (proto, pi, x) in enumerate(zip(protocols, game.payoff_at(state), state.parts)):
+        for p, (proto, pi, x) in enumerate(zip(protocols, game.payoff_at(state), state)):
             rho = proto.rates(pi, x)
             per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
             per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
@@ -241,10 +240,15 @@ def _reference_dense_stationary(chain):
 
 
 def _reference_rhs_parts(game, protocols, parts):
-    state = SocialState(parts=tuple(np.maximum(p, 0.0) for p in parts))
+    # the stage clamped at zero, read-only; a non-finite one is refused before any call
+    state = tuple(np.maximum(p, 0.0) for p in parts)
+    for p, x in enumerate(state):
+        x.setflags(write=False)
+        if not np.isfinite(x).all():
+            raise ValueError(f"population {p}: state has non-finite entries")
     payoffs = game.payoff_at(state)
     out = []
-    for proto, pi, x in zip(protocols, payoffs, state.parts):
+    for proto, pi, x in zip(protocols, payoffs, state):
         rho = proto.rates(pi, x)
         inflow = rho.T @ x
         outflow = x * rho.sum(axis=1)
@@ -256,7 +260,7 @@ def _reference_integrate_mean_dynamic(game, protocols, x0, horizon, dt):
     # RK4 with one array per population, each stage and step assembled population by population
     steps = int(round(horizon / dt))
     states = np.empty((steps + 1, sum(game.strategy_counts)))
-    parts = [np.array(p, dtype=float) for p in x0.parts]
+    parts = [np.array(p, dtype=float) for p in x0]
     states[0] = np.concatenate(parts)
     clamp_events = []
 
@@ -306,12 +310,12 @@ def _reference_rest_point(game, protocols, tol, max_horizon):
         parts = np.split(flat, np.cumsum(game.strategy_counts))[:-1]
         return float(np.max(np.abs(np.concatenate(_reference_rhs_parts(game, protocols, parts)))))
 
-    flat = np.concatenate(game.barycenter().parts)
+    flat = np.concatenate(game.barycenter())
     if residual(flat) <= tol:
         return flat
     horizon = 10.0
     while horizon <= max_horizon:
-        x0 = SocialState(parts=tuple(np.split(flat, np.cumsum(game.strategy_counts))[:-1]))
+        x0 = tuple(np.split(flat, np.cumsum(game.strategy_counts))[:-1])
         flat = _reference_integrate_mean_dynamic(game, protocols, x0, horizon, 0.01)[0][-1]
         if residual(flat) <= tol:
             return flat
@@ -395,7 +399,7 @@ def _reference_fill_base_state(tg, population, part):
             share = ref / total if total > 0 else np.full(len(idx), 1.0 / len(idx))
             vec[idx] = float(part[t]) * share
     parts[bp] = vec
-    return SocialState(parts=tuple(parts))
+    return tuple(parts)
 
 
 def _reference_marginal_block(tg, index, part):
@@ -403,7 +407,7 @@ def _reference_marginal_block(tg, index, part):
     base_state = _reference_fill_base_state(tg, pop, np.asarray(part, dtype=float))
     bp = pop.base_population
     pi = tg.base_game.payoff_at(base_state)[bp]
-    return _reference_derived_block(pop, tg.base_protocols[bp].rates(pi, base_state.parts[bp]))
+    return _reference_derived_block(pop, tg.base_protocols[bp].rates(pi, base_state[bp]))
 
 
 def _reference_joint_weights(marginals, strategy_counts, sizes):
@@ -482,7 +486,7 @@ def _reference_fly_path(game, protocol, resolution, x0, horizon, seed, burn_in):
     residence = {}
     while True:
         state = _lattice_state(parts, resolutions)
-        rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state.parts)]
+        rates = [proto.rates(pi, x) for proto, pi, x in zip(protocols, game.payoff_at(state), state)]
         weights = [parts[p][i] * float(rates[p][i, j]) for p, i, j in moves]
         t_next, pick = _reference_step(weights, t, horizon, streams)
         end = min(t_next, horizon)
@@ -699,15 +703,15 @@ class TestBuildGenerator:
     @pytest.mark.parametrize(
         "bad_payoff",
         [
-            lambda s: (np.array([1.0, np.nan]) if s.parts[0][0] > 0.5 else np.zeros(2),),
-            lambda s: (np.zeros(3 if s.parts[0][0] > 0.5 else 2),),
-            lambda s: (np.zeros(2), np.zeros(2)) if s.parts[0][0] > 0.5 else (np.zeros(2),),
+            lambda s: (np.array([1.0, np.nan]) if s[0][0] > 0.5 else np.zeros(2),),
+            lambda s: (np.zeros(3 if s[0][0] > 0.5 else 2),),
+            lambda s: (np.zeros(2), np.zeros(2)) if s[0][0] > 0.5 else (np.zeros(2),),
             # stacked evaluation: NaN in the rows of the states with x_1 > 1/2
             pytest.param(
                 PopulationGame(
                     masses=(1.0,),
                     strategy_counts=(2,),
-                    payoff=lambda s: (np.where(s.parts[0][..., :1] > 0.5, [1.0, np.nan], 0.0),),
+                    payoff=lambda s: (np.where(s[0][..., :1] > 0.5, [1.0, np.nan], 0.0),),
                     vectorized=True,
                 ),
                 id="vectorized_nan",
@@ -860,10 +864,8 @@ class TestMeanDynamicRhs:
             assert {type(v) for v in got} == {float}
             assert np.array(got).tobytes() == want.tobytes()
             # the public one takes a valid state
-            state = SocialState(
-                parts=tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
-            )
-            want = _reference_rhs_parts(game, protocols, state.parts)
+            state = tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
+            want = _reference_rhs_parts(game, protocols, state)
             got = mean_dynamic_rhs(game, protocols, state)
             assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -878,7 +880,7 @@ class TestMeanDynamicRhs:
             except ValueError as exc:
                 return type(exc), str(exc)
 
-        got = found(lambda: np.concatenate(rest_point(game, protocols, tol, max_horizon=10.0).parts))
+        got = found(lambda: np.concatenate(rest_point(game, protocols, tol, max_horizon=10.0)))
         assert got == found(lambda: _reference_rest_point(game, protocols, tol, 10.0))
 
 
@@ -897,7 +899,7 @@ def _boundary_state(game, rng):
             x[0] = 0.0
         x[rng.integers(n)] += 1.0  # at least one strategy keeps its mass
         parts.append(m * x / x.sum())
-    return SocialState(parts=tuple(parts))
+    return tuple(parts)
 
 
 class _Refusal(Exception):
@@ -912,7 +914,7 @@ def _refusing_rates(pi, x):
 
 
 def _writing_payoff(state):
-    state.parts[0][0] = 0.5
+    state[0][0] = 0.5
     return (np.zeros(3),)
 
 
@@ -963,7 +965,7 @@ def _example_model(name):
     """The game, protocols and start built from ``docs/examples/<name>.cfg``, and the config."""
     config = parse_config((EXAMPLES / f"{name}.cfg").read_text())
     game = config.build_game()
-    x0 = SocialState(parts=tuple(config.initial_state_parts(game)))
+    x0 = tuple(config.initial_state_parts(game))
     return game, config.build_protocols(game), x0, config
 
 
@@ -1004,7 +1006,7 @@ class TestIntegrateMeanDynamic:
         # strategy 0 (and 3 of four or five), at zero with nothing flowing into it, undershoots by the mass drift
         game = make_separable_game([{3: RPS, 4: RPSL, 5: RPS5}[len(part)] for part in x0])
         protocols = (_masked_protocol(3),) * len(x0)
-        x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
+        x0 = tuple(np.asarray(part, dtype=float) for part in x0)
         calls = collections.Counter()
         traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, 20.0, 0.05)
         assert len(traj.clamp_events) > 0
@@ -1045,14 +1047,14 @@ class TestIntegrateMeanDynamic:
         # from a Dirichlet start, at dt 0.05 or 0.1: most runs reach a bit cycle within a few hundred steps
         game, protocols, _ = model
         rng = np.random.default_rng(seed)
-        x0 = SocialState(parts=tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts)))
+        x0 = tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
         _assert_stops_at_the_first_repeat(game, protocols, x0, steps, (0.05, 0.1)[seed % 2])
 
     def test_a_negative_zero_start_keeps_its_sign_in_row_0(self):
         # no flow into or out of strategy 0: step 1 turns -0.0 into 0.0, so step 2 is the first fixed point
         game = make_linear_game(RPS)
         protocols = (table_protocol([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),)
-        x0 = SocialState(parts=(np.array([-0.0, 0.5, 0.5]),))
+        x0 = (np.array([-0.0, 0.5, 0.5]),)
         calls = collections.Counter()
         traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, 1.0, 0.1)
         states, clamp_events = _reference_integrate_mean_dynamic(game, protocols, x0, 1.0, 0.1)
@@ -1065,18 +1067,18 @@ class TestIntegrateMeanDynamic:
         # keeps the bytes of each state it is given sees the stages of the per-population loop
         def recording_game(seen):
             def payoff(state):
-                seen.append(b"".join(part.tobytes() for part in state.parts))
-                return tuple(np.asarray(RPS, dtype=float) @ part for part in state.parts)
+                seen.append(b"".join(part.tobytes() for part in state))
+                return tuple(np.asarray(RPS, dtype=float) @ part for part in state)
 
             return PopulationGame(masses=(1.0, 1.0), strategy_counts=(3, 3), payoff=payoff)
 
         protocols = (table_protocol([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), constant_protocol(1.0))
-        x0 = SocialState(parts=(np.array([-0.0, 0.5, 0.5]), np.array([0.2, -0.0, 0.8])))
+        x0 = (np.array([-0.0, 0.5, 0.5]), np.array([0.2, -0.0, 0.8]))
         got, want = [], []
         traj = integrate_mean_dynamic(recording_game(got), protocols, x0, 0.3, 0.1)
         states, clamp_events = _reference_integrate_mean_dynamic(recording_game(want), protocols, x0, 0.3, 0.1)
         assert (traj.states.tobytes(), traj.clamp_events) == (states.tobytes(), clamp_events)
-        assert traj.states[0].tobytes() == np.concatenate(x0.parts).tobytes()  # row 0 keeps both -0.0
+        assert traj.states[0].tobytes() == np.concatenate(x0).tobytes()  # row 0 keeps both -0.0
         assert got[0] == np.array([0.0, 0.5, 0.5, 0.2, 0.0, 0.8]).tobytes()
         assert got == want and len(got) == 12
 
@@ -1158,7 +1160,7 @@ class TestIntegrateMeanDynamic:
     @pytest.mark.filterwarnings(_OVERFLOWING)
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_errors_match_the_per_population_loop(self, game, protocols, x0, error, message):
-        x0 = SocialState(parts=tuple(np.asarray(part, dtype=float) for part in x0))
+        x0 = tuple(np.asarray(part, dtype=float) for part in x0)
         got = _integration_outcome(_flat_run(game, protocols, x0, 1.0, 0.1))
         assert got == _integration_outcome(
             lambda: _reference_integrate_mean_dynamic(game, protocols, x0, 1.0, 0.1)
@@ -1183,7 +1185,7 @@ class TestIntegrateMeanDynamic:
         calls = collections.Counter()
         traj = integrate_mean_dynamic(*_counted_model(game, protocols, calls), x0, config.horizon, config.dt)
         assert calls == {"payoff": 4} | {p: 4 for p in range(game.num_populations)}
-        assert traj.states.tobytes() == np.tile(np.concatenate(x0.parts), (len(traj.times), 1)).tobytes()
+        assert traj.states.tobytes() == np.tile(np.concatenate(x0), (len(traj.times), 1)).tobytes()
 
     def test_rps_sum_exponential_stops_in_a_2_cycle(self):
         # from (0.5, 0.3, 0.2) RK4 spirals into the barycenter, then alternates between two rows of bits:
@@ -1438,7 +1440,7 @@ class TestDerivedStacks:
                 want_state = _reference_fill_base_state(tg, pop, part)
                 want_block = _reference_marginal_block(tg, i, part)
                 one_state = tg.fill_base_state(pop, part)
-                for got, one, want in zip(filled, one_state, want_state.parts, strict=True):
+                for got, one, want in zip(filled, one_state, want_state, strict=True):
                     assert got[s].tobytes() == one.tobytes() == want.tobytes()
                 assert blocks[s].tobytes() == tg.marginal_block(i, part).tobytes() == want_block.tobytes()
         # rates spread over 16 decades, so every summation order shows

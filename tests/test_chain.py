@@ -22,7 +22,6 @@ from symgame import (
     ProtocolError,
     ReducibleChainError,
     RevisionProtocol,
-    SocialState,
     SolverError,
     StateGrid,
     StationaryTable,
@@ -189,8 +188,8 @@ _TWO_POPULATIONS = make_separable_game([np.eye(2), np.array(RPS, dtype=float)])
      "got 1 initial count blocks for 2 populations"),
     (lambda game: StateGrid(game.strategy_counts, (3,), (3,)), "got 1 sizes for 2 populations"),
     (lambda game: StateGrid(game.strategy_counts, (3, 3), (3, 3, 3)), "got 3 resolutions for 2 populations"),
-    (lambda game: game.require_valid_state(SocialState.single([0.5, 0.5])), "got 1 state parts for 2 populations"),
-    (lambda game: dataclasses.replace(game, payoff=lambda s: (s.parts[0],)).payoff_at(game.barycenter()),
+    (lambda game: game.require_valid_state((np.array([0.5, 0.5]),)), "got 1 state parts for 2 populations"),
+    (lambda game: dataclasses.replace(game, payoff=lambda s: (s[0],)).payoff_at(game.barycenter()),
      "got 1 payoff vectors for 2 populations"),
 ], ids=["build_grid", "simulate_paths_resolution", "simulate_paths_x0", "grid_sizes", "grid_resolutions",
         "state_parts", "payoff_vectors"])
@@ -248,7 +247,7 @@ class TestBuildGenerator:
             delta = (np.array(chain.grid.state(d)[0]) - np.array(chain.grid.state(s)[0])) / N
             velocity[s] += r * delta
         for ordinal in range(len(chain.grid)):
-            state = SocialState(parts=(chain.grid.counts[ordinal] / N,))
+            state = (chain.grid.counts[ordinal] / N,)
             (v,) = mean_dynamic_rhs(game, proto, state)
             assert np.max(np.abs(velocity[ordinal] - v)) < 1e-12
 
@@ -668,7 +667,7 @@ class TestTiles:
         matrix = np.array(RPS, dtype=float)
 
         def payoff(state):
-            x = state.parts[0]
+            x = state[0]
             pi = np.matmul(matrix, x[..., None])[..., 0]
             return (np.where(x[:, :1] < 0.365, pi, math.nan) if nan_payoff else pi,)
 
@@ -694,7 +693,7 @@ class TestTiles:
         raised = []
 
         def payoff(state):
-            x = state.parts[0]
+            x = state[0]
             if np.any(x[..., 0] >= 0.365):
                 raised.append(len(x))
                 raise ValueError("payoff undefined above 36 agents on strategy 0")
@@ -832,7 +831,7 @@ class TestDeviationVsOde:
     def test_shrinks_with_population_size(self):
         game = make_linear_game(RPS)
         proto = sum_exponential_protocol(1.0)
-        traj = integrate_mean_dynamic(game, proto, SocialState.single([0.5, 0.3, 0.2]), 5.0, 0.01)
+        traj = integrate_mean_dynamic(game, proto, (np.array([0.5, 0.3, 0.2]),), 5.0, 0.01)
         devs = {}
         for N in (100, 1000):
             x0 = ((N // 2, int(0.3 * N), N - N // 2 - int(0.3 * N)),)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from symgame import (
     IntegrationDivergedError,
     PopulationGame,
     ProtocolError,
-    SocialState,
     constant_protocol,
     custom_protocol,
     integrate_mean_dynamic,
@@ -31,7 +31,7 @@ def closed_form_uniform_switching(x0, t, n=3):
 class TestMeanDynamicRhs:
     def test_pure_state_constant_protocol(self):
         game = make_linear_game(RPS)
-        (v,) = mean_dynamic_rhs(game, constant_protocol(1.0), SocialState.single([1, 0, 0]))
+        (v,) = mean_dynamic_rhs(game, constant_protocol(1.0), (np.array([1, 0, 0]),))
         assert np.allclose(v, [-2.0, 1.0, 1.0])
 
     def test_barycenter_is_rest_point_constant(self):
@@ -49,7 +49,7 @@ class TestMeanDynamicRhs:
         rng = np.random.default_rng(11)
         proto = sum_exponential_protocol(0.7)
         for _ in range(50):
-            state = SocialState.single(rng.dirichlet(np.ones(3)))
+            state = (rng.dirichlet(np.ones(3)),)
             (v,) = mean_dynamic_rhs(game, proto, state)
             assert abs(v.sum()) < 1e-12
 
@@ -58,14 +58,14 @@ class TestIntegrate:
     def test_converges_to_barycenter(self):
         game = make_linear_game(RPS)
         traj = integrate_mean_dynamic(
-            game, constant_protocol(1.0), SocialState.single([1, 0, 0]), 50.0, 0.01
+            game, constant_protocol(1.0), (np.array([1, 0, 0]),), 50.0, 0.01
         )
         assert np.max(np.abs(traj.states[-1] - 1 / 3)) < 1e-6
 
     def test_matches_closed_form(self):
         game = make_linear_game(RPS)
         traj = integrate_mean_dynamic(
-            game, constant_protocol(1.0), SocialState.single([1, 0, 0]), 1.0, 0.01
+            game, constant_protocol(1.0), (np.array([1, 0, 0]),), 1.0, 0.01
         )
         expected = closed_form_uniform_switching([1, 0, 0], 1.0)
         assert np.max(np.abs(traj.states[-1] - expected)) < 1e-9
@@ -89,7 +89,7 @@ class TestIntegrate:
         traj = integrate_mean_dynamic(
             game,
             sum_exponential_protocol(1.0),
-            SocialState.single([0.7, 0.2, 0.1]),
+            (np.array([0.7, 0.2, 0.1]),),
             100.0,
             0.01,
         )
@@ -99,7 +99,7 @@ class TestIntegrate:
     def test_rk4_observed_order(self):
         game = make_linear_game(RPS)
         proto = constant_protocol(1.0)
-        x0 = SocialState.single([1, 0, 0])
+        x0 = (np.array([1, 0, 0]),)
         exact = closed_form_uniform_switching([1, 0, 0], 1.0)
         errors = []
         for dt in (0.1, 0.05):
@@ -119,7 +119,7 @@ class TestIntegrate:
         game = make_linear_game(RPS)
         stiff = custom_protocol(lambda pi, x: 1e6 * np.ones((len(x), len(x))))
         with pytest.raises(IntegrationDivergedError, match="step 1") as err:
-            integrate_mean_dynamic(game, stiff, SocialState.single([1, 0, 0]), 1.0, 0.5)
+            integrate_mean_dynamic(game, stiff, (np.array([1, 0, 0]),), 1.0, 0.5)
         assert err.value.step == 1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -130,7 +130,7 @@ class TestIntegrate:
         game = make_linear_game(RPS)
         huge = custom_protocol(lambda pi, x: np.full((3, 3), 1e308))
         with pytest.raises(IntegrationDivergedError, match="step 1") as err:
-            integrate_mean_dynamic(game, huge, SocialState.single([0.5, 0.3, 0.2]), 1.0, 0.1)
+            integrate_mean_dynamic(game, huge, (np.array([0.5, 0.3, 0.2]),), 1.0, 0.1)
         assert err.value.step == 1
 
     def test_nan_step_raises_divergence_with_step(self, monkeypatch):
@@ -161,7 +161,7 @@ class TestIntegrate:
         game = make_linear_game(RPS)
         if payoff is not None:
             game = PopulationGame(masses=(1.0,), strategy_counts=(3,), payoff=payoff)
-        x0 = SocialState.single([0.7, 0.2, 0.1])
+        x0 = (np.array([0.7, 0.2, 0.1]),)
         with pytest.raises(error) as err:
             integrate_mean_dynamic(game, custom_protocol(rate_fn), x0, 10.0, 0.01)
         assert str(err.value) == message
@@ -195,6 +195,22 @@ class TestIntegrate:
         with pytest.raises(ValueError) as err:
             integrate_mean_dynamic(game, constant_protocol(1.0), game.barycenter(), horizon, dt)
         assert str(err.value) == message
+
+    def test_a_cycle_fills_the_remaining_rows_in_place(self):
+        # from (0.5, 0.3, 0.2) row 1,104 repeats row 1,102, so 198,896 of 200,001 rows are filled from the 2-cycle
+        game = make_linear_game(RPS)
+        proto = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
+        tracemalloc.start()
+        try:
+            traj = integrate_mean_dynamic(game, proto, (np.array([0.5, 0.3, 0.2]),), 2000.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = traj.states
+        assert peak <= 1.5 * rows.nbytes
+        assert rows[1102].tobytes() == rows[1104].tobytes() != rows[1103].tobytes()
+        # the fill of one fancy-indexed copy of the period block, rows 1,103 and 1,104
+        assert rows[1105:].tobytes() == rows[1103:1105][np.arange(len(rows) - 1105) % 2].tobytes()
 
     def test_csv_row_count(self):
         game = make_linear_game(RPS)

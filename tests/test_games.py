@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from symgame import (
     PopulationGame,
     ProtocolError,
     RevisionProtocol,
-    SocialState,
     build_generator,
     constant_protocol,
     custom_protocol,
+    decompose,
     integrate_mean_dynamic,
     make_linear_game,
     make_separable_game,
@@ -26,25 +27,27 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame.chain import build_grid
+from symgame.cli import main as cli_main
 from symgame.games import grid_rates, protocol_tuple
 
 RPS = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 class TestMakeLinearGame:
     def test_rps_barycenter_payoff_is_zero(self):
         game = make_linear_game(RPS, mass=1.0)
-        (pi,) = game.payoff_at(SocialState.single([1 / 3, 1 / 3, 1 / 3]))
+        (pi,) = game.payoff_at((np.array([1 / 3, 1 / 3, 1 / 3]),))
         assert np.allclose(pi, 0.0)
 
     def test_identity_game_reads_state(self):
         game = make_linear_game(np.eye(2))
-        (pi,) = game.payoff_at(SocialState.single([1.0, 0.0]))
+        (pi,) = game.payoff_at((np.array([1.0, 0.0]),))
         assert pi.tolist() == [1.0, 0.0]
 
     def test_rps_pure_state_reads_column(self):
         game = make_linear_game(RPS)
-        (pi,) = game.payoff_at(SocialState.single([1.0, 0.0, 0.0]))
+        (pi,) = game.payoff_at((np.array([1.0, 0.0, 0.0]),))
         assert pi.tolist() == [0.0, 1.0, -1.0]
 
     @pytest.mark.parametrize(
@@ -63,38 +66,152 @@ class TestMakeLinearGame:
         x, y = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
         alpha = rng.random()
         mix = alpha * x + (1 - alpha) * y
-        (f_mix,) = game.payoff_at(SocialState.single(mix / mix.sum()))
-        (f_x,) = game.payoff_at(SocialState.single(x))
-        (f_y,) = game.payoff_at(SocialState.single(y))
+        (f_mix,) = game.payoff_at((mix / mix.sum(),))
+        (f_x,) = game.payoff_at((x,))
+        (f_y,) = game.payoff_at((y,))
         assert np.max(np.abs(f_mix - (alpha * f_x + (1 - alpha) * f_y))) < 1e-12
 
 
-class TestSocialState:
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValueError, match="negative"):
-            SocialState.single([0.5, -0.5, 1.0])
+_SUM_EXP = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
 
-    def test_mass_check_through_game(self):
+# malformed states of the one-population RPS game: (parts, the error of every library entry point, with the
+# mass tolerance it checks; x0 as a config line and the CLI's stderr, or None where a config cannot say it)
+_MALFORMED = {
+    "2d_part": (([[0.5, 0.3, 0.2]],), "population 0: state must be a nonempty vector", None),
+    "empty_part": (([],), "population 0: state must be a nonempty vector", None),
+    "nan": (
+        ([0.5, np.nan, 0.5],), "population 0: state has non-finite entries",
+        ("0.5, nan, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, nan, 0.5'\n"
+                          "  - run section: x0 has 0 population blocks, game has 1\n"),
+    ),
+    "inf": (
+        ([0.5, np.inf, 0.5],), "population 0: state has non-finite entries",
+        ("0.5, inf, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, inf, 0.5'\n"
+                          "  - run section: x0 has 0 population blocks, game has 1\n"),
+    ),
+    "negative_mass": (
+        ([0.501, 0.5, -1e-3],), "population 0: negative mass -0.001",
+        ("0.501, 0.5, -1e-3", "population 0: negative mass -0.001\n"),
+    ),
+    "part_count": (
+        ([0.5, 0.3, 0.2], [0.5, 0.5]), "got 2 state parts for 1 populations",
+        ("0.5, 0.3, 0.2 | 0.5, 0.5", "invalid configuration:\n  - run section: x0 has 2 population blocks, game has 1\n"),
+    ),
+    # each part is checked on its own before the parts are counted
+    "nan_and_part_count": (([0.5, np.nan, 0.5], [0.5, 0.5]), "population 0: state has non-finite entries", None),
+    "shape": (
+        ([0.5, 0.5],), "population 0: state shape (2,) != (3,)",
+        ("0.5, 0.5", "invalid configuration:\n  - run section: x0 block 1 has 2 entries, population has 3 strategies\n"),
+    ),
+    "mass_sum": (
+        ([0.5, 0.3, 0.3],), "population 0: mass 1.1 != 1.0 beyond tolerance {tol}",
+        ("0.5, 0.3, 0.3", "population 0: mass 1.1 != 1.0 beyond tolerance 1e-09\n"),
+    ),
+}
+
+# every entry point that takes a state from outside, and the mass tolerance it checks
+_STATE_ENTRIES = {
+    "require_valid_state": (lambda parts: make_linear_game(RPS).require_valid_state(parts), "1e-12"),
+    "integrate_mean_dynamic": (
+        lambda parts: integrate_mean_dynamic(make_linear_game(RPS), _SUM_EXP, parts, 1.0, 0.1), "1e-12"
+    ),
+    "mean_dynamic_rhs": (lambda parts: mean_dynamic_rhs(make_linear_game(RPS), _SUM_EXP, parts), "1e-09"),
+    "embed": (lambda parts: decompose(make_linear_game(RPS), _SUM_EXP).embed(parts), "1e-09"),
+}
+
+
+class TestSocialState:
+    @pytest.mark.parametrize("entry", sorted(_STATE_ENTRIES))
+    @pytest.mark.parametrize("row", sorted(_MALFORMED))
+    def test_a_malformed_state_raises_the_same_error_at_every_entry(self, row, entry):
+        parts, message, _ = _MALFORMED[row]
+        call, tol = _STATE_ENTRIES[entry]
+        with pytest.raises(ValueError) as err:
+            call(tuple(np.array(x, dtype=float) for x in parts))
+        assert type(err.value) is ValueError
+        assert str(err.value) == message.format(tol=tol)
+
+    @pytest.mark.parametrize("row", sorted(row for row, (_, _, cli) in _MALFORMED.items() if cli))
+    def test_a_malformed_x0_fails_the_cli_with_the_same_error(self, row, tmp_path, capsys):
+        x0, stderr = _MALFORMED[row][2]
+        config = tmp_path / "rps.cfg"
+        config.write_text((EXAMPLES / "rps_sum_exponential.cfg").read_text().replace("x0 = 0.5, 0.3, 0.2", f"x0 = {x0}"))
+        assert cli_main(["mean-dynamic", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == stderr
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_no_returned_state_can_be_written(self):
         game = make_linear_game(RPS)
-        with pytest.raises(ValueError, match="mass"):
-            game.require_valid_state(SocialState.single([0.5, 0.5, 0.5]))
+        traj = integrate_mean_dynamic(game, _SUM_EXP, ([0.5, 0.3, 0.2],), 1.0, 0.1)
+        rows = traj.states.tobytes()
+        returned = {
+            "barycenter": game.barycenter(),
+            "final": traj.final,
+            "rest_point_at_the_barycenter": rest_point(game, _SUM_EXP),
+            # an asymmetric table: the barycenter moves, so the rest point is a relaxed trajectory's final state
+            "rest_point_relaxed": rest_point(
+                make_linear_game(np.zeros((3, 3))), table_protocol([[0, 2, 1], [1, 0, 2], [1, 1, 0]])
+            ),
+            "embed": decompose(game, _SUM_EXP).embed(([0.5, 0.3, 0.2],)),
+            "sample_states": sample_states(game, n_random=3, seed=1)[2],
+        }
+        for name, state in returned.items():
+            assert type(state) is tuple, name
+            for part in state:
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 0.25
+        final = traj.final
+        assert not np.shares_memory(final[0], traj.states)
+        assert traj.states.tobytes() == rows
+
+
+class TestPayoffContract:
+    @staticmethod
+    def _recording_game(seen, vectorized):
+        # RPS on population 0 and the identity on population 1, recording what each call receives
+        def payoff(parts):
+            seen.append((type(parts), [(x.shape, x.flags.writeable) for x in parts]))
+            x, y = parts
+            return np.matmul(np.array(RPS, dtype=float), x[..., None])[..., 0], y.copy()
+
+        return PopulationGame(masses=(1.0, 1.0), strategy_counts=(3, 2), payoff=payoff, vectorized=vectorized)
+
+    def test_a_vectorized_payoff_receives_a_plain_tuple_of_stacks(self):
+        seen = []
+        game = self._recording_game(seen, vectorized=True)
+        grid_rates(game, _SUM_EXP, build_grid(game, 4))
+        assert [(kind, [shape for shape, _ in parts]) for kind, parts in seen] == [(tuple, [(15 * 5, 3), (15 * 5, 2)])]
+        seen.clear()
+        simulate_paths((game, _SUM_EXP, 20), ((10, 5, 5), (12, 8)), 0.05, [0])
+        assert seen and all(kind is tuple for kind, _ in seen)
+        assert all(parts[0][0][0] == parts[1][0][0] > 1 for _, parts in seen)  # a tile of states, one per row
+        assert all([shape[1:] for shape, _ in parts] == [(3,), (2,)] for _, parts in seen)
+        seen.clear()
+        decompose(game, _SUM_EXP)  # every protocol declares symmetry: 16 sampled states
+        assert [(kind, [shape for shape, _ in parts]) for kind, parts in seen] == [(tuple, [(16, 3), (16, 2)])]
+
+    def test_a_per_state_payoff_receives_read_only_vectors_at_each_rk4_stage(self):
+        seen = []
+        game = self._recording_game(seen, vectorized=False)
+        integrate_mean_dynamic(game, constant_protocol(1.0), ([0.5, 0.3, 0.2], [0.4, 0.6]), 0.3, 0.1)
+        assert seen == [(tuple, [((3,), False), ((2,), False)])] * 12
 
 
 class TestProtocolRates:
     def test_constant_protocol_all_ones(self):
-        state = SocialState.single([0.2, 0.3, 0.5])
-        rho = constant_protocol(1.0).rates(np.zeros(3), state.parts[0])
+        state = (np.array([0.2, 0.3, 0.5]),)
+        rho = constant_protocol(1.0).rates(np.zeros(3), state[0])
         assert np.array_equal(rho, np.ones((3, 3)))
 
     def test_sum_exponential_zero_temperature(self):
-        state = SocialState.single([0.2, 0.3, 0.5])
-        rho = sum_exponential_protocol(0.0).rates(np.array([3.0, -1.0, 0.5]), state.parts[0])
+        state = (np.array([0.2, 0.3, 0.5]),)
+        rho = sum_exponential_protocol(0.0).rates(np.array([3.0, -1.0, 0.5]), state[0])
         assert np.array_equal(rho, np.ones((3, 3)))
 
     def test_sum_exponential_values(self):
-        state = SocialState.single([0.2, 0.3, 0.5])
+        state = (np.array([0.2, 0.3, 0.5]),)
         pi = np.array([1.0, 0.0, -1.0])
-        rho = sum_exponential_protocol(1.0).rates(pi, state.parts[0])
+        rho = sum_exponential_protocol(1.0).rates(pi, state[0])
         e = math.e
         expected = [[e**2, e, 1.0], [e, 1.0, 1 / e], [1.0, 1 / e, e**-2]]
         assert np.allclose(rho, expected, rtol=1e-15)
@@ -103,9 +220,9 @@ class TestProtocolRates:
         assert rho[1, 2] == rho[2, 1] == 1 / e
 
     def test_dimension_mismatch(self):
-        state = SocialState.single([0.5, 0.5])
+        state = (np.array([0.5, 0.5]),)
         with pytest.raises(ValueError):
-            constant_protocol(1.0).rates(np.zeros(3), state.parts[0])
+            constant_protocol(1.0).rates(np.zeros(3), state[0])
 
     def test_negative_rate_from_custom_protocol(self):
         bad = custom_protocol(lambda pi, x: -np.ones((len(x), len(x))))
@@ -145,7 +262,7 @@ class TestValidateHypotheses:
         assert report.fully_supported
         floor = min(
             float(np.min(np.add.outer(pi, pi)))
-            for pi in (game.payoff_at(SocialState(parts=(k / 40,)))[0] for k in grid.counts)
+            for pi in (game.payoff_at((k / 40,))[0] for k in grid.counts)
         )
         assert math.exp(floor) >= math.exp(-2.0)
         assert report.min_rate >= math.exp(-2.0)
@@ -155,7 +272,7 @@ class TestValidateHypotheses:
         states = sample_states(game, n_random=200, seed=3)
         for proto in (constant_protocol(2.5), sum_exponential_protocol(1.7)):
             for state in states:
-                rho = proto.rates(game.payoff_at(state)[0], state.parts[0])
+                rho = proto.rates(game.payoff_at(state)[0], state[0])
                 assert np.array_equal(rho, rho.T)
 
     def test_random_sampling_size(self):
@@ -170,7 +287,7 @@ class TestValidateHypotheses:
 class TestMultiPopulation:
     def test_separable_game_payoffs(self):
         game = make_separable_game([np.eye(2), RPS], masses=[1.0, 1.0])
-        state = SocialState(parts=(np.array([0.25, 0.75]), np.array([1 / 3, 1 / 3, 1 / 3])))
+        state = (np.array([0.25, 0.75]), np.array([1 / 3, 1 / 3, 1 / 3]))
         payoffs = game.payoff_at(state)
         assert np.allclose(payoffs[0], [0.25, 0.75])
         assert np.allclose(payoffs[1], 0.0)
@@ -210,7 +327,7 @@ _FAULTS = {
 def _model(fault, vectorized):
     payoff, rates = _FAULTS[fault]
     game = make_linear_game(RPS) if payoff is None else PopulationGame(
-        masses=(1.0,), strategy_counts=(3,), payoff=lambda s: payoff(s.parts[0]), vectorized=vectorized
+        masses=(1.0,), strategy_counts=(3,), payoff=lambda s: payoff(s[0]), vectorized=vectorized
     )
     return game, RevisionProtocol(kind="custom", rate_fn=lambda pi, x: rates(x), vectorized=vectorized)
 
@@ -232,10 +349,10 @@ class TestErrorContract:
     @pytest.mark.parametrize("fault", [f for f in _FAULTS if f != "rate_huge"])
     def test_every_evaluation_raises_the_validating_error(self, fault, vectorized, entry):
         game, proto = _model(fault, vectorized)
-        x0 = SocialState.single([0.5, 0.5, 0.0])
+        x0 = (np.array([0.5, 0.5, 0.0]),)
         with pytest.raises(ValueError) as expected:  # ProtocolError is a ValueError
             (pi,) = game.payoff_at(x0)
-            proto.rates(pi, x0.parts[0])
+            proto.rates(pi, x0[0])
         with pytest.raises(expected.type) as got:
             _ENTRY_POINTS[entry](game, proto, x0)
         assert type(got.value) is expected.type
@@ -245,7 +362,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("vectorized", [False, True], ids=["per_state", "vectorized"])
     def test_a_huge_finite_rate_is_no_false_alarm(self, vectorized, entry):
         game, proto = _model("rate_huge", vectorized)
-        x0 = SocialState.single([0.5, 0.5, 0.0])
+        x0 = (np.array([0.5, 0.5, 0.0]),)
         if entry == "rest_point":  # it starts at the barycenter, where 1e200 moves strategy 2's mass at once
             with pytest.raises(IntegrationDivergedError, match="^integration diverged at step 1 "):
                 _ENTRY_POINTS[entry](game, proto, x0)

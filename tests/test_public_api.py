@@ -31,7 +31,7 @@ def test_removed_builders_are_not_exported(name):
     assert not hasattr(symgame, name)
 
 
-@pytest.mark.parametrize("name", ["enumerate_states", "unconstrained_joint", "lattice_grid"])
+@pytest.mark.parametrize("name", ["enumerate_states", "unconstrained_joint", "lattice_grid", "SocialState"])
 def test_removed_lattice_paths_stay_gone(name):
     modules = [importlib.import_module(module_name) for module_name in MODULES]
     assert [m.__name__ for m in (symgame, *modules) if hasattr(m, name)] == []
@@ -42,7 +42,7 @@ PUBLIC_NAMES = [
     "BirthDeathSpec", "BirthDeathWeights", "ComparisonMetrics", "ConfigError",
     "DerivedPopulation", "DetailedBalanceReport", "EmptySupportError", "FiniteChain",
     "GridSizeError", "IntegrationDivergedError", "PathResult", "PopulationGame",
-    "ProtocolError", "ReducibleChainError", "RevisionProtocol", "SocialState", "SolverError",
+    "ProtocolError", "ReducibleChainError", "RevisionProtocol", "SolverError",
     "StateGrid",
     "StationaryTable", "SymgameError", "Trajectory", "TransformedGame", "ValidationReport",
     "birth_death_weights", "build_generator", "build_grid", "check_detailed_balance",
@@ -70,8 +70,6 @@ def test_removed_methods_stay_gone():
     assert not hasattr(symgame.DerivedPopulation, "is_passthrough")
     for name in ("index", "states", "social_state"):
         assert not hasattr(symgame.StateGrid, name), name
-    for name in ("flat", "from_counts", "counts", "denominators", "num_populations"):
-        assert not hasattr(symgame.SocialState, name), name
     assert "params" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}
     assert {f.name for f in dataclasses.fields(symgame.FiniteChain)}.isdisjoint({"pop", "from_strategy", "to_strategy"})
     assert not hasattr(importlib.import_module("symgame.config").ExperimentConfig, "num_populations")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from symgame import (
-    SocialState,
     SymgameError,
     build_generator,
     build_grid,
@@ -69,13 +68,13 @@ class TestSymmetrize3to2:
     def test_derived_payoffs_are_zero(self):
         # no derived rate reads a derived payoff, so both derived games return zeros of the derived shapes
         tg = decompose(make_linear_game(RPS), constant_protocol(1.0))
-        one = tg.embed(SocialState.single([0.6, 0.3, 0.1]))
-        stack = SocialState._unchecked(tuple(np.tile(part, (4, 1)) for part in one.parts))
+        one = tg.embed((np.array([0.6, 0.3, 0.1]),))
+        stack = tuple(np.tile(part, (4, 1)) for part in one)
         dg, _ = tg.as_population_game()
         games = [(dg, range(3))] + [(tg.marginal_game(i)[0], [i]) for i in range(3)]
         for game, members in games:
             for state, shape in ((one, (2,)), (stack, (4, 2))):
-                payoffs = game.payoff(SocialState._unchecked(tuple(state.parts[i] for i in members)))
+                payoffs = game.payoff(tuple(state[i] for i in members))
                 assert [p.shape for p in payoffs] == [shape] * len(members)
                 assert all(not p.any() for p in payoffs)
 
@@ -91,8 +90,8 @@ class TestSymmetrize3to2:
         for N in (2, 4, 8):
             for i in range(N + 1):
                 for j in range(N + 1 - i):
-                    state = SocialState.single(np.array([i, j, N - i - j], dtype=float) / N)
-                    for part in tg.embed(state).parts:
+                    state = (np.array([i, j, N - i - j]) / N,)
+                    for part in tg.embed(state):
                         assert part.sum() == 1.0
 
     def test_block_diagonal_independence(self):
@@ -145,7 +144,7 @@ class TestInvert3to2:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.dirichlet(np.ones(3))
-            pi = game.payoff_at(SocialState.single(x))[0]
+            pi = game.payoff_at((x,))[0]
             want = proto.rates(pi, x)
             got = recovered.rates(pi, x)
             assert np.max(np.abs(got - want)) < 1e-15
