@@ -162,8 +162,6 @@ class FiniteChain:
     src: np.ndarray
     dst: np.ndarray
     rate: np.ndarray
-    game: PopulationGame
-    protocols: tuple[RevisionProtocol, ...]
 
     @property
     def num_states(self) -> int:
@@ -238,7 +236,7 @@ def build_generator(
     diag = sp.coo_matrix((-row_sums, (np.arange(n_states), np.arange(n_states))),
                          shape=(n_states, n_states))
     generator = (off_diag + diag).tocsr()
-    return FiniteChain(grid, generator, src_arr, dst_arr, rate_arr, game, protocols)
+    return FiniteChain(grid, generator, src_arr, dst_arr, rate_arr)
 
 
 def _communicating_classes(chain: FiniteChain):
@@ -452,37 +450,22 @@ def _normalize_x0(x0, strategy_counts, sizes) -> list[np.ndarray]:
     return parts
 
 
-def simulate_path(
-    model: "FiniteChain | tuple",
-    x0,
-    horizon: float,
-    seed: int,
-    burn_in: float = 0.0,
-    collect_occupancy: bool | None = None,
-) -> PathResult:
+def simulate_path(model: tuple, x0, horizon: float, seed: int, burn_in: float = 0.0) -> PathResult:
     """One Gillespie path: :func:`simulate_paths` with the single seed ``seed``.
 
     A seed run alone gives the same bytes as the same seed in any batch.
     """
-    return simulate_paths(model, x0, horizon, [seed], burn_in, collect_occupancy)[0]
+    return simulate_paths(model, x0, horizon, [seed], burn_in)[0]
 
 
-def simulate_paths(
-    model: "FiniteChain | tuple",
-    x0,
-    horizon: float,
-    seeds: Sequence[int],
-    burn_in: float = 0.0,
-    collect_occupancy: bool | None = None,
-) -> list[PathResult]:
+def simulate_paths(model: tuple, x0, horizon: float, seeds: Sequence[int], burn_in: float = 0.0) -> list[PathResult]:
     """Gillespie realizations of the revision process from ``x0``, one per seed, in seed order.
 
-    ``model`` is a prebuilt :class:`FiniteChain`, which supplies its game,
-    protocols and grid, or a ``(game, protocol, lattice)`` triple whose
-    ``lattice`` is the game's :class:`StateGrid` or, for grids too large to
-    enumerate, its resolution.  ``x0`` is per-population agent counts, one
-    sequence per population, and must hold the ``N * mass`` agents of each
-    population, else ``KeyError``.
+    ``model`` is a ``(game, protocol, lattice)`` triple whose ``lattice`` is
+    the game's :class:`StateGrid` or its resolution, which enumerates no
+    state.  ``x0`` is per-population agent counts, one sequence per
+    population, and must hold the ``N * mass`` agents of each population,
+    else ``KeyError``.
 
     The seeds run one after another, each as one event loop on Python floats.
     The running sums of the move weights ``k_i * rho_ij`` at a state, in the
@@ -498,8 +481,8 @@ def simulate_paths(
     whose running sum exceeds ``V * total``).  Both are drawn in blocks of
     ``DRAW_BLOCK``, so a path's bytes depend neither on the block size nor on
     the other seeds of the batch.  A path ends at the event whose holding
-    time passes ``horizon``.  Occupancy, collected by default for a chain
-    only, is computed from each finished path: the time-weighted state
+    time passes ``horizon``.  On a :class:`StateGrid` lattice, and only
+    there, each path carries its occupancy: the time-weighted state
     distribution over ``(burn_in, horizon]``, normalized to one.
 
     Each state a path visits is screened as the lattice and the mean dynamic
@@ -515,10 +498,6 @@ def simulate_paths(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 0 <= burn_in < horizon:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}")
-    if isinstance(model, FiniteChain):
-        model = (model.game, model.protocols, model.grid)
-        if collect_occupancy is None:
-            collect_occupancy = True
     game, protocol, grid = model
     protocols = protocol_tuple(protocol, game)
     if isinstance(grid, StateGrid):
@@ -527,19 +506,16 @@ def simulate_paths(
         resolutions, sizes = grid.resolutions, grid.sizes
     else:
         resolutions, sizes = _lattice_sizes(game, grid)
-        grid = build_grid(game, resolutions) if collect_occupancy else None
+        grid = None
     k0 = np.concatenate(_normalize_x0(x0, game.strategy_counts, sizes))
     recorded = _event_paths(game, protocols, resolutions, sizes, k0, horizon, seeds)
     paths = []
     for seed, (path_times, path_counts) in zip(seeds, recorded):
         occupancy = None
-        if collect_occupancy:
+        if grid is not None:
             dwell = np.diff(np.maximum(np.append(path_times, horizon), burn_in))
             residence = np.bincount(grid.ranks(path_counts), weights=dwell, minlength=len(grid))
-            occupancy = StationaryTable(
-                grid=grid, probabilities=residence / (horizon - burn_in), provenance="empirical",
-                metadata={"seed": seed, "horizon": horizon, "burn_in": burn_in},
-            )
+            occupancy = StationaryTable(grid, residence / (horizon - burn_in), "empirical")
         paths.append(PathResult(
             times=path_times,
             counts=path_counts,

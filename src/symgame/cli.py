@@ -19,7 +19,7 @@ import numpy as np
 from . import chain as chain_mod
 from .config import ExperimentConfig, parse_config, parse_seeds, render_config
 from .dynamics import integrate_mean_dynamic
-from .errors import ConfigError, GridSizeError, SymgameError
+from .errors import ConfigError, SymgameError
 from .games import (
     ENUMERATION_LIMIT,
     count_states,
@@ -89,6 +89,12 @@ class _Model:
         self.base_protocols = config.build_protocols(self.base_game)
         self.transformed = config.transform_lineage is not None
         if self.transformed:
+            lineage = self.decomposition.lineage
+            if config.transform_lineage != lineage:
+                raise SymgameError(
+                    f"[transform] lineage '{', '.join(config.transform_lineage)}' does not match "
+                    f"the game's decomposition '{', '.join(lineage)}'"
+                )
             self.game, self.protocols = self.decomposition.as_population_game()
         else:
             self.game, self.protocols = self.base_game, self.base_protocols
@@ -129,20 +135,20 @@ class _Model:
         return chain_mod.build_grid(self.game, self.resolutions)
 
     @cached_property
+    def num_states(self) -> int:
+        """States of the lattice, counted without enumerating them."""
+        _, sizes = chain_mod._lattice_sizes(self.game, self.resolutions)
+        return count_states(self.game.strategy_counts, sizes)
+
+    @cached_property
     def rates(self):
         return grid_rates(self.game, self.protocols, self.grid)
 
     @cached_property
     def hypotheses(self):
-        """Exhaustive check on a lattice small enough to enumerate, else 1000 random states.
-
-        A lattice above ``ENUMERATION_LIMIT`` states is refused before any state is
-        enumerated; a smaller one becomes the run's :attr:`grid` (read this first, or
-        the lattice is built twice).
-        """
-        try:
-            self.grid = chain_mod.build_grid(self.game, self.resolutions, limit=ENUMERATION_LIMIT)
-        except GridSizeError:
+        """Exhaustive check on :attr:`grid` with :attr:`rates`, or on 1000 random states when
+        :attr:`num_states` exceeds ``ENUMERATION_LIMIT``, so that such a lattice is never enumerated."""
+        if self.num_states > ENUMERATION_LIMIT:
             states = sample_states(self.game, n_random=1000, seed=0)
             return validate_hypotheses(self.game, self.protocols, states)
         return validate_hypotheses(self.game, self.protocols, self.grid, rates=self.rates)
@@ -167,11 +173,7 @@ class _Model:
         )
         results = [birth_death_weights(spec) for spec in specs]
         marginals = [r.normalized() for r in results]
-        variants = {
-            "variant_factor": config.variant_factor,
-            "variant_orientation": config.variant_orientation,
-        }
-        return results, marginals, product_form_joint(marginals, self.grid, metadata=variants)
+        return results, marginals, product_form_joint(marginals, self.grid)
 
     @cached_property
     def chain(self):
@@ -264,12 +266,9 @@ def _simulate_seeds(model: _Model, writer: ArtifactWriter, command: str) -> list
     if not config.seeds:
         raise SymgameError(f"{command} needs a nonempty seed list (run section, 'seeds')")
     x0 = model.lattice_counts()
-    occupancy = count_states(model.game.strategy_counts, [sum(p) for p in x0]) <= CHAIN_STATE_BUDGET
-    lattice = model.grid if occupancy else model.resolutions
+    lattice = model.grid if model.num_states <= CHAIN_STATE_BUDGET else model.resolutions
     paths = chain_mod.simulate_paths(
-        (model.game, model.protocols, lattice), x0, config.horizon, config.seeds,
-        burn_in=config.burn_in,
-        collect_occupancy=occupancy,
+        (model.game, model.protocols, lattice), x0, config.horizon, config.seeds, burn_in=config.burn_in
     )
     for path in paths:
         header = _provenance(config, command, path.seed)

@@ -161,8 +161,8 @@ def _parse_number(text: str, conv, label: str, problems: list[str]):
 
 def _parse(kind: str, text: str, label: str, problems: list[str]):
     """``text`` read as a value of ``kind``; a bad value is a labelled problem and NaN or None."""
-    if kind == "blocks":  # population blocks separated by '|'; empty and bad ones are dropped
-        return [block for part in text.split("|") if (block := _parse_list(part, float, label, problems))]
+    if kind == "blocks":  # population blocks separated by '|'; empty ones are dropped, a bad one is None
+        return [block for part in text.split("|") if (block := _parse_list(part, float, label, problems)) != []]
     if kind == "matrix":
         return _parse_matrix(text, label, problems)
     if kind == "text":
@@ -346,7 +346,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"run section: x0 block {p} has {len(block)} entries, "
                 f"population has {A.shape[0]} strategies"
                 for p, (block, A) in enumerate(zip(x0, matrices), start=1)
-                if len(block) != A.shape[0]
+                if block is not None and len(block) != A.shape[0]
             ]
 
     if problems:

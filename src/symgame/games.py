@@ -352,11 +352,6 @@ class StateGrid:
         self.sizes = tuple(int(s) for s in _per_population(sizes, len(self.strategy_counts), "sizes"))
         self.resolutions = tuple(int(r) for r in _per_population(resolutions, len(self.sizes), "resolutions"))
         self._radix = tuple(count_states((n,), (s,)) for n, s in zip(self.strategy_counts, self.sizes))
-        for per_pop in self._radix:
-            if per_pop > limit:
-                raise GridSizeError(
-                    f"population grid has {per_pop} states, exceeding the limit {limit}"
-                )
         total = math.prod(self._radix)
         if total > limit:
             raise GridSizeError(f"product grid has {total} states, exceeding the limit {limit}")

@@ -157,11 +157,7 @@ def specs_from_transform(
     return specs
 
 
-def product_form_joint(
-    marginals: Sequence[np.ndarray],
-    grid: StateGrid,
-    metadata: dict | None = None,
-) -> StationaryTable:
+def product_form_joint(marginals: Sequence[np.ndarray], grid: StateGrid) -> StationaryTable:
     """Joint prediction over the original grid from per-population marginals.
 
     Marginals are consumed in population-block order: a base population with
@@ -201,12 +197,7 @@ def product_form_joint(
     joint = per_pop_weights[0]
     for weights in per_pop_weights[1:]:
         joint = np.multiply.outer(joint, weights)
-    return StationaryTable(
-        grid=grid,
-        probabilities=joint.ravel(),
-        provenance="predicted-product-form",
-        metadata=metadata or {},
-    )
+    return StationaryTable(grid, joint.ravel(), "predicted-product-form")
 
 
 @dataclass(frozen=True)

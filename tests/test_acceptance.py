@@ -242,7 +242,7 @@ def test_07_deterministic_approximation():
     hits = 0
     worst = 0.0
     paths = simulate_paths(
-        (game, proto, 1000), ((500, 300, 200),), 10.0, list(range(100)), collect_occupancy=False
+        (game, proto, 1000), ((500, 300, 200),), 10.0, list(range(100))
     )
     for path in paths:
         deviation = deviation_vs_ode(path, trajectory)

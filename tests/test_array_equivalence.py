@@ -1216,8 +1216,7 @@ class TestSimulatePath:
         game, protocols, resolution, _, x0, horizon, burn_in = self._draw_path_inputs(
             model, seed, burn_in_share
         )
-        path = simulate_path((game, protocols, resolution), x0, horizon, seed,
-                             burn_in=burn_in, collect_occupancy=True)
+        path = simulate_path((game, protocols, build_grid(game, resolution)), x0, horizon, seed, burn_in=burn_in)
         times, counts, occupancy = _reference_fly_path(
             game, protocols, resolution, x0, horizon, seed, burn_in
         )
@@ -1234,7 +1233,7 @@ class TestSimulatePath:
         game, protocols, resolution, chain, x0, horizon, burn_in = self._draw_path_inputs(
             model, seed, burn_in_share
         )
-        path = simulate_path(chain, x0, horizon, seed, burn_in=burn_in)
+        path = simulate_path((game, protocols, chain.grid), x0, horizon, seed, burn_in=burn_in)
         times, counts, occupancy = _reference_chain_path(chain, x0, horizon, seed, burn_in)
         assert path.times.tobytes() == times.tobytes()
         assert path.counts.tobytes() == counts.tobytes()
@@ -1252,11 +1251,10 @@ class TestSimulatePath:
         _, protocols, resolution, _, x0, horizon, burn_in = self._draw_path_inputs(
             (game, protocols, resolution), seeds[0], burn_in_share
         )
-        model = (game, protocols, resolution)
+        model = (game, protocols, build_grid(game, resolution))
         with mock.patch.object(chain_module, "DRAW_BLOCK", block):
-            batch = simulate_paths(model, x0, horizon, seeds, burn_in=burn_in, collect_occupancy=True)
-            alone = [simulate_path(model, x0, horizon, seed, burn_in=burn_in, collect_occupancy=True)
-                     for seed in seeds]
+            batch = simulate_paths(model, x0, horizon, seeds, burn_in=burn_in)
+            alone = [simulate_path(model, x0, horizon, seed, burn_in=burn_in) for seed in seeds]
         assert [path.seed for path in batch] == seeds
         for a, b in zip(batch, alone):
             assert a.to_csv() == b.to_csv()
@@ -1268,6 +1266,7 @@ class TestSimulatePath:
         # every stacked call is one tile: each of its rows must equal the one-row evaluation of its
         # lattice state, the states that no path visits included, and the paths must not move a byte
         (game, protocols, resolution), x0, seeds = drawn
+        model = (game, protocols, build_grid(game, resolution))
         horizon = 2.0  # tens to hundreds of events
         calls = []
 
@@ -1281,11 +1280,9 @@ class TestSimulatePath:
             return recorded
 
         with mock.patch.object(chain_module, "_evaluator", spy):
-            tiled = simulate_paths((game, protocols, resolution), x0, horizon, seeds,
-                                   burn_in=burn_in_share * horizon, collect_occupancy=True)
+            tiled = simulate_paths(model, x0, horizon, seeds, burn_in=burn_in_share * horizon)
         with mock.patch.object(chain_module, "TILE_STATES", 1):
-            alone = simulate_paths((game, protocols, resolution), x0, horizon, seeds,
-                                   burn_in=burn_in_share * horizon, collect_occupancy=True)
+            alone = simulate_paths(model, x0, horizon, seeds, burn_in=burn_in_share * horizon)
         for a, b in zip(tiled, alone):
             assert a.to_csv() == b.to_csv()
             assert a.occupancy.to_csv() == b.occupancy.to_csv()
@@ -1669,7 +1666,7 @@ class TestCsvWriters:
         tables = [
             exact_stationary(chain),
             product_form_joint([birth_death_weights(spec).normalized() for spec in specs], grid),
-            simulate_paths(chain, [(10, 10, 10)], 5.0, [3], collect_occupancy=True)[0].occupancy,
+            simulate_paths((game, proto, grid), [(10, 10, 10)], 5.0, [3])[0].occupancy,
         ]
         for table in tables:
             assert len(np.unique(table.probabilities)) < len(grid) // 2

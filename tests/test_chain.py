@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -475,25 +476,25 @@ class TestExactStationary:
 
 class TestSimulatePath:
     def test_seed_determinism(self):
-        game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
-        a = simulate_path(chain, ((4, 0, 0),), 50.0, seed=42)
-        b = simulate_path(chain, ((4, 0, 0),), 50.0, seed=42)
+        game, proto = make_linear_game(RPS), constant_protocol(1.0)
+        chain = build_generator(game, proto, build_grid(game, 4))
+        a = simulate_path((game, proto, chain.grid), ((4, 0, 0),), 50.0, seed=42)
+        b = simulate_path((game, proto, chain.grid), ((4, 0, 0),), 50.0, seed=42)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.counts, b.counts)
         assert a.to_csv() == b.to_csv()
 
     def test_different_seeds_differ(self):
-        game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 4))
-        a = simulate_path(chain, ((4, 0, 0),), 50.0, seed=1)
-        b = simulate_path(chain, ((4, 0, 0),), 50.0, seed=2)
+        game, proto = make_linear_game(RPS), constant_protocol(1.0)
+        chain = build_generator(game, proto, build_grid(game, 4))
+        a = simulate_path((game, proto, chain.grid), ((4, 0, 0),), 50.0, seed=1)
+        b = simulate_path((game, proto, chain.grid), ((4, 0, 0),), 50.0, seed=2)
         assert not (len(a.times) == len(b.times) and np.array_equal(a.times, b.times))
 
     def test_occupancy_sums_to_one(self):
-        game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 3))
-        path = simulate_path(chain, ((3, 0, 0),), 200.0, seed=7, burn_in=10.0)
+        game, proto = make_linear_game(RPS), constant_protocol(1.0)
+        chain = build_generator(game, proto, build_grid(game, 3))
+        path = simulate_path((game, proto, chain.grid), ((3, 0, 0),), 200.0, seed=7, burn_in=10.0)
         assert abs(path.occupancy.probabilities.sum() - 1.0) < 1e-12
         assert path.occupancy.provenance == "empirical"
 
@@ -501,18 +502,18 @@ class TestSimulatePath:
         # an asymmetric table: a symmetric one gives the multinomial law whatever
         # the direction of each move; this law is 0.29 in TV from that of the
         # transposed table and 0.26 from uniform
-        game = make_linear_game(np.eye(3))
-        chain = build_generator(game, table_protocol([[0, 1, 4], [2, 0, 1], [1, 3, 0]]), build_grid(game, 3))
+        game, proto = make_linear_game(np.eye(3)), table_protocol([[0, 1, 4], [2, 0, 1], [1, 3, 0]])
+        chain = build_generator(game, proto, build_grid(game, 3))
         exact = exact_stationary(chain)
-        path = simulate_path(chain, ((3, 0, 0),), 2000.0, seed=3, burn_in=20.0)
+        path = simulate_path((game, proto, chain.grid), ((3, 0, 0),), 2000.0, seed=3, burn_in=20.0)
         tv = 0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum()
         assert tv < 0.03  # seeds 0-29 gave at most 0.0175 (about 23k events)
 
     def test_binomial_occupancy(self):
         # two strategies with uniform switching settle at Binomial(N, 1/2)
-        game = make_linear_game(np.zeros((2, 2)))
-        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 50))
-        path = simulate_path(chain, ((50, 0),), 1e4, seed=2024, burn_in=1e2)
+        game, proto = make_linear_game(np.zeros((2, 2))), constant_protocol(1.0)
+        chain = build_generator(game, proto, build_grid(game, 50))
+        path = simulate_path((game, proto, chain.grid), ((50, 0),), 1e4, seed=2024, burn_in=1e2)
         target = np.zeros(51)
         target[chain.grid.ranks([(k, 50 - k) for k in range(51)])] = binom.pmf(np.arange(51), 50, 0.5)
         tv = 0.5 * np.abs(path.occupancy.probabilities - target).sum()
@@ -525,14 +526,14 @@ class TestSimulatePath:
         exact = exact_stationary(chain)
         mean_tv = []
         for horizon in (1e2, 1e3, 1e4):
-            paths = simulate_paths(chain, ((2, 2),), horizon, list(range(10)))
+            paths = simulate_paths((game, proto, chain.grid), ((2, 2),), horizon, list(range(10)))
             tvs = [0.5 * np.abs(path.occupancy.probabilities - exact.probabilities).sum() for path in paths]
             mean_tv.append(np.mean(tvs))
         assert mean_tv[0] >= mean_tv[1] >= mean_tv[2]
 
 
-    @pytest.mark.parametrize("model", ["chain", "triple", "triple-occupancy"])
-    def test_off_lattice_x0_raises_before_the_first_event(self, model):
+    @pytest.mark.parametrize("lattice", ["grid", "resolution"])
+    def test_off_lattice_x0_raises_before_the_first_event(self, lattice):
         # 9 agents at resolution 10 would simulate fractions summing to 0.9
         calls = []
 
@@ -542,11 +543,9 @@ class TestSimulatePath:
 
         game = make_linear_game(RPS)
         proto = custom_protocol(rate_fn, support_floor=1.0, symmetric=True)
-        source = build_generator(game, proto, build_grid(game, 10)) if model == "chain" else (game, proto, 10)
-        calls.clear()
+        lattice = build_grid(game, 10) if lattice == "grid" else 10
         with pytest.raises(KeyError, match=r"state \(\(3, 3, 3\),\) is not on the grid"):
-            simulate_path(source, ((3, 3, 3),), 1.0, seed=0,
-                          collect_occupancy=model != "triple")
+            simulate_path((game, proto, lattice), ((3, 3, 3),), 1.0, seed=0)
         assert calls == []
 
     def test_fractional_agent_count_raises_as_for_a_chain(self):
@@ -555,18 +554,36 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="not an integer agent count"):
             simulate_path((game, constant_protocol(1.0), 3), ((1, 1),), 1.0, seed=0)
 
-    def test_chain_and_triple_give_the_same_path(self):
+    def test_grid_and_resolution_give_the_same_path(self):
         game = make_linear_game(RPS)
         proto = sum_exponential_protocol(1.0)
-        chain = build_generator(game, proto, build_grid(game, 5))
-        a = simulate_path(chain, ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
-        b = simulate_path((game, proto, 5), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
-                          collect_occupancy=True)
-        c = simulate_path((game, proto, chain.grid), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0,
-                          collect_occupancy=True)
-        for path in (b, c):
-            assert a.to_csv() == path.to_csv()
-            assert a.occupancy.to_csv() == path.occupancy.to_csv()
+        a = simulate_path((game, proto, build_grid(game, 5)), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
+        b = simulate_path((game, proto, 5), ((3, 1, 1),), 20.0, seed=8, burn_in=2.0)
+        assert a.to_csv() == b.to_csv()
+        assert a.occupancy is not None and b.occupancy is None
+
+    # sha256 of the occupancy CSVs of seeds 1 and 2 as a prebuilt FiniteChain model gave them,
+    # when simulate_paths still took one
+    @pytest.mark.parametrize("protocol, occupancy_digests", [
+        (sum_exponential_protocol(1.0), [
+            "dd6055f299fefb51123c4b91c4167f2d72b7223b6f4e20067f5db069efe3d7e8",
+            "c4d4cf81999a78c74a897ce8d22eb77cc4ed341c054b3291a8df4b1d85b900c0",
+        ]),
+        (custom_protocol(lambda pi, x: np.exp(np.add.outer(-pi, pi)), support_floor=0.1), [
+            "c868fa4c6b5c3f6eed0ffcab491729dcc9e2888a9671fad0aac4ddac6f080177",
+            "86a9e60418a005f40587109ba5a719cf9d409d39e425679d73d395d8de7515ad",
+        ]),
+    ], ids=["vectorized", "per-state"])
+    def test_a_grid_and_only_a_grid_gives_an_occupancy(self, protocol, occupancy_digests):
+        game = make_linear_game(RPS)
+        on_grid, on_resolution = (
+            simulate_paths((game, protocol, lattice), ((2, 1, 1),), 5.0, [1, 2], burn_in=0.5)
+            for lattice in (build_grid(game, 4), 4)
+        )
+        digests = [hashlib.sha256(path.occupancy.to_csv().encode()).hexdigest() for path in on_grid]
+        assert digests == occupancy_digests
+        assert [path.occupancy for path in on_resolution] == [None, None]
+        assert [path.to_csv() for path in on_grid] == [path.to_csv() for path in on_resolution]
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_raises_before_the_event_loop(self, horizon, monkeypatch):
@@ -791,9 +808,9 @@ class TestDetailedBalance:
         assert report.max_imbalance == pytest.approx(0.6321205588285579, rel=1e-9)
 
     def test_requires_exact_table(self):
-        game = make_linear_game(RPS)
-        chain = build_generator(game, constant_protocol(1.0), build_grid(game, 2))
-        path = simulate_path(chain, ((2, 0, 0),), 10.0, seed=0)
+        game, proto = make_linear_game(RPS), constant_protocol(1.0)
+        chain = build_generator(game, proto, build_grid(game, 2))
+        path = simulate_path((game, proto, chain.grid), ((2, 0, 0),), 10.0, seed=0)
         with pytest.raises(ValueError, match="exact"):
             check_detailed_balance(chain, path.occupancy)
 
@@ -835,6 +852,6 @@ class TestDeviationVsOde:
         devs = {}
         for N in (100, 1000):
             x0 = ((N // 2, int(0.3 * N), N - N // 2 - int(0.3 * N)),)
-            path = simulate_path((game, proto, N), x0, 5.0, seed=5, collect_occupancy=False)
+            path = simulate_path((game, proto, N), x0, 5.0, seed=5)
             devs[N] = deviation_vs_ode(path, traj)
         assert devs[1000] < devs[100]

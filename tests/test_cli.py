@@ -204,6 +204,20 @@ class TestCommands:
         assert "not an integer agent count" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("lineage", ["anything at all", ""])
+    def test_a_transform_lineage_other_than_the_games_is_refused(self, lineage, tmp_path, capsys):
+        # the lineage was once read only for the section's presence, so any text ran the derived game
+        assert run("transform", ROOT / "docs" / "examples" / "rps_sum_exponential.cfg", tmp_path / "t") == 0
+        config = tmp_path / "edited.cfg"
+        text = (tmp_path / "t" / "transformed_game.cfg").read_text()
+        config.write_text(text.replace("lineage = 3->2", f"lineage = {lineage}"))
+        out = tmp_path / "out"
+        assert run("mean-dynamic", config, out) == 1
+        assert capsys.readouterr().err == (
+            f"[transform] lineage '{lineage}' does not match the game's decomposition '3->2'\n"
+        )
+        assert not out.exists()
+
     def test_non_integer_agent_count_keeps_mean_dynamic(self, tmp_path):
         config = tmp_path / "half.cfg"
         config.write_text(HALF_AGENT)

@@ -541,17 +541,19 @@ CORPUS = {
     "non-numeric x0": (
         "rps_sum_exponential",
         (("x0 = 0.5, 0.3, 0.2", "x0 = 0.5, 0.3, zz"),),
-        [
-            "run section (x0): cannot parse list '0.5, 0.3, zz'",
-            "run section: x0 has 0 population blocks, game has 1",
-        ],
+        ["run section (x0): cannot parse list '0.5, 0.3, zz'"],
     ),
     "infinite x0": (
         "rps_sum_exponential",
         (("x0 = 0.5, 0.3, 0.2", "x0 = inf, 0, 0"),),
+        ["run section (x0): expected finite numbers, got 'inf, 0, 0'"],
+    ),
+    "x0 with a bad block among two for one population": (
+        "rps_sum_exponential",
+        (("x0 = 0.5, 0.3, 0.2", "x0 = 0.5, 0.3, 0.2 | 0.5, nan, 0.5"),),
         [
-            "run section (x0): expected finite numbers, got 'inf, 0, 0'",
-            "run section: x0 has 0 population blocks, game has 1",
+            "run section (x0): expected finite numbers, got ' 0.5, nan, 0.5'",
+            "run section: x0 has 2 population blocks, game has 1",
         ],
     ),
     "x0 with one block for two populations": (

@@ -81,13 +81,11 @@ _MALFORMED = {
     "empty_part": (([],), "population 0: state must be a nonempty vector", None),
     "nan": (
         ([0.5, np.nan, 0.5],), "population 0: state has non-finite entries",
-        ("0.5, nan, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, nan, 0.5'\n"
-                          "  - run section: x0 has 0 population blocks, game has 1\n"),
+        ("0.5, nan, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, nan, 0.5'\n"),
     ),
     "inf": (
         ([0.5, np.inf, 0.5],), "population 0: state has non-finite entries",
-        ("0.5, inf, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, inf, 0.5'\n"
-                          "  - run section: x0 has 0 population blocks, game has 1\n"),
+        ("0.5, inf, 0.5", "invalid configuration:\n  - run section (x0): expected finite numbers, got '0.5, inf, 0.5'\n"),
     ),
     "negative_mass": (
         ([0.501, 0.5, -1e-3],), "population 0: negative mass -0.001",

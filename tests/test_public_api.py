@@ -71,7 +71,9 @@ def test_removed_methods_stay_gone():
     for name in ("index", "states", "social_state"):
         assert not hasattr(symgame.StateGrid, name), name
     assert "params" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}
-    assert {f.name for f in dataclasses.fields(symgame.FiniteChain)}.isdisjoint({"pop", "from_strategy", "to_strategy"})
+    assert {f.name for f in dataclasses.fields(symgame.FiniteChain)}.isdisjoint(
+        {"pop", "from_strategy", "to_strategy", "game", "protocols"}
+    )
     assert not hasattr(importlib.import_module("symgame.config").ExperimentConfig, "num_populations")
     assert not hasattr(symgame.Trajectory, "state_at")
     assert "solver" not in inspect.signature(symgame.exact_stationary).parameters
