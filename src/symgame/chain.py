@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -32,7 +31,9 @@ from .games import (
     _check_rate_shapes,
     _checked_rates,
     _evaluator,
+    _lattice_sizes,
     _per_population,
+    _require_lattice,
     grid_rates,
     protocol_tuple,
 )
@@ -65,24 +66,6 @@ DRAW_BLOCK = 1024
 
 # lattice states per evaluation of the move weights, for a vectorized model, in the event loop
 TILE_STATES = 64
-
-
-def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-population resolutions N and agent counts N * mass, which must be integers."""
-    if isinstance(resolution, numbers.Integral):
-        resolution = (resolution,) * game.num_populations
-    resolutions = tuple(int(r) for r in _per_population(resolution, game.num_populations, "resolutions"))
-    sizes = []
-    for p, (res, m) in enumerate(zip(resolutions, game.masses)):
-        if res < 1:
-            raise ValueError(f"population {p}: resolution must be >= 1, got {res}")
-        size = res * m
-        if abs(size - round(size)) > 1e-9:
-            raise ValueError(
-                f"population {p}: resolution {res} x mass {m} is not an integer agent count"
-            )
-        sizes.append(int(round(size)))
-    return resolutions, tuple(sizes)
 
 
 def build_grid(
@@ -211,8 +194,7 @@ def build_generator(
     """
     import scipy.sparse as sp
     protocols = protocol_tuple(protocol, game)
-    if grid.strategy_counts != game.strategy_counts:
-        raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
+    _require_lattice(game, grid)
     n_states, spans = len(grid), _spans(game)
     if rates is None:
         rates = grid_rates(game, protocols, grid)
@@ -501,8 +483,7 @@ def simulate_paths(model: tuple, x0, horizon: float, seeds: Sequence[int], burn_
     game, protocol, grid = model
     protocols = protocol_tuple(protocol, game)
     if isinstance(grid, StateGrid):
-        if grid.strategy_counts != game.strategy_counts:
-            raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
+        _require_lattice(game, grid)
         resolutions, sizes = grid.resolutions, grid.sizes
     else:
         resolutions, sizes = _lattice_sizes(game, grid)

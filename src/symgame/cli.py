@@ -22,6 +22,7 @@ from .dynamics import integrate_mean_dynamic
 from .errors import ConfigError, SymgameError
 from .games import (
     ENUMERATION_LIMIT,
+    _lattice_sizes,
     count_states,
     grid_rates,
     sample_states,
@@ -111,18 +112,13 @@ class _Model:
         return self.decomposition.embed(state) if self.transformed else state
 
     def lattice_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per population: floors of ``N * x``, one more agent on each largest remainder (ties low) to ``N * mass``."""
         counts = []
         for part, res, m in zip(self.initial_state(), self.resolutions, self.game.masses):
             scaled = part * res
             k = np.floor(scaled).astype(int)
-            target = int(round(res * m))
-            remainder = scaled - k
-            while k.sum() < target:
-                k[int(np.argmax(remainder))] += 1
-                remainder[int(np.argmax(remainder))] = -1.0
-            while k.sum() > target:
-                k[int(np.argmin(remainder))] -= 1
-                remainder[int(np.argmin(remainder))] = 2.0
+            # sum(k) <= sum(scaled) < N * mass + 1, as initial_state holds the mass to 1e-9
+            k[np.argsort(k - scaled, kind="stable")[: int(round(res * m)) - k.sum()]] += 1
             counts.append(tuple(int(v) for v in k))
         return tuple(counts)
 
@@ -137,7 +133,7 @@ class _Model:
     @cached_property
     def num_states(self) -> int:
         """States of the lattice, counted without enumerating them."""
-        _, sizes = chain_mod._lattice_sizes(self.game, self.resolutions)
+        _, sizes = _lattice_sizes(self.game, self.resolutions)
         return count_states(self.game.strategy_counts, sizes)
 
     @cached_property

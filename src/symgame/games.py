@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -199,6 +200,7 @@ class RevisionProtocol:
 
     ``rate_fn(payoffs, state_part)`` returns the n x n rate matrix for one population.
     ``support_floor`` is the declared lower rate bound (> 0 for a fully supported protocol).
+    Symmetry is not declared: :func:`validate_hypotheses` measures it on the rates.
     Diagonal entries are carried but never drive transitions.  A ``vectorized`` protocol
     declares that the same ``rate_fn`` also takes ``(S, n)`` payoffs and states, one row per
     state, and returns the ``(S, n, n)`` stack of their rate matrices; the built-in protocols
@@ -212,7 +214,6 @@ class RevisionProtocol:
     kind: str
     rate_fn: RateFn
     support_floor: float = 0.0
-    symmetric: bool | None = None
     vectorized: bool = False
 
     def rates(self, payoffs: np.ndarray, state_part: np.ndarray) -> np.ndarray:
@@ -241,7 +242,6 @@ def constant_protocol(c: float = 1.0) -> RevisionProtocol:
         kind="constant",
         rate_fn=lambda pi, x: np.full((*x.shape, x.shape[-1]), c),
         support_floor=c,
-        symmetric=True,
         vectorized=True,
     )
 
@@ -263,7 +263,6 @@ def sum_exponential_protocol(eta: float, support_floor: float = 0.0) -> Revision
         kind="sum_exponential",
         rate_fn=rate_fn,
         support_floor=float(support_floor),
-        symmetric=True,
         vectorized=True,
     )
 
@@ -285,25 +284,12 @@ def table_protocol(matrix, support_floor: float | None = None) -> RevisionProtoc
             )
         return M if x.ndim == 1 else np.broadcast_to(M, (*x.shape[:-1], *M.shape))
 
-    return RevisionProtocol(
-        kind="table",
-        rate_fn=rate_fn,
-        support_floor=floor,
-        symmetric=bool(np.array_equal(M, M.T)),
-        vectorized=True,
-    )
+    return RevisionProtocol(kind="table", rate_fn=rate_fn, support_floor=floor, vectorized=True)
 
 
-def custom_protocol(
-    rate_fn: RateFn,
-    support_floor: float = 0.0,
-    symmetric: bool | None = None,
-    name: str = "custom",
-) -> RevisionProtocol:
+def custom_protocol(rate_fn: RateFn, support_floor: float = 0.0, *, name: str = "custom") -> RevisionProtocol:
     """A non-vectorized protocol: a path evaluates it once per visited state, so ``rate_fn`` must be deterministic."""
-    return RevisionProtocol(
-        kind=name, rate_fn=rate_fn, support_floor=float(support_floor), symmetric=symmetric
-    )
+    return RevisionProtocol(kind=name, rate_fn=rate_fn, support_floor=float(support_floor))
 
 
 def protocol_tuple(
@@ -420,17 +406,44 @@ class StateGrid:
         return "|".join([" ".join(map(str, part)) for part in self._parts(ordinal)])
 
 
-def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> list[tuple[np.ndarray, ...]]:
-    """At least ``n_random`` seeded Dirichlet-uniform simplex states of read-only parts, to probe protocol hypotheses.
+def _lattice_sizes(game: PopulationGame, resolution) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-population resolutions N and agent counts N * mass, which must be integers."""
+    if isinstance(resolution, numbers.Integral):
+        resolution = (resolution,) * game.num_populations
+    resolutions = tuple(int(r) for r in _per_population(resolution, game.num_populations, "resolutions"))
+    sizes = []
+    for p, (res, m) in enumerate(zip(resolutions, game.masses)):
+        if res < 1:
+            raise ValueError(f"population {p}: resolution must be >= 1, got {res}")
+        size = res * m
+        if abs(size - round(size)) > 1e-9:
+            raise ValueError(f"population {p}: resolution {res} x mass {m} is not an integer agent count")
+        sizes.append(int(round(size)))
+    return resolutions, tuple(sizes)
 
-    The whole lattice is checked by passing its :class:`StateGrid` to
+
+def _require_lattice(game: PopulationGame, grid: StateGrid) -> None:
+    """Raise ``ValueError`` unless ``grid`` is the game's lattice at ``grid.resolutions``, of N * mass agents each."""
+    if grid.strategy_counts != game.strategy_counts:
+        raise ValueError(f"grid strategy counts {grid.strategy_counts} != {game.strategy_counts}")
+    if grid.sizes != (sizes := _lattice_sizes(game, grid.resolutions)[1]):
+        raise ValueError(f"grid agent counts {grid.sizes} != {sizes}, the game's at resolutions {grid.resolutions}")
+
+
+def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> np.ndarray:
+    """At least ``n_random`` seeded Dirichlet-uniform simplex states, to probe protocol hypotheses.
+
+    One read-only ``(S, sum(strategy_counts))`` mass array, one state per row, columns as in
+    :attr:`StateGrid.counts`, from one draw of standard exponentials: a block ``e`` of population p
+    becomes ``m_p * e / sum(e)``, the running sum, bit for bit what ``m_p * rng.dirichlet(np.ones(n_p))``
+    gives drawing state by state.  The whole lattice is checked by passing its :class:`StateGrid` to
     :func:`validate_hypotheses` instead.
     """
-    rng = np.random.default_rng(seed)
-    return [
-        _frozen([m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts)])
-        for _ in range(max(n_random, 1))
-    ]
+    draws = np.random.default_rng(seed).standard_exponential((max(n_random, 1), sum(game.strategy_counts)))
+    blocks = np.split(draws, np.cumsum(game.strategy_counts)[:-1], axis=1)
+    states = np.hstack([m * (e * (1.0 / np.cumsum(e, axis=1)[:, -1:])) for m, e in zip(game.masses, blocks)])
+    states.setflags(write=False)
+    return states
 
 
 @dataclass(frozen=True)
@@ -572,6 +585,7 @@ def grid_rates(
     ``vectorized``, else once per state.  Invalid output raises the error
     of the validating path at the first offending state.
     """
+    _require_lattice(game, grid)
     fractions = tuple(
         grid.counts[:, a:b] / res for a, b, res in zip(grid.offsets, grid.offsets[1:], grid.resolutions)
     )
@@ -582,27 +596,32 @@ def grid_rates(
 def validate_hypotheses(
     game: PopulationGame,
     protocol: RevisionProtocol | Sequence[RevisionProtocol],
-    states: Sequence[tuple[np.ndarray, ...]] | StateGrid,
+    states: np.ndarray | StateGrid,
     rates: Sequence[np.ndarray] | None = None,
 ) -> ValidationReport:
     """Check rate symmetry and full support over sample states or a whole grid.
 
-    Sample states are tuples of parts, as :func:`sample_states` returns them, whose masses are
-    finite and none below ``-MASS_TOL``.  A :class:`StateGrid` makes the check exhaustive.  Its
-    rates come from :func:`grid_rates`, evaluated once per grid; pass its result as ``rates`` to
-    share it with :func:`symgame.chain.build_generator`; it must hold one ``(len(states), n_p,
-    n_p)`` array per population.
+    Sample states are one ``(S, sum(strategy_counts))`` mass array, as :func:`sample_states` returns
+    it, finite and none below ``-MASS_TOL``.  The game's lattice, a :class:`StateGrid`, makes the
+    check exhaustive.  Its rates come from :func:`grid_rates`, evaluated once per grid; pass its result
+    as ``rates`` to share it with :func:`symgame.chain.build_generator`; it must hold one
+    ``(len(states), n_p, n_p)`` array per population.
     """
     if not len(states):
         raise ValueError("need at least one sample state")
     protocols = protocol_tuple(protocol, game)
     exhaustive = isinstance(states, StateGrid)
+    if exhaustive:
+        _require_lattice(game, states)
     if rates is not None:
         _check_rate_shapes(rates, game.strategy_counts, len(states))
     elif exhaustive:
         rates = grid_rates(game, protocols, states)
     else:
-        parts = tuple(np.stack(col) for col in zip(*states))
+        states, columns = np.asarray(states, dtype=float), sum(game.strategy_counts)
+        if states.ndim != 2 or states.shape[1] != columns:
+            raise ValueError(f"sample states shape {states.shape} != (S, {columns})")
+        parts = np.split(states, np.cumsum(game.strategy_counts)[:-1], axis=1)
         for p, x in enumerate(parts):
             _check_masses(p, x)
         rates = _checked_rates(game, protocols, parts)

@@ -274,12 +274,7 @@ def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
                 out[i, j] = (blocks[i][0, 1] + blocks[j][0, 1] - 2.0 * blocks[k][1, 0]) / 2.0
         return out
 
-    return RevisionProtocol(
-        kind="recovered",
-        rate_fn=rate_fn,
-        support_floor=protocols[0].support_floor,
-        symmetric=True,
-    )
+    return RevisionProtocol(kind="recovered", rate_fn=rate_fn, support_floor=protocols[0].support_floor)
 
 
 def decompose(
@@ -296,16 +291,13 @@ def decompose(
     The final step down to two strategies uses the half-weighted 3-to-2
     rules, so reducing to 3 and then splitting agrees with reducing straight
     to 2.  Symmetry is required wherever a reduction happens; full support is
-    required everywhere.  Both are checked on seeded random states: 16 when
-    every protocol declares symmetry (structurally, or exactly from a rate
-    table), 1000 otherwise.  All failures are reported together.
+    required everywhere.  Both are checked on ``sample_states(game)``, 1000
+    seeded random states.  All failures are reported together.
     """
     if target < 2:
         raise ValueError(f"target arity must be at least 2, got {target}")
     protocols = protocol_tuple(protocol, game)
-    declared = all(proto.symmetric for proto in protocols)
-    samples = sample_states(game, n_random=16 if declared else 1000, seed=0)
-    report = validate_hypotheses(game, protocols, samples)
+    report = validate_hypotheses(game, protocols, sample_states(game))
     problems = []
     for p, (asym, min_rate) in enumerate(report.per_population):
         if game.strategy_counts[p] > target and asym > SYMMETRY_TOL:

@@ -27,7 +27,10 @@ its per-count loop, ``_reference_weight_loop``, is the one that
 ``_reference_derived_block``, ``_reference_fill_base_state``,
 ``_reference_marginal_block`` and ``_reference_collapse_last_two``
 functions are the one-state derived-game evaluations that the stacked
-:class:`symgame.TransformedGame` methods replaced.  The event loop's tiles
+:class:`symgame.TransformedGame` methods replaced.  ``_reference_sample_states``
+draws one Dirichlet state at a time, as :func:`symgame.sample_states` did before
+it drew all in one call, and ``_reference_lattice_counts`` is the remainder loop
+that rounded the CLI's initial state to the lattice.  The event loop's tiles
 (one stacked evaluation per box of lattice states) are held to one-state
 tiles, ``symgame.chain.TILE_STATES = 1``, and each stacked row to the
 one-row evaluation of its state.
@@ -37,6 +40,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -81,10 +85,11 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame import chain as chain_module
+from symgame import cli as cli_module
 from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbits, build_grid
 from symgame.config import parse_config
 from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _format_distinct, _spans, _velocity_fn
-from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple
+from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple, sample_states
 
 # -- per-state reference implementations ------------------------------------
 
@@ -226,6 +231,31 @@ def _reference_validation(game, protocol, states):
             per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
             per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
     return tuple((a, b) for a, b in per_pop)
+
+
+def _reference_sample_states(game, n_random, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(m * rng.dirichlet(np.ones(n)) for m, n in zip(game.masses, game.strategy_counts))
+        for _ in range(max(n_random, 1))
+    ]
+
+
+def _reference_lattice_counts(parts, resolutions, masses):
+    counts = []
+    for part, res, m in zip(parts, resolutions, masses):
+        scaled = part * res
+        k = np.floor(scaled).astype(int)
+        target = int(round(res * m))
+        remainder = scaled - k
+        while k.sum() < target:
+            k[int(np.argmax(remainder))] += 1
+            remainder[int(np.argmax(remainder))] = -1.0
+        while k.sum() > target:
+            k[int(np.argmin(remainder))] -= 1
+            remainder[int(np.argmin(remainder))] = 2.0
+        counts.append(tuple(int(v) for v in k))
+    return tuple(counts)
 
 
 def _reference_dense_stationary(chain):
@@ -555,7 +585,7 @@ def _protocol(kind, n, rng, decomposable=False):
         u = np.exp(pi)
         return np.add.outer(u, u) * (1.0 + np.add.outer(x, x))
 
-    return custom_protocol(rate_fn, support_floor=0.5, symmetric=True)
+    return custom_protocol(rate_fn, support_floor=0.5)
 
 
 PROTOCOL_KINDS = ("constant", "sum_exponential", "table", "custom")
@@ -793,10 +823,62 @@ class TestValidateHypotheses:
         grid = build_grid(game, resolution)
         states = [_lattice_state(grid.state(ordinal), grid.resolutions) for ordinal in range(len(grid))]
         on_grid = validate_hypotheses(game, protocols, grid)
-        on_states = validate_hypotheses(game, protocols, states)
+        on_states = validate_hypotheses(game, protocols, np.array([np.concatenate(state) for state in states]))
         assert on_grid.exhaustive and not on_states.exhaustive
         assert on_grid == dataclasses.replace(on_states, exhaustive=True)
         assert on_grid.per_population == _reference_validation(game, protocols, states)
+
+
+    @pytest.mark.parametrize("strategy_counts, masses", [
+        ((3,), (1.0,)), ((12,), (0.7,)), ((2, 3), (1.0, 2.5)), ((9, 2, 4), (1.0, 2.5, 1 / 3)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n_random", [0, 1, 1000])
+    def test_sample_states_are_the_per_state_dirichlet_draws(self, strategy_counts, masses, seed, n_random):
+        game = make_separable_game([np.zeros((n, n)) for n in strategy_counts], masses=masses)
+        states = sample_states(game, n_random, seed)
+        expected = _reference_sample_states(game, n_random, seed)
+        assert states.shape == (max(n_random, 1), sum(strategy_counts)) and not states.flags.writeable
+        assert states.tobytes() == np.array([np.concatenate(state) for state in expected]).tobytes()
+
+
+@st.composite
+def initial_states(draw):
+    # per population: a mass p/q at a resolution N = q * j (N * mass = p * j agents) and a state
+    # of that mass: a Dirichlet draw, a lattice point (remainders tie at 0), or the barycenter; an
+    # empty strategy of a lattice point may read -1e-13, as a mass-preserving parse can leave it
+    parts, resolutions, masses = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 6))
+        p, q = draw(st.sampled_from([(1, 3), (1, 2), (1, 1), (2, 1), (5, 2), (3, 1)]))
+        res, m = q * draw(st.integers(1, 2000 // q)), p / q
+        kind = draw(st.sampled_from(["dirichlet", "lattice", "barycenter"]))
+        if kind == "dirichlet":
+            x = m * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(n))
+        elif kind == "lattice":
+            cuts = sorted(draw(st.lists(st.integers(0, round(res * m)), min_size=n - 1, max_size=n - 1)))
+            x = np.diff([0, *cuts, round(res * m)]) / res
+            if draw(st.booleans()):
+                x[x == 0] = -1e-13
+        else:
+            x = np.full(n, m / n)
+        parts.append(x)
+        resolutions.append(res)
+        masses.append(m)
+    return tuple(parts), tuple(resolutions), tuple(masses)
+
+
+class TestLatticeCounts:
+    @given(initial_states())
+    @settings(max_examples=300, deadline=None)
+    def test_one_stable_argsort_matches_the_remainder_loop(self, case):
+        parts, resolutions, masses = case
+        model = types.SimpleNamespace(
+            initial_state=lambda: parts, resolutions=resolutions, game=types.SimpleNamespace(masses=masses)
+        )
+        expected = _reference_lattice_counts(parts, resolutions, masses)
+        assert cli_module._Model.lattice_counts(model) == expected
+        assert [sum(k) for k in expected] == [round(res * m) for res, m in zip(resolutions, masses)]
 
 
 class TestProjections:
@@ -1519,7 +1601,7 @@ class TestDerivedStacks:
             return np.where((lead == 0.75) | (lead == 1.0), -lead, 1.0) * np.ones((3, 3))
 
         proto = RevisionProtocol(
-            kind="spiked", rate_fn=rate_fn, support_floor=1.0, symmetric=True, vectorized=vectorized
+            kind="spiked", rate_fn=rate_fn, support_floor=1.0, vectorized=vectorized
         )
         tg = decompose(make_linear_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]), proto)
         stack = np.column_stack([np.arange(5) / 4, 1.0 - np.arange(5) / 4])

@@ -212,11 +212,37 @@ def test_rates_must_hold_one_grid_stack_per_population(entry, pick, message):
         entry(_TWO_POPULATIONS, constant_protocol(1.0), grid, rates=pick(rates))
 
 
+def _rates_at_mass_1(grid):
+    return grid_rates(make_linear_game(RPS), constant_protocol(1.0), grid)
+
+
+# every entry point that takes a StateGrid, each given a lattice of the wrong mass
+_GRID_ENTRY_POINTS = {
+    "build_generator": lambda game, grid: build_generator(game, constant_protocol(1.0), grid),
+    "build_generator_with_rates": lambda game, grid: build_generator(
+        game, constant_protocol(1.0), grid, rates=_rates_at_mass_1(grid)
+    ),
+    "grid_rates": lambda game, grid: grid_rates(game, constant_protocol(1.0), grid),
+    "validate_hypotheses": lambda game, grid: validate_hypotheses(game, constant_protocol(1.0), grid),
+    "validate_hypotheses_with_rates": lambda game, grid: validate_hypotheses(
+        game, constant_protocol(1.0), grid, rates=_rates_at_mass_1(grid)
+    ),
+    "simulate_paths": lambda game, grid: simulate_paths((game, constant_protocol(1.0), grid), ((2, 1, 1),), 1.0, [0]),
+}
+
+
 class TestBuildGenerator:
     def test_grid_of_another_layout_is_rejected(self):
         game = make_linear_game(RPS)
         with pytest.raises(ValueError, match="strategy counts"):
             build_generator(game, constant_protocol(1.0), lattice(2, 3))
+
+    @pytest.mark.parametrize("entry", sorted(_GRID_ENTRY_POINTS))
+    def test_grid_of_another_mass_is_rejected(self, entry):
+        # the 4 agents of mass 1 at N = 4, where a game of mass 2 has 8
+        grid = build_grid(make_linear_game(RPS), 4)
+        with pytest.raises(ValueError, match=r"^grid agent counts \(4,\) != \(8,\), the game's at resolutions \(4,\)$"):
+            _GRID_ENTRY_POINTS[entry](make_linear_game(RPS, mass=2.0), grid)
 
     def test_single_switch_rate(self):
         game = make_linear_game(np.zeros((2, 2)))
@@ -542,7 +568,7 @@ class TestSimulatePath:
             return np.ones((len(x), len(x)))
 
         game = make_linear_game(RPS)
-        proto = custom_protocol(rate_fn, support_floor=1.0, symmetric=True)
+        proto = custom_protocol(rate_fn, support_floor=1.0)
         lattice = build_grid(game, 10) if lattice == "grid" else 10
         with pytest.raises(KeyError, match=r"state \(\(3, 3, 3\),\) is not on the grid"):
             simulate_path((game, proto, lattice), ((3, 3, 3),), 1.0, seed=0)

@@ -335,7 +335,7 @@ class TestRateEvaluations:
             u = np.exp(pi)
             return np.outer(u, u)
 
-        protocol = custom_protocol(rate_fn, support_floor=np.exp(-2.0), symmetric=True)
+        protocol = custom_protocol(rate_fn, support_floor=np.exp(-2.0))
         monkeypatch.setattr(ExperimentConfig, "build_protocols", lambda self, game: (protocol,))
 
         def paused(fn):

@@ -151,7 +151,7 @@ class TestSocialState:
                 make_linear_game(np.zeros((3, 3))), table_protocol([[0, 2, 1], [1, 0, 2], [1, 1, 0]])
             ),
             "embed": decompose(game, _SUM_EXP).embed(([0.5, 0.3, 0.2],)),
-            "sample_states": sample_states(game, n_random=3, seed=1)[2],
+            "sample_states": (sample_states(game, n_random=3, seed=1)[2],),
         }
         for name, state in returned.items():
             assert type(state) is tuple, name
@@ -185,8 +185,8 @@ class TestPayoffContract:
         assert all(parts[0][0][0] == parts[1][0][0] > 1 for _, parts in seen)  # a tile of states, one per row
         assert all([shape[1:] for shape, _ in parts] == [(3,), (2,)] for _, parts in seen)
         seen.clear()
-        decompose(game, _SUM_EXP)  # every protocol declares symmetry: 16 sampled states
-        assert [(kind, [shape for shape, _ in parts]) for kind, parts in seen] == [(tuple, [(16, 3), (16, 2)])]
+        decompose(game, _SUM_EXP)  # 1000 sampled states, whatever the protocols
+        assert [(kind, [shape for shape, _ in parts]) for kind, parts in seen] == [(tuple, [(1000, 3), (1000, 2)])]
 
     def test_a_per_state_payoff_receives_read_only_vectors_at_each_rk4_stage(self):
         seen = []
@@ -269,16 +269,21 @@ class TestValidateHypotheses:
         game = make_linear_game(RPS)
         states = sample_states(game, n_random=200, seed=3)
         for proto in (constant_protocol(2.5), sum_exponential_protocol(1.7)):
-            for state in states:
-                rho = proto.rates(game.payoff_at(state)[0], state[0])
+            for row in states:
+                rho = proto.rates(game.payoff_at((row,))[0], row)
                 assert np.array_equal(rho, rho.T)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (4, 1, 3)])  # (4, 1, 3): sample tuples of the one part
+    def test_sample_states_of_another_shape_are_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"^sample states shape \({', '.join(map(str, shape))},?\) != \(S, 3\)$"):
+            validate_hypotheses(make_linear_game(RPS), constant_protocol(1.0), np.full(shape, 0.5))
 
     def test_random_sampling_size(self):
         game = make_linear_game(RPS)
         states = sample_states(game, n_random=1000, seed=1)
         assert len(states) == 1000
-        for state in states[:10]:
-            game.require_valid_state(state, tol=1e-9)
+        for row in states[:10]:
+            game.require_valid_state((row,), tol=1e-9)
         assert not validate_hypotheses(game, constant_protocol(1.0), states).exhaustive
 
 

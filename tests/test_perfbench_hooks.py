@@ -73,3 +73,10 @@ def test_tracing_installs_and_restores_the_originals(tracing):
                  "chain.table_csv"):
         assert span in totals, span
     assert rec.counts["chain.states"] == len(grid) == 10
+
+
+def test_a_decomposition_samples_1000_states(tracing):
+    # games.sample_states.states counts the states that decompose checks, 1000 whatever the protocol
+    with tracing.tracing() as rec:
+        symgame.decompose(symgame.make_linear_game([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]), symgame.constant_protocol(1.0))
+    assert rec.counts["games.sample_states.states"] == 1000

@@ -79,6 +79,15 @@ def test_removed_methods_stay_gone():
     assert "solver" not in inspect.signature(symgame.exact_stationary).parameters
 
 
+def test_symmetry_is_measured_not_declared():
+    assert "symmetric" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}
+    params = inspect.signature(symgame.custom_protocol).parameters
+    assert list(params) == ["rate_fn", "support_floor", "name"]
+    assert params["name"].kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(TypeError):
+        symgame.custom_protocol(lambda pi, x: pi, 1.0, True)  # an old positional `symmetric`
+
+
 def _imported_names(node: ast.AST) -> list[str]:
     """The names an import statement binds, ``from __future__`` aside; none for any other node."""
     if isinstance(node, ast.Import):

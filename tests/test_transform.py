@@ -322,6 +322,16 @@ class TestDecompose:
         with pytest.raises(SymgameError, match="floor"):
             decompose(game, proto)
 
+    def test_a_floor_above_a_sampled_rate_is_rejected(self):
+        # the rates of eta = 1 reach exp(-2) = 0.135 on the simplex, 0.139959 on the 1000 sampled
+        # states; the 16 states once sampled for a built-in protocol stayed above 0.2
+        proto = sum_exponential_protocol(1.0, support_floor=0.2)
+        with pytest.raises(SymgameError) as err:
+            decompose(make_linear_game(RPS), proto)
+        assert str(err.value) == (
+            "decomposition preconditions failed: population 0: sampled rate 0.139959 falls below the floor 0.2"
+        )
+
     def test_joint_chain_is_product_of_marginals(self):
         # derived populations evolve independently: the joint stationary law
         # is the outer product of the per-population birth-death laws
