@@ -297,12 +297,7 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     ``mu ~ nu / D``, with its ``iterations`` in the metadata.  The residual ``max |mu Q|`` on
     the full chain is checked against 1e-12 times its largest rate and stored in the metadata;
     ``SolverError`` is raised above it, or when power iteration does not converge.
-    Small probabilities are not entrywise accurate.  Against a GTH state-reduction solve, on
-    the 3x3 game ``np.random.default_rng(0).normal(size=(3, 3))`` with ``sum_exponential``
-    (eta = 1), the worst relative error is 1.0 at N = 40 (1.55e-18 comes out as 0) and 9.3e11
-    at N = 60 (1.07e-29 comes out as 9.97e-18), and entries up to 1.4e-6 and 6.9e-6 are off
-    by more than 1e-12 relative.  The total-variation distance is unaffected (at most 1.2e-15
-    there).
+    Small probabilities are not entrywise accurate; the total-variation distance is unaffected.
     """
     import scipy.sparse as sp
     n_comp, labels = _communicating_classes(chain)

@@ -108,7 +108,7 @@ class _Model:
         return tuple(base[pop.base_population] for pop in self.decomposition.populations)
 
     def initial_state(self) -> tuple[np.ndarray, ...]:
-        state = self.base_game.require_valid_state(self.config.initial_state_parts(self.base_game), tol=1e-9)
+        state = self.base_game.require_valid_state(self.config.initial_state_parts(self.base_game))
         return self.decomposition.embed(state) if self.transformed else state
 
     def lattice_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -117,7 +117,7 @@ class _Model:
         for part, res, m in zip(self.initial_state(), self.resolutions, self.game.masses):
             scaled = part * res
             k = np.floor(scaled).astype(int)
-            # sum(k) <= sum(scaled) < N * mass + 1, as initial_state holds the mass to 1e-9
+            # sum(k) <= sum(scaled) < N * mass + 1, as initial_state holds the mass to MASS_TOL
             k[np.argsort(k - scaled, kind="stable")[: int(round(res * m)) - k.sum()]] += 1
             counts.append(tuple(int(v) for v in k))
         return tuple(counts)
@@ -145,8 +145,7 @@ class _Model:
         """Exhaustive check on :attr:`grid` with :attr:`rates`, or on 1000 random states when
         :attr:`num_states` exceeds ``ENUMERATION_LIMIT``, so that such a lattice is never enumerated."""
         if self.num_states > ENUMERATION_LIMIT:
-            states = sample_states(self.game, n_random=1000, seed=0)
-            return validate_hypotheses(self.game, self.protocols, states)
+            return validate_hypotheses(self.game, self.protocols, sample_states(self.game))
         return validate_hypotheses(self.game, self.protocols, self.grid, rates=self.rates)
 
     @cached_property

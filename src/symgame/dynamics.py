@@ -140,7 +140,7 @@ def mean_dynamic_rhs(
     state: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, ...]:
     """Per-population velocity vectors at a state (one mass vector per population); each sums to zero."""
-    parts = game.require_valid_state(state, tol=1e-9)
+    parts = game.require_valid_state(state)
     spans = _spans(game)
     v = _velocity_fn(game, protocol_tuple(protocol, game), spans)(np.concatenate(parts).tolist())
     return tuple(np.array(v[a:b]) for a, b in spans)

@@ -121,9 +121,9 @@ class PopulationGame:
                 raise ValueError(f"population {p}: payoff has non-finite entries")
         return values
 
-    def require_valid_state(self, parts: Sequence[np.ndarray], tol: float = MASS_TOL) -> tuple[np.ndarray, ...]:
+    def require_valid_state(self, parts: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         """``parts`` as read-only float64 copies, else ``ValueError``: nonempty vectors of finite masses,
-        none below ``-MASS_TOL``, one per population, of its length and mass (``tol``, relative above 1)."""
+        none below ``-MASS_TOL``, one per population, of its length and mass (``MASS_TOL``, relative above 1)."""
         parts = tuple(np.array(x, dtype=float) for x in parts)
         for p, vec in enumerate(parts):
             if vec.ndim != 1 or vec.size == 0:
@@ -133,10 +133,8 @@ class PopulationGame:
         for p, (vec, m, n) in enumerate(zip(parts, self.masses, self.strategy_counts)):
             if vec.shape != (n,):
                 raise ValueError(f"population {p}: state shape {vec.shape} != ({n},)")
-            if abs(float(vec.sum()) - m) > max(tol, tol * m):
-                raise ValueError(
-                    f"population {p}: mass {float(vec.sum())} != {m} beyond tolerance {tol}"
-                )
+            if abs(float(vec.sum()) - m) > MASS_TOL * max(1.0, m):
+                raise ValueError(f"population {p}: mass {float(vec.sum())} != {m} beyond tolerance {MASS_TOL}")
         return _frozen(parts)
 
     def barycenter(self) -> tuple[np.ndarray, ...]:

@@ -10,12 +10,13 @@ for one derived population per strategy, each playing "use strategy i" vs
     rho*_{~i,~i} = (1/2) (sum of the remaining cross and diagonal rates)
 
 and the construction inverts exactly: rho_ij = (rho*_{i,~i} + rho*_{j,~j}
-- 2 rho*_{~k,k}) / 2 for the third strategy k.  Larger populations are
-reduced one strategy at a time: population i keeps strategies i, i+1, ...
-(cyclically) and lumps the last two into an aggregate whose incoming rates
-sum the two columns, whose outgoing rates average the two rows, and whose
-self-rate sums the aggregated 2x2 block.  The final step down to two
-strategies always uses the half-weighted 3-to-2 rules above.
+- 2 rho*_{~k,k}) / 2 for the third strategy k.  A derived population is its
+member lists: population i holds strategies i, i+1, ... (cyclically) as
+singletons and one trailing aggregate.  Its block gathers the base rates in
+member order and lumps the last two strategies until the arity is reached:
+incoming rates sum the two columns, outgoing rates average the two rows, and
+the self-rate sums the lumped 2x2 block, halved on the final step from three
+strategies to two (the 3-to-2 rules above).
 
 :func:`decompose` is the one builder: it checks the hypotheses once and
 reduces every population of a game to at most ``target`` strategies (two by
@@ -63,28 +64,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DerivedPopulation:
-    """One derived population: a rotation of the base strategies plus lumping stages.
+    """One derived population: the base strategies each derived strategy holds.
 
-    ``members[t]`` lists the base strategies represented by derived strategy
-    t; all are singletons except a trailing aggregate.  ``stages`` records
-    the collapse rules applied: "sum" for intermediate reduction steps,
-    "half" for the final split to two strategies, whose churn corner
-    averages the lumped block instead of summing it.
+    ``members[t]`` lists the base strategies of derived strategy t, in the
+    order their rates are gathered; all are singletons except a trailing
+    aggregate.
     """
 
     base_population: int
-    leading: int
     labels: tuple[str, ...]
     members: tuple[tuple[int, ...], ...]
-    rotation: tuple[int, ...]
-    stages: tuple[str, ...]
 
     @property
     def arity(self) -> int:
         return len(self.members)
 
 
-def _collapse_last_two(M: np.ndarray, mode: str) -> np.ndarray:
+def _collapse_last_two(M: np.ndarray) -> np.ndarray:
+    # lump the last two strategies; the churn corner is halved from three to two and summed above
     a = M.shape[-1]
     out = np.empty((*M.shape[:-2], a - 1, a - 1))
     out[..., : a - 2, : a - 2] = M[..., : a - 2, : a - 2]
@@ -92,41 +89,27 @@ def _collapse_last_two(M: np.ndarray, mode: str) -> np.ndarray:
     out[..., a - 2, : a - 2] = 0.5 * (M[..., a - 2, : a - 2] + M[..., a - 1, : a - 2])
     # row by row, left to right: the order of ``M[a-2:, a-2:].sum()`` on one matrix
     corner = M[..., a - 2, a - 2] + M[..., a - 2, a - 1] + M[..., a - 1, a - 2] + M[..., a - 1, a - 1]
-    out[..., a - 2, a - 2] = 0.5 * corner if mode == "half" else corner
+    out[..., a - 2, a - 2] = 0.5 * corner if a == 3 else corner
     return out
 
 
 def derived_block(population: DerivedPopulation, base_rates: np.ndarray) -> np.ndarray:
-    """Evaluate a derived population's rate block from a base rate matrix or a ``[..., n, n]`` stack of them."""
-    M = np.asarray(base_rates, dtype=float)[(..., *np.ix_(population.rotation, population.rotation))]
-    for mode in population.stages:
-        M = _collapse_last_two(M, mode)
+    """A derived population's rate block from a base rate matrix or a ``[..., n, n]`` stack of them:
+    the base rates gathered in member order, the last two strategies lumped until the arity is reached."""
+    order = np.array(sum(population.members, ()))
+    M = np.asarray(base_rates, dtype=float)[..., order[:, None], order]
+    for _ in range(order.size - population.arity):
+        M = _collapse_last_two(M)
     return M
 
 
 def _reduced_population(base_population: int, leading: int, n: int, target: int) -> DerivedPopulation:
-    rotation = tuple((leading + t) % n for t in range(n))
-    members: list[tuple[int, ...]] = [(s,) for s in rotation]
-    stages: list[str] = []
-    while len(members) > target:
-        stages.append("half" if len(members) == 3 else "sum")
-        members = members[:-2] + [members[-2] + members[-1]]
-    labels = [str(m[0] + 1) for m in members[:-1]]
-    last = members[-1]
-    if len(last) == 1:
-        labels.append(str(last[0] + 1))
-    elif len(last) == n - 1:
-        labels.append(f"not_{leading + 1}")
-    else:
-        labels.append(f"a_{leading + 1}")
-    return DerivedPopulation(
-        base_population=base_population,
-        leading=leading,
-        labels=tuple(labels),
-        members=tuple(members),
-        rotation=rotation,
-        stages=tuple(stages),
-    )
+    order = [(leading + t) % n for t in range(n)]
+    members = tuple((s,) for s in order[: target - 1]) + (tuple(order[target - 1 :]),)
+    size = len(members[-1])
+    tail = str(order[-1] + 1) if size == 1 else f"not_{leading + 1}" if size == n - 1 else f"a_{leading + 1}"
+    labels = tuple(str(s + 1) for s in order[: target - 1]) + (tail,)
+    return DerivedPopulation(base_population=base_population, labels=labels, members=members)
 
 
 def _zero_payoff(parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -147,11 +130,25 @@ class TransformedGame:
     base_game: PopulationGame
     base_protocols: tuple[RevisionProtocol, ...]
     populations: tuple[DerivedPopulation, ...]
-    lineage: tuple[str, ...]
 
     @property
     def arities(self) -> tuple[int, ...]:
         return tuple(pop.arity for pop in self.populations)
+
+    @property
+    def lineage(self) -> tuple[str, ...]:
+        """The steps ``n->n-1 ... a+1->a`` of each base population cut from n strategies to arity a; with
+        several base populations each step is prefixed ``pK:``, and a population kept whole reads ``pK:id``."""
+        counts = self.base_game.strategy_counts
+        arity = {pop.base_population: pop.arity for pop in self.populations}
+        steps: list[str] = []
+        for p, n in enumerate(counts):
+            prefix = "" if len(counts) == 1 else f"p{p + 1}:"
+            if arity[p] < n:
+                steps += [f"{prefix}{a}->{a - 1}" for a in range(n, arity[p], -1)]
+            elif prefix:
+                steps.append(f"{prefix}id")
+        return tuple(steps)
 
     @cached_property
     def _rest_parts(self) -> tuple[np.ndarray, ...]:
@@ -176,7 +173,7 @@ class TransformedGame:
 
     def embed(self, state: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
         """Image of a base state, as read-only parts: derived coordinates are member mass sums."""
-        base = self.base_game.require_valid_state(state, tol=1e-9)
+        base = self.base_game.require_valid_state(state)
         return _frozen(
             [np.array([base[pop.base_population][list(mem)].sum() for mem in pop.members]) for pop in self.populations]
         )
@@ -251,12 +248,9 @@ def invert_3to2(transformed: TransformedGame) -> RevisionProtocol:
     whenever the base rates were symmetric.
     """
     pops = transformed.populations
-    if len(pops) != 3 or any(p.arity != 2 for p in pops) or any(p.stages != ("half",) for p in pops):
-        raise ValueError(
-            f"expected three 2-strategy blocks from a 3-strategy base, got arities "
-            f"{transformed.arities}"
-        )
-    by_lead = {pop.leading: pop for pop in pops}
+    if len(pops) != 3 or any(p.arity != 2 or sum(map(len, p.members)) != 3 for p in pops):
+        raise ValueError(f"expected three 2-strategy blocks from a 3-strategy base, got arities {transformed.arities}")
+    by_lead = {pop.members[0][0]: pop for pop in pops}
     protocols = transformed.base_protocols
 
     def rate_fn(pi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -286,12 +280,12 @@ def decompose(
 
     A population with at most ``target`` strategies passes through unchanged;
     a larger one of n strategies splits into n derived populations of
-    ``target`` strategies, one per leading strategy, lumping trailing
-    strategies one stage at a time (lineage ``n->n-1 ... target+1->target``).
-    The final step down to two strategies uses the half-weighted 3-to-2
-    rules, so reducing to 3 and then splitting agrees with reducing straight
-    to 2.  Symmetry is required wherever a reduction happens; full support is
-    required everywhere.  Both are checked on ``sample_states(game)``, 1000
+    ``target`` strategies, one per leading strategy i: singletons i, i+1, ...
+    (cyclically) and one aggregate of the remaining strategies (lineage
+    ``n->n-1 ... target+1->target``).  The lumping halves the churn corner
+    only from three strategies to two, so reducing to 3 and then splitting
+    agrees with reducing straight to 2.  Symmetry is required wherever a
+    reduction happens; full support is required everywhere.  Both are checked on ``sample_states(game)``, 1000
     seeded random states.  All failures are reported together.
     """
     if target < 2:
@@ -312,20 +306,9 @@ def decompose(
     if problems:
         raise SymgameError("decomposition preconditions failed: " + "; ".join(problems))
 
-    populations: list[DerivedPopulation] = []
-    lineage: list[str] = []
-    for p, n in enumerate(game.strategy_counts):
-        prefix = "" if game.num_populations == 1 else f"p{p + 1}:"
-        if n <= target:
-            populations.append(_reduced_population(p, 0, n, n))
-            if prefix:
-                lineage.append(f"{prefix}id")
-        else:
-            populations.extend(_reduced_population(p, lead, n, target) for lead in range(n))
-            lineage.extend(f"{prefix}{a}->{a - 1}" for a in range(n, target, -1))
-    return TransformedGame(
-        base_game=game,
-        base_protocols=protocols,
-        populations=tuple(populations),
-        lineage=tuple(lineage),
+    populations = tuple(
+        _reduced_population(p, lead, n, min(n, target))
+        for p, n in enumerate(game.strategy_counts)
+        for lead in (range(n) if n > target else [0])
     )
+    return TransformedGame(base_game=game, base_protocols=protocols, populations=populations)

@@ -27,7 +27,9 @@ its per-count loop, ``_reference_weight_loop``, is the one that
 ``_reference_derived_block``, ``_reference_fill_base_state``,
 ``_reference_marginal_block`` and ``_reference_collapse_last_two``
 functions are the one-state derived-game evaluations that the stacked
-:class:`symgame.TransformedGame` methods replaced.  ``_reference_sample_states``
+:class:`symgame.TransformedGame` methods replaced; ``_reference_derived_block``
+rebuilds, from the strategy count, leading strategy and target, the rotation
+and the "sum"/"half" stage list that member lists replaced.  ``_reference_sample_states``
 draws one Dirichlet state at a time, as :func:`symgame.sample_states` did before
 it drew all in one call, and ``_reference_lattice_counts`` is the remainder loop
 that rounded the CLI's initial state to the lattice.  The event loop's tiles
@@ -90,6 +92,7 @@ from symgame.chain import _communicating_classes, _lu_stationary, _symmetry_orbi
 from symgame.config import parse_config
 from symgame.dynamics import _CYCLE_WINDOW, _ROW_BLOCK, _format_distinct, _spans, _velocity_fn
 from symgame.games import _checked_rates, _evaluator, count_states, grid_rates, protocol_tuple, sample_states
+from symgame.transform import _reduced_population
 
 # -- per-state reference implementations ------------------------------------
 
@@ -408,10 +411,13 @@ def _reference_collapse_last_two(M, mode):
     return out
 
 
-def _reference_derived_block(population, base_rates):
-    M = np.asarray(base_rates, dtype=float)[np.ix_(population.rotation, population.rotation)]
-    for mode in population.stages:
-        M = _reference_collapse_last_two(M, mode)
+def _reference_derived_block(n, lead, target, base_rates):
+    """The block of the derived population led by ``lead`` of n strategies reduced to ``target``: the base
+    rates in the cyclic rotation from ``lead``, then one "sum" stage per step and "half" on the step 3->2."""
+    rotation = [(lead + t) % n for t in range(n)]
+    M = np.asarray(base_rates, dtype=float)[np.ix_(rotation, rotation)]
+    for a in range(n, target, -1):
+        M = _reference_collapse_last_two(M, "half" if a == 3 else "sum")
     return M
 
 
@@ -437,7 +443,8 @@ def _reference_marginal_block(tg, index, part):
     base_state = _reference_fill_base_state(tg, pop, np.asarray(part, dtype=float))
     bp = pop.base_population
     pi = tg.base_game.payoff_at(base_state)[bp]
-    return _reference_derived_block(pop, tg.base_protocols[bp].rates(pi, base_state[bp]))
+    n = tg.base_game.strategy_counts[bp]
+    return _reference_derived_block(n, pop.members[0][0], pop.arity, tg.base_protocols[bp].rates(pi, base_state[bp]))
 
 
 def _reference_joint_weights(marginals, strategy_counts, sizes):
@@ -1529,7 +1536,25 @@ class TestDerivedStacks:
             got = derived_block(pop, base)
             for s in range(len(base)):
                 assert got[s].tobytes() == derived_block(pop, base[s]).tobytes()
-                assert got[s].tobytes() == _reference_derived_block(pop, base[s]).tobytes()
+                want = _reference_derived_block(n, pop.members[0][0], pop.arity, base[s])
+                assert got[s].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_member_lists_give_the_rotation_and_stage_blocks(self, n):
+        # every target and leading strategy; rates spread over 16 decades, so every summation order shows
+        rng = np.random.default_rng(n)
+        base = rng.uniform(0.0, 10.0, size=(6, n, n)) * 10.0 ** rng.integers(-8, 8, size=(6, n, n))
+        game = make_linear_game(np.zeros((n, n)))
+        for target in range(2, n + 1):
+            pops = [_reduced_population(0, lead, n, target) for lead in range(n)]
+            built = decompose(game, constant_protocol(1.0), target).populations
+            assert built == (tuple(pops) if target < n else tuple(pops[:1]))
+            for lead, pop in enumerate(pops):
+                stacked = derived_block(pop, base[1:])
+                for s, M in enumerate(base):
+                    want = _reference_derived_block(n, lead, target, M).tobytes()
+                    got = derived_block(pop, M) if s == 0 else stacked[s - 1]
+                    assert got.tobytes() == want, (target, lead, s)
 
     @given(derived_models())
     @settings(max_examples=30, deadline=None)

@@ -74,8 +74,8 @@ class TestMakeLinearGame:
 
 _SUM_EXP = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
 
-# malformed states of the one-population RPS game: (parts, the error of every library entry point, with the
-# mass tolerance it checks; x0 as a config line and the CLI's stderr, or None where a config cannot say it)
+# malformed states of the one-population RPS game: (parts, the error of every library entry point; x0 as a
+# config line and the CLI's stderr, or None where a config cannot say it)
 _MALFORMED = {
     "2d_part": (([[0.5, 0.3, 0.2]],), "population 0: state must be a nonempty vector", None),
     "empty_part": (([],), "population 0: state must be a nonempty vector", None),
@@ -102,19 +102,25 @@ _MALFORMED = {
         ("0.5, 0.5", "invalid configuration:\n  - run section: x0 block 1 has 2 entries, population has 3 strategies\n"),
     ),
     "mass_sum": (
-        ([0.5, 0.3, 0.3],), "population 0: mass 1.1 != 1.0 beyond tolerance {tol}",
-        ("0.5, 0.3, 0.3", "population 0: mass 1.1 != 1.0 beyond tolerance 1e-09\n"),
+        ([0.5, 0.3, 0.3],), "population 0: mass 1.1 != 1.0 beyond tolerance 1e-12",
+        ("0.5, 0.3, 0.3", "population 0: mass 1.1 != 1.0 beyond tolerance 1e-12\n"),
+    ),
+    # within the 1e-9 that the CLI's start and mean_dynamic_rhs once allowed, so simulate ran it
+    "mass_sum_1e-11": (
+        ([0.33333333333] * 3,), "population 0: mass 0.99999999999 != 1.0 beyond tolerance 1e-12",
+        (
+            "0.33333333333, 0.33333333333, 0.33333333333",
+            "population 0: mass 0.99999999999 != 1.0 beyond tolerance 1e-12\n",
+        ),
     ),
 }
 
-# every entry point that takes a state from outside, and the mass tolerance it checks
+# every entry point that takes a state from outside; all check the one mass tolerance, MASS_TOL
 _STATE_ENTRIES = {
-    "require_valid_state": (lambda parts: make_linear_game(RPS).require_valid_state(parts), "1e-12"),
-    "integrate_mean_dynamic": (
-        lambda parts: integrate_mean_dynamic(make_linear_game(RPS), _SUM_EXP, parts, 1.0, 0.1), "1e-12"
-    ),
-    "mean_dynamic_rhs": (lambda parts: mean_dynamic_rhs(make_linear_game(RPS), _SUM_EXP, parts), "1e-09"),
-    "embed": (lambda parts: decompose(make_linear_game(RPS), _SUM_EXP).embed(parts), "1e-09"),
+    "require_valid_state": lambda parts: make_linear_game(RPS).require_valid_state(parts),
+    "integrate_mean_dynamic": lambda parts: integrate_mean_dynamic(make_linear_game(RPS), _SUM_EXP, parts, 1.0, 0.1),
+    "mean_dynamic_rhs": lambda parts: mean_dynamic_rhs(make_linear_game(RPS), _SUM_EXP, parts),
+    "embed": lambda parts: decompose(make_linear_game(RPS), _SUM_EXP).embed(parts),
 }
 
 
@@ -123,11 +129,10 @@ class TestSocialState:
     @pytest.mark.parametrize("row", sorted(_MALFORMED))
     def test_a_malformed_state_raises_the_same_error_at_every_entry(self, row, entry):
         parts, message, _ = _MALFORMED[row]
-        call, tol = _STATE_ENTRIES[entry]
         with pytest.raises(ValueError) as err:
-            call(tuple(np.array(x, dtype=float) for x in parts))
+            _STATE_ENTRIES[entry](tuple(np.array(x, dtype=float) for x in parts))
         assert type(err.value) is ValueError
-        assert str(err.value) == message.format(tol=tol)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("row", sorted(row for row, (_, _, cli) in _MALFORMED.items() if cli))
     def test_a_malformed_x0_fails_the_cli_with_the_same_error(self, row, tmp_path, capsys):
@@ -135,6 +140,17 @@ class TestSocialState:
         config = tmp_path / "rps.cfg"
         config.write_text((EXAMPLES / "rps_sum_exponential.cfg").read_text().replace("x0 = 0.5, 0.3, 0.2", f"x0 = {x0}"))
         assert cli_main(["mean-dynamic", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == stderr
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("row", ["mass_sum", "mass_sum_1e-11"])
+    def test_every_command_that_reads_x0_checks_it_alike(self, row, command, tmp_path, capsys):
+        # simulate once checked its start to 1e-9 and ran an x0 that mean-dynamic and experiment refused
+        x0, stderr = _MALFORMED[row][2]
+        config = tmp_path / "rps.cfg"
+        config.write_text((EXAMPLES / "rps_sum_exponential.cfg").read_text().replace("x0 = 0.5, 0.3, 0.2", f"x0 = {x0}"))
+        assert cli_main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == stderr
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
@@ -283,7 +299,7 @@ class TestValidateHypotheses:
         states = sample_states(game, n_random=1000, seed=1)
         assert len(states) == 1000
         for row in states[:10]:
-            game.require_valid_state((row,), tol=1e-9)
+            game.require_valid_state((row,))
         assert not validate_hypotheses(game, constant_protocol(1.0), states).exhaustive
 
 

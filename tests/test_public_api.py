@@ -68,6 +68,9 @@ def test_removed_methods_stay_gone():
     for name in ("rate_pair", "reconstruct", "derived_payoff", "_padded_payoff"):
         assert not hasattr(symgame.TransformedGame, name), name
     assert not hasattr(symgame.DerivedPopulation, "is_passthrough")
+    # a decomposition is its member lists: nothing that restates them is stored
+    assert [f.name for f in dataclasses.fields(symgame.DerivedPopulation)] == ["base_population", "labels", "members"]
+    assert "lineage" not in {f.name for f in dataclasses.fields(symgame.TransformedGame)}
     for name in ("index", "states", "social_state"):
         assert not hasattr(symgame.StateGrid, name), name
     assert "params" not in {f.name for f in dataclasses.fields(symgame.RevisionProtocol)}

@@ -253,7 +253,9 @@ class TestDecompose:
         game = make_linear_game(np.eye(2))
         tg = decompose(game, table_protocol([[0.5, 1.0], [2.0, 0.5]]))
         assert len(tg.populations) == 1
-        assert tg.populations[0].stages == ()
+        assert tg.populations[0].members == ((0,), (1,))
+        assert tg.populations[0].labels == ("1", "2")
+        assert tg.lineage == ()
         block = tg.marginal_block(0, np.array([0.25, 0.75]))
         assert np.array_equal(block, [[0.5, 1.0], [2.0, 0.5]])
 
@@ -265,8 +267,7 @@ class TestDecompose:
             ((1,), (2, 0)),
             ((2,), (0, 1)),
         ]
-        assert [pop.rotation for pop in tg.populations] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-        assert [pop.stages for pop in tg.populations] == [("half",)] * 3
+        assert [pop.labels for pop in tg.populations] == [("1", "not_1"), ("2", "not_2"), ("3", "not_3")]
 
     def test_target_at_or_above_arity_passes_through(self):
         game = make_separable_game([np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((4, 4))])
@@ -275,12 +276,11 @@ class TestDecompose:
             assert tg.arities == (2, 3, 4)
             assert tg.lineage == ("p1:id", "p2:id", "p3:id")
             for pop, n in zip(tg.populations, (2, 3, 4)):
-                assert pop.stages == ()
                 assert pop.members == tuple((i,) for i in range(n))
-                assert pop.rotation == tuple(range(n))
+                assert pop.labels == tuple(str(i + 1) for i in range(n))
         single = decompose(make_linear_game(RPS), constant_protocol(1.0), 3)
         assert single.lineage == ()
-        assert single.populations[0].stages == ()
+        assert single.populations[0].members == ((0,), (1,), (2,))
 
     def test_mixed_population_game_partial_target(self):
         game = make_separable_game([np.zeros((2, 2)), np.zeros((4, 4))])
@@ -288,12 +288,16 @@ class TestDecompose:
         assert tg.lineage == ("p1:id", "p2:4->3")
         assert tg.arities == (2, 3, 3, 3, 3)
         assert [pop.base_population for pop in tg.populations] == [0, 1, 1, 1, 1]
+        assert tg.populations[1].members == ((0,), (1,), (2, 3))
+        assert tg.populations[4].members == ((3,), (0,), (1, 2))
+        assert [pop.labels for pop in tg.populations[1::3]] == [("1", "2", "a_1"), ("4", "1", "a_4")]
 
     def test_symmetry_required_only_where_reduced(self):
         game = make_linear_game(RPS)
         skew = table_protocol([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         tg = decompose(game, skew, 3)
-        assert tg.populations[0].stages == ()
+        assert tg.populations[0].members == ((0,), (1,), (2,))
+        assert tg.lineage == ()
         with pytest.raises(SymgameError, match="asymmetry"):
             decompose(game, skew, 2)
 
