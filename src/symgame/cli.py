@@ -203,10 +203,6 @@ def _validate_section(model: _Model) -> list[str]:
     return ["[validate]", *model.hypotheses.as_lines()]
 
 
-def _hypotheses_hold(model: _Model) -> bool:
-    return model.hypotheses.symmetric and model.hypotheses.fully_supported
-
-
 def _transform_section(model: _Model, writer: ArtifactWriter) -> list[str]:
     """Write transformed_game.cfg and return the [transform] section."""
     transformed = model.decomposition
@@ -243,7 +239,7 @@ def _compare_section(model: _Model) -> list[str]:
 
 def _cmd_validate(model: _Model, writer: ArtifactWriter) -> int:
     _write_report(writer, model, "validate", _validate_section(model))
-    return 0 if _hypotheses_hold(model) else 1
+    return 1 if model.hypotheses.problems() else 0
 
 
 def _cmd_mean_dynamic(model: _Model, writer: ArtifactWriter) -> int:
@@ -316,12 +312,8 @@ def _cmd_experiment(model: _Model, writer: ArtifactWriter) -> int:
         raise SymgameError("experiment needs a nonempty seed list (run section, 'seeds')")
     seeds = "seeds: " + ", ".join(str(s) for s in config.seeds)
     sections = [["[experiment]", seeds], _validate_section(model)]
-    if not _hypotheses_hold(model):
-        hyp = model.hypotheses
-        raise SymgameError(
-            "hypotheses fail: the protocol must be symmetric and fully supported "
-            f"(max_asymmetry={hyp.max_asymmetry:.6g}, min_rate={hyp.min_rate:.6g})"
-        )
+    if problems := model.hypotheses.problems():
+        raise SymgameError("hypotheses fail: " + "; ".join(problems))
     _write(writer, model, "experiment", "trajectory.csv", model.trajectory.to_csv())
     sections.append(_transform_section(model, writer))
     _, _, predicted = model.prediction

@@ -15,7 +15,7 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,7 +97,8 @@ class ExperimentConfig:
     def build_protocols(self, game: PopulationGame) -> tuple[RevisionProtocol, ...]:
         kind = self.protocol_kind
         if kind == "constant":
-            proto = constant_protocol(self.protocol_params["c"])
+            # the declared floor is the one checked; parse_config defaults it to c
+            proto = replace(constant_protocol(self.protocol_params["c"]), support_floor=self.support_floor)
             return (proto,) * game.num_populations
         if kind == "sum_exponential":
             proto = sum_exponential_protocol(

@@ -71,9 +71,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    dt: float
     strategy_counts: tuple[int, ...]
-    masses: tuple[float, ...]
     clamp_events: tuple[int, ...] = ()
 
     @property
@@ -244,9 +242,7 @@ def integrate_mean_dynamic(
     return Trajectory(
         times=times,
         states=states,
-        dt=dt,
         strategy_counts=game.strategy_counts,
-        masses=game.masses,
         clamp_events=tuple(clamp_events),
     )
 

@@ -444,39 +444,55 @@ def sample_states(game: PopulationGame, n_random: int = 1000, seed: int = 0) -> 
     return states
 
 
+SYMMETRY_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of sampling-based hypothesis checks.
+    """Per-population facts of a hypothesis check, and the one rule that reads them.
 
-    ``symmetric`` holds when the largest rate asymmetry over all samples is
-    zero to 1e-14; ``fully_supported`` when every sampled rate stays at or
-    above a positive declared floor.
-    Sampling is a surrogate for the underlying universally quantified
-    conditions, so the sample count and exhaustiveness are recorded.
+    ``per_population[p]`` is ``(strategies, max_asymmetry, min_rate, support_floor)``: population p's
+    strategy count, the largest ``|rho_ij - rho_ji|`` and the smallest rate (the diagonal too) over the
+    checked states, and its protocol's declared floor.  Sampling is a surrogate for the universally
+    quantified conditions, so the sample count and exhaustiveness are recorded.  :meth:`problems`
+    decides; :meth:`as_lines` prints a whole-game summary derived from the facts.
     """
 
-    symmetric: bool
-    fully_supported: bool
-    max_asymmetry: float
-    min_rate: float
+    per_population: tuple[tuple[int, float, float, float], ...]
     sample_count: int
     exhaustive: bool
-    support_floor: float
-    per_population: tuple[tuple[float, float], ...] = ()
+
+    def problems(self, target: int = 2) -> list[str]:
+        """Every failed hypothesis, empty when the model may be reduced to ``target`` strategies.
+
+        A population of more than ``target`` strategies needs rates symmetric to ``SYMMETRY_TOL``
+        (one of at most ``target`` is a birth-death chain, reversible whatever its rates); every
+        population needs a positive floor that no checked rate falls below.
+        """
+        rate, problems = "rate" if self.exhaustive else "sampled rate", []
+        for p, (n, asym, min_rate, floor) in enumerate(self.per_population):
+            if n > target and asym > SYMMETRY_TOL:
+                problems.append(f"population {p}: max asymmetry {asym:.6g} exceeds {SYMMETRY_TOL}")
+            if floor <= 0:
+                problems.append(f"population {p}: support floor {floor} is not positive")
+            elif min_rate < floor:
+                problems.append(f"population {p}: {rate} {min_rate:.6g} falls below the floor {floor:.6g}")
+        return problems
 
     def as_lines(self) -> list[str]:
+        _, asyms, min_rates, floors = zip(*self.per_population)
+        asym, min_rate, floor = max(asyms), min(min_rates), min(floors)
         return [
-            f"symmetric: {str(self.symmetric).lower()}",
-            f"fully_supported: {str(self.fully_supported).lower()}",
-            f"max_asymmetry: {self.max_asymmetry:.17g}",
-            f"min_rate: {self.min_rate:.17g}",
-            f"support_floor: {self.support_floor:.17g}",
+            f"symmetric: {str(asym <= SYMMETRY_TOL).lower()}",
+            f"fully_supported: {str(floor > 0 and min_rate >= floor).lower()}",
+            f"max_asymmetry: {asym:.17g}",
+            f"min_rate: {min_rate:.17g}",
+            f"support_floor: {floor:.17g}",
             f"sample_count: {self.sample_count}",
             f"exhaustive: {str(self.exhaustive).lower()}",
         ]
 
 
-SYMMETRY_TOL = 1e-14
 F64 = np.dtype(float)
 
 
@@ -597,7 +613,7 @@ def validate_hypotheses(
     states: np.ndarray | StateGrid,
     rates: Sequence[np.ndarray] | None = None,
 ) -> ValidationReport:
-    """Check rate symmetry and full support over sample states or a whole grid.
+    """Each population's rate asymmetry, smallest rate and floor, for :meth:`ValidationReport.problems`.
 
     Sample states are one ``(S, sum(strategy_counts))`` mass array, as :func:`sample_states` returns
     it, finite and none below ``-MASS_TOL``.  The game's lattice, a :class:`StateGrid`, makes the
@@ -623,19 +639,8 @@ def validate_hypotheses(
         for p, x in enumerate(parts):
             _check_masses(p, x)
         rates = _checked_rates(game, protocols, parts)
-    per_pop = [
-        (float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min())) for rho in rates
-    ]
-    max_asym = max(stats[0] for stats in per_pop)
-    min_rate = min(stats[1] for stats in per_pop)
-    floor = min(proto.support_floor for proto in protocols)
-    return ValidationReport(
-        symmetric=max_asym <= SYMMETRY_TOL,
-        fully_supported=(floor > 0) and (min_rate >= floor),
-        max_asymmetry=max_asym,
-        min_rate=min_rate,
-        sample_count=len(states),
-        exhaustive=exhaustive,
-        support_floor=floor,
-        per_population=tuple(per_pop),
+    per_population = tuple(
+        (n, float(np.max(np.abs(rho - rho.transpose(0, 2, 1)))), float(rho.min()), proto.support_floor)
+        for n, rho, proto in zip(game.strategy_counts, rates, protocols)
     )
+    return ValidationReport(per_population, sample_count=len(states), exhaustive=exhaustive)

@@ -42,7 +42,6 @@ import numpy as np
 from .dynamics import rest_point
 from .errors import SymgameError
 from .games import (
-    SYMMETRY_TOL,
     PopulationGame,
     RevisionProtocol,
     _check_masses,
@@ -284,26 +283,14 @@ def decompose(
     (cyclically) and one aggregate of the remaining strategies (lineage
     ``n->n-1 ... target+1->target``).  The lumping halves the churn corner
     only from three strategies to two, so reducing to 3 and then splitting
-    agrees with reducing straight to 2.  Symmetry is required wherever a
-    reduction happens; full support is required everywhere.  Both are checked on ``sample_states(game)``, 1000
-    seeded random states.  All failures are reported together.
+    agrees with reducing straight to 2.  The hypotheses, symmetry wherever a reduction happens and full
+    support everywhere, are ``ValidationReport.problems(target)`` on ``sample_states(game)``, 1000 seeded
+    random states; all failures are reported together.
     """
     if target < 2:
         raise ValueError(f"target arity must be at least 2, got {target}")
     protocols = protocol_tuple(protocol, game)
-    report = validate_hypotheses(game, protocols, sample_states(game))
-    problems = []
-    for p, (asym, min_rate) in enumerate(report.per_population):
-        if game.strategy_counts[p] > target and asym > SYMMETRY_TOL:
-            problems.append(f"population {p}: max asymmetry {asym:.6g} exceeds {SYMMETRY_TOL}")
-        floor = protocols[p].support_floor
-        if floor <= 0:
-            problems.append(f"population {p}: support floor {floor} is not positive")
-        elif min_rate < floor:
-            problems.append(
-                f"population {p}: sampled rate {min_rate:.6g} falls below the floor {floor:.6g}"
-            )
-    if problems:
+    if problems := validate_hypotheses(game, protocols, sample_states(game)).problems(target):
         raise SymgameError("decomposition preconditions failed: " + "; ".join(problems))
 
     populations = tuple(

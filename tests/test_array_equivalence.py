@@ -226,6 +226,7 @@ def _reference_balance(chain, mu):
 
 
 def _reference_validation(game, protocol, states):
+    # per population: strategies, max asymmetry, min rate, declared floor
     protocols = protocol_tuple(protocol, game)
     per_pop = [[0.0, math.inf] for _ in range(game.num_populations)]
     for state in states:
@@ -233,7 +234,9 @@ def _reference_validation(game, protocol, states):
             rho = proto.rates(pi, x)
             per_pop[p][0] = max(per_pop[p][0], float(np.max(np.abs(rho - rho.T))))
             per_pop[p][1] = min(per_pop[p][1], float(rho.min()))
-    return tuple((a, b) for a, b in per_pop)
+    return tuple(
+        (n, a, b, proto.support_floor) for n, (a, b), proto in zip(game.strategy_counts, per_pop, protocols)
+    )
 
 
 def _reference_sample_states(game, n_random, seed):
@@ -1752,10 +1755,7 @@ class TestCsvWriters:
         states = np.where(
             rng.random(shape) < 0.5, rng.choice(values, size=shape), rng.uniform(-1.0, 2.0, size=shape)
         )
-        traj = Trajectory(
-            times=times, states=states, dt=0.1, strategy_counts=strategy_counts,
-            masses=(1.0,) * len(strategy_counts),
-        )
+        traj = Trajectory(times=times, states=states, strategy_counts=strategy_counts)
         assert traj.to_csv() == _reference_trajectory_csv(traj)
 
     def test_distinct_value_formatter_keys_on_bits(self):

@@ -2,10 +2,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symgame.cli import main
+from symgame import SymgameError, decompose
+from symgame.cli import main, run_command
+from symgame.config import parse_config
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -45,6 +51,25 @@ matrix =
 
 [run]
 N = 2
+horizon = 1.0
+seeds = 1
+"""
+
+ASYMMETRIC_2X2 = """\
+[game]
+type = linear
+payoff_matrix =
+    0 0
+    0 0
+
+[protocol]
+kind = table
+matrix =
+    1 2
+    3 1
+
+[run]
+N = 6
 horizon = 1.0
 seeds = 1
 """
@@ -310,6 +335,92 @@ class TestCommands:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+
+def _report_value(path, key):
+    return next(line.split(": ", 1)[1] for line in path.read_text().split("\n") if line.startswith(f"{key}: "))
+
+
+@st.composite
+def table_models(draw):
+    """Config text of 1-2 populations of 2-4 strategies under symmetric or skewed rate tables, and a floor."""
+    tables = []
+    for _ in range(draw(st.integers(1, 2))):
+        n, low = draw(st.integers(2, 4)), draw(st.integers(0, 1))  # rates of 0 in half the tables
+        B = np.array(draw(st.lists(st.integers(low, 4), min_size=n * n, max_size=n * n))).reshape(n, n)
+        tables.append(B + B.T if draw(st.booleans()) else B)
+
+    def rows(M):
+        return "".join("    " + " ".join(map(str, row)) + "\n" for row in M)
+
+    if len(tables) == 1:
+        game = f"type = linear\npayoff_matrix =\n{rows(np.zeros_like(tables[0]))}"
+        protocol = f"matrix =\n{rows(tables[0])}"
+    else:
+        game = "type = table-payoff\npopulations = 2\nmasses = 1.0, 1.0\n" + "".join(
+            f"payoff_matrix_{p + 1} =\n{rows(np.zeros_like(M))}" for p, M in enumerate(tables)
+        )
+        protocol = "".join(f"matrix_{p + 1} =\n{rows(M)}" for p, M in enumerate(tables))
+    floor = draw(st.sampled_from([None, 0.5, 1.5, 2.5]))  # None: each table's own smallest rate
+    protocol += "" if floor is None else f"support_floor = {floor}\n"
+    return f"[game]\n{game}\n[protocol]\nkind = table\n{protocol}\n[run]\nN = 2\nhorizon = 0.5\nseeds = 1\n"
+
+
+class TestOneRule:
+    """validate, experiment and decompose decide the hypotheses by one rule: ValidationReport.problems."""
+
+    @given(table_models())
+    @example(ASYMMETRIC_2X2)  # passes
+    @example(ASYMMETRIC_TABLE)  # fails
+    @settings(max_examples=30, deadline=None)
+    def test_validate_experiment_and_decompose_agree(self, text):
+        # table rates do not depend on the state, so the lattice and the sampled states give one report
+        def problems(call, prefix):
+            try:
+                call()
+            except SymgameError as exc:
+                assert str(exc).startswith(prefix)
+                return str(exc)[len(prefix):].replace("sampled rate", "rate").split("; ")
+            return []
+
+        config = parse_config(text)
+        game = config.build_game()
+        expected = problems(lambda: decompose(game, config.build_protocols(game)), "decomposition preconditions failed: ")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = pathlib.Path(tmp) / "model.cfg", pathlib.Path(tmp) / "out"
+            path.write_text(text)
+            assert run("validate", path, out / "validate") == (1 if expected else 0)
+            assert problems(lambda: run_command("experiment", config, out / "experiment"), "hypotheses fail: ") == expected
+            assert (out / "experiment" / "experiment_report.txt").exists() == (not expected)
+
+    def test_the_refusal_names_the_failing_population(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(ASYMMETRIC_TABLE)
+        assert run("experiment", config, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "hypotheses fail: population 0: max asymmetry 1 exceeds 1e-14\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_an_asymmetric_two_strategy_population_passes(self, tmp_path):
+        # a two-strategy population is a birth-death chain: its product form is exact whatever its rates
+        config = tmp_path / "asym.cfg"
+        config.write_text(ASYMMETRIC_2X2)
+        assert run("validate", config, tmp_path / "validate") == 0
+        assert _report_value(tmp_path / "validate" / "validate_report.txt", "symmetric") == "false"
+        assert run("experiment", config, tmp_path / "experiment") == 0
+        assert float(_report_value(tmp_path / "experiment" / "experiment_report.txt", "tv_predicted_vs_exact")) <= 1e-15
+
+    def test_a_declared_constant_floor_is_the_floor_checked(self, tmp_path, capsys):
+        text = RPS_CONSTANT.replace("c = 1.0", "c = 2.0\nsupport_floor = {floor}")
+        high, low = tmp_path / "high.cfg", tmp_path / "low.cfg"
+        high.write_text(text.format(floor=5))
+        low.write_text(text.format(floor=0.5))
+        assert run("validate", high, tmp_path / "high") == 1
+        assert _report_value(tmp_path / "high" / "validate_report.txt", "fully_supported") == "false"
+        capsys.readouterr()
+        assert run("experiment", high, tmp_path / "high_experiment") == 1
+        assert capsys.readouterr().err == "hypotheses fail: population 0: rate 2 falls below the floor 5\n"
+        assert run("validate", low, tmp_path / "low") == 0
+        assert _report_value(tmp_path / "low" / "validate_report.txt", "support_floor") == "0.5"
 
 
 class TestRateEvaluations:

@@ -253,10 +253,9 @@ class TestValidateHypotheses:
     def test_constant_protocol_report(self):
         game = make_linear_game(RPS)
         report = validate_hypotheses(game, constant_protocol(1.0), build_grid(game, 6))
-        assert report.symmetric
-        assert report.fully_supported
-        assert report.max_asymmetry == 0.0
-        assert report.min_rate == 1.0
+        assert report.per_population == ((3, 0.0, 1.0, 1.0),)  # strategies, max asymmetry, min rate, floor
+        assert report.as_lines()[:2] == ["symmetric: true", "fully_supported: true"]
+        assert report.problems() == []
         assert report.exhaustive  # a grid is checked state by state
         assert report.sample_count == 28
 
@@ -264,8 +263,8 @@ class TestValidateHypotheses:
         game = make_linear_game(np.zeros((2, 2)))
         proto = table_protocol([[1.0, 2.0], [3.0, 1.0]])
         report = validate_hypotheses(game, proto, build_grid(game, 4))
-        assert not report.symmetric
-        assert report.max_asymmetry == 1.0
+        assert "symmetric: false" in report.as_lines()
+        assert report.per_population[0][1] == 1.0
 
     def test_sum_exponential_full_support_on_rps(self):
         # payoff sums on the simplex stay above -2, so exp(pi_i + pi_j) >= e^-2
@@ -273,13 +272,13 @@ class TestValidateHypotheses:
         proto = sum_exponential_protocol(1.0, support_floor=math.exp(-2.0))
         grid = build_grid(game, 40)
         report = validate_hypotheses(game, proto, grid)
-        assert report.fully_supported
+        assert "fully_supported: true" in report.as_lines()
         floor = min(
             float(np.min(np.add.outer(pi, pi)))
             for pi in (game.payoff_at((k / 40,))[0] for k in grid.counts)
         )
         assert math.exp(floor) >= math.exp(-2.0)
-        assert report.min_rate >= math.exp(-2.0)
+        assert report.per_population[0][2] >= math.exp(-2.0)
 
     def test_builtin_symmetric_protocols_are_exactly_symmetric(self):
         game = make_linear_game(RPS)

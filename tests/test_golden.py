@@ -269,8 +269,8 @@ GOLDEN_TRANSFORMED = {
     },
 }
 
-# the derived two-strategy blocks are not symmetric, so validate reports failure
-TRANSFORMED_STATUS = {"validate": 1}
+# derived two-strategy populations need no symmetry, so every command exits 0
+TRANSFORMED_STATUS = {}
 
 
 def _digests(command, config, out, status=0):

@@ -118,7 +118,10 @@ def test_every_import_is_used_or_exported(module_name):
 
 
 # receivers named so hold these classes, as a bare name or as an attribute (``model.grid``)
-_RECEIVERS = {"chain": "FiniteChain", "grid": "StateGrid"}
+_RECEIVERS = {
+    "chain": "FiniteChain", "grid": "StateGrid", "config": "ExperimentConfig", "game": "PopulationGame",
+    "trajectory": "Trajectory", "traj": "Trajectory", "path": "PathResult",
+}
 
 
 def _annotated_classes(node: ast.AST) -> frozenset[str] | None:
