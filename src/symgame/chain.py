@@ -57,9 +57,11 @@ __all__ = [
 ]
 
 # above this many states of the solved chain (the orbits when a symmetry lumps it), LU fill-in costs
-# more memory than Jacobi-scaled power iteration (+33% peak RSS on 45,451 states); on the 15,151
-# orbits of RPS at N = 300 the factors hold 1,277,775 entries and keep peak RSS below power's
+# more memory than Jacobi-scaled power iteration
 LU_STATE_LIMIT = 20_000
+
+# blocks of at most this many lattice points end the nested dissection of the solved chain
+DISSECTION_LEAF = 16
 
 # random draws per refill of each path's two streams
 DRAW_BLOCK = 1024
@@ -289,17 +291,18 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     when there is no symmetry) and ``symmetry_defect`` (the largest accepted
     ``max |Q[sigma x, sigma y] - Q[x, y]|``) go in the metadata.
 
-    The size of the system solved, the orbit count when lumped, picks the solve.  Up to
-    ``LU_STATE_LIMIT`` (20,000) states or orbits it is sparse LU on the transposed generator
-    with its last equation replaced by the normalization row, threshold pivoting and one step of
-    iterative refinement (:func:`_lu_stationary`).  Above, power iteration runs on the
-    Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q`` (D the exit rates), mapped back by
-    ``mu ~ nu / D``, with its ``iterations`` in the metadata.  The residual ``max |mu Q|`` on
-    the full chain is checked against 1e-12 times its largest rate and stored in the metadata;
-    ``SolverError`` is raised above it, or when power iteration does not converge.
+    The size of the solved chain, the orbit count when lumped, picks the solve.  Up to
+    ``LU_STATE_LIMIT`` (20,000) states or orbits it is sparse LU on the transposed generator,
+    numbered in the geometric nested-dissection order of the states' counts (an orbit's first
+    state's; :func:`_lumped_generator`), with its last equation replaced by the normalization
+    row, diagonal pivots and one step of iterative refinement (:func:`_lu_stationary`); the
+    factor's stored entries go in the metadata as ``factor_entries``.  Above, power iteration
+    runs on the Jacobi-scaled lazy jump chain ``K = I + 0.99 D^-1 Q`` (D the exit rates), mapped
+    back by ``mu ~ nu / D``, with its ``iterations`` in the metadata.  The residual ``max |mu Q|``
+    on the full chain is checked against 1e-12 times its largest rate and stored in the
+    metadata; ``SolverError`` is raised above it, or when power iteration does not converge.
     Small probabilities are not entrywise accurate; the total-variation distance is unaffected.
     """
-    import scipy.sparse as sp
     n_comp, labels = _communicating_classes(chain)
     if n_comp > 1:
         sizes = np.bincount(labels)
@@ -309,23 +312,17 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
             classes=[np.flatnonzero(labels == c).tolist() for c in range(n_comp)],
         )
     bound = 1e-12 * chain.max_rate()
-    q = chain.generator
     orbit, defect = _symmetry_orbits(chain)
-    if orbit is not None:
-        sizes = np.bincount(orbit)
-        rows: sp.csr_matrix = q[np.unique(orbit, return_index=True)[1]]  # R Q: the first state of each orbit
-        q = sp.csr_matrix((rows.data, orbit[rows.indices], rows.indptr), shape=(len(sizes),) * 2)
-        q.sum_duplicates()  # (R Q) L: columns summed by orbit
+    q, orbit = _lumped_generator(chain, orbit)
     if q.shape[0] <= LU_STATE_LIMIT:
         metadata = {"solver": "lu"}
-        mu = _lu_stationary(q)
+        mu, metadata["factor_entries"] = _lu_stationary(q)
     else:
         metadata = {"solver": "power"}
         mu, metadata["iterations"] = _power_stationary(q, bound)
     metadata["orbits"] = q.shape[0]
     metadata["symmetry_defect"] = defect
-    if orbit is not None:
-        mu = (mu / sizes)[orbit]
+    mu = (mu / np.bincount(orbit))[orbit]
 
     mu = np.maximum(mu, 0.0)
     mu /= mu.sum()
@@ -336,15 +333,71 @@ def exact_stationary(chain: FiniteChain) -> StationaryTable:
     return StationaryTable(grid=chain.grid, probabilities=mu, provenance="exact", metadata=metadata)
 
 
-def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
+def _dissection_order(points: np.ndarray) -> np.ndarray:
+    """A geometric nested-dissection order of lattice points (George 1973): a permutation of their rows.
+
+    Level by level, each block of more than ``DISSECTION_LEAF`` points splits at the midpoint m of
+    its widest count coordinate into the points below m, those above and the separator on m, in
+    that order; the separator is final, the halves split on, and a leaf keeps its given order.  A
+    move changes each count by at most one, so no edge of the full lattice joins two halves, and
+    eliminating both before their separator keeps the fill-in inside each half and the separator.
+    """
+    n, d = points.shape
+    flat = np.ascontiguousarray(points.T, dtype=np.int32).ravel()  # coordinate-major
+    offsets = np.arange(0, d * n, n)[:, None]
+    order = np.arange(n)
+    starts, sizes = np.zeros(1, dtype=np.intp), np.array([n])  # blocks of ``order`` to split
+    while True:
+        keep = sizes > DISSECTION_LEAF
+        starts, sizes, blocks = starts[keep], sizes[keep], np.count_nonzero(keep)
+        if not blocks:
+            return order
+        block = np.repeat(np.arange(blocks), sizes)
+        first = np.cumsum(sizes) - sizes  # of each block among the gathered members
+        at = np.arange(len(block)) + (starts - first)[block]
+        members = order[at]
+        coords = flat[offsets + members]
+        lo, hi = np.minimum.reduceat(coords, first, axis=1), np.maximum.reduceat(coords, first, axis=1)
+        axis = np.argmax(hi - lo, axis=0)
+        mid = (lo + hi)[axis, np.arange(blocks)] // 2
+        value = coords.ravel()[axis[block] * len(block) + np.arange(len(block))]
+        side = (value > mid[block]) + 2 * (value == mid[block])  # below, above, on the separator
+        key = 3 * block + side
+        order[at] = members[np.argsort(key, kind="stable")]
+        counts = np.bincount(key, minlength=3 * blocks).reshape(blocks, 3)
+        starts, sizes = np.concatenate([starts, starts + counts[:, 0]]), counts[:, :2].T.ravel()
+
+
+def _lumped_generator(chain: FiniteChain, labels: np.ndarray | None) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The generator lumped by state ``labels`` (None: a lump per state), and the lumps' new labels.
+
+    Lump a's row is its first state's row with columns summed by lump (``R Q L``).  Up to
+    ``LU_STATE_LIMIT`` lumps, which LU factors, are numbered in the :func:`_dissection_order` of
+    their first states' counts; more keep the order of their first states for power iteration.
+    """
+    import scipy.sparse as sp
+    first = np.arange(chain.num_states) if labels is None else np.unique(labels, return_index=True)[1]
+    order = np.arange(len(first))
+    if len(first) <= LU_STATE_LIMIT:
+        order = _dissection_order(chain.grid.counts[first])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    labels = rank if labels is None else rank[labels]
+    rows = chain.generator[first[order]]
+    q = sp.csr_matrix((rows.data, labels[rows.indices], rows.indptr), shape=(len(order),) * 2)
+    q.sum_duplicates()
+    return q, labels
+
+
+def _lu_stationary(q: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """The solution of mu q = 0, sum(mu) = 1 by LU in q's own order, and the factor's stored entries."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
     # Row j of Q in CSR is column j of A = Q^T in CSC.  Drop A's last row and
     # append a 1 to every column in its place: the equation sum(mu) = 1.
-    # A's columns are diagonally dominant, so with a 0.1 threshold and an A + A^T ordering
-    # SuperLU pivots on the diagonal except where the normalization row's 1 dominates
-    # (Stewart 1994, ch. 2).  On the 15,151 orbits of RPS at N = 300 the factors hold
-    # 1,277,775 entries, against 1,492,528 with partial pivoting.
+    # Above that row, A's columns are diagonally dominant and stay so through elimination, so
+    # diagonal pivots are stable (Stewart 1994, ch. 2).  The last row grows with the mass
+    # eliminated; a pivoting threshold above 0 would let it take a pivot and fill every later row.
     n = q.shape[0]
     keep = q.indices != n - 1
     kept_before = np.concatenate(([0], np.cumsum(keep)))[q.indptr]
@@ -357,11 +410,11 @@ def _lu_stationary(q: sp.csr_matrix) -> np.ndarray:
     )
     b = np.zeros(n)
     b[-1] = 1.0
-    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, relax=2, panel_size=4,
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=2, panel_size=4,
               options={"SymmetricMode": True})
     mu = lu.solve(b)
     mu += lu.solve(b - A @ mu)
-    return mu
+    return mu, lu.nnz
 
 
 def _power_stationary(q: sp.csr_matrix, target: float, max_iters: int = 2_000_000) -> tuple[np.ndarray, int]:

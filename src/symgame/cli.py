@@ -223,8 +223,10 @@ def _degenerate_line(model: _Model) -> str:
 
 def _solver_lines(model: _Model) -> list[str]:
     metadata = model.exact.metadata
+    work = "factor_entries" if metadata["solver"] == "lu" else "iterations"
     return [
         f"solver: {metadata['solver']}",
+        f"{work}: {metadata[work]}",
         f"orbits: {metadata['orbits']}",
         f"symmetry_defect: {metadata['symmetry_defect']:.17g}",
         f"residual: {metadata['residual']:.17g}",

@@ -455,7 +455,7 @@ class ValidationReport:
     strategy count, the largest ``|rho_ij - rho_ji|`` and the smallest rate (the diagonal too) over the
     checked states, and its protocol's declared floor.  Sampling is a surrogate for the universally
     quantified conditions, so the sample count and exhaustiveness are recorded.  :meth:`problems`
-    decides; :meth:`as_lines` prints a whole-game summary derived from the facts.
+    decides; :meth:`as_lines` prints a whole-game summary derived from the facts, then the problems.
     """
 
     per_population: tuple[tuple[int, float, float, float], ...]
@@ -490,6 +490,7 @@ class ValidationReport:
             f"support_floor: {floor:.17g}",
             f"sample_count: {self.sample_count}",
             f"exhaustive: {str(self.exhaustive).lower()}",
+            "problems: " + ("; ".join(self.problems()) or "none"),
         ]
 
 

@@ -45,7 +45,14 @@ from symgame import (
     validate_hypotheses,
 )
 from symgame import chain as chain_module
-from symgame.chain import _lu_stationary, _power_stationary, build_grid
+from symgame.chain import (
+    _dissection_order,
+    _lu_stationary,
+    _lumped_generator,
+    _power_stationary,
+    _symmetry_orbits,
+    build_grid,
+)
 from symgame.games import grid_rates
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +107,31 @@ def gth_stationary(chain):
     return pi / pi.sum()
 
 
+def full_lu(chain, labels=None):
+    """The LU solve of the chain lumped by ``labels`` (none: the full chain), normalized, per state."""
+    q, labels = _lumped_generator(chain, labels)
+    mu = np.maximum(_lu_stationary(q)[0] / np.bincount(labels), 0.0)[labels]
+    return mu / mu.sum()
+
+
+def mmd_lu(chain):
+    """The LU solve that the dissection order replaced, and its factor's stored entries: the full
+    chain in grid order, its last state's equation replaced by the normalization row, columns
+    ordered by SuperLU's minimum degree on A + A^T with threshold pivoting, and one refinement step."""
+    from scipy.sparse.linalg import splu
+    n = chain.num_states
+    A = chain.generator.T.tolil()
+    A[n - 1, :] = 1.0
+    A = A.tocsc()
+    b = np.zeros(n)
+    b[-1] = 1.0
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, relax=2, panel_size=4,
+              options={"SymmetricMode": True})
+    mu = lu.solve(b)
+    mu = np.maximum(mu + lu.solve(b - A @ mu), 0.0)
+    return mu / mu.sum(), lu.nnz
+
+
 def _uniformized_power_iterations(chain):
     # iterations of the power solve on I + Q^T / (1.01 max rate), with the
     # same stopping rule, before Jacobi scaling replaced it
@@ -116,25 +148,49 @@ def _uniformized_power_iterations(chain):
 
 
 @st.composite
-def sum_exponential_chains(draw):
-    """A ``sum_exponential`` chain (eta 0.5, 2 or 4) of a linear game of 2-4 strategies, or of a
-    separable game of two such populations; its payoffs are circulant, so that the strategy
-    shift leaves the chain unchanged, when the second value is True."""
+def sum_exponential_chains(draw, kinds=("sum_exponential",)):
+    """A chain of a linear game of 2-4 strategies, or of a separable game of two such populations,
+    under ``sum_exponential`` (eta 0.5, 2 or 4) or a ``table`` of rates in [0.1, 2], one of
+    ``kinds``; its payoffs and tables are circulant, so that the strategy shift leaves the chain
+    unchanged, when the second value is True."""
     n_pops = draw(st.integers(1, 2))
     counts = draw(st.lists(st.integers(2, 4), min_size=n_pops, max_size=n_pops))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     circulant = draw(st.booleans())
+    shift = [(np.arange(n)[None, :] - np.arange(n)[:, None]) % n for n in counts]
     matrices = []
-    for n in counts:
+    for n, roll in zip(counts, shift):
         matrix = rng.uniform(-1.0, 1.0, size=(n, n))
         if circulant:
-            matrix = matrix[0][(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+            matrix = matrix[0][roll]
         matrices.append(matrix)
     game = make_linear_game(matrices[0]) if n_pops == 1 else make_separable_game(matrices)
-    eta = draw(st.sampled_from([0.5, 2.0, 4.0]))
+    if draw(st.sampled_from(kinds)) == "sum_exponential":
+        protocol = sum_exponential_protocol(draw(st.sampled_from([0.5, 2.0, 4.0])))
+    else:
+        tables = [rng.uniform(0.1, 2.0, size=(n, n)) for n in counts]
+        protocol = [table_protocol(t[0][roll] if circulant else t) for t, roll in zip(tables, shift)]
     largest = {1: {2: 30, 3: 10, 4: 6}, 2: {2: 6, 3: 3, 4: 2}}[n_pops][max(counts)]
     grid = build_grid(game, draw(st.integers(1, largest)))
-    return build_generator(game, sum_exponential_protocol(eta), grid), circulant
+    return build_generator(game, protocol, grid), circulant
+
+
+def reference_dissection(points, leaf):
+    """The nested dissection by recursion: the order, and the (below, above) halves of every split."""
+    splits = []
+
+    def dissect(members):
+        if len(members) <= leaf:
+            return list(members)
+        coords = points[members]
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        mid = (lo[axis] + hi[axis]) // 2
+        below, above = members[coords[:, axis] < mid], members[coords[:, axis] > mid]
+        splits.append((below, above))
+        return dissect(below) + dissect(above) + list(members[coords[:, axis] == mid])
+
+    return np.array(dissect(np.arange(len(points)))), splits
 
 
 def lattice(n, size, **kwargs):
@@ -357,7 +413,7 @@ class TestExactStationary:
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
         power, _ = _power_stationary(chain.generator, 1e-12 * chain.max_rate())
-        assert np.max(np.abs(_lu_stationary(chain.generator) - power)) < 1e-10
+        assert np.max(np.abs(full_lu(chain) - power)) < 1e-10
 
     def test_jacobi_scaled_power_agrees_with_lu_in_fewer_iterations(self):
         game = make_linear_game(RPS)
@@ -392,11 +448,11 @@ class TestExactStationary:
     @given(sum_exponential_chains())
     @settings(max_examples=80, deadline=None)
     def test_lu_agrees_with_gth_at_every_rate_scale(self, model):
-        # scaling Q moves its rates far from the normalization row's 1, the pivot that the
-        # threshold lets SuperLU take off the diagonal.  Two independent populations whose
-        # rates differ widely make a nearly decomposable chain, which elimination with any
-        # pivoting solves only to about eps times the rate spread (at most 0.33 of it wherever
-        # the error passed 3e-14, over 4,800 such chains and scales), so that is their bound.
+        # scaling Q moves its rates far from the normalization row's 1.  Two independent
+        # populations whose rates differ widely make a nearly decomposable chain, which
+        # elimination with any pivoting solves only to about eps times the rate spread (at most
+        # 0.33 of it wherever the error passed 3e-14, over 4,800 such chains and scales), so
+        # that is their bound.
         chain, circulant = model
         bound = 1e-13
         if len(chain.grid.sizes) == 2:
@@ -404,12 +460,56 @@ class TestExactStationary:
         for scale in (1e-8, 1.0, 1e8):
             scaled = dataclasses.replace(chain, generator=chain.generator * scale, rate=chain.rate * scale)
             oracle = gth_stationary(scaled)
-            full = np.maximum(_lu_stationary(scaled.generator), 0.0)
-            assert 0.5 * np.abs(full / full.sum() - oracle).sum() <= bound
+            assert 0.5 * np.abs(full_lu(scaled) - oracle).sum() <= bound
             exact = exact_stationary(scaled)
             assert exact.metadata["solver"] == "lu"
             assert exact.metadata["orbits"] < chain.num_states or not circulant
             assert 0.5 * np.abs(exact.probabilities - oracle).sum() <= bound
+
+    @given(sum_exponential_chains(kinds=("sum_exponential", "table")))
+    @settings(max_examples=80, deadline=None)
+    def test_dissection_lu_agrees_with_the_minimum_degree_lu(self, model):
+        # the ordered solve, on the full chain and on its orbits, against the solve it replaced;
+        # the bound is the GTH test's
+        chain, circulant = model
+        bound = 1e-13
+        if len(chain.grid.sizes) == 2:
+            bound += np.finfo(float).eps * chain.rate.max() / chain.rate.min()
+        orbits, _ = _symmetry_orbits(chain)
+        assert orbits is not None or not circulant or chain.num_states == 1
+        lumpings = [None] if orbits is None else [None, orbits]
+        for scale in (1e-8, 1.0, 1e8):
+            scaled = dataclasses.replace(chain, generator=chain.generator * scale, rate=chain.rate * scale)
+            reference, _ = mmd_lu(scaled)
+            for labels in lumpings:
+                assert 0.5 * np.abs(full_lu(scaled, labels) - reference).sum() <= bound
+
+    def test_the_dissection_factor_is_no_larger_than_the_minimum_degree_factor(self):
+        # a pivot on the normalization row fills every later row: 3.3 times the entries here
+        game = make_linear_game(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 3)))
+        chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 120))
+        exact = exact_stationary(chain)
+        assert (exact.metadata["solver"], exact.metadata["orbits"]) == ("lu", chain.num_states)
+        assert exact.metadata["factor_entries"] <= 1.1 * mmd_lu(chain)[1]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dissection_order_is_a_permutation_whose_halves_share_no_edge(self, data):
+        counts = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+        largest = {1: {2: 60, 3: 14, 4: 8}, 2: {2: 8, 3: 4, 4: 3}}[len(counts)][max(counts)]
+        game = make_separable_game([np.zeros((n, n)) for n in counts])
+        chain = build_generator(game, constant_protocol(1.0), build_grid(game, data.draw(st.integers(1, largest))))
+        leaf = data.draw(st.sampled_from([1, 2, chain_module.DISSECTION_LEAF]))
+        with mock.patch.object(chain_module, "DISSECTION_LEAF", leaf):
+            order = _dissection_order(chain.grid.counts)
+        assert np.array_equal(np.sort(order), np.arange(chain.num_states))
+        expected, splits = reference_dissection(chain.grid.counts, leaf)
+        assert np.array_equal(order, expected)
+        side = np.zeros(chain.num_states, dtype=int)
+        for below, above in splits:
+            side[:] = 0
+            side[below], side[above] = 1, 2
+            assert not np.any(side[chain.src] * side[chain.dst] == 2), "an edge joins two halves"
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         script = (
@@ -438,9 +538,7 @@ class TestExactStationary:
         exact = exact_stationary(chain)
         assert exact.metadata["orbits"] == chain.num_states
         assert exact.metadata["symmetry_defect"] == 0.0
-        full = np.maximum(_lu_stationary(chain.generator), 0.0)
-        full /= full.sum()
-        assert np.array_equal(exact.probabilities, StationaryTable(chain.grid, full, "exact").probabilities)
+        assert np.array_equal(exact.probabilities, StationaryTable(chain.grid, full_lu(chain), "exact").probabilities)
 
     def test_a_payoff_perturbed_by_1e_9_breaks_the_symmetry(self):
         perturbed = np.array(RPS, dtype=float)
@@ -470,7 +568,7 @@ class TestExactStationary:
     def test_residual_above_the_bound_raises_solver_error(self, monkeypatch):
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: np.ones(q.shape[0]))
+        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: (np.ones(q.shape[0]), 0))
         with pytest.raises(SolverError, match=r"stationary residual .* exceeds bound"):
             exact_stationary(chain)
 
@@ -478,7 +576,7 @@ class TestExactStationary:
         # NaN compares False with any bound, so the check must fail it explicitly
         game = make_linear_game(RPS)
         chain = build_generator(game, sum_exponential_protocol(1.0), build_grid(game, 6))
-        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: np.full(q.shape[0], np.nan))
+        monkeypatch.setattr(chain_module, "_lu_stationary", lambda q: (np.full(q.shape[0], np.nan), 0))
         with pytest.raises(SolverError, match=r"stationary residual nan exceeds bound"):
             exact_stationary(chain)
 

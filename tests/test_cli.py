@@ -268,9 +268,17 @@ class TestCommands:
         assert key in done.stderr
         assert "Traceback" not in done.stderr
 
-    def test_trajectory_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the mean dynamic's velocity goes through BLAS gemv
-        config = ROOT / "docs" / "examples" / "rps_sum_exponential.cfg"
+    @pytest.mark.parametrize(
+        "command, name, N",
+        [
+            ("mean-dynamic", "trajectory.csv", 4),  # the velocity goes through BLAS gemv
+            ("exact-stationary", "exact_stationary.csv", 30),  # SuperLU's dense kernels go through BLAS
+        ],
+    )
+    def test_artifact_bytes_do_not_depend_on_the_blas_thread_count(self, command, name, N, tmp_path):
+        config = tmp_path / "rps.cfg"
+        config.write_text((ROOT / "docs" / "examples" / "rps_sum_exponential.cfg").read_text().replace(
+            "\nN = 4\n", f"\nN = {N}\n"))
         written = []
         for threads in ("1", "2"):
             env = {
@@ -280,10 +288,10 @@ class TestCommands:
             }
             out = tmp_path / f"threads_{threads}"
             subprocess.run(
-                [sys.executable, "-m", "symgame.cli", "mean-dynamic", "--config", str(config), "--out", str(out)],
+                [sys.executable, "-m", "symgame.cli", command, "--config", str(config), "--out", str(out)],
                 check=True, capture_output=True, env=env,
             )
-            written.append((out / "trajectory.csv").read_bytes())
+            written.append((out / name).read_bytes())
         assert written[0] == written[1]
 
     @pytest.mark.parametrize(
@@ -366,6 +374,24 @@ def table_models(draw):
     return f"[game]\n{game}\n[protocol]\nkind = table\n{protocol}\n[run]\nN = 2\nhorizon = 0.5\nseeds = 1\n"
 
 
+class TestSolverLines:
+    """The exact solve's work is printed: the factor's entries after LU, the iterations after power."""
+
+    @pytest.mark.parametrize("limit, key", [(20_000, "factor_entries"), (0, "iterations")])
+    def test_the_solver_prints_its_work(self, limit, key, tmp_path, monkeypatch):
+        from symgame import chain as chain_module
+        from symgame.chain import build_generator, build_grid, exact_stationary
+
+        monkeypatch.setattr(chain_module, "LU_STATE_LIMIT", limit)
+        config = parse_config((ROOT / "docs" / "examples" / "rps_sum_exponential.cfg").read_text())
+        assert run_command("exact-stationary", config, tmp_path) == 0
+        text = (tmp_path / "exact_stationary.csv").read_text()
+        game = config.build_game()
+        expected = exact_stationary(build_generator(game, config.build_protocols(game), build_grid(game, 4)))
+        assert expected.metadata[key] > 0
+        assert f"\n# solver: {expected.metadata['solver']}\n# {key}: {expected.metadata[key]}\n# orbits: " in text
+
+
 class TestOneRule:
     """validate, experiment and decompose decide the hypotheses by one rule: ValidationReport.problems."""
 
@@ -390,6 +416,8 @@ class TestOneRule:
             path, out = pathlib.Path(tmp) / "model.cfg", pathlib.Path(tmp) / "out"
             path.write_text(text)
             assert run("validate", path, out / "validate") == (1 if expected else 0)
+            printed = _report_value(out / "validate" / "validate_report.txt", "problems")
+            assert printed.replace("sampled rate", "rate") == ("; ".join(expected) or "none")
             assert problems(lambda: run_command("experiment", config, out / "experiment"), "hypotheses fail: ") == expected
             assert (out / "experiment" / "experiment_report.txt").exists() == (not expected)
 

@@ -20,8 +20,8 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 GOLDEN = {
     "coordination_table": {
-        "exact_stationary.csv": "e4d563e3c8a269c711ffec28f86b7dd9b98f2c33445b3c9fe6020fe80755f8ca",
-        "experiment_report.txt": "b61bcdf46ddf29ec7b42a8eb16b36c9d6b4292041dba359aa947bbade2a69af3",
+        "exact_stationary.csv": "267a10ef1bfde06675332c8fcc59aa019e50e609ca92953cae85278f549f4e9a",
+        "experiment_report.txt": "6b02c7f9f153f5fe7a71ef35b36a4863fdb0976f91b81ecc16846c85374f5e3d",
         "occupancy_5.csv": "284f163ea1304087be1b3abb74b33cebc6fc11a48cdac23d09b0e343a103f7be",
         "path_5.csv": "b4e7fc32aace9b244280bcb155b171d8fca2fe79b9c5662f50dd5f33561dec4b",
         "predicted.csv": "321c85cf4677541e30ce2c62ed3361c1c59a0f33ad80bc58198302e7cea3b0d8",
@@ -29,8 +29,8 @@ GOLDEN = {
         "transformed_game.cfg": "7494d0ed35ab5bce1c34582eb9c74d507b0ae526279137f59c7762a9de05340f",
     },
     "rps_constant": {
-        "exact_stationary.csv": "a5daab0c33119dff2a38686331b1d7bc11241235fa06a38c884c12cd55a7975d",
-        "experiment_report.txt": "d73fa7d3ac16539684cc78940b0fbc712549245c96a2d4740de698669c1715f4",
+        "exact_stationary.csv": "bc1a3314d4731655a3bfb94ef067eeb37a70f4af4e003cae4c238d928fb27c59",
+        "experiment_report.txt": "30bdd7ddf33d42e82839b7df2972266fbc6019994de59d527a0e0acac06be4c7",
         "occupancy_1.csv": "0ed53d68a6424d58c5adbe9d0e691ad62918a8bf3d46426b46f717c3b305934e",
         "occupancy_2.csv": "63b43adf0bf8802fd74eec34641c04e004a985900831cbaa70c4f15ec0b33269",
         "occupancy_3.csv": "8abea4d627ae562bfde0fca298ec675b449d9234ffd315e9aa0f0827b34fd090",
@@ -42,8 +42,8 @@ GOLDEN = {
         "transformed_game.cfg": "3fd0660e339972097ce6eccd997186da1d5a97fa610d22f5f10e9fcc91957c34",
     },
     "rps_sum_exponential": {
-        "exact_stationary.csv": "e6aef2da482e052acdd8a299dc60358abe120c5846836234dee8224c2d82170b",
-        "experiment_report.txt": "5544597fe374cd0872614ceeaa3426b83bdf5e90f2b44c5883e9b473e2508e74",
+        "exact_stationary.csv": "45ee785d122c7753988edf373eb4efe9417b4a8ec3004827da62ffe22616016f",
+        "experiment_report.txt": "9976b920aba1e95892fb17b4520f56116b90ba92e9950738248726d0d8131e32",
         "occupancy_11.csv": "f6017a7d343a34967b9a054095956f5f0f91ddf4f6927e345fd36fbbfeaa99c9",
         "occupancy_12.csv": "7442aae9daafe851a8d36cefa5036aaabee926c28a282cd5cd9ab561b6373029",
         "path_11.csv": "f684d5a295836f302e7202de0e1b0f09461048861127098167757943c235b87f",
@@ -53,8 +53,8 @@ GOLDEN = {
         "transformed_game.cfg": "f885b9feadb6f92af675d671a768ea0e6be6cbe1c03c5bc38366a2021ee5022d",
     },
     "two_populations": {
-        "exact_stationary.csv": "6dfc03c1c25f04f55663e327bae212e7b2217faaf7e90e4a13c838943ad1e094",
-        "experiment_report.txt": "56ec0901f8251cb2fcc8698ba72c3344c9bfc5c1dc04aa795cd93c4e0ee72962",
+        "exact_stationary.csv": "c890759b220a831e511ed814533443b6c73b79787a088d07057de91e26c2d306",
+        "experiment_report.txt": "055b99a5afb592c7e675b84ae8340e95b0bb7a599b2b3cf50c7c088a20b5a924",
         "occupancy_21.csv": "b62f41ecc8ee3e71a50d67b6a8bd5ab2f618a0a7b17a7129d8282aedd6c7ef49",
         "occupancy_22.csv": "8018ced599e770cbddd9295a7cb0853856ef451ba19912d3311a0706327fb845",
         "path_21.csv": "8ce978b9fbec07272d8e666b872385749bca69cc8ab6b43a0dcecffeae1d46c9",
@@ -96,16 +96,16 @@ GOLDEN_SIMULATE = {
 GOLDEN_COMMANDS = {
     "validate": {
         "coordination_table": {
-            "validate_report.txt": "94a64038e0dbac8e2af7b8477efd88bfe3ebffe2909928c34a9d73075e0d223d",
+            "validate_report.txt": "78b2825a38d1eb903bbda602cadfaea2b2fd5a4f115831edc2ecee82fdfbd173",
         },
         "rps_constant": {
-            "validate_report.txt": "9516871e2352a17073d75b97b1c51b24d43e0bfa2e9bd3ffaad18dd597b0a1ad",
+            "validate_report.txt": "1f78f8c44fbf5ddbcc7fa806fb961f292d7f3c1e423b1b6d710667c8b86389b0",
         },
         "rps_sum_exponential": {
-            "validate_report.txt": "782551a7afa142bd9f1165032436efcfd8b3216eba9f32716b47b0e115a1c07e",
+            "validate_report.txt": "20d5faf73b8c77135de01025df21032442f2e8e95e5f2ff2f32a495756e0bda5",
         },
         "two_populations": {
-            "validate_report.txt": "1a91879b959d3d44cfce8def8453885faa8e53dd4e9ea3efb586aed4409ddf0a",
+            "validate_report.txt": "ba6cab1d3b2851262602c5f34c141f28f08ad0684d5636788e4333a1c8fd2214",
         },
     },
     "transform": {
@@ -155,16 +155,16 @@ GOLDEN_COMMANDS = {
     },
     "compare": {
         "coordination_table": {
-            "compare_report.txt": "d0c19e72cfac1073dbf940b49831a96f604cb024031185eeba8cbf47dea60fdc",
+            "compare_report.txt": "6b7264675ffa98e9295aee52031f57d307330d80c4ac7c46c7f12f2ac972f5e6",
         },
         "rps_constant": {
-            "compare_report.txt": "f7215a03d5822b95b1d9ff973dbdcf245b501820459acfb91ae3c1f86d7ebbc4",
+            "compare_report.txt": "83ff7b235550cd437fccbef7aa3a1da61801b2e8a28cfdbef0d797b2d95dfb0b",
         },
         "rps_sum_exponential": {
             "compare_report.txt": "d825ec95c12bbb562f100a3d29445773e08f79ae0b3bf520bd02205263ee1ec2",
         },
         "two_populations": {
-            "compare_report.txt": "0ce367d830a62d2c192e5f6d549bf3f8f947e31c60c1260de2470b4536bf4a86",
+            "compare_report.txt": "c863b24be27f08704141105a95d8a40f9ce24c932e514157f6c5eec3ac90e8b2",
         },
     },
     "mean-dynamic": {
@@ -183,16 +183,16 @@ GOLDEN_COMMANDS = {
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "f1cde7a8a30291bcabe524a8445cb1bc44c1a29dd8be4c20fe6f4abe2f454387",
+            "exact_stationary.csv": "cbb8f8a4df6c864d5943351ad93cada957417ea43a0b614fb93dd1832cca8863",
         },
         "rps_constant": {
-            "exact_stationary.csv": "62bb4a1dbdfefe89405785f1c52e9b4d7f4688b7f3e59128e0e7240ecfd19073",
+            "exact_stationary.csv": "3d53c93217efa6ba6a5ad4a8220abe092842c0f4a2d5e5b434e06bbd70864a50",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "c0883a3d06ca4959e3e4cc6afdc96d7a1ab314856c8de4209d0ca672428f243f",
+            "exact_stationary.csv": "56e9dbdc5b026e817920eafb18c6726c182cd353a02f04c4a57d0137b2eef60e",
         },
         "two_populations": {
-            "exact_stationary.csv": "02e1a8d4081b53c17d800aa4a95b09ba95c0da7dd11210d95a37166c80abab2c",
+            "exact_stationary.csv": "c3459fdfaa4152f8fe9ceb167daeaacbe3d3eef216ab1f7b818c3584f4550a6d",
         },
     },
 }
@@ -201,30 +201,30 @@ GOLDEN_COMMANDS = {
 GOLDEN_TRANSFORMED = {
     "validate": {
         "coordination_table": {
-            "validate_report.txt": "ebe9e6f76706595744c4d4637b9167d33bc8f366dcef234cf9a125ee3d45e752",
+            "validate_report.txt": "b8586d831286dd6e3865ecf9894f8027ccaf41888aecb73854a6c3af90de6447",
         },
         "rps_constant": {
-            "validate_report.txt": "8f17012a8ffe379196660e4b8f7982db15c5618f79202182c5541df063e90f00",
+            "validate_report.txt": "6fe29ff543bea56d34485561317c27b1a79fdab5525c8a4f95580777b803b633",
         },
         "rps_sum_exponential": {
-            "validate_report.txt": "72d3937107854291116d84119221823b1e96fa8f08a3e25a854bf6881077ecce",
+            "validate_report.txt": "7a49a593762d9bdd191bb81622b299938895c2e7ebed743062161251d9c188a4",
         },
         "two_populations": {
-            "validate_report.txt": "96c5012683d84b1a6021df3c83d01d3e4949fb6e7d09db12b75a720fbce4fd08",
+            "validate_report.txt": "42fe1719dbf128f705f4ac27b26e3681f6e4a3719093b24c8fc5eea0e55c9156",
         },
     },
     "exact-stationary": {
         "coordination_table": {
-            "exact_stationary.csv": "751ea2c926b76a2da8b76778263e2f7d80baabcbe269dc3c3cc0f03b631dacb0",
+            "exact_stationary.csv": "4147dfd094e5b4b42b46467d9fd43956e92c212b4036ee71f64b567e22206942",
         },
         "rps_constant": {
-            "exact_stationary.csv": "3f103184cc77f4ffe96fa09512f5a9c6dae75124441377854f332d8152b17be2",
+            "exact_stationary.csv": "4dcee663204100bfbc5848d7e329fd6b2a75c32dc4fc7d183df842e0887b35b6",
         },
         "rps_sum_exponential": {
-            "exact_stationary.csv": "0c2e15d4792efc12fd71e66f458d10cf5b1e6fa291093c2e19ac16d8260d4d9e",
+            "exact_stationary.csv": "502060de07783b918c2b6c40f25597aaf2386f7149f84895048019475889204d",
         },
         "two_populations": {
-            "exact_stationary.csv": "53da791e9f918c1be3dd2dc0bdf95b78f6000caab7acc74f777bcb04cd5f817d",
+            "exact_stationary.csv": "e47c53bd2b790d9c015a50a01e6748597d115a6645cf44796db2017fcc4c1389",
         },
     },
     "simulate": {
